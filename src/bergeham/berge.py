@@ -4,20 +4,27 @@ A Berge cycle of length ``l`` is a list of ``l`` distinct vertices and
 ``l`` distinct edges with ``v_i in e_i & e_{i+1}`` cyclically; a Berge
 path drops one edge.  Equivalently, the vertex sequence is a Hamiltonian
 cycle (path) of the shadow graph together with a system of distinct
-representative edges covering the consecutive pairs.  The searcher
-explores vertex orders depth-first while maintaining that representative
-system as an incremental bipartite matching (consecutive pair -> covering
-edge), pruning a branch as soon as the matching cannot be augmented, i.e.
-on a Hall violation.
+representative edges covering the consecutive pairs.
 
-Everything is deterministic: vertex 0 anchors cycles, candidates are
-tried in ascending id, edges in ascending universe index, so a given
-hypergraph always yields the same certificate.
+One depth-first core decides both.  It extends a vertex order while
+keeping the representative system as an incremental bipartite matching
+(consecutive pair -> covering edge), undone from a trail on backtrack,
+and prunes a branch as soon as the matching cannot be augmented, i.e. on
+a Hall violation.  Only where the order may end, and one closing slot,
+tell the cases apart: a cycle starts at vertex 0, ends above order[1]
+and closes the pair (last, 0); a path without endpoints ends above its
+start; a path with endpoints (a, b) starts at a and keeps b for last.
 
-``BergeDecider`` binds the expensive per-universe tables once so that
-enumeration campaigns can decide millions of graphs that share an edge
-universe; the public ``find_*`` functions wrap it for a single
-hypergraph.
+A negative answer carries a reason.  Whether the shadow graph itself is
+Hamiltonian is settled by the same decider run on the shadow 2-graph,
+where a Berge Hamiltonian cycle or path is exactly an ordinary one.
+
+Everything is deterministic: candidates are tried in ascending id, edges
+in ascending universe index, so a given hypergraph always yields the
+same certificate.  ``BergeDecider`` binds the expensive per-universe
+tables once so that enumeration campaigns can decide millions of graphs
+that share an edge universe; the public ``find_*`` functions wrap it for
+a single hypergraph.
 """
 
 from __future__ import annotations
@@ -139,54 +146,47 @@ class BergeDecider:
                 bit = 1 << ei
                 self.pair_cover[a * n + b] |= bit
                 self.pair_cover[b * n + a] |= bit
+        # search starts (first vertex, per-depth candidate masks), see _search
+        self._cycle_starts = ((0, [-1] * n),)
+        self._path_starts = tuple((s, [-1] * (n - 1) + [-2 << s]) for s in range(n))
 
     @classmethod
     def for_hypergraph(cls, h: Hypergraph) -> "BergeDecider":
         return cls(h.n, h.edges)
 
-    # ----- cycle ---------------------------------------------------------
+    # ----- search --------------------------------------------------------
 
-    def search_cycle(self, chosen: int, stats: SearchStats | None = None,
-                     use_matching: bool = True):
-        """Return (order, slot_edges, closing_edge) or None.
+    def _search(self, chosen: int, starts, close: bool, stats: SearchStats | None):
+        """Depth-first order search shared by cycles and paths.
 
-        ``slot_edges[i]`` covers the pair (order[i], order[i+1]) and
-        ``closing_edge`` covers (order[-1], order[0]); entries are
-        universe indices.  With ``use_matching=False`` this degrades to a
-        plain shadow-graph Hamiltonian cycle search (edges are not
-        reserved), used to classify failures.
+        Each entry of ``starts`` is ``(first, allow)``: the order begins at
+        ``first`` and ``allow[i]`` masks the candidates for order[i], so
+        ``allow[n-1]`` says where the order may end.  Slot i holds the pair
+        (order[i], order[i+1]); with ``close`` one more slot holds the pair
+        (order[-1], order[0]) and the direction rule order[1] < order[-1]
+        drops mirror images.  Returns (order, slot_edges) with one universe
+        index per slot, or None.
         """
         n = self.n
-        if use_matching:
-            if chosen.bit_count() < n:
-                return None
-            vc = self.vert_cover
-            for v in range(n):
-                # a cycle holds every vertex in two distinct edges
-                if (vc[v] & chosen).bit_count() < 2:
-                    return None
         pc = self.pair_cover
-        avail = [0] * (n * n)
-        nbr = [0] * n
+        nbr = [0] * n  # shadow graph of the chosen edges
         for a in range(n):
             base = a * n
             row = 0
             for b in range(a + 1, n):
-                av = pc[base + b] & chosen
-                if av:
-                    avail[base + b] = av
-                    avail[b * n + a] = av
+                if pc[base + b] & chosen:
                     row |= 1 << b
                     nbr[b] |= 1 << a
             nbr[a] |= row
-        for v in range(n):
-            if nbr[v].bit_count() < 2:
-                return None
+        if close:
+            for v in range(n):
+                if nbr[v].bit_count() < 2:
+                    return None
 
         match_owner: dict[int, int] = {}
         slot_avail: list[int] = []
         trail: list[tuple[int, int]] = []
-        order = [0]
+        order: list[int] = []
         nodes = 0
         augments = 0
 
@@ -207,185 +207,106 @@ class BergeDecider:
         def extend(last: int, depth: int, used: int) -> bool:
             nonlocal nodes, augments
             if depth == n:
+                if not close:
+                    return True
                 if order[1] > last:  # direction symmetry: v2 < vn
                     return False
-                av = avail[last * n]  # pair (last, 0)
+                av = pc[last * n + order[0]] & chosen
                 if not av:
                     return False
-                if not use_matching:
-                    return True
                 slot_avail.append(av)
                 augments += 1
-                if augment(len(slot_avail) - 1, [0]):
-                    slot_avail.pop()
-                    return True
+                ok = augment(len(slot_avail) - 1, [0])
                 slot_avail.pop()
-                return False
-            cands = nbr[last] & ~used
+                return ok
+            cands = nbr[last] & ~used & allow[depth]
             while cands:
                 b = cands & -cands
                 cands ^= b
                 v = b.bit_length() - 1
                 nodes += 1
-                if use_matching:
-                    slot_avail.append(avail[last * n + v])
-                    mark = len(trail)
-                    augments += 1
-                    ok = augment(len(slot_avail) - 1, [0])
-                    if ok:
-                        order.append(v)
-                        if extend(v, depth + 1, used | b):
-                            return True
-                        order.pop()
-                    while len(trail) > mark:
-                        e, o = trail.pop()
-                        if o == -1:
-                            del match_owner[e]
-                        else:
-                            match_owner[e] = o
-                    slot_avail.pop()
-                else:
+                slot_avail.append(pc[last * n + v] & chosen)
+                mark = len(trail)
+                augments += 1
+                if augment(len(slot_avail) - 1, [0]):
                     order.append(v)
                     if extend(v, depth + 1, used | b):
                         return True
                     order.pop()
+                while len(trail) > mark:
+                    e, o = trail.pop()
+                    if o == -1:
+                        del match_owner[e]
+                    else:
+                        match_owner[e] = o
+                slot_avail.pop()
             return False
 
-        found = extend(0, 1, 1)
+        found = False
+        for first, allow in starts:
+            order[:] = [first]
+            if extend(first, 1, 1 << first):
+                found = True
+                break
         if stats is not None:
             stats.nodes += nodes
             stats.augments += augments
         if not found:
             return None
-        if not use_matching:
-            return tuple(order), (), -1
-        # the matching holds one edge per slot; slot n-1 is the closing pair
-        slot_to_edge = [-1] * n
+        slot_to_edge = [-1] * (n if close else n - 1)
         for e, s in match_owner.items():
             slot_to_edge[s] = e
-        return tuple(order), tuple(slot_to_edge[: n - 1]), slot_to_edge[n - 1]
+        return tuple(order), tuple(slot_to_edge)
+
+    def search_cycle(self, chosen: int, stats: SearchStats | None = None):
+        """Return (order, slot_edges, closing_edge) or None.
+
+        ``slot_edges[i]`` covers the pair (order[i], order[i+1]) and
+        ``closing_edge`` covers (order[-1], order[0]); entries are
+        universe indices.  Vertex 0 anchors the cycle.
+        """
+        n = self.n
+        if chosen.bit_count() < n:
+            return None
+        vc = self.vert_cover
+        for v in range(n):
+            # a cycle holds every vertex in two distinct edges
+            if (vc[v] & chosen).bit_count() < 2:
+                return None
+        hit = self._search(chosen, self._cycle_starts, True, stats)
+        if hit is None:
+            return None
+        order, slots = hit
+        return order, slots[:-1], slots[-1]
 
     def cycle_exists(self, chosen: int) -> bool:
         return self.search_cycle(chosen) is not None
 
-    # ----- path ----------------------------------------------------------
-
     def search_path(self, chosen: int, endpoints: tuple[int, int] | None = None,
-                    stats: SearchStats | None = None, use_matching: bool = True):
-        """Return (order, slot_edges) or None; see ``search_cycle``."""
+                    stats: SearchStats | None = None):
+        """Return (order, slot_edges) or None; see ``search_cycle``.
+
+        Without endpoints the last vertex exceeds the first, which drops
+        reversed copies; with endpoints (a, b) the order runs from a to b.
+        """
         n = self.n
-        if use_matching and chosen.bit_count() < n - 1:
+        if chosen.bit_count() < n - 1:
             return None
-        pc = self.pair_cover
-        avail = [0] * (n * n)
-        nbr = [0] * n
-        for a in range(n):
-            base = a * n
-            for b in range(a + 1, n):
-                av = pc[base + b] & chosen
-                if av:
-                    avail[base + b] = av
-                    avail[b * n + a] = av
-                    nbr[a] |= 1 << b
-                    nbr[b] |= 1 << a
-        if use_matching:
-            vc = self.vert_cover
-            low = [v for v in range(n) if (vc[v] & chosen).bit_count() < 2]
-            # interior vertices sit in two distinct edges; only endpoints may have degree 1
-            if any((vc[v] & chosen) == 0 for v in low):
+        vc = self.vert_cover
+        low = [v for v in range(n) if (vc[v] & chosen).bit_count() < 2]
+        # interior vertices sit in two distinct edges; only endpoints may have degree 1
+        if any((vc[v] & chosen) == 0 for v in low):
+            return None
+        if endpoints is None:
+            if len(low) > 2:
                 return None
-            if endpoints is None:
-                if len(low) > 2:
-                    return None
-            elif any(v not in endpoints for v in low):
+            starts = self._path_starts
+        else:
+            if any(v not in endpoints for v in low):
                 return None
-        if n == 1:
-            return (0,), ()
-
-        match_owner: dict[int, int] = {}
-        slot_avail: list[int] = []
-        trail: list[tuple[int, int]] = []
-        nodes = 0
-        augments = 0
-
-        def augment(s: int, visited: list[int]) -> bool:
-            av = slot_avail[s] & ~visited[0]
-            while av:
-                b = av & -av
-                av ^= b
-                visited[0] |= b
-                e = b.bit_length() - 1
-                o = match_owner.get(e, -1)
-                if o == -1 or augment(o, visited):
-                    trail.append((e, o))
-                    match_owner[e] = s
-                    return True
-            return False
-
-        order: list[int] = []
-        last_vertex = -1 if endpoints is None else endpoints[1]
-
-        def extend(last: int, depth: int, used: int) -> bool:
-            nonlocal nodes, augments
-            if depth == n:
-                return True
-            cands = nbr[last] & ~used
-            if last_vertex >= 0:
-                if depth == n - 1:
-                    cands &= 1 << last_vertex
-                else:
-                    cands &= ~(1 << last_vertex)
-            while cands:
-                b = cands & -cands
-                cands ^= b
-                v = b.bit_length() - 1
-                nodes += 1
-                if endpoints is None and depth == n - 1 and v < order[0]:
-                    continue  # reversal symmetry: first endpoint < last endpoint
-                if use_matching:
-                    slot_avail.append(avail[last * n + v])
-                    mark = len(trail)
-                    augments += 1
-                    ok = augment(len(slot_avail) - 1, [0])
-                    if ok:
-                        order.append(v)
-                        if extend(v, depth + 1, used | b):
-                            return True
-                        order.pop()
-                    while len(trail) > mark:
-                        e, o = trail.pop()
-                        if o == -1:
-                            del match_owner[e]
-                        else:
-                            match_owner[e] = o
-                    slot_avail.pop()
-                else:
-                    order.append(v)
-                    if extend(v, depth + 1, used | b):
-                        return True
-                    order.pop()
-            return False
-
-        starts = range(n) if endpoints is None else (endpoints[0],)
-        for s in starts:
-            order = [s]
-            if extend(s, 1, 1 << s):
-                if stats is not None:
-                    stats.nodes += nodes
-                    stats.augments += augments
-                if not use_matching:
-                    return tuple(order), ()
-                slot_to_edge = [-1] * (n - 1)
-                for e, sl in match_owner.items():
-                    slot_to_edge[sl] = e
-                return tuple(order), tuple(slot_to_edge)
-            match_owner.clear()
-            slot_avail.clear()
-            trail.clear()
-        if stats is not None:
-            stats.nodes += nodes
-            stats.augments += augments
-        return None
+            a, b = endpoints
+            starts = ((a, [~(1 << b)] * (n - 1) + [1 << b]),)
+        return self._search(chosen, starts, False, stats)
 
     def path_exists(self, chosen: int, endpoints: tuple[int, int] | None = None) -> bool:
         return self.search_path(chosen, endpoints) is not None
@@ -417,20 +338,20 @@ class BergeDecider:
         )
 
 
-def _classify_cycle_failure(d: BergeDecider, chosen: int, n: int) -> str:
-    if chosen.bit_count() < n:
-        return REASON_INSUFFICIENT_EDGES
-    if d.search_cycle(chosen, use_matching=False) is None:
-        return REASON_SHADOW_NOT_HAMILTONIAN
-    return REASON_EXHAUSTED
+def _failure_reason(h: Hypergraph, kind: str, endpoints=None) -> str:
+    """Why ``h`` has no Hamiltonian Berge cycle (path): the first reason that applies.
 
-
-def _classify_path_failure(d: BergeDecider, chosen: int, n: int, endpoints) -> str:
-    if chosen.bit_count() < n - 1:
+    A Berge cycle or path of a 2-graph is an ordinary one, so running the
+    decider on the shadow 2-graph tells whether the shadow is Hamiltonian.
+    """
+    if h.m < (h.n if kind == "cycle" else h.n - 1):
         return REASON_INSUFFICIENT_EDGES
-    if d.search_path(chosen, endpoints, use_matching=False) is None:
-        return REASON_SHADOW_NOT_HAMILTONIAN
-    return REASON_EXHAUSTED
+    s = BergeDecider.for_hypergraph(Hypergraph(h.n, 2, h.shadow_pairs()))
+    if kind == "cycle":
+        hit = s.search_cycle(s.full_chosen)
+    else:
+        hit = s.search_path(s.full_chosen, endpoints)
+    return REASON_EXHAUSTED if hit else REASON_SHADOW_NOT_HAMILTONIAN
 
 
 def find_hamiltonian_berge_cycle(h: Hypergraph) -> SearchResult:
@@ -446,7 +367,7 @@ def find_hamiltonian_berge_cycle(h: Hypergraph) -> SearchResult:
     stats = SearchStats()
     d = BergeDecider.for_hypergraph(h)
     cert = d.cycle_certificate(d.full_chosen, stats)
-    reason = None if cert else _classify_cycle_failure(d, d.full_chosen, h.n)
+    reason = None if cert else _failure_reason(h, "cycle")
     stats.seconds = time.perf_counter() - t0
     return SearchResult(cert, reason, stats)
 
@@ -465,7 +386,7 @@ def find_hamiltonian_berge_path(h: Hypergraph, endpoints: tuple[int, int] | None
     stats = SearchStats()
     d = BergeDecider.for_hypergraph(h)
     cert = d.path_certificate(d.full_chosen, endpoints, stats)
-    reason = None if cert else _classify_path_failure(d, d.full_chosen, h.n, endpoints)
+    reason = None if cert else _failure_reason(h, "path", endpoints)
     stats.seconds = time.perf_counter() - t0
     return SearchResult(cert, reason, stats)
 

@@ -51,6 +51,7 @@ from .hypergraph import (
     Hypergraph,
     clique_plus_isolated,
     clique_plus_pendant,
+    members_of,
     universe_masks,
 )
 from .spectral import (
@@ -61,6 +62,7 @@ from .spectral import (
 )
 
 CSV_HEADER = "n,r,m,visited,hamiltonian,nonhamiltonian,exceptions,pass"
+UNDECIDED_SHOWN = 10  # undecided witnesses listed in a spectral report's notes
 
 
 @dataclass
@@ -196,25 +198,59 @@ def _audit_graph(h: Hypergraph, d: BergeDecider, chosen: int, t_spec: int, t_edg
     return verdict, None, unconverged
 
 
+@dataclass
+class AuditTally:
+    """Spectral-audit counts over a set of graphs, merged in rank order.
+
+    Violations and undecided verdicts keep a witness to rebuild the graph
+    from: its rank on an enumeration level, or the random graph itself,
+    which the report lists by its edges.
+    """
+
+    audited: int = 0
+    above: int = 0
+    unconverged: int = 0
+    undecided: list = field(default_factory=list)   # witnesses
+    violations: list = field(default_factory=list)  # (witness, reason)
+
+    def add(self, witness, verdict: str, violation: str | None, unconverged: bool) -> None:
+        self.audited += 1
+        self.unconverged += unconverged
+        if verdict == UNDECIDED:
+            self.undecided.append(witness)
+        elif verdict == CERTIFIED_ABOVE:
+            self.above += 1
+        if violation is not None:
+            self.violations.append((witness, violation))
+
+    def merge(self, other: "AuditTally") -> None:
+        self.audited += other.audited
+        self.above += other.above
+        self.unconverged += other.unconverged
+        self.undecided.extend(other.undecided)
+        self.violations.extend(other.violations)
+
+    def outcome(self, n: int, r: int, m: int, mode: str, scanned: int) -> LevelOutcome:
+        return LevelOutcome(
+            n=n, r=r, m=m, mode=mode, kind="spectral_audit",
+            scanned=scanned, visited=self.audited, positive=self.above,
+            negative=len(self.violations), exceptions=[], ok=not self.violations,
+            note=f"undecided={len(self.undecided)} unconverged={self.unconverged}",
+        )
+
+
+def _random_witness(h: Hypergraph) -> str:
+    return f"random graph with edges {[list(e) for e in h.edge_sets()]}"
+
+
 def _spectral_chunk(spec: LevelSpec, lo: int, hi: int, *, t_spec: int, t_edge: int,
-                    tol: float, ke_code: str, kv_code: str):
+                    tol: float, ke_code: str, kv_code: str) -> AuditTally:
     d = _decider(spec.n, spec.r)
-    audited = above = undecided = unconverged = 0
-    violations: list[tuple[int, str]] = []
-    undecided_ranks: list[int] = []
+    tally = AuditTally()
     for rank, chosen in iter_level_masks(spec, lo, hi):
         h = hypergraph_at(spec, chosen)
-        verdict, violation, unconv = _audit_graph(h, d, chosen, t_spec, t_edge, tol, ke_code, kv_code)
-        audited += 1
-        unconverged += 1 if unconv else 0
-        if verdict == UNDECIDED:
-            undecided += 1
-            undecided_ranks.append(rank)
-        elif verdict == CERTIFIED_ABOVE:
-            above += 1
-        if violation is not None:
-            violations.append((rank, violation))
-    return audited, above, undecided, unconverged, violations, undecided_ranks
+        tally.add(rank, *_audit_graph(h, d, chosen, t_spec, t_edge, tol, ke_code, kv_code))
+    return tally
 
 
 # --------------------------------------------------------------------------
@@ -233,42 +269,24 @@ def _collapse_exceptions(spec: LevelSpec, negatives: list[tuple[int, int]]):
         by_code[c] += 1
         witness.setdefault(c, h)
     records = [
-        ExceptionRecord(code=c, count=k, example_edges=[list(map(int, _bits(e))) for e in witness[c].edges])
+        ExceptionRecord(code=c, count=k, example_edges=[list(members_of(e)) for e in witness[c].edges])
         for c, k in sorted(by_code.items())
     ]
     return records, graphs
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return out
-
-
 def _sweep(spec: LevelSpec, kind: str, jobs: int, budget: int | None, chunk_size: int,
            progress=None):
-    chunks = run_chunks(
-        spec,
-        partial(_berge_chunk, kind=kind),
-        jobs=jobs,
-        chunk_size=chunk_size,
-        budget=budget,
-        progress=progress,
-    )
+    chunks = run_chunks(spec, partial(_berge_chunk, kind=kind), jobs=jobs,
+                        chunk_size=chunk_size, budget=budget, progress=progress)
     visited = sum(c[0] for c in chunks)
     positive = sum(c[1] for c in chunks)
     negatives = [ng for c in chunks for ng in c[2]]
     return visited, positive, negatives
 
 
-def _expected_exception_outcome(
-    records: list[ExceptionRecord],
-    expected: CanonicalForm | None,
-    expected_count: int,
-) -> tuple[bool, str]:
+def _expected_exception_outcome(records: list[ExceptionRecord], expected: CanonicalForm | None,
+                                expected_count: int) -> tuple[bool, str]:
     if expected is None or expected_count == 0:
         if records:
             return False, f"expected no exceptions, found {sum(r.count for r in records)}"
@@ -285,49 +303,76 @@ def _expected_exception_outcome(
     return True, ""
 
 
-def _recheck_sample(
-    spec: LevelSpec,
-    kind: str,
-    negatives: set[int],
-    rng: random.Random,
-    sample_size: int,
-    keep_certs: int = 3,
-):
+def _recheck_sample(spec: LevelSpec, kind: str, negatives: set[int], rng: random.Random,
+                    sample_size: int, keep_certs: int = 3):
     """Re-decide a seeded sample through the public API and verify certificates.
 
     Cross-checks the fast sweep verdicts: a sampled rank must have a
     verifiable certificate exactly when the sweep did not list it as
     negative.  In canonical_only mode the sweep only decided one labeled
     copy per class, so the membership cross-check is skipped and only the
-    certificates themselves are verified.  Returns (ok, checked,
-    certificate dicts).
+    certificates themselves are verified.  Returns (failure, certificate
+    dicts); ``failure`` is empty when every sampled verdict holds, and
+    otherwise names the first failing rank and why it failed.
     """
     total = level_size(spec)
     k = min(sample_size, total)
     if k == 0:
-        return True, 0, []
+        return "", []
     cross_check = spec.mode != CANONICAL_ONLY
     ranks = sorted(rng.sample(range(total), k))
     certs: list[dict] = []
-    pos = 0
     for rank in ranks:
         (_, chosen), = iter_level_masks(spec, rank, rank + 1)
         h = hypergraph_at(spec, chosen)
         res = find_hamiltonian_berge_cycle(h) if kind == "cycle" else find_hamiltonian_berge_path(h)
-        if res.certificate is not None:
-            if verify_certificate(h, res.certificate) or len(res.certificate.vertices) != h.n:
-                return False, pos, certs
-            if cross_check and rank in negatives:
-                return False, pos, certs
-            if len(certs) < keep_certs:
-                d = certificate_to_dict(res.certificate)
-                d["rank"] = rank
-                d["m"] = spec.m
-                certs.append(d)
+        cert = res.certificate
+        problem = ""
+        if cert is not None:
+            bad = verify_certificate(h, cert)
+            if bad or len(cert.vertices) != h.n:
+                problem = f"certificate rejected: {'; '.join(bad) or 'does not span the graph'}"
+            elif cross_check and rank in negatives:
+                problem = f"a {kind} certificate exists but the sweep decided the graph negative"
         elif cross_check and rank not in negatives:
-            return False, pos, certs
-        pos += 1
-    return True, pos, certs
+            problem = f"no {kind} ({res.reason}) but the sweep decided the graph positive"
+        if problem:
+            return f"sampled re-verification failed at rank {rank}: {problem}", certs
+        if cert is not None and len(certs) < keep_certs:
+            d = certificate_to_dict(cert)
+            d["rank"] = rank
+            d["m"] = spec.m
+            certs.append(d)
+    return "", certs
+
+
+def _berge_level(report: VerificationReport, spec: LevelSpec, kind: str,
+                 expected: CanonicalForm | None, expected_count: int,
+                 rng: random.Random, recheck_sample: int, run: dict) -> tuple[bool, list[Hypergraph]]:
+    """Check one level against its expected exceptions and record the outcome.
+
+    Sweeps the level with the ``kind`` decider (``run`` holds the
+    ``_sweep`` options), collapses the negatives by canonical form,
+    compares them with ``expected_count`` labeled copies of ``expected``,
+    re-decides a seeded sample, and appends the level and the sampled
+    certificates to ``report``.  Returns (ok, negative graphs).
+    """
+    visited, positive, negatives = _sweep(spec, kind, **run)
+    records, graphs = _collapse_exceptions(spec, negatives)
+    ok, note = _expected_exception_outcome(records, expected, expected_count)
+    failure, certs = _recheck_sample(spec, kind, {rk for rk, _ in negatives}, rng, recheck_sample)
+    report.certificates.extend(certs)
+    if failure:
+        ok = False
+        note = (note + "; " if note else "") + failure
+    report.levels.append(
+        LevelOutcome(
+            n=spec.n, r=spec.r, m=spec.m, mode=spec.mode, kind=kind,
+            scanned=level_size(spec), visited=visited, positive=positive,
+            negative=len(negatives), exceptions=records, ok=ok, note=note,
+        )
+    )
+    return ok, graphs
 
 
 # --------------------------------------------------------------------------
@@ -367,27 +412,11 @@ def verify_lemma_r_plus_2(
         params={"n": n, "r": r, "mode": mode, "seed": seed},
         jobs=jobs,
     )
+    run = dict(jobs=jobs, budget=budget, chunk_size=chunk_size, progress=progress)
     passed = True
     for m, want, want_count in ((n, expected, expected_count), (n + 1, None, 0)):
-        spec = LevelSpec(n, r, m, mode)
-        visited, positive, negatives = _sweep(spec, "cycle", jobs, budget, chunk_size, progress)
-        records, _ = _collapse_exceptions(spec, negatives)
-        ok, note = _expected_exception_outcome(records, want, want_count)
-        recheck_ok, _, certs = _recheck_sample(
-            spec, "cycle", {rk for rk, _ in negatives}, rng, recheck_sample
-        )
-        report.certificates.extend(certs)
-        if not recheck_ok:
-            ok = False
-            note = (note + "; " if note else "") + "sampled re-verification failed"
-        report.levels.append(
-            LevelOutcome(
-                n=n, r=r, m=m, mode=mode, kind="cycle",
-                scanned=level_size(spec), visited=visited,
-                positive=positive, negative=len(negatives),
-                exceptions=records, ok=ok, note=note,
-            )
-        )
+        ok, _ = _berge_level(report, LevelSpec(n, r, m, mode), "cycle", want, want_count,
+                             rng, recheck_sample, run)
         passed = passed and ok
     report.passed = passed
     report.seconds = time.perf_counter() - t0
@@ -422,72 +451,42 @@ def verify_edge_theorem(
         params={"n": n, "r": r, "seed": seed},
         jobs=jobs,
     )
-    t = threshold("edge_cycle", n, r).value
+    run = dict(jobs=jobs, budget=budget, chunk_size=chunk_size, progress=progress)
 
-    # cycle level: m = t + 1
-    spec = plan.cycle_level
-    visited, positive, negatives = _sweep(spec, "cycle", jobs, budget, chunk_size, progress)
-    records, exception_graphs = _collapse_exceptions(spec, negatives)
-    expected = canonical_form(clique_plus_pendant(n, r))
-    ok_cycle, note = _expected_exception_outcome(records, expected, n * comb(n - 1, r - 1))
-    recheck_ok, _, certs = _recheck_sample(spec, "cycle", {rk for rk, _ in negatives}, rng, recheck_sample)
-    report.certificates.extend(certs)
-    if not recheck_ok:
-        ok_cycle = False
-        note = (note + "; " if note else "") + "sampled re-verification failed"
-    report.levels.append(
-        LevelOutcome(
-            n=n, r=r, m=spec.m, mode=spec.mode, kind="cycle",
-            scanned=level_size(spec), visited=visited, positive=positive,
-            negative=len(negatives), exceptions=records, ok=ok_cycle, note=note,
-        )
+    # cycle level: one edge above the threshold
+    ok_cycle, exception_graphs = _berge_level(
+        report, plan.cycle_level, "cycle", canonical_form(clique_plus_pendant(n, r)),
+        n * comb(n - 1, r - 1), rng, recheck_sample, run,
     )
 
-    # closure level: supergraphs of each exception actually found, m = t + 2
-    sup_visited = sup_scanned = sup_positive = 0
-    sup_negatives: list[tuple[int, int]] = []
-    sup_records: list[ExceptionRecord] = []
-    if t + 2 <= comb(n, r):
+    # closure level: supergraphs of each exception actually found
+    m = plan.cycle_level.m + 1
+    closure = LevelOutcome(
+        n=n, r=r, m=m, mode=SUPERGRAPHS, kind="cycle", scanned=0, visited=0,
+        positive=0, negative=0, exceptions=[], ok=True,
+    )
+    if m <= comb(n, r):
         for g in exception_graphs:
-            sspec = LevelSpec(n, r, t + 2, SUPERGRAPHS, base=g)
-            v, p, ng = _sweep(sspec, "cycle", jobs, budget, chunk_size, progress)
-            sup_scanned += level_size(sspec)
-            sup_visited += v
-            sup_positive += p
-            if ng:
-                recs, _ = _collapse_exceptions(sspec, ng)
-                sup_records.extend(recs)
-                sup_negatives.extend(ng)
-    ok_closure = not sup_negatives
-    report.levels.append(
-        LevelOutcome(
-            n=n, r=r, m=t + 2, mode=SUPERGRAPHS, kind="cycle",
-            scanned=sup_scanned, visited=sup_visited, positive=sup_positive,
-            negative=len(sup_negatives), exceptions=sup_records, ok=ok_closure,
-            note="" if ok_closure else "supergraph of an exception is still non-hamiltonian",
-        )
+            sspec = LevelSpec(n, r, m, SUPERGRAPHS, base=g)
+            visited, positive, negatives = _sweep(sspec, "cycle", **run)
+            closure.scanned += level_size(sspec)
+            closure.visited += visited
+            closure.positive += positive
+            if negatives:
+                closure.negative += len(negatives)
+                closure.exceptions.extend(_collapse_exceptions(sspec, negatives)[0])
+    if closure.negative:
+        closure.ok = False
+        closure.note = "supergraph of an exception is still non-hamiltonian"
+    report.levels.append(closure)
+
+    # path level: at the threshold
+    ok_path, _ = _berge_level(
+        report, plan.path_level, "path", canonical_form(clique_plus_isolated(n, r)),
+        n, rng, recheck_sample, run,
     )
 
-    # path level: m = t
-    pspec = plan.path_level
-    visited, positive, negatives = _sweep(pspec, "path", jobs, budget, chunk_size, progress)
-    precords, _ = _collapse_exceptions(pspec, negatives)
-    pexpected = canonical_form(clique_plus_isolated(n, r))
-    ok_path, pnote = _expected_exception_outcome(precords, pexpected, n)
-    recheck_ok, _, certs = _recheck_sample(pspec, "path", {rk for rk, _ in negatives}, rng, recheck_sample)
-    report.certificates.extend(certs)
-    if not recheck_ok:
-        ok_path = False
-        pnote = (pnote + "; " if pnote else "") + "sampled re-verification failed"
-    report.levels.append(
-        LevelOutcome(
-            n=n, r=r, m=pspec.m, mode=pspec.mode, kind="path",
-            scanned=level_size(pspec), visited=visited, positive=positive,
-            negative=len(negatives), exceptions=precords, ok=ok_path, note=pnote,
-        )
-    )
-
-    report.passed = ok_cycle and ok_closure and ok_path
+    report.passed = ok_cycle and closure.ok and ok_path
     report.seconds = time.perf_counter() - t0
     return report
 
@@ -533,41 +532,20 @@ def verify_spectral_theorem(
     )
 
     audit_kwargs = dict(t_spec=t_spec, t_edge=t_edge, tol=tol, ke_code=ke_code, kv_code=kv_code)
-    all_violations: list[tuple[int, str]] = []
-    undecided_total = 0
-    unconverged_total = 0
+    audits = []  # (tally, witness label) per report level
     plan = monotone_reduction_plan(n, r)
     for spec in (plan.cycle_level, plan.path_level):
-        chunks = run_chunks(
-            spec,
-            partial(_spectral_chunk, **audit_kwargs),
-            jobs=jobs,
-            chunk_size=chunk_size,
-            budget=budget,
-            progress=progress,
-        )
-        audited = sum(c[0] for c in chunks)
-        above = sum(c[1] for c in chunks)
-        undecided = sum(c[2] for c in chunks)
-        unconverged = sum(c[3] for c in chunks)
-        violations = [v for c in chunks for v in c[4]]
-        all_violations.extend(violations)
-        undecided_total += undecided
-        unconverged_total += unconverged
-        report.levels.append(
-            LevelOutcome(
-                n=n, r=r, m=spec.m, mode=spec.mode, kind="spectral_audit",
-                scanned=level_size(spec), visited=audited, positive=above,
-                negative=len(violations), exceptions=[], ok=not violations,
-                note=f"undecided={undecided} unconverged={unconverged}",
-            )
-        )
+        tally = AuditTally()
+        for chunk in run_chunks(spec, partial(_spectral_chunk, **audit_kwargs), jobs=jobs,
+                                chunk_size=chunk_size, budget=budget, progress=progress):
+            tally.merge(chunk)
+        report.levels.append(tally.outcome(n, r, spec.m, spec.mode, level_size(spec)))
+        audits.append((tally, partial("m={} rank {}".format, spec.m)))
 
-    # random graphs across all edge counts
+    # random graphs across all edge counts; each is its own witness
     u = universe_masks(n, r)
     d = _decider(n, r)
-    rand_violations: list[tuple[int, str]] = []
-    rand_above = rand_undecided = rand_unconverged = 0
+    tally = AuditTally()
     for _ in range(samples):
         m = rng.randint(0, len(u))
         idx = rng.sample(range(len(u)), m)
@@ -575,25 +553,11 @@ def verify_spectral_theorem(
         for i in idx:
             chosen |= 1 << i
         h = Hypergraph(n, r, [u[i] for i in idx])
-        verdict, violation, unconv = _audit_graph(h, d, chosen, **audit_kwargs)
-        rand_unconverged += 1 if unconv else 0
-        if verdict == CERTIFIED_ABOVE:
-            rand_above += 1
-        elif verdict == UNDECIDED:
-            rand_undecided += 1
-        if violation is not None:
-            rand_violations.append((-1, violation))
-    all_violations.extend(rand_violations)
-    undecided_total += rand_undecided
-    unconverged_total += rand_unconverged
-    report.levels.append(
-        LevelOutcome(
-            n=n, r=r, m=-1, mode="random", kind="spectral_audit",
-            scanned=samples, visited=samples, positive=rand_above,
-            negative=len(rand_violations), exceptions=[], ok=not rand_violations,
-            note=f"undecided={rand_undecided} unconverged={rand_unconverged}",
-        )
-    )
+        tally.add(h, *_audit_graph(h, d, chosen, **audit_kwargs))
+    report.levels.append(tally.outcome(n, r, -1, "random", samples))
+    audits.append((tally, _random_witness))
+    for t, where in audits:
+        report.notes.extend(f"violation at {where(w)}: {reason}" for w, reason in t.violations)
 
     # (b) pendant exception: strictly above the threshold, non-hamiltonian
     est = spectral_radius(ke, tol)
@@ -615,10 +579,15 @@ def verify_spectral_theorem(
     if not ok_isolated:
         report.notes.append("isolated-vertex exception failed its equality-case check")
 
-    if undecided_total:
-        report.notes.append(f"{undecided_total} undecided instances need exact follow-up")
-    if unconverged_total:
-        report.notes.append(f"{unconverged_total} spectral runs did not converge")
-    report.passed = not all_violations and ok_pendant and ok_isolated
+    undecided = [(where, w) for t, where in audits for w in t.undecided]
+    if undecided:
+        shown = ", ".join(where(w) for where, w in undecided[:UNDECIDED_SHOWN])
+        if len(undecided) > UNDECIDED_SHOWN:
+            shown += f" (first {UNDECIDED_SHOWN})"
+        report.notes.append(f"{len(undecided)} undecided instances need exact follow-up: {shown}")
+    unconverged = sum(t.unconverged for t, _ in audits)
+    if unconverged:
+        report.notes.append(f"{unconverged} spectral runs did not converge")
+    report.passed = not any(t.violations for t, _ in audits) and ok_pendant and ok_isolated
     report.seconds = time.perf_counter() - t0
     return report

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 
 from . import campaigns
@@ -75,14 +74,13 @@ def _progress_printer(kind: str):
                 "exceptions": codes,
             }
         else:
-            audited, above, undecided, unconverged, violations, _ = res
             line = {
                 "chunk": [lo, hi],
-                "visited": audited,
-                "certified_above": above,
-                "undecided": undecided,
-                "unconverged": unconverged,
-                "violations": len(violations),
+                "visited": res.audited,
+                "certified_above": res.above,
+                "undecided": len(res.undecided),
+                "unconverged": res.unconverged,
+                "violations": len(res.violations),
             }
         print(json.dumps(line), file=sys.stderr, flush=True)
 
@@ -220,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bergeham",
         description="Berge Hamiltonicity, hypergraph spectral radii, and threshold verification",
     )
-    top.add_argument("--verbose", action="store_true", help="log progress as JSON lines on stderr")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lambda", help="certified spectral radius bracket of a hypergraph file")
@@ -271,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out")
-    common.add_argument("--verbose", action="store_true")
+    common.add_argument("--verbose", action="store_true", help="stream per-chunk progress as JSON lines on stderr")
 
     q = vsub.add_parser("lemma21", parents=[common], help="base-case sweep at uniformity n-2")
     q.add_argument("--n", type=int, required=True)
@@ -296,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run_cli(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING)
     try:
         return args.func(args)
     except BudgetExceeded as exc:

@@ -31,7 +31,7 @@ from math import comb
 from typing import Callable, Iterator
 
 from .canonical import is_canonical
-from .hypergraph import Hypergraph, labeled_pendant_copies, universe_masks
+from .hypergraph import Hypergraph, universe_masks
 
 ALL_LABELED = "all_labeled"
 CANONICAL_ONLY = "canonical_only"
@@ -301,17 +301,16 @@ class ReductionPlan:
     """Levels whose exhaustive check settles a threshold theorem for all m.
 
     ``cycle_level`` holds every graph with one edge more than the cycle
-    threshold; ``cycle_supergraph_levels`` add one more edge on top of
-    each predicted exceptional graph (campaigns re-derive these from the
-    exceptions actually found, so the prediction never biases the check);
-    ``path_level`` sits exactly at the path threshold.  See the module
-    docstring for the downward-closure argument that makes this complete.
+    threshold and ``path_level`` sits exactly at the path threshold.
+    Campaigns add the supergraph levels of the exceptions they actually
+    find at ``cycle_level``, so no prediction biases the check.  See the
+    module docstring for the downward-closure argument that makes this
+    complete.
     """
 
     n: int
     r: int
     cycle_level: LevelSpec
-    cycle_supergraph_levels: tuple[LevelSpec, ...]
     path_level: LevelSpec
 
 
@@ -319,13 +318,4 @@ def monotone_reduction_plan(n: int, r: int) -> ReductionPlan:
     if r < 3 or n < r + 2:
         raise ValueError(f"threshold theorems need n >= r+2 and r >= 3, got (n={n}, r={r})")
     t = comb(n - 1, r)
-    supers = tuple(
-        LevelSpec(n, r, t + 2, SUPERGRAPHS, base=g) for g in labeled_pendant_copies(n, r)
-    ) if t + 2 <= comb(n, r) else ()
-    return ReductionPlan(
-        n=n,
-        r=r,
-        cycle_level=LevelSpec(n, r, t + 1),
-        cycle_supergraph_levels=supers,
-        path_level=LevelSpec(n, r, t),
-    )
+    return ReductionPlan(n=n, r=r, cycle_level=LevelSpec(n, r, t + 1), path_level=LevelSpec(n, r, t))

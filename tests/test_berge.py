@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -205,6 +206,32 @@ def test_oracle_matches_searcher_on_random_instances():
         h = random_hypergraph(rng, n, r)
         assert (find_hamiltonian_berge_cycle(h).certificate is not None) == brute_force_oracle(h, "cycle")
         assert (find_hamiltonian_berge_path(h).certificate is not None) == brute_force_oracle(h, "path")
+
+
+def test_negative_reasons_match_the_shadow_oracle():
+    # every 3-graph on 5 vertices: a negative answer blames the shadow graph
+    # exactly when the shadow 2-graph has no Hamiltonian cycle (path)
+    u = universe_masks(5, 3)
+    seen = {"cycle": Counter(), "path": Counter()}
+    for chosen in range(1 << len(u)):
+        h = Hypergraph(5, 3, [e for i, e in enumerate(u) if (chosen >> i) & 1])
+        shadow = Hypergraph(5, 2, h.shadow_pairs())
+        for kind, find, need in (
+            ("cycle", find_hamiltonian_berge_cycle, 5),
+            ("path", find_hamiltonian_berge_path, 4),
+        ):
+            res = find(h)
+            if res.certificate is not None:
+                continue
+            seen[kind][res.reason] += 1
+            if res.reason == "insufficient_edges":
+                assert h.m < need
+            else:
+                assert (res.reason == "shadow_not_hamiltonian") == (not brute_force_oracle(shadow, kind))
+    # beyond too few edges, the only negatives are the 30 labeled pendant-clique
+    # copies (cycles) and the 5 labeled isolated-vertex copies (paths)
+    assert seen["cycle"] == {"insufficient_edges": 386, "search_exhausted": 30}
+    assert seen["path"] == {"insufficient_edges": 176, "shadow_not_hamiltonian": 5}
 
 
 def test_oracle_basics_and_validation():

@@ -1,8 +1,12 @@
 import json
+import random
 from math import comb
+from pathlib import Path
 
 import pytest
 
+from bergeham import campaigns
+from bergeham.berge import SearchResult, find_hamiltonian_berge_cycle
 from bergeham.campaigns import (
     CSV_HEADER,
     verify_edge_theorem,
@@ -10,7 +14,9 @@ from bergeham.campaigns import (
     verify_spectral_theorem,
 )
 from bergeham.canonical import canonical_form
+from bergeham.enumeration import LevelSpec, hypergraph_at, iter_level_masks, level_size
 from bergeham.hypergraph import clique_plus_isolated, clique_plus_pendant
+from bergeham.spectral import CERTIFIED_ABOVE, CERTIFIED_BELOW_OR_EQUAL, UNDECIDED
 
 
 def test_lemma_base_case_n5():
@@ -100,3 +106,78 @@ def test_spectral_report_worker_invariance():
         d.pop("seconds")
         d.pop("jobs")
     assert a == b
+
+
+GOLDEN = Path(__file__).with_name("golden_reports.json")
+
+
+def _snapshot(rep):
+    d = rep.to_dict()
+    d.pop("seconds")
+    d.pop("jobs")
+    return {"report": d, "csv": rep.csv_rows()}
+
+
+def test_reports_match_the_golden_copies():
+    # Captured before the matching core and the campaign level routine were
+    # merged; any refactor must leave passing reports exactly as they were.
+    # A deliberate change of the canonical form changes the exception codes
+    # and must regenerate this file.
+    golden = json.loads(GOLDEN.read_text())
+    assert _snapshot(verify_lemma_r_plus_2(5)) == golden["lemma_r_plus_2(5)"]
+    assert _snapshot(verify_edge_theorem(5, 3)) == golden["edge_theorem(5, 3)"]
+    assert _snapshot(verify_spectral_theorem(5, 3, samples=64)) == golden["spectral_theorem(5, 3, samples=64)"]
+
+
+def test_recheck_mismatch_names_the_rank(monkeypatch):
+    spec = LevelSpec(5, 3, 5)
+    ranks = sorted(random.Random(0).sample(range(level_size(spec)), 20))
+
+    def graph(rank):
+        (_, chosen), = iter_level_masks(spec, rank, rank + 1)
+        return hypergraph_at(spec, chosen)
+
+    positives = [rk for rk in ranks if find_hamiltonian_berge_cycle(graph(rk))]
+    target = graph(positives[2])
+    original = campaigns.find_hamiltonian_berge_cycle
+
+    def fake(h):
+        return SearchResult(None, "search_exhausted") if h == target else original(h)
+
+    monkeypatch.setattr(campaigns, "find_hamiltonian_berge_cycle", fake)
+    rep = verify_lemma_r_plus_2(5, recheck_sample=20)
+    assert not rep.passed
+    assert not rep.levels[0].ok and rep.levels[1].ok
+    assert rep.levels[0].note == (
+        f"sampled re-verification failed at rank {positives[2]}: "
+        "no cycle (search_exhausted) but the sweep decided the graph positive"
+    )
+
+
+def test_spectral_violations_and_undecided_verdicts_keep_witnesses(monkeypatch):
+    calls = []
+
+    def fake(h, d, chosen, *args, **kwargs):
+        # call order: the cycle level (m=5, 252 graphs), the path level
+        # (m=4, 210 graphs), then the random graphs
+        i = len(calls)
+        calls.append(h)
+        if i == 7 or i == 252 + 210 + 2:
+            return CERTIFIED_ABOVE, "forced violation", False
+        if 252 <= i < 252 + 12:
+            return UNDECIDED, None, False
+        return CERTIFIED_BELOW_OR_EQUAL, None, False
+
+    monkeypatch.setattr(campaigns, "_audit_graph", fake)
+    rep = verify_spectral_theorem(5, 3, samples=8)
+    assert len(calls) == 252 + 210 + 8
+    assert not rep.passed
+    assert [lv.negative for lv in rep.levels] == [1, 0, 1]
+    assert rep.levels[1].note == "undecided=12 unconverged=0"
+    random_edges = [list(e) for e in calls[252 + 210 + 2].edge_sets()]
+    shown = ", ".join(f"m=4 rank {rk}" for rk in range(10))
+    assert rep.notes == [
+        "violation at m=5 rank 7: forced violation",
+        f"violation at random graph with edges {random_edges}: forced violation",
+        f"12 undecided instances need exact follow-up: {shown} (first 10)",
+    ]

@@ -107,3 +107,18 @@ def test_canon_subcommand(tmp_path, capsys):
     f.write_text(write_hypergraph_text(complete(4, 3)))
     assert run(["canon", "--input", str(f)]) == 0
     assert json.loads(capsys.readouterr().out)["canonical"].startswith("4.3:")
+
+
+def test_verify_verbose_streams_one_progress_line_per_chunk(capsys):
+    assert run(["verify", "lemma21", "--n", "5", "--verbose", "--format", "csv"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().err.strip().splitlines()]
+    # one chunk per level: m=5 (252 graphs) and m=6 (210 graphs)
+    assert [line["chunk"] for line in lines] == [[0, 252], [0, 210]]
+    assert [(line["visited"], line["nonhamiltonian"]) for line in lines] == [(252, 30), (210, 0)]
+    assert lines[0]["exceptions"] == ["<30 graphs>"]
+
+
+def test_verbose_is_a_verify_flag():
+    with pytest.raises(SystemExit) as exc:
+        run(["--verbose", "verify", "lemma21", "--n", "5"])
+    assert exc.value.code == 2
