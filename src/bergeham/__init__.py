@@ -52,6 +52,7 @@ from .spectral import (
     evaluate_form,
     exceeds_threshold,
     gradient_form,
+    spectral_radii,
     spectral_radius,
 )
 
@@ -94,6 +95,7 @@ __all__ = [
     "level_size",
     "monotone_reduction_plan",
     "rotate_path_to_cycle",
+    "spectral_radii",
     "spectral_radius",
     "threshold",
     "universe_masks",

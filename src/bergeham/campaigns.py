@@ -23,7 +23,9 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from itertools import islice
 from math import comb
+from typing import Iterator
 
 from .berge import (
     BergeDecider,
@@ -51,18 +53,21 @@ from .hypergraph import (
     Hypergraph,
     clique_plus_isolated,
     clique_plus_pendant,
+    mask_of,
     members_of,
     universe_masks,
 )
 from .spectral import (
     CERTIFIED_ABOVE,
     UNDECIDED,
+    spectral_radii,
     spectral_radius,
     threshold_verdict,
 )
 
 CSV_HEADER = "n,r,m,visited,hamiltonian,nonhamiltonian,exceptions,pass"
 UNDECIDED_SHOWN = 10  # undecided witnesses listed in a spectral report's notes
+SPECTRAL_SLICE = 512  # graphs bracketed per batched kernel call, for any chunk size
 
 
 @dataclass
@@ -172,15 +177,15 @@ def _is_canonical_mask(spec: LevelSpec, chosen: int) -> bool:
     return is_canonical(hypergraph_at(spec, chosen))
 
 
-def _audit_graph(h: Hypergraph, d: BergeDecider, chosen: int, t_spec: int, t_edge: int,
-                 tol: float, ke_code: str, kv_code: str):
+def _audit_graph(h: Hypergraph, d: BergeDecider, chosen: int, first: tuple[str, bool],
+                 t_spec: int, t_edge: int, tol: float, ke_code: str, kv_code: str):
     """Audit one graph for the spectral->edge->Hamiltonicity implication chain.
 
+    ``first`` is the graph's (verdict, unconverged flag) from the batched
+    bracket at ``tol``; an undecided verdict is retried alone at ``tol/1000``.
     Returns (verdict, violation reason or None, unconverged flag).
     """
-    est = spectral_radius(h, tol, max_iter=50_000)
-    unconverged = not est.converged
-    verdict = threshold_verdict(h, est, t_spec, tol)
+    verdict, unconverged = first
     if verdict == UNDECIDED:
         est = spectral_radius(h, tol / 1000, max_iter=500_000)
         unconverged = unconverged or not est.converged
@@ -243,14 +248,26 @@ def _random_witness(h: Hypergraph) -> str:
     return f"random graph with edges {[list(e) for e in h.edge_sets()]}"
 
 
-def _spectral_chunk(spec: LevelSpec, lo: int, hi: int, *, t_spec: int, t_edge: int,
-                    tol: float, ke_code: str, kv_code: str) -> AuditTally:
-    d = _decider(spec.n, spec.r)
+def _audit_graphs(n: int, r: int, graphs: Iterator, *, t_spec: int, t_edge: int, tol: float,
+                  ke_code: str, kv_code: str) -> AuditTally:
+    """Audit (witness, h, chosen-universe mask) triples, in order.
+
+    Brackets come from one ``spectral_radii`` call per ``SPECTRAL_SLICE``
+    graphs, so memory stays flat however many graphs ``graphs`` yields.
+    """
+    d = _decider(n, r)
     tally = AuditTally()
-    for rank, chosen in iter_level_masks(spec, lo, hi):
-        h = hypergraph_at(spec, chosen)
-        tally.add(rank, *_audit_graph(h, d, chosen, t_spec, t_edge, tol, ke_code, kv_code))
+    while part := list(islice(graphs, SPECTRAL_SLICE)):
+        ests = spectral_radii(n, r, [chosen for _, _, chosen in part], tol, max_iter=50_000)
+        for (witness, h, chosen), est in zip(part, ests):
+            first = (threshold_verdict(h, est, t_spec, tol), not est.converged)
+            tally.add(witness, *_audit_graph(h, d, chosen, first, t_spec, t_edge, tol, ke_code, kv_code))
     return tally
+
+
+def _spectral_chunk(spec: LevelSpec, lo: int, hi: int, **audit_kwargs) -> AuditTally:
+    graphs = ((rank, hypergraph_at(spec, chosen), chosen) for rank, chosen in iter_level_masks(spec, lo, hi))
+    return _audit_graphs(spec.n, spec.r, graphs, **audit_kwargs)
 
 
 # --------------------------------------------------------------------------
@@ -542,18 +559,15 @@ def verify_spectral_theorem(
         report.levels.append(tally.outcome(n, r, spec.m, spec.mode, level_size(spec)))
         audits.append((tally, partial("m={} rank {}".format, spec.m)))
 
-    # random graphs across all edge counts; each is its own witness
+    # random graphs across all edge counts, all drawn before any is audited;
+    # each is its own witness
     u = universe_masks(n, r)
-    d = _decider(n, r)
-    tally = AuditTally()
+    drawn = []
     for _ in range(samples):
         m = rng.randint(0, len(u))
-        idx = rng.sample(range(len(u)), m)
-        chosen = 0
-        for i in idx:
-            chosen |= 1 << i
-        h = Hypergraph(n, r, [u[i] for i in idx])
-        tally.add(h, *_audit_graph(h, d, chosen, **audit_kwargs))
+        drawn.append(rng.sample(range(len(u)), m))
+    graphs = (Hypergraph(n, r, [u[i] for i in idx]) for idx in drawn)
+    tally = _audit_graphs(n, r, ((h, h, mask_of(idx)) for h, idx in zip(graphs, drawn)), **audit_kwargs)
     report.levels.append(tally.outcome(n, r, -1, "random", samples))
     audits.append((tally, _random_witness))
     for t, where in audits:

@@ -23,7 +23,14 @@ from . import campaigns
 from .berge import find_hamiltonian_berge_cycle, find_hamiltonian_berge_path, verify_certificate
 from .bounds import THRESHOLD_NAMES, bai_lu_bound, threshold
 from .canonical import canonical_form
-from .enumeration import ALL_LABELED, CANONICAL_ONLY, BudgetExceeded, DEFAULT_BUDGET
+from .enumeration import (
+    ALL_LABELED,
+    CANONICAL_ONLY,
+    DEFAULT_BUDGET,
+    SUPERGRAPHS,
+    BudgetExceeded,
+    chosen_mask,
+)
 from .formats import (
     certificate_to_dict,
     load_certificate,
@@ -32,6 +39,8 @@ from .formats import (
 )
 from .hypergraph import clique_plus_isolated, clique_plus_pendant, complete
 from .spectral import spectral_radius
+
+NEGATIVE_RANKS_SHOWN = 20  # negative ranks listed per progress line
 
 GENERATORS = {
     "complete": complete,
@@ -57,31 +66,27 @@ def _emit_report(report: campaigns.VerificationReport, fmt: str, out: str | None
 
 
 def _progress_printer(kind: str):
-    from .enumeration import hypergraph_at
-
     def emit(spec, lo: int, hi: int, res) -> None:
+        line = {"m": spec.m, "mode": spec.mode}
+        if spec.mode == SUPERGRAPHS:
+            line["base"] = chosen_mask(spec.n, spec.r, spec.base.edges)
+        line["chunk"] = [lo, hi]
         if kind == "berge":
             count, pos, neg = res
-            if len(neg) <= 20:
-                codes = [canonical_form(hypergraph_at(spec, ch)).compact() for _, ch in neg]
-            else:
-                codes = [f"<{len(neg)} graphs>"]
-            line = {
-                "chunk": [lo, hi],
-                "visited": count,
-                "hamiltonian": pos,
-                "nonhamiltonian": len(neg),
-                "exceptions": codes,
-            }
+            line.update(
+                visited=count,
+                hamiltonian=pos,
+                nonhamiltonian=len(neg),
+                negative_ranks=[rank for rank, _ in neg[:NEGATIVE_RANKS_SHOWN]],
+            )
         else:
-            line = {
-                "chunk": [lo, hi],
-                "visited": res.audited,
-                "certified_above": res.above,
-                "undecided": len(res.undecided),
-                "unconverged": res.unconverged,
-                "violations": len(res.violations),
-            }
+            line.update(
+                visited=res.audited,
+                certified_above=res.above,
+                undecided=len(res.undecided),
+                unconverged=res.unconverged,
+                violations=len(res.violations),
+            )
         print(json.dumps(line), file=sys.stderr, flush=True)
 
     return emit

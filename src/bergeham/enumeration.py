@@ -146,11 +146,7 @@ def iter_level_masks(spec: LevelSpec, lo: int = 0, hi: int | None = None) -> Ite
         return
     if spec.mode == SUPERGRAPHS:
         free = _free_positions(spec)
-        base_mask = 0
-        u = universe_masks(spec.n, spec.r)
-        uindex = {em: i for i, em in enumerate(u)}
-        for em in spec.base.edges:
-            base_mask |= 1 << uindex[em]
+        base_mask = chosen_mask(spec.n, spec.r, spec.base.edges)
         k = spec.m - spec.base.m
         if k == 0:
             yield 0, base_mask
@@ -175,6 +171,12 @@ def iter_level_masks(spec: LevelSpec, lo: int = 0, hi: int | None = None) -> Ite
         yield rank, mask
         if rank + 1 < hi:
             mask = next_same_popcount(mask)
+
+
+def chosen_mask(n: int, r: int, edges) -> int:
+    """The chosen-universe mask of some edges: bit i set for edge ``universe_masks(n, r)[i]``."""
+    edges = set(edges)
+    return sum(1 << i for i, em in enumerate(universe_masks(n, r)) if em in edges)
 
 
 def hypergraph_at(spec: LevelSpec, chosen: int) -> Hypergraph:
@@ -225,8 +227,10 @@ def run_chunks(
 
     ``chunk_fn`` must be picklable and pure; with ``jobs > 1`` chunks run
     in a process pool, but the returned list is always ordered by rank, so
-    any aggregation over it is independent of the worker count.  The
-    ``progress`` callback fires per chunk, in rank order.
+    any aggregation over it is independent of the worker count.  The pool
+    forks where the platform can and spawns elsewhere, so under ``spawn``
+    ``chunk_fn`` must also be importable by the workers.  The ``progress``
+    callback fires per chunk, in rank order.
     """
     total = level_size(spec)
     if budget is not None and total > budget:
@@ -242,7 +246,8 @@ def run_chunks(
                 progress(spec, lo, hi, res)
             results.append(res)
         return results
-    with multiprocessing.get_context("fork").Pool(processes=jobs) as pool:
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    with multiprocessing.get_context(method).Pool(processes=jobs) as pool:
         for (lo, hi), res in zip(
             windows, pool.imap(_ChunkTask(chunk_fn, spec), windows, chunksize=1)
         ):

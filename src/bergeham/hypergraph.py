@@ -13,6 +13,7 @@ only feasible far below that anyway.
 from __future__ import annotations
 
 import operator
+from functools import cache
 from itertools import combinations
 from typing import Iterable
 
@@ -209,11 +210,13 @@ def clique_plus_pendant(n: int, r: int) -> Hypergraph:
     return Hypergraph(n, r, edges)
 
 
+@cache
 def universe_masks(n: int, r: int) -> tuple[int, ...]:
     """All C(n, r) possible edge masks, sorted ascending.
 
     Ascending mask order is the canonical edge-universe ordering used by
     the enumeration machinery (it is the colex order on vertex sets).
+    The tuple is built once per (n, r) and shared by every caller.
     """
     return tuple(sorted(mask_of(c) for c in combinations(range(n), r)))
 

@@ -108,6 +108,19 @@ def test_spectral_report_worker_invariance():
     assert a == b
 
 
+def test_spectral_report_hides_chunk_and_slice_boundaries(monkeypatch):
+    def report(**kw):
+        d = verify_spectral_theorem(5, 3, samples=64, **kw).to_dict()
+        d.pop("seconds")
+        return d
+
+    default = report()
+    assert report(chunk_size=7) == default
+    monkeypatch.setattr(campaigns, "SPECTRAL_SLICE", 5)
+    assert report() == default
+    assert report(chunk_size=7) == default
+
+
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 
 

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from bergeham.berge import BergeDecider
 from bergeham.cli import run_cli
+from bergeham.enumeration import LevelSpec, chosen_mask, hypergraph_at, iter_level_masks
 from bergeham.formats import parse_hypergraph_text, write_hypergraph_text
-from bergeham.hypergraph import clique_plus_pendant, complete
+from bergeham.hypergraph import clique_plus_pendant, complete, labeled_pendant_copies, universe_masks
 
 
 def run(args):
@@ -109,13 +111,38 @@ def test_canon_subcommand(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["canonical"].startswith("4.3:")
 
 
+def _stderr_lines(capsys):
+    return [json.loads(line) for line in capsys.readouterr().err.strip().splitlines()]
+
+
 def test_verify_verbose_streams_one_progress_line_per_chunk(capsys):
     assert run(["verify", "lemma21", "--n", "5", "--verbose", "--format", "csv"]) == 0
-    lines = [json.loads(line) for line in capsys.readouterr().err.strip().splitlines()]
+    lines = _stderr_lines(capsys)
     # one chunk per level: m=5 (252 graphs) and m=6 (210 graphs)
-    assert [line["chunk"] for line in lines] == [[0, 252], [0, 210]]
+    assert [(line["m"], line["mode"], line["chunk"]) for line in lines] == [
+        (5, "all_labeled", [0, 252]),
+        (6, "all_labeled", [0, 210]),
+    ]
     assert [(line["visited"], line["nonhamiltonian"]) for line in lines] == [(252, 30), (210, 0)]
-    assert lines[0]["exceptions"] == ["<30 graphs>"]
+    # the first 20 of the 30 negative ranks, straight from the decider
+    spec = LevelSpec(5, 3, 5)
+    d = BergeDecider(5, universe_masks(5, 3))
+    negatives = [rank for rank, chosen in iter_level_masks(spec) if not d.cycle_exists(chosen)]
+    assert lines[0]["negative_ranks"] == negatives[:20]
+    assert lines[1]["negative_ranks"] == []
+    assert all("exceptions" not in line and "base" not in line for line in lines)
+
+
+def test_verbose_closure_lines_name_their_base(capsys):
+    assert run(["verify", "edges", "--n", "5", "--r", "3", "--verbose", "--format", "csv"]) == 0
+    lines = _stderr_lines(capsys)
+    closure = [line for line in lines if line["mode"] == "supergraphs"]
+    assert len(closure) == 30 and {line["m"] for line in closure} == {6}
+    # each base is one labeled copy of the pendant exception, as a universe mask
+    spec = LevelSpec(5, 3, 5)
+    copies = {chosen_mask(5, 3, h.edges) for h in labeled_pendant_copies(5, 3)}
+    assert {line["base"] for line in closure} == copies
+    assert all(hypergraph_at(spec, line["base"]).m == 5 for line in closure)
 
 
 def test_verbose_is_a_verify_flag():

@@ -1,12 +1,16 @@
+import multiprocessing
+from functools import partial
 from math import comb
 
 import pytest
 
+from bergeham import campaigns
 from bergeham.berge import BergeDecider
 from bergeham.canonical import canonical_form
 from bergeham.enumeration import (
     BudgetExceeded,
     LevelSpec,
+    chosen_mask,
     colex_rank,
     colex_unrank,
     enumerate_level,
@@ -152,6 +156,31 @@ def test_run_chunks_merges_in_rank_order():
     for jobs in (1, 3):
         out = run_chunks(spec, _first_rank, jobs=jobs, chunk_size=10)
         assert out == sorted(out)
+
+
+def test_run_chunks_spawns_workers_where_fork_is_missing(monkeypatch):
+    spec = LevelSpec(5, 3, 5)
+    chunk = partial(campaigns._berge_chunk, kind="cycle")
+    serial = run_chunks(spec, chunk, chunk_size=40)
+    methods = []
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method=None: methods.append(method) or get_context(method))
+    assert run_chunks(spec, chunk, jobs=2, chunk_size=40) == serial
+    assert methods == ["spawn"]
+    assert sum(count for count, _, _ in serial) == 252
+
+
+def test_chosen_mask_inverts_hypergraph_at():
+    spec = LevelSpec(6, 3, 7)
+    for rank, chosen in iter_level_masks(spec, 0, 300):
+        assert chosen_mask(6, 3, hypergraph_at(spec, chosen).edges) == chosen
+
+
+def test_universe_is_built_once_per_shape():
+    assert universe_masks(6, 3) is universe_masks(6, 3)
+    assert universe_masks(6, 3) == tuple(sorted(universe_masks(6, 3)))
 
 
 def test_reduction_plan_shapes():

@@ -1,11 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
 
-from bergeham.bounds import bai_lu_bound
+from bergeham.bounds import bai_lu_bound, threshold
+from bergeham.enumeration import LevelSpec, hypergraph_at, iter_level_masks
 from bergeham.hypergraph import (
     Hypergraph,
     clique_plus_isolated,
@@ -18,10 +20,13 @@ from bergeham.spectral import (
     CERTIFIED_BELOW_OR_EQUAL,
     UNDECIDED,
     SpectralEstimate,
+    _shadow_components,
+    certified_above,
     evaluate_form,
     exact_form_ratio,
     exceeds_threshold,
     gradient_form,
+    spectral_radii,
     spectral_radius,
     threshold_verdict,
 )
@@ -179,3 +184,107 @@ def test_estimate_is_a_dataclass_with_vector():
     assert isinstance(est, SpectralEstimate)
     assert est.vector.shape == (4,)
     assert abs(float((est.vector ** 3).sum()) - 1.0) < 1e-9
+
+
+# --------------------------------------------------------------------------
+# the batched kernel and the dyadic-integer verdict
+
+
+def _random_masks(rng, n, r, count):
+    """Chosen-universe masks of random graphs, the edgeless one first."""
+    size = len(universe_masks(n, r))
+    masks = [0]
+    for _ in range(count - 1):
+        masks.append(sum(1 << i for i in rng.sample(range(size), rng.randint(0, size))))
+    return masks
+
+
+def _batched_and_single(n, r, masks, **kw):
+    """(graph, batched estimate, per-graph estimate) for each mask."""
+    spec = LevelSpec(n, r, 0)
+    for mask, est in zip(masks, spectral_radii(n, r, masks, **kw)):
+        h = hypergraph_at(spec, mask)
+        yield h, est, spectral_radius(h, **kw)
+
+
+def _fraction_ratio(h, x):
+    """form(x) / ||x||_r^r over Fractions, independent of the library's integers."""
+    xs = [Fraction(float(v)) for v in x]
+    form = h.r * sum(prod(xs[v] for v in e) for e in h.edge_sets())
+    return form / sum(v ** h.r for v in xs)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_batched_brackets_equal_per_graph_brackets_on_the_5_3_levels(m):
+    spec = LevelSpec(5, 3, m)
+    masks = [chosen for _, chosen in iter_level_masks(spec)]
+    t = threshold("spectral_cycle", 5, 3).value
+    for h, est, one in _batched_and_single(5, 3, masks, tol=1e-9, max_iter=50_000):
+        assert threshold_verdict(h, est, t) == threshold_verdict(h, one, t)
+        assert (est.converged, est.iterations, est.lower, est.upper) == (
+            one.converged, one.iterations, one.lower, one.upper)
+        assert np.array_equal(est.vector, one.vector)
+        assert est.lower == evaluate_form(h, est.vector)
+
+
+@pytest.mark.parametrize("n,r", [(6, 3), (6, 4)])
+def test_batched_brackets_equal_per_graph_brackets_on_random_graphs(n, r):
+    masks = _random_masks(random.Random(11), n, r, 300)
+    t = threshold("spectral_cycle", n, r).value
+    split = Counter()
+    for h, est, one in _batched_and_single(n, r, masks, tol=1e-9, max_iter=50_000):
+        split[len(_shadow_components(h)) == 1] += 1
+        assert threshold_verdict(h, est, t) == threshold_verdict(h, one, t)
+        assert est.converged == one.converged and est.iterations == one.iterations
+        assert (est.lower, est.upper) == (one.lower, one.upper)
+        assert np.array_equal(est.vector, one.vector)
+    # both paths ran: batched rows and per-graph fallbacks (edgeless included)
+    assert split[True] > 100 and split[False] > 20
+
+
+@pytest.mark.parametrize("n,r", [(6, 3), (6, 4)])
+def test_integer_certificate_agrees_with_fractions(n, r):
+    masks = _random_masks(random.Random(12), n, r, 300)
+    t_spec = threshold("spectral_cycle", n, r).value
+    for h, est, _ in _batched_and_single(n, r, masks[1:], tol=1e-9):
+        ratio = _fraction_ratio(h, est.vector)
+        assert exact_form_ratio(h, est.vector) == ratio
+        for t in (t_spec, ratio, ratio - Fraction(1, 10 ** 30), ratio + Fraction(1, 10 ** 30), float(ratio)):
+            assert certified_above(h, est.vector, t) == (ratio > Fraction(t))
+
+
+def test_integer_certificate_on_the_isolated_vertex_equality_case():
+    # lambda(K_5^3 + v) = C(4, 2) = 6 is the spectral threshold at (6, 3);
+    # the uniform iterate on the clique gives the ratio 6 exactly
+    h = clique_plus_isolated(6, 3)
+    est = spectral_radius(h, tol=1e-10)
+    assert _fraction_ratio(h, est.vector) == exact_form_ratio(h, est.vector) == 6
+    assert not certified_above(h, est.vector, 6)
+    assert certified_above(h, est.vector, Fraction(6) - Fraction(1, 2 ** 60))
+    assert threshold_verdict(h, est, 6) == CERTIFIED_BELOW_OR_EQUAL
+
+
+def test_integer_certificate_handles_spread_exponents_and_zeros():
+    h = Hypergraph(4, 2, [{0, 1}, {1, 2}, {2, 3}])
+    x = [2.0 ** -600, 3.5, 0.0, 2.0 ** 40 + 1]
+    ratio = _fraction_ratio(h, x)
+    assert exact_form_ratio(h, x) == ratio
+    assert certified_above(h, x, ratio - Fraction(1, 2 ** 2000))
+    assert not certified_above(h, x, ratio)
+    with pytest.raises(ValueError):
+        exact_form_ratio(h, [0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        exact_form_ratio(h, [1.0, -1.0, 0.0, 0.0])
+
+
+def test_batched_run_out_of_iterations_still_brackets():
+    spec = LevelSpec(6, 3, 11)
+    masks = [chosen for _, chosen in iter_level_masks(spec, 0, 200)]
+    short = spectral_radii(6, 3, masks, tol=1e-12, max_iter=2)
+    tight = spectral_radii(6, 3, masks, tol=1e-11)
+    assert not any(est.converged for est in short)
+    assert {est.iterations for est in short} == {2}
+    for mask, est, good in zip(masks, short, tight):
+        assert good.converged
+        assert est.lower <= good.upper and good.lower <= est.upper
+        assert est.lower == evaluate_form(hypergraph_at(spec, mask), est.vector)
