@@ -33,10 +33,8 @@ from .campaigns import (
 from .canonical import CanonicalForm, are_isomorphic, canonical_form, is_canonical
 from .enumeration import (
     BudgetExceeded,
-    EnumerationResult,
     LevelSpec,
     ReductionPlan,
-    enumerate_level,
     level_size,
     monotone_reduction_plan,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "BergeDecider",
     "BudgetExceeded",
     "CanonicalForm",
-    "EnumerationResult",
     "Hypergraph",
     "LevelSpec",
     "ReductionPlan",
@@ -84,7 +81,6 @@ __all__ = [
     "clique_plus_isolated",
     "clique_plus_pendant",
     "complete",
-    "enumerate_level",
     "evaluate_form",
     "exceeds_threshold",
     "find_hamiltonian_berge_cycle",

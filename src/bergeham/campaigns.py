@@ -37,10 +37,10 @@ from .bounds import threshold
 from .canonical import CanonicalForm, canonical_form
 from .enumeration import (
     ALL_LABELED,
-    CANONICAL_ONLY,
     DEFAULT_BUDGET,
     DEFAULT_CHUNK,
     LevelSpec,
+    ReductionPlan,
     SUPERGRAPHS,
     hypergraph_at,
     iter_level_masks,
@@ -156,25 +156,16 @@ def _berge_chunk(spec: LevelSpec, lo: int, hi: int, *, kind: str):
     """Decide one chunk; returns (decided, positives, [(rank, mask) negatives])."""
     d = _decider(spec.n, spec.r)
     decide = d.cycle_exists if kind == "cycle" else d.path_exists
-    canonical_filter = spec.mode == CANONICAL_ONLY
     count = 0
     pos = 0
     neg: list[tuple[int, int]] = []
     for rank, chosen in iter_level_masks(spec, lo, hi):
-        if canonical_filter and not _is_canonical_mask(spec, chosen):
-            continue
         count += 1
         if decide(chosen):
             pos += 1
         else:
             neg.append((rank, chosen))
     return count, pos, neg
-
-
-def _is_canonical_mask(spec: LevelSpec, chosen: int) -> bool:
-    from .canonical import is_canonical
-
-    return is_canonical(hypergraph_at(spec, chosen))
 
 
 def _audit_graph(h: Hypergraph, d: BergeDecider, chosen: int, first: tuple[str, bool],
@@ -326,17 +317,14 @@ def _recheck_sample(spec: LevelSpec, kind: str, negatives: set[int], rng: random
 
     Cross-checks the fast sweep verdicts: a sampled rank must have a
     verifiable certificate exactly when the sweep did not list it as
-    negative.  In canonical_only mode the sweep only decided one labeled
-    copy per class, so the membership cross-check is skipped and only the
-    certificates themselves are verified.  Returns (failure, certificate
-    dicts); ``failure`` is empty when every sampled verdict holds, and
-    otherwise names the first failing rank and why it failed.
+    negative.  Returns (failure, certificate dicts); ``failure`` is empty
+    when every sampled verdict holds, and otherwise names the first
+    failing rank and why it failed.
     """
     total = level_size(spec)
     k = min(sample_size, total)
     if k == 0:
         return "", []
-    cross_check = spec.mode != CANONICAL_ONLY
     ranks = sorted(rng.sample(range(total), k))
     certs: list[dict] = []
     for rank in ranks:
@@ -349,9 +337,9 @@ def _recheck_sample(spec: LevelSpec, kind: str, negatives: set[int], rng: random
             bad = verify_certificate(h, cert)
             if bad or len(cert.vertices) != h.n:
                 problem = f"certificate rejected: {'; '.join(bad) or 'does not span the graph'}"
-            elif cross_check and rank in negatives:
+            elif rank in negatives:
                 problem = f"a {kind} certificate exists but the sweep decided the graph negative"
-        elif cross_check and rank not in negatives:
+        elif rank not in negatives:
             problem = f"no {kind} ({res.reason}) but the sweep decided the graph positive"
         if problem:
             return f"sampled re-verification failed at rank {rank}: {problem}", certs
@@ -392,6 +380,20 @@ def _berge_level(report: VerificationReport, spec: LevelSpec, kind: str,
     return ok, graphs
 
 
+def _cycle_level(report: VerificationReport, plan: ReductionPlan, rng: random.Random,
+                 recheck_sample: int, run: dict) -> tuple[bool, list[Hypergraph]]:
+    """Check the plan's cycle level: its non-Hamiltonian graphs must be
+    exactly the n·C(n-1, r-1) labeled copies of the clique-plus-pendant graph."""
+    n, r = plan.n, plan.r
+    return _berge_level(report, plan.cycle_level, "cycle", canonical_form(clique_plus_pendant(n, r)),
+                        n * comb(n - 1, r - 1), rng, recheck_sample, run)
+
+
+def _require_nonnegative(name: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 # --------------------------------------------------------------------------
 # campaigns
 
@@ -402,40 +404,35 @@ def verify_lemma_r_plus_2(
     jobs: int = 1,
     budget: int | None = DEFAULT_BUDGET,
     chunk_size: int = DEFAULT_CHUNK,
-    mode: str = ALL_LABELED,
     seed: int = 0,
     recheck_sample: int = 1000,
     progress=None,
 ) -> VerificationReport:
     """Exhaustively check the (n-2)-uniform base case on n vertices.
 
-    Sweeps every n-vertex (n-2)-graph with exactly n edges (the only
-    non-Hamiltonian ones must be the labeled copies of the
-    clique-plus-pendant graph) and with n+1 edges (all must be
-    Hamiltonian).  The range 5 <= n <= 8 is the feasible desk-scale
-    range; larger n is out of scope for exhaustive checking.
+    This is the edge theorem at r = n-2, whose cycle level has m = n
+    edges: its only non-Hamiltonian graphs must be the labeled copies of
+    the clique-plus-pendant graph.  Instead of the supergraph closure,
+    the whole m = n+1 level is swept, and all of it must be Hamiltonian.
+    The range 5 <= n <= 8 is the feasible desk-scale range; larger n is
+    out of scope for exhaustive checking.
     """
     if not 5 <= n <= 8:
         raise ValueError(f"supported exhaustive range is 5 <= n <= 8, got n={n}")
-    if mode not in (ALL_LABELED, CANONICAL_ONLY):
-        raise ValueError(f"mode must be all_labeled or canonical_only, got {mode!r}")
-    r = n - 2
+    _require_nonnegative("recheck_sample", recheck_sample)
+    plan = monotone_reduction_plan(n, n - 2)
     t0 = time.perf_counter()
     rng = random.Random(seed)
-    expected = canonical_form(clique_plus_pendant(n, r))
-    expected_count = n * comb(n - 1, r - 1) if mode == ALL_LABELED else 1
     report = VerificationReport(
         campaign="lemma_r_plus_2",
-        params={"n": n, "r": r, "mode": mode, "seed": seed},
+        params={"n": n, "r": plan.r, "mode": ALL_LABELED, "seed": seed},
         jobs=jobs,
     )
     run = dict(jobs=jobs, budget=budget, chunk_size=chunk_size, progress=progress)
-    passed = True
-    for m, want, want_count in ((n, expected, expected_count), (n + 1, None, 0)):
-        ok, _ = _berge_level(report, LevelSpec(n, r, m, mode), "cycle", want, want_count,
-                             rng, recheck_sample, run)
-        passed = passed and ok
-    report.passed = passed
+    ok_cycle, _ = _cycle_level(report, plan, rng, recheck_sample, run)
+    ok_next, _ = _berge_level(report, LevelSpec(n, plan.r, plan.cycle_level.m + 1), "cycle",
+                              None, 0, rng, recheck_sample, run)
+    report.passed = ok_cycle and ok_next
     report.seconds = time.perf_counter() - t0
     return report
 
@@ -461,6 +458,7 @@ def verify_edge_theorem(
     edge addition this settles every edge count.
     """
     plan = monotone_reduction_plan(n, r)
+    _require_nonnegative("recheck_sample", recheck_sample)
     t0 = time.perf_counter()
     rng = random.Random(seed)
     report = VerificationReport(
@@ -471,10 +469,7 @@ def verify_edge_theorem(
     run = dict(jobs=jobs, budget=budget, chunk_size=chunk_size, progress=progress)
 
     # cycle level: one edge above the threshold
-    ok_cycle, exception_graphs = _berge_level(
-        report, plan.cycle_level, "cycle", canonical_form(clique_plus_pendant(n, r)),
-        n * comb(n - 1, r - 1), rng, recheck_sample, run,
-    )
+    ok_cycle, exception_graphs = _cycle_level(report, plan, rng, recheck_sample, run)
 
     # closure level: supergraphs of each exception actually found
     m = plan.cycle_level.m + 1
@@ -484,7 +479,7 @@ def verify_edge_theorem(
     )
     if m <= comb(n, r):
         for g in exception_graphs:
-            sspec = LevelSpec(n, r, m, SUPERGRAPHS, base=g)
+            sspec = LevelSpec(n, r, m, base=g)
             visited, positive, negatives = _sweep(sspec, "cycle", **run)
             closure.scanned += level_size(sspec)
             closure.visited += visited
@@ -534,6 +529,7 @@ def verify_spectral_theorem(
     """
     if r < 3 or n < r + 2:
         raise ValueError(f"need n >= r+2 and r >= 3, got (n={n}, r={r})")
+    _require_nonnegative("samples", samples)
     t0 = time.perf_counter()
     rng = random.Random(seed)
     t_spec = threshold("spectral_cycle", n, r).value

@@ -23,14 +23,7 @@ from . import campaigns
 from .berge import find_hamiltonian_berge_cycle, find_hamiltonian_berge_path, verify_certificate
 from .bounds import THRESHOLD_NAMES, bai_lu_bound, threshold
 from .canonical import canonical_form
-from .enumeration import (
-    ALL_LABELED,
-    CANONICAL_ONLY,
-    DEFAULT_BUDGET,
-    SUPERGRAPHS,
-    BudgetExceeded,
-    chosen_mask,
-)
+from .enumeration import DEFAULT_BUDGET, BudgetExceeded, chosen_mask
 from .formats import (
     certificate_to_dict,
     load_certificate,
@@ -68,7 +61,7 @@ def _emit_report(report: campaigns.VerificationReport, fmt: str, out: str | None
 def _progress_printer(kind: str):
     def emit(spec, lo: int, hi: int, res) -> None:
         line = {"m": spec.m, "mode": spec.mode}
-        if spec.mode == SUPERGRAPHS:
+        if spec.base is not None:
             line["base"] = chosen_mask(spec.n, spec.r, spec.base.edges)
         line["chunk"] = [lo, hi]
         if kind == "berge":
@@ -93,6 +86,8 @@ def _progress_printer(kind: str):
 
 
 def cmd_lambda(args) -> int:
+    if args.max_iter < 1:
+        raise ValueError(f"--max-iter must be at least 1, got {args.max_iter}")
     h = load_hypergraph(args.input)
     est = spectral_radius(h, tol=args.tol, max_iter=args.max_iter)
     _write_output(
@@ -191,7 +186,6 @@ def cmd_verify(args) -> int:
             args.n,
             jobs=args.jobs,
             budget=args.budget,
-            mode=CANONICAL_ONLY if args.canonical else ALL_LABELED,
             seed=args.seed,
             progress=progress,
         )
@@ -277,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = vsub.add_parser("lemma21", parents=[common], help="base-case sweep at uniformity n-2")
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--canonical", action="store_true", help="sweep one representative per isomorphism class")
     q.set_defaults(func=cmd_verify)
 
     q = vsub.add_parser("edges", parents=[common], help="edge-count threshold campaign")

@@ -1,12 +1,12 @@
 """Exhaustive level enumeration of hypergraphs with deterministic chunking.
 
-A *level* is the set of hypergraphs on a fixed (n, r) with a fixed edge
-count m, optionally restricted to supergraphs of a base graph or filtered
-down to one canonical representative per isomorphism class.  Levels are
-walked in colex order of the chosen edge-index sets, which coincides with
-ascending numeric order of the chosen-index bitmasks; successive masks
-come from Gosper's hack and rank/unrank uses the combinatorial number
-system.  That gives stateless chunks ``[lo, hi)`` that partition a level
+A *level* is the set of labeled hypergraphs on a fixed (n, r) with a
+fixed edge count m, optionally restricted to supergraphs of a base graph.
+Every labeled graph of a level is visited once; there is no isomorph
+rejection.  Levels are walked in colex order of the chosen edge-index
+sets, which coincides with ascending numeric order of the chosen-index
+bitmasks; successive masks come from Gosper's hack and rank/unrank uses
+the combinatorial number system.  That gives stateless chunks ``[lo, hi)`` that partition a level
 exactly, so work can be distributed over processes and the results merged
 back in rank order: aggregates are reproducible for any worker count, and
 interrupted sweeps can resume from a rank.
@@ -26,15 +26,12 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from functools import partial
 from math import comb
 from typing import Callable, Iterator
 
-from .canonical import is_canonical
 from .hypergraph import Hypergraph, universe_masks
 
 ALL_LABELED = "all_labeled"
-CANONICAL_ONLY = "canonical_only"
 SUPERGRAPHS = "supergraphs"
 
 DEFAULT_BUDGET = 10 ** 10
@@ -55,12 +52,12 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class LevelSpec:
-    """One enumeration level: m-edge r-graphs on n vertices."""
+    """One enumeration level: m-edge r-graphs on n vertices, or only the
+    supergraphs of ``base`` when one is given."""
 
     n: int
     r: int
     m: int
-    mode: str = ALL_LABELED
     base: Hypergraph | None = None
 
     def __post_init__(self):
@@ -68,27 +65,22 @@ class LevelSpec:
             raise ValueError(f"need 2 <= r <= n, got r={self.r}, n={self.n}")
         if not 0 <= self.m <= comb(self.n, self.r):
             raise ValueError(f"need 0 <= m <= C(n,r), got m={self.m}")
-        if self.mode not in (ALL_LABELED, CANONICAL_ONLY, SUPERGRAPHS):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == SUPERGRAPHS:
-            if self.base is None:
-                raise ValueError("supergraphs mode needs a base hypergraph")
+        if self.base is not None:
             if (self.base.n, self.base.r) != (self.n, self.r):
                 raise ValueError("base must live on the same (n, r)")
             if self.base.m > self.m:
                 raise ValueError("base has more edges than the level")
-        elif self.base is not None:
-            raise ValueError(f"mode {self.mode} takes no base")
+
+    @property
+    def mode(self) -> str:
+        return ALL_LABELED if self.base is None else SUPERGRAPHS
 
 
 def level_size(spec: LevelSpec) -> int:
-    """Exact number of edge-index combinations the level enumerates.
-
-    ``canonical_only`` scans the same combinations as ``all_labeled`` and
-    filters, so its size is the scan size, not the representative count.
-    """
+    """Exact number of graphs the level enumerates: every labeled m-edge
+    graph, or every m-edge supergraph of the base."""
     u = comb(spec.n, spec.r)
-    if spec.mode == SUPERGRAPHS:
+    if spec.base is not None:
         return comb(u - spec.base.m, spec.m - spec.base.m)
     return comb(u, spec.m)
 
@@ -131,12 +123,8 @@ def _free_positions(spec: LevelSpec) -> list[int]:
 
 
 def iter_level_masks(spec: LevelSpec, lo: int = 0, hi: int | None = None) -> Iterator[tuple[int, int]]:
-    """Yield (rank, chosen-universe-mask) over ranks [lo, hi) of the level.
-
-    ``canonical_only`` filtering is *not* applied here; it belongs to the
-    visit step so that ranks stay aligned with the plain combination
-    order.
-    """
+    """Yield (rank, chosen-universe-mask) over ranks [lo, hi) of the level,
+    in colex order of the chosen (non-base) edge indices."""
     total = level_size(spec)
     if hi is None:
         hi = total
@@ -144,7 +132,7 @@ def iter_level_masks(spec: LevelSpec, lo: int = 0, hi: int | None = None) -> Ite
         raise ValueError(f"bad rank window [{lo}, {hi}) for level of size {total}")
     if lo == hi:
         return
-    if spec.mode == SUPERGRAPHS:
+    if spec.base is not None:
         free = _free_positions(spec)
         base_mask = chosen_mask(spec.n, spec.r, spec.base.edges)
         k = spec.m - spec.base.m
@@ -190,30 +178,6 @@ def hypergraph_at(spec: LevelSpec, chosen: int) -> Hypergraph:
     return Hypergraph._from_sorted_masks(spec.n, spec.r, tuple(masks))
 
 
-@dataclass
-class EnumerationResult:
-    scanned: int   # combinations enumerated
-    visited: int   # hypergraphs passed to the visitor (after canonical filter)
-    hits: list     # (rank, visitor result) for non-None results, rank order
-
-
-def _visitor_chunk(spec: LevelSpec, lo: int, hi: int, visitor: Callable) -> tuple[int, int, list]:
-    scanned = 0
-    visited = 0
-    hits = []
-    canonical_filter = spec.mode == CANONICAL_ONLY
-    for rank, chosen in iter_level_masks(spec, lo, hi):
-        scanned += 1
-        h = hypergraph_at(spec, chosen)
-        if canonical_filter and not is_canonical(h):
-            continue
-        visited += 1
-        res = visitor(h)
-        if res is not None:
-            hits.append((rank, res))
-    return scanned, visited, hits
-
-
 def run_chunks(
     spec: LevelSpec,
     chunk_fn: Callable[[LevelSpec, int, int], object],
@@ -232,6 +196,8 @@ def run_chunks(
     ``chunk_fn`` must also be importable by the workers.  The ``progress``
     callback fires per chunk, in rank order.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     total = level_size(spec)
     if budget is not None and total > budget:
         raise BudgetExceeded(total, budget, spec)
@@ -239,7 +205,7 @@ def run_chunks(
     if not windows:
         windows = [(0, 0)]
     results = []
-    if jobs <= 1 or len(windows) == 1:
+    if jobs == 1 or len(windows) == 1:
         for lo, hi in windows:
             res = chunk_fn(spec, lo, hi)
             if progress is not None:
@@ -267,38 +233,6 @@ class _ChunkTask:
     def __call__(self, window):
         lo, hi = window
         return self.chunk_fn(self.spec, lo, hi)
-
-
-def enumerate_level(
-    spec: LevelSpec,
-    visitor: Callable[[Hypergraph], object],
-    *,
-    jobs: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
-    budget: int | None = DEFAULT_BUDGET,
-    progress=None,
-) -> EnumerationResult:
-    """Visit every hypergraph of a level exactly once (one representative
-    per isomorphism class in ``canonical_only`` mode).
-
-    The visitor must be a pure picklable function; non-None results are
-    collected as (rank, result) pairs.  The aggregate is deterministic
-    for any ``jobs`` value.
-    """
-    chunks = run_chunks(
-        spec,
-        partial(_visitor_chunk, visitor=visitor),
-        jobs=jobs,
-        chunk_size=chunk_size,
-        budget=budget,
-        progress=progress,
-    )
-    out = EnumerationResult(0, 0, [])
-    for scanned, visited, hits in chunks:
-        out.scanned += scanned
-        out.visited += visited
-        out.hits.extend(hits)
-    return out
 
 
 @dataclass(frozen=True)

@@ -35,11 +35,11 @@ def test_lemma_base_case_rejects_out_of_range():
             verify_lemma_r_plus_2(n)
 
 
-def test_lemma_canonical_mode_counts_classes_once():
-    rep = verify_lemma_r_plus_2(5, mode="canonical_only")
-    assert rep.passed
-    assert rep.levels[0].negative == 1
-    assert rep.levels[0].exceptions[0].count == 1
+def test_berge_campaigns_reject_a_negative_recheck_sample():
+    with pytest.raises(ValueError, match="recheck_sample must be non-negative, got -1"):
+        verify_lemma_r_plus_2(5, recheck_sample=-1)
+    with pytest.raises(ValueError, match="recheck_sample must be non-negative, got -1"):
+        verify_edge_theorem(5, 3, recheck_sample=-1)
 
 
 def test_lemma_report_is_worker_count_invariant():
@@ -92,6 +92,24 @@ def test_spectral_theorem_5_3():
     assert audit_cycle.visited == 252 and audit_cycle.negative == 0
     assert audit_path.visited == 210 and audit_path.negative == 0
     assert audit_random.visited == 200 and audit_random.negative == 0
+
+
+def test_spectral_theorem_rejects_negative_samples():
+    with pytest.raises(ValueError, match="samples must be non-negative, got -1"):
+        verify_spectral_theorem(5, 3, samples=-1)
+
+
+def test_every_swept_graph_is_visited():
+    # a chunk that dropped graphs would show as visited < scanned
+    reports = [
+        verify_lemma_r_plus_2(5),
+        verify_edge_theorem(5, 3),
+        verify_spectral_theorem(5, 3, samples=64),
+    ]
+    levels = [lv for rep in reports for lv in rep.levels]
+    assert len(levels) == 2 + 3 + 3
+    for lv in levels:
+        assert lv.visited == lv.scanned > 0, (lv.m, lv.kind, lv.mode)
 
 
 def test_spectral_theorem_6_4():

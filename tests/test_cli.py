@@ -37,6 +37,16 @@ def test_bound_lists_thresholds(capsys):
     assert payload["bai_lu_bound"] > 6
 
 
+def test_lambda_rejects_max_iter_below_one(tmp_path, capsys):
+    f = tmp_path / "h.txt"
+    f.write_text(write_hypergraph_text(complete(5, 3)))
+    for bad in ("0", "-5"):
+        assert run(["lambda", "--input", str(f), "--max-iter", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--max-iter must be at least 1, got {bad}" in captured.err
+
+
 def test_check_berge_reports_none_with_exit_zero(tmp_path, capsys):
     f = tmp_path / "kpe.txt"
     f.write_text(write_hypergraph_text(clique_plus_pendant(6, 3)))
@@ -89,6 +99,14 @@ def test_budget_exceeded_exits_2(capsys):
     assert run(["verify", "edges", "--n", "8", "--r", "3", "--budget", "1000"]) == 2
     err = capsys.readouterr().err
     assert "infeasible" in err and "785613562163430" in err
+
+
+def test_negative_counts_exit_2(capsys):
+    assert run(["verify", "spectral", "--n", "5", "--r", "3", "--samples", "-1"]) == 2
+    assert "samples must be non-negative, got -1" in capsys.readouterr().err
+    assert run(["verify", "lemma21", "--n", "5", "--jobs", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "jobs must be at least 1, got -3" in captured.err
 
 
 def test_usage_error_exits_2():

@@ -13,7 +13,6 @@ from bergeham.enumeration import (
     chosen_mask,
     colex_rank,
     colex_unrank,
-    enumerate_level,
     hypergraph_at,
     iter_level_masks,
     level_size,
@@ -32,7 +31,7 @@ def test_level_sizes():
     assert level_size(LevelSpec(6, 4, 6)) == comb(15, 6) == 5005
     assert level_size(LevelSpec(8, 6, 8)) == comb(28, 8) == 3108105
     base = clique_plus_pendant(6, 3)
-    assert level_size(LevelSpec(6, 3, 12, "supergraphs", base=base)) == comb(9, 1) == 9
+    assert level_size(LevelSpec(6, 3, 12, base=base)) == comb(9, 1) == 9
     assert level_size(LevelSpec(5, 3, 0)) == 1
 
 
@@ -40,13 +39,12 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         LevelSpec(5, 3, 11)  # m > C(5,3)
     with pytest.raises(ValueError):
-        LevelSpec(5, 3, 5, "weird")
+        LevelSpec(5, 3, 3, base=clique_plus_pendant(5, 3))  # base bigger
     with pytest.raises(ValueError):
-        LevelSpec(5, 3, 5, "supergraphs")  # missing base
-    with pytest.raises(ValueError):
-        LevelSpec(5, 3, 3, "supergraphs", base=clique_plus_pendant(5, 3))  # base bigger
-    with pytest.raises(ValueError):
-        LevelSpec(6, 3, 5, base=clique_plus_pendant(6, 3))  # base without mode
+        LevelSpec(5, 3, 6, base=clique_plus_pendant(6, 3))  # base on another n
+    # the mode follows from the base, so a spec cannot disagree with itself
+    assert LevelSpec(5, 3, 5).mode == "all_labeled"
+    assert LevelSpec(5, 3, 6, base=clique_plus_pendant(5, 3)).mode == "supergraphs"
 
 
 def test_colex_rank_unrank_round_trip():
@@ -75,44 +73,42 @@ def test_chunks_partition_the_level_exactly():
     assert codes_whole == codes_pieces
 
 
+def _edge_counts(spec, lo, hi):
+    return [hypergraph_at(spec, chosen).m for _, chosen in iter_level_masks(spec, lo, hi)]
+
+
 def test_sum_of_edges_identity():
     spec = LevelSpec(6, 4, 3)
-    res = enumerate_level(spec, lambda h: h.m)
-    assert res.visited == level_size(spec)
-    assert sum(v for _, v in res.hits) == 3 * level_size(spec)
+    counts = [m for chunk in run_chunks(spec, _edge_counts) for m in chunk]
+    assert len(counts) == level_size(spec)
+    assert sum(counts) == 3 * level_size(spec)
 
 
-def _first_edge_is_even(h):
-    return 1 if h.edges and not (h.edges[0] & 1) else None
+def _first_edge_is_even(spec, lo, hi):
+    """(graphs visited, ranks whose first edge mask is even) over one chunk."""
+    visited = 0
+    hits = []
+    for rank, chosen in iter_level_masks(spec, lo, hi):
+        visited += 1
+        h = hypergraph_at(spec, chosen)
+        if h.edges and not (h.edges[0] & 1):
+            hits.append(rank)
+    return visited, hits
 
 
 def test_aggregate_is_identical_for_any_worker_count():
     spec = LevelSpec(6, 3, 4)
-    runs = [
-        enumerate_level(spec, _first_edge_is_even, jobs=j, chunk_size=301)
-        for j in (1, 2, 8)
-    ]
-    assert runs[0].hits == runs[1].hits == runs[2].hits
-    assert runs[0].visited == runs[1].visited == runs[2].visited
-
-
-def _kpe_code_marker(h):
-    return 1 if canonical_form(h) == _KPE_CODE else None
-
-
-_KPE_CODE = canonical_form(clique_plus_pendant(5, 3))
-
-
-def test_canonical_only_visits_one_pendant_representative():
-    spec = LevelSpec(5, 3, 5, "canonical_only")
-    res = enumerate_level(spec, _kpe_code_marker)
-    assert res.scanned == 252
-    assert len(res.hits) == 1
+    runs = []
+    for j in (1, 2, 8):
+        chunks = run_chunks(spec, _first_edge_is_even, jobs=j, chunk_size=301)
+        runs.append((sum(v for v, _ in chunks), [rk for _, hits in chunks for rk in hits]))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][0] == level_size(spec)
 
 
 def test_supergraph_mode_enumerates_exactly_the_supergraphs():
     base = clique_plus_pendant(6, 3)
-    spec = LevelSpec(6, 3, 12, "supergraphs", base=base)
+    spec = LevelSpec(6, 3, 12, base=base)
     seen = list(iter_level_masks(spec))
     assert len(seen) == 9
     for _, ch in seen:
@@ -143,12 +139,19 @@ def test_nonhamiltonian_count_at_7_5_7():
 def test_budget_exceeded_reports_exact_size():
     spec = LevelSpec(8, 4, 35)
     with pytest.raises(BudgetExceeded) as exc:
-        enumerate_level(spec, lambda h: None, budget=10 ** 6)
+        run_chunks(spec, _first_rank, budget=10 ** 6)
     assert exc.value.size == comb(comb(8, 4), 35)
 
 
 def _first_rank(spec, lo, hi):
     return lo
+
+
+def test_run_chunks_rejects_fewer_than_one_job():
+    spec = LevelSpec(5, 3, 2)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match=f"got {jobs}"):
+            run_chunks(spec, _first_rank, jobs=jobs)
 
 
 def test_run_chunks_merges_in_rank_order():
