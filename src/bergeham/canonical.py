@@ -192,9 +192,10 @@ def canonical_form(h: Hypergraph) -> CanonicalForm:
 def is_canonical(h: Hypergraph) -> bool:
     """True when ``h``'s own edge list already is its canonical code.
 
-    Used by enumeration to pick one representative per isomorphism class
-    without storing a seen-set; cheaper than ``canonical_form`` because the
-    search can stop at the first strictly smaller relabeling.
+    Tells whether ``h`` is the min-lex representative of its isomorphism
+    class, as an orderly generator would need, without storing a seen-set;
+    cheaper than ``canonical_form`` because the search can stop at the
+    first strictly smaller relabeling.
     """
     _check_size(h)
     return _CodeSearch(h).identity_is_minimal()

@@ -1,12 +1,13 @@
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from bergeham.berge import (
     BergeCertificate,
     BergeDecider,
+    SearchStats,
     brute_force_oracle,
     find_hamiltonian_berge_cycle,
     find_hamiltonian_berge_path,
@@ -14,6 +15,7 @@ from bergeham.berge import (
     rotate_path_to_cycle,
     verify_certificate,
 )
+from bergeham.enumeration import chosen_mask
 from bergeham.hypergraph import (
     Hypergraph,
     clique_plus_isolated,
@@ -256,6 +258,71 @@ def test_decider_reuses_a_universe():
     assert not d.cycle_exists(0)
     cert = d.cycle_certificate(full)
     assert verify_certificate(complete(5, 3), cert) == []
+
+
+# ----- warm start: the boolean methods try the last order they found ------
+
+
+def _labeled_copies(h):
+    return sorted({tuple(sorted(h.relabel(p).edges)) for p in permutations(range(h.n))})
+
+
+def test_a_long_lived_decider_matches_the_oracle_in_any_order():
+    u = universe_masks(5, 3)
+    oracle = {}
+    for chosen in range(1 << len(u)):
+        h = Hypergraph(5, 3, [e for i, e in enumerate(u) if (chosen >> i) & 1])
+        oracle[chosen] = (brute_force_oracle(h, "cycle"), brute_force_oracle(h, "path"))
+    shuffled = list(oracle)
+    random.Random(5).shuffle(shuffled)
+    fresh = BergeDecider(5, u)  # only searches, so it remembers nothing
+    for order in (sorted(oracle), shuffled):  # ascending masks are colex order
+        d = BergeDecider(5, u)
+        for chosen in order:
+            assert (d.cycle_exists(chosen), d.path_exists(chosen)) == oracle[chosen], chosen
+            # a path with endpoints never takes the remembered endpoint-free one
+            for ends in combinations(range(5), 2):
+                want = fresh.search_path(chosen, ends) is not None
+                assert d.path_exists(chosen, ends) == want, (chosen, ends)
+
+
+def _bottleneck_6_3():
+    # K_4^3 on 0..3 plus {3,4,5} and {0,4,5}: vertices 4 and 5 lie only in
+    # the last two edges, so the three or four cycle slots at 4 and 5 cannot
+    # take distinct edges, although min degree is 2 and the shadow has the
+    # Hamiltonian cycle 0-1-2-3-4-5
+    edges = [mask_of(c) for c in combinations(range(4), 3)]
+    return Hypergraph(6, 3, edges + [mask_of({3, 4, 5}), mask_of({0, 4, 5})])
+
+
+@pytest.mark.parametrize("n, bad", [(5, clique_plus_pendant(5, 3)), (6, _bottleneck_6_3())])
+def test_a_remembered_order_needs_distinct_edges(n, bad):
+    u = universe_masks(n, 3)
+    d = BergeDecider(n, u)
+    copies = _labeled_copies(bad)
+    assert len(copies) == (30 if n == 5 else 90)
+    if n == 6:
+        assert bad.min_degree() >= 2 and bad.m >= n  # past every degree pre-check
+    for edges in copies:
+        assert d.cycle_exists((1 << len(u)) - 1)  # remember a Hamiltonian order
+        assert not d.cycle_exists(chosen_mask(n, 3, edges)), edges
+
+
+def test_certificates_and_stats_do_not_depend_on_earlier_decisions():
+    u = universe_masks(5, 3)
+    graphs = list(range(1 << len(u)))
+    random.Random(11).shuffle(graphs)
+    fresh = BergeDecider(5, u)
+    used = BergeDecider(5, u)
+    for chosen in graphs:
+        used.cycle_exists(chosen)
+        used.path_exists(chosen)
+        for kind in ("cycle", "path"):
+            got, want = SearchStats(), SearchStats()
+            cert = getattr(used, f"{kind}_certificate")
+            ref = getattr(fresh, f"{kind}_certificate")
+            assert cert(chosen, stats=got) == ref(chosen, stats=want), (kind, chosen)
+            assert got == want, (kind, chosen)
 
 
 # ----- rotation ------------------------------------------------------------

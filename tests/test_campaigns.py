@@ -43,12 +43,19 @@ def test_berge_campaigns_reject_a_negative_recheck_sample():
 
 
 def test_lemma_report_is_worker_count_invariant():
-    a = verify_lemma_r_plus_2(5, jobs=1, recheck_sample=50).to_dict()
-    b = verify_lemma_r_plus_2(5, jobs=2, recheck_sample=50).to_dict()
-    for d in (a, b):
-        d.pop("seconds")
-        d.pop("jobs")
-    assert a == b
+    runs = (
+        lambda jobs: verify_lemma_r_plus_2(5, jobs=jobs, recheck_sample=50),
+        # small chunks: workers decide in different orders and remember
+        # different Hamiltonian orders, which the report must not show
+        lambda jobs: verify_edge_theorem(5, 3, jobs=jobs, chunk_size=37),
+    )
+    for run in runs:
+        a = run(1).to_dict()
+        b = run(2).to_dict()
+        for d in (a, b):
+            d.pop("seconds")
+            d.pop("jobs")
+        assert a == b
 
 
 def test_edge_theorem_5_3():

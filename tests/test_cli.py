@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bergeham
 from bergeham.berge import BergeDecider
 from bergeham.cli import run_cli
 from bergeham.enumeration import LevelSpec, chosen_mask, hypergraph_at, iter_level_masks
@@ -167,3 +172,14 @@ def test_verbose_is_a_verify_flag():
     with pytest.raises(SystemExit) as exc:
         run(["--verbose", "verify", "lemma21", "--n", "5"])
     assert exc.value.code == 2
+
+
+def test_python_dash_m_runs_the_command(tmp_path):
+    # python -m bergeham works from a source tree, with no install
+    env = {**os.environ, "PYTHONPATH": str(Path(bergeham.__file__).resolve().parent.parent)}
+    out = subprocess.run(
+        [sys.executable, "-m", "bergeham", "verify", "lemma21", "--n", "5"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["passed"]
