@@ -20,12 +20,15 @@ shared edge list, leave-one-out products and a ``np.bincount`` scatter
 build ``A x^{r-1}`` for every row, and a row leaves the batch on the step
 it converges.  Absent edges add exact zeros in the same order as the
 single-graph scatter, so every row's iterates are those of a run on its
-graph alone.  ``spectral_radius`` calls the kernel on each shadow
-component of one graph (B = 1).  ``spectral_radii`` brackets many graphs
-over the edge universe of ``(n, r)`` with one kernel call, provided a
-graph's shadow is connected on all n vertices; there the whole vertex set
-is the only component, so the batch run is the per-graph run.  Every
-other graph goes through ``spectral_radius``.
+graph alone.
+
+The form splits over shadow components, so there is one path, ``_bracket``:
+it splits every graph of a batch into components, runs the components with
+k vertices as rows of one kernel call in local labels, and reassembles each
+graph's estimate from its own components.  An estimate therefore does not
+depend on which graphs share its batch.  ``spectral_radii`` feeds it graphs
+as chosen-universe masks; ``spectral_radius`` feeds it one graph's own
+edges, so it never builds the ``(n, r)`` edge universe.
 
 Strict threshold decisions re-derive the lower bound exactly at the
 returned vector.  Its float coordinates are dyadic rationals; scaled to a
@@ -125,39 +128,17 @@ def _leave_one_out(cols: list[np.ndarray], weights: np.ndarray | None = None) ->
     return out
 
 
-def _shadow_components(h: Hypergraph) -> list[list[int]]:
-    parent = list(range(h.n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in h.edges:
-        mem = members_of(e)
-        root = find(mem[0])
-        for v in mem[1:]:
-            parent[find(v)] = root
-    groups: dict[int, list[int]] = {}
-    for v in range(h.n):
-        groups.setdefault(find(v), []).append(v)
-    return list(groups.values())
-
-
-def _power_iterate(edges: np.ndarray, weights: np.ndarray | None, k: int, r: int, tol: float,
-                   max_iter: int):
+def _power_iterate(edges: np.ndarray, weights: np.ndarray, k: int, r: int, tol: float, max_iter: int):
     """Power-iterate B graphs on k vertices at once over one shared edge list.
 
     ``edges`` is an (E, r) array of vertex indices in [0, k) and row b of
-    the (B, E) 0/1 array ``weights`` selects graph b's edges; ``None``
-    stands for one graph with every edge.  Every graph needs at least one
-    edge and a shadow connected on all k vertices.  Returns per-row arrays
-    (lower, upper, vectors, iterations, converged): ``lower`` and ``upper``
-    bracket the last step taken, and each vector is l_r-normalized and
-    strictly positive.
+    the (B, E) 0/1 array ``weights`` selects graph b's edges.  Every graph
+    needs at least one edge and a shadow connected on all k vertices.
+    Returns per-row arrays (lower, upper, vectors, iterations, converged):
+    ``lower`` and ``upper`` bracket the last step taken, and each vector is
+    l_r-normalized and strictly positive.
     """
-    b = 1 if weights is None else len(weights)
+    b = len(weights)
     exp = r - 1
     lower = np.zeros(b)
     upper = np.full(b, np.inf)
@@ -189,8 +170,7 @@ def _power_iterate(edges: np.ndarray, weights: np.ndarray | None, k: int, r: int
             converged[fin] = True
             keep = ~done
             rows, x, g, xp, lo, up = rows[keep], x[keep], g[keep], xp[keep], lo[keep], up[keep]
-            if weights is not None:
-                weights = weights[keep]
+            weights = weights[keep]
         y = g + xp                              # shifted iteration keeps x positive
         x = y ** (1.0 / exp)
         # each row's norm root is a scalar (libm) pow: numpy's array pow
@@ -202,49 +182,106 @@ def _power_iterate(edges: np.ndarray, weights: np.ndarray | None, k: int, r: int
     return lower, upper, vectors, iterations, converged
 
 
+def _components(n: int, r: int, members: np.ndarray, picked: np.ndarray):
+    """Shadow components of B graphs, grouped by vertex count for the kernel.
+
+    Row b of the (B, E) 0/1 ``picked`` selects graph b's edges from the
+    (E, r) ``members``, given in ascending mask order.  A component is
+    named ``b * n + its lowest vertex``.  Returns each vertex's component
+    name and rank in it (its local label), both (B, n), and per vertex
+    count k the tuple (k, names, edges, weights): the components with k
+    vertices and an edge, the union of their edges in local labels and
+    ascending mask order, and the (components, edges) 0/1 selection.
+    """
+    b, width = picked.shape
+    graph, edge = np.divmod(np.flatnonzero(picked), width)
+    at = members[edge] + (graph * n)[:, None]      # each picked edge's members, as b * n + v
+    # each edge joins its lowest member to the others; reach[b, v, w] says
+    # whether v and w share a shadow component of graph b
+    reach = np.zeros((b, n, n), dtype=bool)
+    reach.ravel()[(at[:, :1] * n + members[edge]).ravel()] = True
+    reach |= reach.transpose(0, 2, 1) | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):      # paths of up to 2^k edges
+        reach = reach @ reach
+    name = reach.argmax(axis=2) + np.arange(b)[:, None] * n
+    local = np.einsum("bvw,vw->bv", reach.view(np.uint8), np.tri(n, k=-1, dtype=np.uint8))
+    size = np.einsum("bvw->bv", reach.view(np.uint8)).ravel()
+    comps = np.flatnonzero((name.ravel() == np.arange(b * n)) & (size > 1))
+    # each picked edge's component and local mask
+    edge_comp = name.ravel()[at[:, 0]]
+    keys = np.left_shift(np.uint64(1), local.astype(np.uint64)).ravel()[at].sum(axis=1, dtype=np.uint64)
+    row = np.zeros(b * n, dtype=np.intp)     # a component's row in its group
+    groups = []
+    for k in set(size[comps].tolist()):
+        rows = comps[size[comps] == k]
+        row[rows] = np.arange(len(rows))
+        sel = np.flatnonzero(size[edge_comp] == k)
+        masks = np.sort(keys[sel])
+        masks = masks[np.append(True, masks[1:] != masks[:-1])]
+        column = np.searchsorted(masks, keys[sel])
+        some = np.empty(len(masks), dtype=np.intp)
+        some[column] = sel                     # edges of one mask share their local labels
+        weights = np.zeros((len(rows), len(masks)))
+        weights[row[edge_comp[sel]], column] = 1.0
+        groups.append((k, rows, local.ravel()[at[some]].astype(np.intp), weights))
+    return name, local, groups
+
+
+def _bracket(n: int, r: int, members: np.ndarray, picked: np.ndarray, tol: float,
+             max_iter: int) -> list[SpectralEstimate]:
+    """One estimate per graph that ``picked`` selects from ``members`` (as in
+    ``_components``), reassembled from the kernel rows of its components.
+    """
+    if not 0 < tol < np.inf:
+        raise ValueError(f"need a finite tol > 0, got {tol}")
+    b, width = picked.shape
+    name, local, groups = _components(n, r, members, picked)
+    runs = [(k, rows, _power_iterate(edges, weights, k, r, tol, max_iter))
+            for k, rows, edges, weights in groups]
+    # per component name, filled where a component ran (allocated after the
+    # kernel runs, which keeps them off the memory peak)
+    comp_lower, comp_upper = np.full(b * n, -np.inf), np.zeros(b * n)
+    comp_iter, comp_conv = np.zeros(b * n, dtype=np.intp), np.ones(b * n, dtype=bool)
+    comp_vec = np.zeros((b * n, n))
+    for k, rows, run in runs:
+        comp_lower[rows], comp_upper[rows], comp_vec[rows, :k], comp_iter[rows], comp_conv[rows] = run
+    # each graph: the largest upper bound, the summed iterations, all
+    # converged, and the vector of its lowest-named component of largest lower
+    upper = comp_upper.reshape(b, n).max(axis=1)
+    iterations = comp_iter.reshape(b, n).sum(axis=1)
+    converged = comp_conv.reshape(b, n).all(axis=1)
+    best = comp_lower.reshape(b, n).argmax(axis=1) + np.arange(b) * n
+    vectors = np.where(name == best[:, None], comp_vec[best[:, None], local], 0.0)
+    vectors[~picked.any(axis=1)] = n ** (-1.0 / r)      # edgeless graphs: the uniform vector
+    # the form at each vector, summed over the graph's own edges exactly as
+    # evaluate_form sums them; graphs are grouped by edge count
+    graph, edge = np.divmod(np.flatnonzero(picked), width)
+    coords = vectors.ravel()[members[edge] + (graph * n)[:, None]]
+    prods = coords[:, 0]
+    for j in range(1, r):                      # np.prod's order, column by column
+        prods = prods * coords[:, j]
+    sizes = np.bincount(graph, minlength=b)
+    starts = np.cumsum(sizes) - sizes
+    lower = np.empty(b)
+    for m in set(sizes.tolist()):
+        sel = np.flatnonzero(sizes == m)
+        lower[sel] = r * prods[starts[sel, None] + np.arange(m)].sum(axis=1)
+    upper = np.maximum(upper, lower)
+    return list(map(SpectralEstimate, lower.tolist(), upper.tolist(), vectors, iterations.tolist(),
+                    converged.tolist()))
+
+
 def spectral_radius(h: Hypergraph, tol: float = 1e-9, max_iter: int = 10 ** 6) -> SpectralEstimate:
     """Certified bracket on the spectral radius of ``h``.
 
-    Each shadow-connected component is iterated separately (the form
-    decomposes over components and isolated vertices contribute zero);
-    the estimate is the maximum over components, with the best
-    component's iterate embedded as the returned vector.  Non-convergence
-    within ``max_iter`` still returns a valid bracket, flagged via
-    ``converged=False``.
+    The form decomposes over shadow components (isolated vertices
+    contribute zero), so each component is iterated on its own vertices;
+    the estimate takes the largest upper bound over components and embeds
+    the iterate of the component with the largest lower bound as the
+    returned vector.  Non-convergence within ``max_iter`` still returns a
+    valid bracket, flagged via ``converged=False``.
     """
-    if tol <= 0:
-        raise ValueError(f"need tol > 0, got {tol}")
-    comps = _shadow_components(h)
-    edge_members = [members_of(e) for e in h.edges]
-    best_lower = 0.0
-    best_vec: np.ndarray | None = None
-    overall_upper = 0.0
-    total_iter = 0
-    all_converged = True
-    for comp in comps:
-        local = {v: i for i, v in enumerate(comp)}
-        comp_edges = [e for e in edge_members if e[0] in local]
-        if not comp_edges:
-            continue
-        arr = np.array([[local[v] for v in e] for e in comp_edges], dtype=np.intp)
-        lo, up, vec, iters, conv = _power_iterate(arr, None, len(comp), h.r, tol, max_iter)
-        total_iter += int(iters[0])
-        all_converged = all_converged and bool(conv[0])
-        overall_upper = max(overall_upper, float(up[0]))
-        if lo[0] > best_lower or best_vec is None:
-            best_lower = float(lo[0])
-            best_vec = np.zeros(h.n)
-            best_vec[comp] = vec[0]
-    if best_vec is None:  # no edges at all
-        best_vec = np.full(h.n, h.n ** (-1.0 / h.r))
-    lower = evaluate_form(h, best_vec)
-    return SpectralEstimate(
-        lower=lower,
-        upper=max(overall_upper, lower),
-        vector=best_vec,
-        iterations=total_iter,
-        converged=all_converged,
-    )
+    return _bracket(h.n, h.r, _edge_index_array(h), np.ones((1, h.m), dtype=np.uint8), tol, max_iter)[0]
 
 
 @cache
@@ -260,61 +297,23 @@ def _picked_edges(n: int, r: int, chosen) -> np.ndarray:
     width = len(universe_masks(n, r))
     nbytes = (width + 7) // 8
     chosen = list(chosen)
+    if any(mask < 0 for mask in chosen):
+        raise ValueError("a chosen mask is negative")
     if any(mask >> width for mask in chosen):
         raise ValueError(f"a chosen mask selects an edge beyond the {width} of the ({n}, {r}) universe")
     raw = np.frombuffer(b"".join(mask.to_bytes(nbytes, "little") for mask in chosen), dtype=np.uint8)
     return np.unpackbits(raw.reshape(len(chosen), nbytes), axis=1, count=width, bitorder="little")
 
 
-def _spans_connected(members: np.ndarray, picked: np.ndarray, n: int) -> np.ndarray:
-    """Per row of ``picked``: is the shadow connected and covering all n vertices?"""
-    incidence = np.zeros((len(members), n), dtype=bool)
-    incidence[np.arange(len(members))[:, None], members] = True
-    shared = (picked[:, :, None].astype(bool) & incidence).transpose(0, 2, 1) @ incidence   # (B, n, n)
-    reach = shared | np.eye(n, dtype=bool)
-    for _ in range((n - 1).bit_length()):      # paths of up to 2^k edges
-        reach = reach @ reach
-    return reach[:, 0].all(axis=1)
-
-
 def spectral_radii(n: int, r: int, chosen, tol: float = 1e-9,
                    max_iter: int = 10 ** 6) -> list[SpectralEstimate]:
     """``spectral_radius`` of many graphs given as chosen-universe masks.
 
-    Bit i of a mask selects edge ``universe_masks(n, r)[i]``.  Graphs
-    whose shadow is connected on all n vertices run through one batched
-    kernel call; the others go through ``spectral_radius`` one by one.
-    Each estimate equals ``spectral_radius`` of the same graph.
+    Bit i of a mask selects edge ``universe_masks(n, r)[i]``.  Each
+    estimate equals ``spectral_radius`` of the same graph, whichever
+    graphs share its call.
     """
-    if tol <= 0:
-        raise ValueError(f"need tol > 0, got {tol}")
-    u = universe_masks(n, r)
-    members = _universe_members(n, r)
-    picked = _picked_edges(n, r, chosen)
-    spans = _spans_connected(members, picked, n)
-    out: list[SpectralEstimate | None] = [None] * len(picked)
-    for i in np.flatnonzero(~spans).tolist():
-        edges = tuple(u[j] for j in np.flatnonzero(picked[i]).tolist())
-        out[i] = spectral_radius(Hypergraph._from_sorted_masks(n, r, edges), tol, max_iter)
-    rows = np.flatnonzero(spans)
-    if not rows.size:
-        return out
-    picked = picked[rows]
-    _, cw_upper, vectors, iterations, converged = _power_iterate(
-        members, picked.astype(np.float64), n, r, tol, max_iter)
-    # the form at each vector, summed over the graph's own edges exactly as
-    # evaluate_form sums them; rows are grouped by edge count
-    lower = np.empty(len(rows))
-    sizes = picked.sum(axis=1)
-    for m in np.unique(sizes).tolist():
-        sel = np.flatnonzero(sizes == m)
-        e = members[np.nonzero(picked[sel])[1].reshape(len(sel), m)]      # (rows, m, r)
-        lower[sel] = r * np.prod(vectors[sel[:, None, None], e], axis=2).sum(axis=1)
-    upper = np.maximum(cw_upper, lower)
-    for i, lo, up, vec, iters, conv in zip(rows.tolist(), lower.tolist(), upper.tolist(), vectors,
-                                          iterations.tolist(), converged.tolist()):
-        out[i] = SpectralEstimate(lower=lo, upper=up, vector=vec, iterations=iters, converged=conv)
-    return out
+    return _bracket(n, r, _universe_members(n, r), _picked_edges(n, r, chosen), tol, max_iter)
 
 
 _edge_members = lru_cache(maxsize=1 << 16)(members_of)  # edge mask -> vertex tuple
@@ -386,7 +385,5 @@ def threshold_verdict(h: Hypergraph, est: SpectralEstimate, t, tol: float = 1e-9
 
 def exceeds_threshold(h: Hypergraph, t, tol: float = 1e-9, max_iter: int = 10 ** 6) -> str:
     """Decide lambda(h) vs t; see ``threshold_verdict`` for the semantics."""
-    if tol <= 0:
-        raise ValueError(f"need tol > 0, got {tol}")
     est = spectral_radius(h, tol, max_iter)
     return threshold_verdict(h, est, t, tol)

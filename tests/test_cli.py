@@ -52,6 +52,16 @@ def test_lambda_rejects_max_iter_below_one(tmp_path, capsys):
         assert f"--max-iter must be at least 1, got {bad}" in captured.err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_nonfinite_tol_exits_2(tmp_path, capsys, tol):
+    f = tmp_path / "h.txt"
+    f.write_text(write_hypergraph_text(complete(5, 3)))
+    assert run(["lambda", "--input", str(f), "--tol", tol]) == 2
+    assert run(["verify", "spectral", "--n", "5", "--r", "3", "--samples", "4", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count(f"need a finite tol > 0, got {tol}") == 2
+
+
 def test_check_berge_reports_none_with_exit_zero(tmp_path, capsys):
     f = tmp_path / "kpe.txt"
     f.write_text(write_hypergraph_text(clique_plus_pendant(6, 3)))

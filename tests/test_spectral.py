@@ -1,11 +1,13 @@
 import random
-from collections import Counter
 from fractions import Fraction
+from functools import partial
+from itertools import combinations
 from math import comb, prod
 
 import numpy as np
 import pytest
 
+from bergeham import spectral
 from bergeham.bounds import bai_lu_bound, threshold
 from bergeham.enumeration import LevelSpec, hypergraph_at, iter_level_masks
 from bergeham.hypergraph import (
@@ -20,7 +22,6 @@ from bergeham.spectral import (
     CERTIFIED_BELOW_OR_EQUAL,
     UNDECIDED,
     SpectralEstimate,
-    _shadow_components,
     certified_above,
     evaluate_form,
     exact_form_ratio,
@@ -199,12 +200,11 @@ def _random_masks(rng, n, r, count):
     return masks
 
 
-def _batched_and_single(n, r, masks, **kw):
-    """(graph, batched estimate, per-graph estimate) for each mask."""
+def _batched(n, r, masks, **kw):
+    """(graph, batched estimate) for each mask."""
     spec = LevelSpec(n, r, 0)
     for mask, est in zip(masks, spectral_radii(n, r, masks, **kw)):
-        h = hypergraph_at(spec, mask)
-        yield h, est, spectral_radius(h, **kw)
+        yield hypergraph_at(spec, mask), est
 
 
 def _fraction_ratio(h, x):
@@ -214,39 +214,137 @@ def _fraction_ratio(h, x):
     return form / sum(v ** h.r for v in xs)
 
 
+def _split(h):
+    """The shadow components of h (union-find), each a sorted vertex list."""
+    parent = list(range(h.n))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for e in h.edge_sets():
+        first, *rest = sorted(e)
+        for v in rest:
+            parent[find(v)] = find(first)
+    comps = {}
+    for v in range(h.n):
+        comps.setdefault(find(v), []).append(v)
+    return list(comps.values())
+
+
+def _componentwise(h, **kw):
+    """The estimate of h rebuilt from one ``spectral_radius`` call per component.
+
+    Each component with an edge runs as its own k-vertex graph; the bracket
+    takes the largest upper bound, the iterations add up, and the vector of
+    the first component (by lowest vertex) of largest lower bound is
+    embedded, with ``lower`` the form of h at it.
+    """
+    best, uppers, iterations, converged = None, [0.0], 0, True
+    for comp in _split(h):
+        local = {v: i for i, v in enumerate(comp)}
+        edges = [[local[v] for v in e] for e in h.edge_sets() if min(e) in local]
+        if not edges:
+            continue
+        est = spectral_radius(Hypergraph(len(comp), h.r, edges), **kw)
+        uppers.append(est.upper)
+        iterations += est.iterations
+        converged = converged and est.converged
+        if best is None or est.lower > best[0]:
+            best = (est.lower, comp, est.vector)
+    vector = np.full(h.n, h.n ** (-1.0 / h.r))
+    if best is not None:
+        vector = np.zeros(h.n)
+        vector[best[1]] = best[2]
+    lower = evaluate_form(h, vector)
+    return SpectralEstimate(lower, max(*uppers, lower), vector, iterations, converged)
+
+
 @pytest.mark.parametrize("m", [4, 5])
 def test_batched_brackets_equal_per_graph_brackets_on_the_5_3_levels(m):
     spec = LevelSpec(5, 3, m)
     masks = [chosen for _, chosen in iter_level_masks(spec)]
     t = threshold("spectral_cycle", 5, 3).value
-    for h, est, one in _batched_and_single(5, 3, masks, tol=1e-9, max_iter=50_000):
+    for h, est in _batched(5, 3, masks, tol=1e-9, max_iter=50_000):
+        one = _componentwise(h, tol=1e-9, max_iter=50_000)
         assert threshold_verdict(h, est, t) == threshold_verdict(h, one, t)
         assert (est.converged, est.iterations, est.lower, est.upper) == (
             one.converged, one.iterations, one.lower, one.upper)
-        assert np.array_equal(est.vector, one.vector)
+        assert est.vector.tobytes() == one.vector.tobytes()
         assert est.lower == evaluate_form(h, est.vector)
 
 
-@pytest.mark.parametrize("n,r", [(6, 3), (6, 4)])
-def test_batched_brackets_equal_per_graph_brackets_on_random_graphs(n, r):
+@pytest.mark.parametrize("max_iter", [3, 50_000])
+@pytest.mark.parametrize("n,r", [(6, 3), (6, 4), (7, 3)])
+def test_batched_brackets_equal_componentwise_brackets(n, r, max_iter):
     masks = _random_masks(random.Random(11), n, r, 300)
-    t = threshold("spectral_cycle", n, r).value
-    split = Counter()
-    for h, est, one in _batched_and_single(n, r, masks, tol=1e-9, max_iter=50_000):
-        split[len(_shadow_components(h)) == 1] += 1
-        assert threshold_verdict(h, est, t) == threshold_verdict(h, one, t)
-        assert est.converged == one.converged and est.iterations == one.iterations
-        assert (est.lower, est.upper) == (one.lower, one.upper)
-        assert np.array_equal(est.vector, one.vector)
-    # both paths ran: batched rows and per-graph fallbacks (edgeless included)
-    assert split[True] > 100 and split[False] > 20
+    split = 0
+    for h, est in _batched(n, r, masks, tol=1e-9, max_iter=max_iter):
+        one = _componentwise(h, tol=1e-9, max_iter=max_iter)
+        split += len(_split(h)) > 1
+        assert (est.lower, est.upper, est.iterations, est.converged) == (
+            one.lower, one.upper, one.iterations, one.converged)
+        assert est.vector.tobytes() == one.vector.tobytes()
+    # the edgeless graph and many sparse ones split into several components
+    assert split > 30
+
+
+def test_vector_comes_from_the_component_of_largest_lower_bound():
+    # after one step the component on 0..4 brackets [2.52, 4] and K_4^3 on
+    # 5..8 brackets [3, 3]: the upper bound is the first's, the vector the second's
+    h = Hypergraph(9, 3, [(1, 3, 4), (1, 2, 4), (0, 1, 3), (0, 1, 2), *combinations(range(5, 9), 3)])
+    est = spectral_radius(h, max_iter=1)
+    assert (est.upper, est.iterations, est.converged) == (4.0, 2, False)
+    assert not est.vector[:5].any() and np.all(est.vector[5:] == 4 ** (-1 / 3))
+    assert abs(est.lower - 3) < 1e-12
+
+
+@pytest.mark.parametrize("n,r", [(5, 3), (6, 4)])
+def test_estimates_do_not_depend_on_the_batch(n, r):
+    masks = _random_masks(random.Random(13), n, r, 60)
+    together = spectral_radii(n, r, masks, tol=1e-9)
+    reversed_ = spectral_radii(n, r, masks[::-1], tol=1e-9)[::-1]
+    alone = [spectral_radii(n, r, [mask], tol=1e-9)[0] for mask in masks]
+    single = [spectral_radius(h, tol=1e-9) for h in map(partial(hypergraph_at, LevelSpec(n, r, 0)), masks)]
+    for est, *others in zip(together, reversed_, alone, single):
+        for other in others:
+            assert (est.lower, est.upper, est.iterations, est.converged) == (
+                other.lower, other.upper, other.iterations, other.converged)
+            assert est.vector.tobytes() == other.vector.tobytes()
+
+
+def test_one_graph_never_builds_the_edge_universe(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built the (64, 5) edge universe")
+
+    monkeypatch.setattr(spectral, "_universe_members", refuse)
+    monkeypatch.setattr(spectral, "universe_masks", refuse)
+    rng = random.Random(14)
+    h = Hypergraph(64, 5, [rng.sample(range(64), 5) for _ in range(40)])
+    est = spectral_radius(h, tol=1e-9)
+    assert est.converged and est.lower == evaluate_form(h, est.vector)
+    assert 1 <= est.lower <= est.upper <= est.lower + 1e-9
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+def test_tolerance_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="finite tol > 0"):
+        spectral_radius(complete(5, 3), tol=tol)
+    with pytest.raises(ValueError, match="finite tol > 0"):
+        spectral_radii(5, 3, [0b111], tol=tol)
+
+
+def test_negative_chosen_mask_is_rejected():
+    with pytest.raises(ValueError, match="negative"):
+        spectral_radii(5, 3, [-1])
 
 
 @pytest.mark.parametrize("n,r", [(6, 3), (6, 4)])
 def test_integer_certificate_agrees_with_fractions(n, r):
     masks = _random_masks(random.Random(12), n, r, 300)
     t_spec = threshold("spectral_cycle", n, r).value
-    for h, est, _ in _batched_and_single(n, r, masks[1:], tol=1e-9):
+    for h, est in _batched(n, r, masks[1:], tol=1e-9):
         ratio = _fraction_ratio(h, est.vector)
         assert exact_form_ratio(h, est.vector) == ratio
         for t in (t_spec, ratio, ratio - Fraction(1, 10 ** 30), ratio + Fraction(1, 10 ** 30), float(ratio)):
