@@ -4,9 +4,11 @@ Each campaign sweeps enumeration levels, classifies every graph with the
 exact Berge searcher (or the spectral threshold machinery), collapses the
 failures by canonical form, and passes only when the exceptional graphs
 are exactly the predicted ones *as isomorphism classes and as labeled
-counts*.  Exceptions are matched by canonical code against constructed
-exceptional graphs, never by ad-hoc structural tests, because the claims
-being verified are claims up to isomorphism.
+counts*.  Every Berge report row is one ``_berge_level`` call over a
+list of level specs: one whole level, or the supergraphs of each
+exception found (the closure row).  Exceptions are matched by canonical
+code against constructed exceptional graphs, never by ad-hoc structural
+tests, because the claims being verified are claims up to isomorphism.
 
 Campaign aggregates are merged in rank order from deterministic chunks,
 so reports are identical for any worker count; a seeded sample of graphs
@@ -22,7 +24,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import islice
 from math import comb
 from typing import Iterator
@@ -141,15 +143,9 @@ class VerificationReport:
 # --------------------------------------------------------------------------
 # chunk workers (module level so process pools can pickle them)
 
-_DECIDERS: dict[tuple[int, int], BergeDecider] = {}
-
-
+@cache
 def _decider(n: int, r: int) -> BergeDecider:
-    d = _DECIDERS.get((n, r))
-    if d is None:
-        d = BergeDecider(n, universe_masks(n, r))
-        _DECIDERS[(n, r)] = d
-    return d
+    return BergeDecider(n, universe_masks(n, r))
 
 
 def _berge_chunk(spec: LevelSpec, lo: int, hi: int, *, kind: str):
@@ -199,25 +195,28 @@ class AuditTally:
     """Spectral-audit counts over a set of graphs, merged in rank order.
 
     Violations and undecided verdicts keep a witness to rebuild the graph
-    from: its rank on an enumeration level, or the random graph itself,
-    which the report lists by its edges.
+    from, formatted when it is recorded: ``m=M rank R`` for a graph on an
+    enumeration level, or the random graph's edge list (rank ``None``).
     """
 
     audited: int = 0
     above: int = 0
     unconverged: int = 0
-    undecided: list = field(default_factory=list)   # witnesses
-    violations: list = field(default_factory=list)  # (witness, reason)
+    undecided: list[str] = field(default_factory=list)   # witnesses
+    violations: list[str] = field(default_factory=list)  # "violation at <witness>: <reason>"
 
-    def add(self, witness, verdict: str, violation: str | None, unconverged: bool) -> None:
+    def add(self, rank: int | None, h: Hypergraph, verdict: str, violation: str | None,
+            unconverged: bool) -> None:
         self.audited += 1
         self.unconverged += unconverged
-        if verdict == UNDECIDED:
-            self.undecided.append(witness)
-        elif verdict == CERTIFIED_ABOVE:
-            self.above += 1
-        if violation is not None:
-            self.violations.append((witness, violation))
+        self.above += verdict == CERTIFIED_ABOVE
+        if verdict == UNDECIDED or violation is not None:
+            witness = (f"m={h.m} rank {rank}" if rank is not None
+                       else f"random graph with edges {[list(e) for e in h.edge_sets()]}")
+            if verdict == UNDECIDED:
+                self.undecided.append(witness)
+            if violation is not None:
+                self.violations.append(f"violation at {witness}: {violation}")
 
     def merge(self, other: "AuditTally") -> None:
         self.audited += other.audited
@@ -235,13 +234,9 @@ class AuditTally:
         )
 
 
-def _random_witness(h: Hypergraph) -> str:
-    return f"random graph with edges {[list(e) for e in h.edge_sets()]}"
-
-
 def _audit_graphs(n: int, r: int, graphs: Iterator, *, t_spec: int, t_edge: int, tol: float,
                   ke_code: str, kv_code: str) -> AuditTally:
-    """Audit (witness, h, chosen-universe mask) triples, in order.
+    """Audit (rank or None, h, chosen-universe mask) triples, in order.
 
     Brackets come from one ``spectral_radii`` call per ``SPECTRAL_SLICE``
     graphs, so memory stays flat however many graphs ``graphs`` yields.
@@ -250,9 +245,9 @@ def _audit_graphs(n: int, r: int, graphs: Iterator, *, t_spec: int, t_edge: int,
     tally = AuditTally()
     while part := list(islice(graphs, SPECTRAL_SLICE)):
         ests = spectral_radii(n, r, [chosen for _, _, chosen in part], tol, max_iter=50_000)
-        for (witness, h, chosen), est in zip(part, ests):
+        for (rank, h, chosen), est in zip(part, ests):
             first = (threshold_verdict(h, est, t_spec, tol), not est.converged)
-            tally.add(witness, *_audit_graph(h, d, chosen, first, t_spec, t_edge, tol, ke_code, kv_code))
+            tally.add(rank, h, *_audit_graph(h, d, chosen, first, t_spec, t_edge, tol, ke_code, kv_code))
     return tally
 
 
@@ -281,16 +276,6 @@ def _collapse_exceptions(spec: LevelSpec, negatives: list[tuple[int, int]]):
         for c, k in sorted(by_code.items())
     ]
     return records, graphs
-
-
-def _sweep(spec: LevelSpec, kind: str, jobs: int, budget: int | None, chunk_size: int,
-           progress=None):
-    chunks = run_chunks(spec, partial(_berge_chunk, kind=kind), jobs=jobs,
-                        chunk_size=chunk_size, budget=budget, progress=progress)
-    visited = sum(c[0] for c in chunks)
-    positive = sum(c[1] for c in chunks)
-    negatives = [ng for c in chunks for ng in c[2]]
-    return visited, positive, negatives
 
 
 def _expected_exception_outcome(records: list[ExceptionRecord], expected: CanonicalForm | None,
@@ -351,29 +336,41 @@ def _recheck_sample(spec: LevelSpec, kind: str, negatives: set[int], rng: random
     return "", certs
 
 
-def _berge_level(report: VerificationReport, spec: LevelSpec, kind: str,
+def _berge_level(report: VerificationReport, level: LevelSpec, kind: str,
                  expected: CanonicalForm | None, expected_count: int,
-                 rng: random.Random, recheck_sample: int, run: dict) -> tuple[bool, list[Hypergraph]]:
-    """Check one level against its expected exceptions and record the outcome.
+                 rng: random.Random, recheck_sample: int, run: dict,
+                 bases: list[Hypergraph] | None = None) -> tuple[bool, list[Hypergraph]]:
+    """Check one report row against its expected exceptions and record it.
 
-    Sweeps the level with the ``kind`` decider (``run`` holds the
-    ``_sweep`` options), collapses the negatives by canonical form,
-    compares them with ``expected_count`` labeled copies of ``expected``,
-    re-decides a seeded sample, and appends the level and the sampled
-    certificates to ``report``.  Returns (ok, negative graphs).
+    A row sweeps a list of level specs: the whole ``level``, or, given
+    ``bases``, the ``level.m``-edge supergraphs of each base graph, one spec
+    per base (the closure row; no bases give a row of zero counts).  Each
+    spec is swept with the ``kind`` decider (``run`` holds the
+    ``run_chunks`` options) and a seeded sample of it re-decided.  All the
+    row's negatives are collapsed by canonical form at once and compared
+    with ``expected_count`` labeled copies of ``expected``; the row and the
+    sampled certificates go to ``report``.  Returns (ok, negative graphs).
     """
-    visited, positive, negatives = _sweep(spec, kind, **run)
-    records, graphs = _collapse_exceptions(spec, negatives)
+    specs = [level] if bases is None else [LevelSpec(level.n, level.r, level.m, base=g) for g in bases]
+    visited = positive = 0
+    negatives, failures = [], []
+    for spec in specs:
+        chunks = run_chunks(spec, partial(_berge_chunk, kind=kind), **run)
+        found = [ng for c in chunks for ng in c[2]]
+        visited += sum(c[0] for c in chunks)
+        positive += sum(c[1] for c in chunks)
+        negatives += found
+        failure, certs = _recheck_sample(spec, kind, {rk for rk, _ in found}, rng, recheck_sample)
+        failures.append(failure)
+        report.certificates.extend(certs)
+    records, graphs = _collapse_exceptions(level, negatives)
     ok, note = _expected_exception_outcome(records, expected, expected_count)
-    failure, certs = _recheck_sample(spec, kind, {rk for rk, _ in negatives}, rng, recheck_sample)
-    report.certificates.extend(certs)
-    if failure:
-        ok = False
-        note = (note + "; " if note else "") + failure
+    ok = ok and not any(failures)
+    note = "; ".join(filter(None, [note, *failures]))
     report.levels.append(
         LevelOutcome(
-            n=spec.n, r=spec.r, m=spec.m, mode=spec.mode, kind=kind,
-            scanned=level_size(spec), visited=visited, positive=positive,
+            n=level.n, r=level.r, m=level.m, mode=level.mode if bases is None else SUPERGRAPHS,
+            kind=kind, scanned=sum(map(level_size, specs)), visited=visited, positive=positive,
             negative=len(negatives), exceptions=records, ok=ok, note=note,
         )
     )
@@ -471,26 +468,9 @@ def verify_edge_theorem(
     # cycle level: one edge above the threshold
     ok_cycle, exception_graphs = _cycle_level(report, plan, rng, recheck_sample, run)
 
-    # closure level: supergraphs of each exception actually found
-    m = plan.cycle_level.m + 1
-    closure = LevelOutcome(
-        n=n, r=r, m=m, mode=SUPERGRAPHS, kind="cycle", scanned=0, visited=0,
-        positive=0, negative=0, exceptions=[], ok=True,
-    )
-    if m <= comb(n, r):
-        for g in exception_graphs:
-            sspec = LevelSpec(n, r, m, base=g)
-            visited, positive, negatives = _sweep(sspec, "cycle", **run)
-            closure.scanned += level_size(sspec)
-            closure.visited += visited
-            closure.positive += positive
-            if negatives:
-                closure.negative += len(negatives)
-                closure.exceptions.extend(_collapse_exceptions(sspec, negatives)[0])
-    if closure.negative:
-        closure.ok = False
-        closure.note = "supergraph of an exception is still non-hamiltonian"
-    report.levels.append(closure)
+    # closure row: every one-edge supergraph of each exception actually found
+    ok_closure, _ = _berge_level(report, LevelSpec(n, r, plan.cycle_level.m + 1), "cycle", None, 0,
+                                 rng, 0, run, bases=exception_graphs)
 
     # path level: at the threshold
     ok_path, _ = _berge_level(
@@ -498,7 +478,7 @@ def verify_edge_theorem(
         n, rng, recheck_sample, run,
     )
 
-    report.passed = ok_cycle and closure.ok and ok_path
+    report.passed = ok_cycle and ok_closure and ok_path
     report.seconds = time.perf_counter() - t0
     return report
 
@@ -545,7 +525,7 @@ def verify_spectral_theorem(
     )
 
     audit_kwargs = dict(t_spec=t_spec, t_edge=t_edge, tol=tol, ke_code=ke_code, kv_code=kv_code)
-    audits = []  # (tally, witness label) per report level
+    total = AuditTally()  # every row's tally, for the notes
     plan = monotone_reduction_plan(n, r)
     for spec in (plan.cycle_level, plan.path_level):
         tally = AuditTally()
@@ -553,21 +533,19 @@ def verify_spectral_theorem(
                                 chunk_size=chunk_size, budget=budget, progress=progress):
             tally.merge(chunk)
         report.levels.append(tally.outcome(n, r, spec.m, spec.mode, level_size(spec)))
-        audits.append((tally, partial("m={} rank {}".format, spec.m)))
+        total.merge(tally)
 
-    # random graphs across all edge counts, all drawn before any is audited;
-    # each is its own witness
+    # random graphs across all edge counts, all drawn before any is audited
     u = universe_masks(n, r)
     drawn = []
     for _ in range(samples):
         m = rng.randint(0, len(u))
         drawn.append(rng.sample(range(len(u)), m))
-    graphs = (Hypergraph(n, r, [u[i] for i in idx]) for idx in drawn)
-    tally = _audit_graphs(n, r, ((h, h, mask_of(idx)) for h, idx in zip(graphs, drawn)), **audit_kwargs)
+    graphs = ((None, Hypergraph(n, r, [u[i] for i in idx]), mask_of(idx)) for idx in drawn)
+    tally = _audit_graphs(n, r, graphs, **audit_kwargs)
     report.levels.append(tally.outcome(n, r, -1, "random", samples))
-    audits.append((tally, _random_witness))
-    for t, where in audits:
-        report.notes.extend(f"violation at {where(w)}: {reason}" for w, reason in t.violations)
+    total.merge(tally)
+    report.notes.extend(total.violations)
 
     # (b) pendant exception: strictly above the threshold, non-hamiltonian
     est = spectral_radius(ke, tol)
@@ -589,15 +567,13 @@ def verify_spectral_theorem(
     if not ok_isolated:
         report.notes.append("isolated-vertex exception failed its equality-case check")
 
-    undecided = [(where, w) for t, where in audits for w in t.undecided]
-    if undecided:
-        shown = ", ".join(where(w) for where, w in undecided[:UNDECIDED_SHOWN])
-        if len(undecided) > UNDECIDED_SHOWN:
+    if total.undecided:
+        shown = ", ".join(total.undecided[:UNDECIDED_SHOWN])
+        if len(total.undecided) > UNDECIDED_SHOWN:
             shown += f" (first {UNDECIDED_SHOWN})"
-        report.notes.append(f"{len(undecided)} undecided instances need exact follow-up: {shown}")
-    unconverged = sum(t.unconverged for t, _ in audits)
-    if unconverged:
-        report.notes.append(f"{unconverged} spectral runs did not converge")
-    report.passed = not any(t.violations for t, _ in audits) and ok_pendant and ok_isolated
+        report.notes.append(f"{len(total.undecided)} undecided instances need exact follow-up: {shown}")
+    if total.unconverged:
+        report.notes.append(f"{total.unconverged} spectral runs did not converge")
+    report.passed = not total.violations and ok_pendant and ok_isolated
     report.seconds = time.perf_counter() - t0
     return report

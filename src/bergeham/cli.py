@@ -178,37 +178,15 @@ def cmd_canon(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    progress = None
+    run = dict(jobs=args.jobs, budget=args.budget, seed=args.seed, progress=None)
     if args.verbose:
-        progress = _progress_printer("spectral" if args.what == "spectral" else "berge")
+        run["progress"] = _progress_printer("spectral" if args.what == "spectral" else "berge")
     if args.what == "lemma21":
-        report = campaigns.verify_lemma_r_plus_2(
-            args.n,
-            jobs=args.jobs,
-            budget=args.budget,
-            seed=args.seed,
-            progress=progress,
-        )
+        report = campaigns.verify_lemma_r_plus_2(args.n, **run)
     elif args.what == "edges":
-        report = campaigns.verify_edge_theorem(
-            args.n,
-            args.r,
-            jobs=args.jobs,
-            budget=args.budget,
-            seed=args.seed,
-            progress=progress,
-        )
+        report = campaigns.verify_edge_theorem(args.n, args.r, **run)
     else:
-        report = campaigns.verify_spectral_theorem(
-            args.n,
-            args.r,
-            samples=args.samples,
-            tol=args.tol,
-            jobs=args.jobs,
-            budget=args.budget,
-            seed=args.seed,
-            progress=progress,
-        )
+        report = campaigns.verify_spectral_theorem(args.n, args.r, samples=args.samples, tol=args.tol, **run)
     return _emit_report(report, args.format, args.out)
 
 

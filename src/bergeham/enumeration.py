@@ -25,7 +25,9 @@ a cycle certificate yields a path certificate by dropping an edge.
 from __future__ import annotations
 
 import multiprocessing
+from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 from typing import Callable, Iterator
 
@@ -194,45 +196,33 @@ def run_chunks(
     any aggregation over it is independent of the worker count.  The pool
     forks where the platform can and spawns elsewhere, so under ``spawn``
     ``chunk_fn`` must also be importable by the workers.  The ``progress``
-    callback fires per chunk, in rank order.
+    callback fires per chunk, in rank order, with or without the pool.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     total = level_size(spec)
     if budget is not None and total > budget:
         raise BudgetExceeded(total, budget, spec)
-    windows = [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
-    if not windows:
-        windows = [(0, 0)]
+    windows = [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)] or [(0, 0)]
+    task = partial(_run_window, chunk_fn, spec)
     results = []
-    if jobs == 1 or len(windows) == 1:
-        for lo, hi in windows:
-            res = chunk_fn(spec, lo, hi)
-            if progress is not None:
-                progress(spec, lo, hi, res)
-            results.append(res)
-        return results
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    with multiprocessing.get_context(method).Pool(processes=jobs) as pool:
-        for (lo, hi), res in zip(
-            windows, pool.imap(_ChunkTask(chunk_fn, spec), windows, chunksize=1)
-        ):
+    with ExitStack() as stack:
+        outputs = map(task, windows)
+        if jobs > 1 and len(windows) > 1:
+            method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+            outputs = stack.enter_context(multiprocessing.get_context(method).Pool(jobs)).imap(task, windows)
+        for (lo, hi), res in zip(windows, outputs):
             if progress is not None:
                 progress(spec, lo, hi, res)
             results.append(res)
     return results
 
 
-class _ChunkTask:
-    """Picklable adapter binding (chunk_fn, spec) for pool.imap."""
-
-    def __init__(self, chunk_fn, spec):
-        self.chunk_fn = chunk_fn
-        self.spec = spec
-
-    def __call__(self, window):
-        lo, hi = window
-        return self.chunk_fn(self.spec, lo, hi)
+def _run_window(chunk_fn, spec: LevelSpec, window: tuple[int, int]):
+    """``chunk_fn`` over one rank window; module level so pools can pickle it."""
+    return chunk_fn(spec, *window)
 
 
 @dataclass(frozen=True)

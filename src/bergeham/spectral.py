@@ -227,13 +227,17 @@ def _components(n: int, r: int, members: np.ndarray, picked: np.ndarray):
     return name, local, groups
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < np.inf:
+        raise ValueError(f"need a finite tol > 0, got {tol}")
+
+
 def _bracket(n: int, r: int, members: np.ndarray, picked: np.ndarray, tol: float,
              max_iter: int) -> list[SpectralEstimate]:
     """One estimate per graph that ``picked`` selects from ``members`` (as in
     ``_components``), reassembled from the kernel rows of its components.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError(f"need a finite tol > 0, got {tol}")
+    _check_tol(tol)
     b, width = picked.shape
     name, local, groups = _components(n, r, members, picked)
     runs = [(k, rows, _power_iterate(edges, weights, k, r, tol, max_iter))
@@ -376,6 +380,7 @@ def threshold_verdict(h: Hypergraph, est: SpectralEstimate, t, tol: float = 1e-9
     ``t`` within ``tol`` (exact equality cases land here).  Anything else
     is ``undecided`` and deserves exact-arithmetic follow-up.
     """
+    _check_tol(tol)
     if certified_above(h, est.vector, t):
         return CERTIFIED_ABOVE
     if est.upper <= t + tol:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from bergeham import campaigns
-from bergeham.berge import SearchResult, find_hamiltonian_berge_cycle
+from bergeham.berge import BergeDecider, SearchResult, find_hamiltonian_berge_cycle
 from bergeham.campaigns import (
     CSV_HEADER,
     verify_edge_theorem,
@@ -15,7 +15,7 @@ from bergeham.campaigns import (
 )
 from bergeham.canonical import canonical_form
 from bergeham.enumeration import LevelSpec, hypergraph_at, iter_level_masks, level_size
-from bergeham.hypergraph import clique_plus_isolated, clique_plus_pendant
+from bergeham.hypergraph import clique_plus_isolated, clique_plus_pendant, universe_masks
 from bergeham.spectral import CERTIFIED_ABOVE, CERTIFIED_BELOW_OR_EQUAL, UNDECIDED
 
 
@@ -66,6 +66,50 @@ def test_edge_theorem_5_3():
     assert closure.m == 6 and closure.negative == 0 and closure.visited == 30 * comb(5, 1)
     assert path.m == 4 and path.negative == 5
     assert path.exceptions[0].code == canonical_form(clique_plus_isolated(5, 3)).compact()
+
+
+def test_a_failing_closure_row_collapses_its_negatives(monkeypatch):
+    # decide one supergraph of one pendant exception non-Hamiltonian, once:
+    # at (5,3) each such graph is a supergraph of two exceptions
+    cycle_level = LevelSpec(5, 3, 5)
+    decider = BergeDecider(5, universe_masks(5, 3))
+    base = next(ch for _, ch in iter_level_masks(cycle_level) if not decider.cycle_exists(ch))
+    (_, target), = iter_level_masks(LevelSpec(5, 3, 6, base=hypergraph_at(cycle_level, base)), 3, 4)
+    cycle_exists = BergeDecider.cycle_exists
+    hits = []
+
+    def fake(self, chosen):
+        if chosen == target and not hits:
+            hits.append(chosen)
+            return False
+        return cycle_exists(self, chosen)
+
+    monkeypatch.setattr(BergeDecider, "cycle_exists", fake)
+    rep = verify_edge_theorem(5, 3)
+    monkeypatch.undo()
+    good = verify_edge_theorem(5, 3)
+    assert not rep.passed and good.passed
+    cycle, closure, path = rep.levels
+    assert cycle.to_dict() == good.levels[0].to_dict()
+    assert path.to_dict() == good.levels[2].to_dict()
+    assert not closure.ok
+    assert (closure.m, closure.mode, closure.visited, closure.negative) == (6, "supergraphs", 150, 1)
+    assert closure.positive == good.levels[1].positive - 1 == 149
+    record, = closure.exceptions
+    assert record.count == 1
+    assert record.code == canonical_form(hypergraph_at(cycle_level, target)).compact()
+    assert closure.note == "expected no exceptions, found 1"
+
+
+def test_closure_row_without_exceptions_has_zero_counts(monkeypatch):
+    monkeypatch.setattr(BergeDecider, "cycle_exists", lambda self, chosen: True)
+    rep = verify_edge_theorem(5, 3, recheck_sample=0)
+    assert not rep.passed
+    assert rep.levels[0].note == "expected exceptions, found none"
+    assert rep.levels[1].to_dict() == {
+        "n": 5, "r": 3, "m": 6, "mode": "supergraphs", "kind": "cycle", "scanned": 0, "visited": 0,
+        "positive": 0, "negative": 0, "exceptions": [], "ok": True, "note": "",
+    }
 
 
 def test_edge_theorem_6_4():

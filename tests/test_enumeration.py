@@ -154,6 +154,28 @@ def test_run_chunks_rejects_fewer_than_one_job():
             run_chunks(spec, _first_rank, jobs=jobs)
 
 
+def test_run_chunks_rejects_a_chunk_size_below_one():
+    spec = LevelSpec(5, 3, 2)
+    for chunk_size in (0, -1):
+        with pytest.raises(ValueError, match=f"chunk_size must be at least 1, got {chunk_size}"):
+            run_chunks(spec, _first_rank, chunk_size=chunk_size)
+    # before the check, -1 gave no windows to sweep and a passing report
+    with pytest.raises(ValueError, match="chunk_size must be at least 1, got -1"):
+        campaigns.verify_spectral_theorem(5, 3, samples=0, chunk_size=-1)
+
+
+def test_run_chunks_progress_is_the_same_under_the_pool():
+    spec = LevelSpec(5, 3, 5)
+    chunk = partial(campaigns._berge_chunk, kind="cycle")
+    seen = {1: [], 2: []}
+    for jobs, lines in seen.items():
+        out = run_chunks(spec, chunk, jobs=jobs, chunk_size=40,
+                         progress=lambda s, lo, hi, res, lines=lines: lines.append((lo, hi, res)))
+        assert out == [res for _, _, res in lines]
+    assert seen[2] == seen[1]
+    assert [(lo, hi) for lo, hi, _ in seen[1]] == [(lo, min(lo + 40, 252)) for lo in range(0, 252, 40)]
+
+
 def test_run_chunks_merges_in_rank_order():
     spec = LevelSpec(5, 3, 2)
     for jobs in (1, 3):

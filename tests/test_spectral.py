@@ -335,6 +335,20 @@ def test_tolerance_must_be_finite_and_positive(tol):
         spectral_radii(5, 3, [0b111], tol=tol)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
+def test_threshold_verdict_checks_its_own_tol(tol):
+    # a one-step bracket of lambda ~ 10.106 is about [10.08, 11.0]; at a
+    # threshold below lambda an infinite tol would certify "below or equal"
+    h = clique_plus_pendant(7, 3)
+    est = spectral_radius(h, max_iter=1)
+    assert est.lower < 10.094 < est.upper
+    assert threshold_verdict(h, est, 10.094) == UNDECIDED
+    with pytest.raises(ValueError, match="finite tol > 0"):
+        threshold_verdict(h, est, 10.094, tol=tol)
+    with pytest.raises(ValueError, match="finite tol > 0"):
+        exceeds_threshold(h, 10.094, tol=tol, max_iter=1)
+
+
 def test_negative_chosen_mask_is_rejected():
     with pytest.raises(ValueError, match="negative"):
         spectral_radii(5, 3, [-1])
