@@ -26,16 +26,16 @@ tables once so that enumeration campaigns can decide millions of graphs
 that share an edge universe; the public ``find_*`` functions wrap it for
 a single hypergraph.
 
-The boolean ``cycle_exists`` and ``path_exists`` (without endpoints)
-remember the last order they found, with its slot edges, one per kind.
-Consecutive graphs of a colex level differ in a few edges, so a new
-graph is first tried on that order: the slot edges it still has seed the
-matching and the rest are augmented into it.  Any success is a Berge
-Hamiltonian cycle (path) of the new graph, and a failure falls back to
-the full search, so answers stay exact; on the (7,5) and (6,3) campaign
-levels the order fits 94-99.8% of the graphs that reach the search.
-``search_*``, ``*_certificate`` and ``find_*`` never read that memory,
-so certificates and ``SearchStats`` depend on the graph alone.
+``decide`` answers one kind of question for many graphs of a universe
+at once.  It searches the first undecided graph of a slice; when that
+finds a vertex order, every undecided graph of the slice that passes
+Hall's condition on the order's slots (each set S of slots meets at
+least |S| of the graph's edges) has a Berge Hamiltonian cycle (path)
+along that order, and is positive.  Negatives come only from the
+exhaustive search, so answers are exact and do not depend on which
+graphs share a batch.  ``search_*``, ``*_certificate`` and ``find_*``
+decide one graph, so certificates and ``SearchStats`` depend on the
+graph alone.
 """
 
 from __future__ import annotations
@@ -44,14 +44,15 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
+import numpy as np
+
 from .hypergraph import Hypergraph, members_of
 
 REASON_INSUFFICIENT_EDGES = "insufficient_edges"
 REASON_SHADOW_NOT_HAMILTONIAN = "shadow_not_hamiltonian"
 REASON_EXHAUSTED = "search_exhausted"
 
-# (order, slot_edges): a vertex order and one universe edge index per slot
-_Hit = tuple[tuple[int, ...], tuple[int, ...]]
+DECIDE_SLICE = 4096  # graphs per Hall-filter slice in ``BergeDecider.decide``, for any batch size
 
 
 @dataclass(frozen=True)
@@ -163,9 +164,6 @@ class BergeDecider:
         # search starts (first vertex, per-depth candidate masks), see _search
         self._cycle_starts = ((0, [-1] * n),)
         self._free_path_starts = tuple((s, [-1] * (n - 1) + [-2 << s]) for s in range(n))
-        # the last (order, slot_edges) cycle_exists / path_exists (no endpoints) found
-        self._last_cycle: _Hit | None = None
-        self._last_path: _Hit | None = None
 
     @classmethod
     def for_hypergraph(cls, h: Hypergraph) -> "BergeDecider":
@@ -173,8 +171,7 @@ class BergeDecider:
 
     # ----- search --------------------------------------------------------
 
-    def _search(self, chosen: int, starts, close: bool, stats: SearchStats | None,
-                warm: _Hit | None = None) -> _Hit | None:
+    def _search(self, chosen: int, starts, close: bool, stats: SearchStats | None):
         """Depth-first order search shared by cycles and paths.
 
         Each entry of ``starts`` is ``(first, allow)``: the order begins at
@@ -184,57 +181,9 @@ class BergeDecider:
         (order[-1], order[0]) and the direction rule order[1] < order[-1]
         drops mirror images.  Returns (order, slot_edges) with one universe
         index per slot, or None.
-
-        A ``warm`` hit ``(order, slot_edges)`` of another graph is tried
-        first: its slot edges that are still chosen seed the matching and the
-        other slots are augmented into it.  When every slot gets a distinct
-        chosen edge, the order is returned as it stands, before the shadow
-        graph is built or any order is searched.  A slot that cannot be
-        augmented from a partial matching cannot be in any matching that
-        fills every slot, so a failed warm order only means the full search
-        runs.
         """
         n = self.n
         pc = self.pair_cover
-        match_owner: dict[int, int] = {}
-        slot_avail: list[int] = []
-        trail: list[tuple[int, int]] = []
-
-        def augment(s: int, visited: list[int]) -> bool:
-            av = slot_avail[s] & ~visited[0]
-            while av:
-                b = av & -av
-                av ^= b
-                visited[0] |= b
-                e = b.bit_length() - 1
-                o = match_owner.get(e, -1)
-                if o == -1 or augment(o, visited):
-                    trail.append((e, o))
-                    match_owner[e] = s
-                    return True
-            return False
-
-        def as_hit(order) -> _Hit:
-            slot_to_edge = [-1] * (n if close else n - 1)
-            for e, s in match_owner.items():
-                slot_to_edge[s] = e
-            return tuple(order), tuple(slot_to_edge)
-
-        if warm is not None:
-            warm_order, warm_edges = warm
-            for s, e in enumerate(warm_edges):
-                slot_avail.append(pc[warm_order[s] * n + warm_order[(s + 1) % n]] & chosen)
-                if chosen >> e & 1:
-                    match_owner[e] = s
-            for s, e in enumerate(warm_edges):
-                if not chosen >> e & 1 and not augment(s, [0]):
-                    break
-            else:
-                return as_hit(warm_order)
-            match_owner.clear()
-            slot_avail.clear()
-            trail.clear()
-
         nbr = [0] * n  # shadow graph of the chosen edges
         for a in range(n):
             base = a * n
@@ -249,9 +198,26 @@ class BergeDecider:
                 if nbr[v].bit_count() < 2:
                     return None
 
+        match_owner: dict[int, int] = {}
+        slot_avail: list[int] = []
+        trail: list[tuple[int, int]] = []
         order: list[int] = []
         nodes = 0
         augments = 0
+
+        def augment(s: int, visited: list[int]) -> bool:
+            av = slot_avail[s] & ~visited[0]
+            while av:
+                b = av & -av
+                av ^= b
+                visited[0] |= b
+                e = b.bit_length() - 1
+                o = match_owner.get(e, -1)
+                if o == -1 or augment(o, visited):
+                    trail.append((e, o))
+                    match_owner[e] = s
+                    return True
+            return False
 
         def extend(last: int, depth: int, used: int) -> bool:
             nonlocal nodes, augments
@@ -300,20 +266,45 @@ class BergeDecider:
         if stats is not None:
             stats.nodes += nodes
             stats.augments += augments
-        return as_hit(order) if found else None
+        if not found:
+            return None
+        slot_to_edge = [-1] * (n if close else n - 1)
+        for e, s in match_owner.items():
+            slot_to_edge[s] = e
+        return tuple(order), tuple(slot_to_edge)
 
-    def _cycle_possible(self, chosen: int) -> bool:
-        """Degree pre-checks: n edges, and every vertex in two distinct edges."""
-        if chosen.bit_count() < self.n:
-            return False
+    def search_cycle(self, chosen: int, stats: SearchStats | None = None):
+        """Return (order, slot_edges, closing_edge) or None.
+
+        ``slot_edges[i]`` covers the pair (order[i], order[i+1]) and
+        ``closing_edge`` covers (order[-1], order[0]); entries are
+        universe indices.  Vertex 0 anchors the cycle.
+        """
+        n = self.n
+        if chosen.bit_count() < n:
+            return None
         vc = self.vert_cover
-        for v in range(self.n):
+        for v in range(n):
+            # a cycle holds every vertex in two distinct edges
             if (vc[v] & chosen).bit_count() < 2:
-                return False
-        return True
+                return None
+        hit = self._search(chosen, self._cycle_starts, True, stats)
+        if hit is None:
+            return None
+        order, slots = hit
+        return order, slots[:-1], slots[-1]
 
-    def _path_starts(self, chosen: int, endpoints: tuple[int, int] | None):
-        """Degree pre-checks for a path; the search starts, or None when they fail."""
+    def cycle_exists(self, chosen: int) -> bool:
+        """Whether the graph has a Hamiltonian Berge cycle."""
+        return self.search_cycle(chosen) is not None
+
+    def search_path(self, chosen: int, endpoints: tuple[int, int] | None = None,
+                    stats: SearchStats | None = None):
+        """Return (order, slot_edges) or None; see ``search_cycle``.
+
+        Without endpoints the last vertex exceeds the first, which drops
+        reversed copies; with endpoints (a, b) the order runs from a to b.
+        """
         n = self.n
         if chosen.bit_count() < n - 1:
             return None
@@ -323,69 +314,58 @@ class BergeDecider:
         if any((vc[v] & chosen) == 0 for v in low):
             return None
         if endpoints is None:
-            return None if len(low) > 2 else self._free_path_starts
-        if any(v not in endpoints for v in low):
-            return None
-        a, b = endpoints
-        return ((a, [~(1 << b)] * (n - 1) + [1 << b]),)
-
-    def search_cycle(self, chosen: int, stats: SearchStats | None = None):
-        """Return (order, slot_edges, closing_edge) or None.
-
-        ``slot_edges[i]`` covers the pair (order[i], order[i+1]) and
-        ``closing_edge`` covers (order[-1], order[0]); entries are
-        universe indices.  Vertex 0 anchors the cycle.
-        """
-        if not self._cycle_possible(chosen):
-            return None
-        hit = self._search(chosen, self._cycle_starts, True, stats)
-        if hit is None:
-            return None
-        order, slots = hit
-        return order, slots[:-1], slots[-1]
-
-    def cycle_exists(self, chosen: int) -> bool:
-        """Whether the graph has a Hamiltonian Berge cycle.
-
-        Tries the last order this method found first, so consecutive calls
-        on similar graphs mostly skip the search; the answer is exact.
-        """
-        if not self._cycle_possible(chosen):
-            return False
-        hit = self._search(chosen, self._cycle_starts, True, None, self._last_cycle)
-        if hit is None:
-            return False
-        self._last_cycle = hit
-        return True
-
-    def search_path(self, chosen: int, endpoints: tuple[int, int] | None = None,
-                    stats: SearchStats | None = None):
-        """Return (order, slot_edges) or None; see ``search_cycle``.
-
-        Without endpoints the last vertex exceeds the first, which drops
-        reversed copies; with endpoints (a, b) the order runs from a to b.
-        """
-        starts = self._path_starts(chosen, endpoints)
-        if starts is None:
-            return None
+            if len(low) > 2:
+                return None
+            starts = self._free_path_starts
+        else:
+            if any(v not in endpoints for v in low):
+                return None
+            a, b = endpoints
+            starts = ((a, [~(1 << b)] * (n - 1) + [1 << b]),)
         return self._search(chosen, starts, False, stats)
 
     def path_exists(self, chosen: int, endpoints: tuple[int, int] | None = None) -> bool:
-        """Whether the graph has a Hamiltonian Berge path (from a to b, if given).
+        """Whether the graph has a Hamiltonian Berge path (from a to b, if given)."""
+        return self.search_path(chosen, endpoints) is not None
 
-        Without endpoints, tries the last order found that way first, as
-        ``cycle_exists`` does; the answer is exact.
+    # ----- batches -------------------------------------------------------
+
+    def decide(self, masks, kind: str) -> np.ndarray:
+        """Whether each graph has a Hamiltonian Berge cycle (``kind="cycle"``)
+        or path without endpoints (``kind="path"``), as a boolean array.
+
+        ``masks`` holds chosen-universe masks.  They are decided in slices
+        of at most ``DECIDE_SLICE``, each in rounds: the first undecided
+        graph of the slice goes through ``search_*``, and when that finds an
+        order, every undecided graph that passes ``_hall`` on the order's
+        slots is positive too.  A negative answer always comes from the
+        search, and a slice's answers and work depend on that slice alone.
+        Universes of more than 64 edges raise ``ValueError``, since masks
+        are held as ``uint64``.
         """
-        starts = self._path_starts(chosen, endpoints)
-        if starts is None:
-            return False
-        if endpoints is not None:
-            return self._search(chosen, starts, False, None) is not None
-        hit = self._search(chosen, starts, False, None, self._last_path)
-        if hit is None:
-            return False
-        self._last_path = hit
-        return True
+        if kind not in ("cycle", "path"):
+            raise ValueError(f"kind must be 'cycle' or 'path', got {kind!r}")
+        if len(self.universe) > 64:
+            raise ValueError(f"decide needs at most 64 universe edges, got {len(self.universe)}")
+        close = kind == "cycle"
+        search = self.search_cycle if close else self.search_path
+        masks = np.asarray(masks, dtype=np.uint64)
+        out = np.zeros(len(masks), dtype=bool)
+        for lo in range(0, len(masks), DECIDE_SLICE):
+            part = masks[lo:lo + DECIDE_SLICE]
+            rem = np.arange(len(part))  # undecided rows of the slice
+            while len(rem):
+                hit = search(int(part[rem[0]]))
+                if hit is None:
+                    rem = rem[1:]
+                    continue
+                order = hit[0]
+                pairs = zip(order, order[1:] + order[:1] if close else order[1:])
+                slots = np.array([self.pair_cover[a * self.n + b] for a, b in pairs], dtype=np.uint64)
+                ok = _hall(part[rem], slots)
+                out[lo + rem[ok]] = True
+                rem = rem[~ok]
+        return out
 
     # ----- certificates --------------------------------------------------
 
@@ -412,6 +392,36 @@ class BergeDecider:
             vertices=order,
             edges=tuple(u[e] for e in slot_edges),
         )
+
+
+def _hall(rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Which rows can give every slot a distinct edge of their own.
+
+    ``rows`` are chosen-universe masks and ``slots[s]`` masks the universe
+    edges that fit slot s.  By Hall's theorem a row can exactly when every
+    non-empty set S of slots meets at least |S| of its edges.  The sets
+    are walked depth-first, each with the union of its slots' masks, and a
+    branch is cut once every row still standing meets so many edges that
+    no set in the branch can fail it.
+    """
+    k = len(slots)
+    ok = np.ones(len(rows), dtype=bool)
+    idx = np.arange(len(rows))
+    stack = [(np.uint64(0), 0, 0)]  # (union of the set's slots, set size, first slot to add)
+    while stack:
+        union, size, first = stack.pop()
+        for s in range(first, k):
+            u = union | slots[s]
+            met = np.bitwise_count(rows & u)
+            fail = met <= size  # the set has size + 1 slots
+            if fail.any():
+                ok[idx[fail]] = False
+                idx, rows, met = idx[~fail], rows[~fail], met[~fail]
+                if not len(idx):
+                    return ok
+            if met.min() < size + k - s:  # the largest set below has size + k - s slots
+                stack.append((u, size + 1, s + 1))
+    return ok
 
 
 def _failure_reason(h: Hypergraph, kind: str, endpoints=None) -> str:

@@ -29,6 +29,8 @@ from itertools import islice
 from math import comb
 from typing import Iterator
 
+import numpy as np
+
 from .berge import (
     BergeDecider,
     find_hamiltonian_berge_cycle,
@@ -150,42 +152,44 @@ def _decider(n: int, r: int) -> BergeDecider:
 
 def _berge_chunk(spec: LevelSpec, lo: int, hi: int, *, kind: str):
     """Decide one chunk; returns (decided, positives, [(rank, mask) negatives])."""
-    d = _decider(spec.n, spec.r)
-    decide = d.cycle_exists if kind == "cycle" else d.path_exists
-    count = 0
-    pos = 0
-    neg: list[tuple[int, int]] = []
-    for rank, chosen in iter_level_masks(spec, lo, hi):
-        count += 1
-        if decide(chosen):
-            pos += 1
-        else:
-            neg.append((rank, chosen))
-    return count, pos, neg
+    masks = np.fromiter((chosen for _, chosen in iter_level_masks(spec, lo, hi)), dtype=np.uint64,
+                        count=hi - lo)
+    yes = _decider(spec.n, spec.r).decide(masks, kind)
+    neg = [(lo + i, int(masks[i])) for i in np.flatnonzero(~yes).tolist()]
+    return len(masks), len(masks) - len(neg), neg
 
 
-def _audit_graph(h: Hypergraph, d: BergeDecider, chosen: int, first: tuple[str, bool],
-                 t_spec: int, t_edge: int, tol: float, ke_code: str, kv_code: str):
-    """Audit one graph for the spectral->edge->Hamiltonicity implication chain.
-
-    ``first`` is the graph's (verdict, unconverged flag) from the batched
-    bracket at ``tol``; an undecided verdict is retried alone at ``tol/1000``.
-    Returns (verdict, violation reason or None, unconverged flag).
-    """
-    verdict, unconverged = first
+def _retried_verdict(h: Hypergraph, est, t_spec: int, tol: float) -> tuple[str, bool]:
+    """(verdict, unconverged flag) of a graph from its bracket ``est`` at ``tol``;
+    an undecided verdict is retried alone at ``tol/1000``."""
+    verdict, unconverged = threshold_verdict(h, est, t_spec, tol), not est.converged
     if verdict == UNDECIDED:
         est = spectral_radius(h, tol / 1000, max_iter=500_000)
         unconverged = unconverged or not est.converged
         verdict = threshold_verdict(h, est, t_spec, tol)
+    return verdict, unconverged
+
+
+def _audit_graph(h: Hypergraph, first: tuple[str, bool], hamiltonian: bool | None,
+                 t_edge: int, ke_code: str, kv_code: str):
+    """Audit one graph for the spectral->edge->Hamiltonicity implication chain.
+
+    ``first`` is the graph's (verdict, unconverged flag) after the retry.
+    ``hamiltonian`` is its Berge verdict, asked only of graphs certified
+    above the threshold with at least ``t_edge`` edges: a Hamiltonian cycle
+    above ``t_edge``, a Hamiltonian path at it.
+    Returns (verdict, violation reason or None, unconverged flag).
+    """
+    verdict, unconverged = first
     if verdict != CERTIFIED_ABOVE:
         return verdict, None, unconverged
     if h.m < t_edge:
         return verdict, "spectral radius certified above threshold but edge count below implied bound", unconverged
     if h.m > t_edge:
-        if not d.cycle_exists(chosen) and canonical_form(h).compact() != ke_code:
+        if not hamiltonian and canonical_form(h).compact() != ke_code:
             return verdict, "non-hamiltonian above the edge threshold and not the pendant exception", unconverged
     else:
-        if not d.path_exists(chosen) and canonical_form(h).compact() != kv_code:
+        if not hamiltonian and canonical_form(h).compact() != kv_code:
             return verdict, "no hamiltonian path at the edge threshold and not the isolated-vertex exception", unconverged
     return verdict, None, unconverged
 
@@ -239,15 +243,24 @@ def _audit_graphs(n: int, r: int, graphs: Iterator, *, t_spec: int, t_edge: int,
     """Audit (rank or None, h, chosen-universe mask) triples, in order.
 
     Brackets come from one ``spectral_radii`` call per ``SPECTRAL_SLICE``
-    graphs, so memory stays flat however many graphs ``graphs`` yields.
+    graphs, and Berge verdicts from one ``decide`` call per slice and kind,
+    so memory stays flat however many graphs ``graphs`` yields.
     """
     d = _decider(n, r)
     tally = AuditTally()
     while part := list(islice(graphs, SPECTRAL_SLICE)):
         ests = spectral_radii(n, r, [chosen for _, _, chosen in part], tol, max_iter=50_000)
-        for (rank, h, chosen), est in zip(part, ests):
-            first = (threshold_verdict(h, est, t_spec, tol), not est.converged)
-            tally.add(rank, h, *_audit_graph(h, d, chosen, first, t_spec, t_edge, tol, ke_code, kv_code))
+        firsts = [_retried_verdict(h, est, t_spec, tol) for (_, h, _), est in zip(part, ests)]
+        asked: dict[str, list[int]] = {"cycle": [], "path": []}
+        for i, ((_, h, _), (verdict, _)) in enumerate(zip(part, firsts)):
+            if verdict == CERTIFIED_ABOVE and h.m >= t_edge:
+                asked["cycle" if h.m > t_edge else "path"].append(i)
+        hamiltonian: list[bool | None] = [None] * len(part)
+        for kind, rows in asked.items():
+            for i, yes in zip(rows, d.decide([part[i][2] for i in rows], kind).tolist()):
+                hamiltonian[i] = yes
+        for (rank, h, _), first, ham in zip(part, firsts, hamiltonian):
+            tally.add(rank, h, *_audit_graph(h, first, ham, t_edge, ke_code, kv_code))
     return tally
 
 

@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from bergeham import berge
 from bergeham.berge import (
     BergeCertificate,
     BergeDecider,
@@ -15,7 +16,7 @@ from bergeham.berge import (
     rotate_path_to_cycle,
     verify_certificate,
 )
-from bergeham.enumeration import chosen_mask
+from bergeham.enumeration import LevelSpec, chosen_mask, iter_level_masks
 from bergeham.hypergraph import (
     Hypergraph,
     clique_plus_isolated,
@@ -260,30 +261,29 @@ def test_decider_reuses_a_universe():
     assert verify_certificate(complete(5, 3), cert) == []
 
 
-# ----- warm start: the boolean methods try the last order they found ------
+# ----- decide: Hall's condition on each found order, over a whole batch ----
 
 
 def _labeled_copies(h):
     return sorted({tuple(sorted(h.relabel(p).edges)) for p in permutations(range(h.n))})
 
 
-def test_a_long_lived_decider_matches_the_oracle_in_any_order():
+@pytest.mark.parametrize("slice_size", (berge.DECIDE_SLICE, 1, 7))
+def test_decide_matches_the_oracle_in_any_order(monkeypatch, slice_size):
+    monkeypatch.setattr(berge, "DECIDE_SLICE", slice_size)
     u = universe_masks(5, 3)
-    oracle = {}
-    for chosen in range(1 << len(u)):
-        h = Hypergraph(5, 3, [e for i, e in enumerate(u) if (chosen >> i) & 1])
-        oracle[chosen] = (brute_force_oracle(h, "cycle"), brute_force_oracle(h, "path"))
-    shuffled = list(oracle)
+    graphs = list(range(1 << len(u)))  # ascending masks are colex order
+    shuffled = graphs[:]
     random.Random(5).shuffle(shuffled)
-    fresh = BergeDecider(5, u)  # only searches, so it remembers nothing
-    for order in (sorted(oracle), shuffled):  # ascending masks are colex order
-        d = BergeDecider(5, u)
-        for chosen in order:
-            assert (d.cycle_exists(chosen), d.path_exists(chosen)) == oracle[chosen], chosen
-            # a path with endpoints never takes the remembered endpoint-free one
-            for ends in combinations(range(5), 2):
-                want = fresh.search_path(chosen, ends) is not None
-                assert d.path_exists(chosen, ends) == want, (chosen, ends)
+    d = BergeDecider(5, u)
+    for kind in ("cycle", "path"):
+        want = {}
+        for chosen in graphs:
+            h = Hypergraph(5, 3, [e for i, e in enumerate(u) if (chosen >> i) & 1])
+            want[chosen] = brute_force_oracle(h, kind)
+        for batch in (graphs, shuffled):
+            got = d.decide(batch, kind)
+            assert got.dtype == bool and got.tolist() == [want[c] for c in batch], (kind, slice_size)
 
 
 def _bottleneck_6_3():
@@ -296,16 +296,55 @@ def _bottleneck_6_3():
 
 
 @pytest.mark.parametrize("n, bad", [(5, clique_plus_pendant(5, 3)), (6, _bottleneck_6_3())])
-def test_a_remembered_order_needs_distinct_edges(n, bad):
+def test_an_order_passes_only_graphs_with_distinct_slot_edges(n, bad):
+    # the complete graph comes first, so its order is tested on every copy
     u = universe_masks(n, 3)
-    d = BergeDecider(n, u)
     copies = _labeled_copies(bad)
     assert len(copies) == (30 if n == 5 else 90)
     if n == 6:
         assert bad.min_degree() >= 2 and bad.m >= n  # past every degree pre-check
-    for edges in copies:
-        assert d.cycle_exists((1 << len(u)) - 1)  # remember a Hamiltonian order
-        assert not d.cycle_exists(chosen_mask(n, 3, edges)), edges
+    batch = [(1 << len(u)) - 1] + [chosen_mask(n, 3, edges) for edges in copies]
+    got = BergeDecider(n, u).decide(batch, "cycle")
+    assert got[0] and not got[1:].any()
+
+
+def test_a_verdict_does_not_depend_on_its_batch():
+    # the edge-theorem levels of (6,4), where each kind has its exceptions
+    d = BergeDecider(6, universe_masks(6, 4))
+    rng = random.Random(3)
+    for kind, m in (("cycle", 6), ("path", 5)):
+        masks = [chosen for _, chosen in iter_level_masks(LevelSpec(6, 4, m))]
+        whole = d.decide(masks, kind)
+        assert 0 < whole.sum() < len(masks)
+        for _ in range(20):
+            idx = sorted(rng.sample(range(len(masks)), rng.randint(1, 300)))
+            rng.shuffle(idx)
+            assert d.decide([masks[i] for i in idx], kind).tolist() == whole[idx].tolist()
+        for i in rng.sample(range(len(masks)), 50):
+            assert d.decide([masks[i]], kind)[0] == whole[i]
+
+
+def test_decide_rejects_wide_universes_and_unknown_kinds():
+    d = BergeDecider(9, universe_masks(9, 3))  # 84 edges
+    with pytest.raises(ValueError, match="at most 64 universe edges, got 84"):
+        d.decide([0], "cycle")
+    d = BergeDecider(5, universe_masks(5, 3))
+    with pytest.raises(ValueError, match="kind must be"):
+        d.decide([0], "tour")
+    assert d.decide([], "path").tolist() == []
+
+
+@pytest.mark.parametrize("n, r, m, kinds", [
+    (6, 4, 5, ("cycle", "path")),
+    (6, 4, 6, ("cycle", "path")),
+    (7, 5, 7, ("cycle",)),
+])
+def test_decide_equals_the_search_on_whole_levels(n, r, m, kinds):
+    masks = [chosen for _, chosen in iter_level_masks(LevelSpec(n, r, m))]
+    d = BergeDecider(n, universe_masks(n, r))
+    for kind in kinds:
+        search = d.search_cycle if kind == "cycle" else d.search_path
+        assert d.decide(masks, kind).tolist() == [search(c) is not None for c in masks], kind
 
 
 def test_certificates_and_stats_do_not_depend_on_earlier_decisions():
@@ -314,9 +353,9 @@ def test_certificates_and_stats_do_not_depend_on_earlier_decisions():
     random.Random(11).shuffle(graphs)
     fresh = BergeDecider(5, u)
     used = BergeDecider(5, u)
-    for chosen in graphs:
-        used.cycle_exists(chosen)
-        used.path_exists(chosen)
+    for i, chosen in enumerate(graphs):
+        used.decide(graphs[i:i + 7], "cycle")
+        used.decide([chosen], "path")
         for kind in ("cycle", "path"):
             got, want = SearchStats(), SearchStats()
             cert = getattr(used, f"{kind}_certificate")

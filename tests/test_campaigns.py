@@ -3,6 +3,7 @@ import random
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bergeham import campaigns
@@ -45,8 +46,8 @@ def test_berge_campaigns_reject_a_negative_recheck_sample():
 def test_lemma_report_is_worker_count_invariant():
     runs = (
         lambda jobs: verify_lemma_r_plus_2(5, jobs=jobs, recheck_sample=50),
-        # small chunks: workers decide in different orders and remember
-        # different Hamiltonian orders, which the report must not show
+        # small chunks: workers decide different batches, so the orders
+        # that decide finds and tests differ, which the report must not show
         lambda jobs: verify_edge_theorem(5, 3, jobs=jobs, chunk_size=37),
     )
     for run in runs:
@@ -75,16 +76,18 @@ def test_a_failing_closure_row_collapses_its_negatives(monkeypatch):
     decider = BergeDecider(5, universe_masks(5, 3))
     base = next(ch for _, ch in iter_level_masks(cycle_level) if not decider.cycle_exists(ch))
     (_, target), = iter_level_masks(LevelSpec(5, 3, 6, base=hypergraph_at(cycle_level, base)), 3, 4)
-    cycle_exists = BergeDecider.cycle_exists
+    decide = BergeDecider.decide
     hits = []
 
-    def fake(self, chosen):
-        if chosen == target and not hits:
-            hits.append(chosen)
-            return False
-        return cycle_exists(self, chosen)
+    def fake(self, masks, kind):
+        out = decide(self, masks, kind)
+        at = np.flatnonzero(np.asarray(masks, dtype=np.uint64) == target)
+        if kind == "cycle" and len(at) and not hits:
+            hits.append(target)
+            out[at[0]] = False
+        return out
 
-    monkeypatch.setattr(BergeDecider, "cycle_exists", fake)
+    monkeypatch.setattr(BergeDecider, "decide", fake)
     rep = verify_edge_theorem(5, 3)
     monkeypatch.undo()
     good = verify_edge_theorem(5, 3)
@@ -102,7 +105,9 @@ def test_a_failing_closure_row_collapses_its_negatives(monkeypatch):
 
 
 def test_closure_row_without_exceptions_has_zero_counts(monkeypatch):
-    monkeypatch.setattr(BergeDecider, "cycle_exists", lambda self, chosen: True)
+    decide = BergeDecider.decide
+    monkeypatch.setattr(BergeDecider, "decide", lambda self, masks, kind: (
+        np.ones(len(masks), dtype=bool) if kind == "cycle" else decide(self, masks, kind)))
     rep = verify_edge_theorem(5, 3, recheck_sample=0)
     assert not rep.passed
     assert rep.levels[0].note == "expected exceptions, found none"
@@ -239,7 +244,7 @@ def test_recheck_mismatch_names_the_rank(monkeypatch):
 def test_spectral_violations_and_undecided_verdicts_keep_witnesses(monkeypatch):
     calls = []
 
-    def fake(h, d, chosen, *args, **kwargs):
+    def fake(h, *args, **kwargs):
         # call order: the cycle level (m=5, 252 graphs), the path level
         # (m=4, 210 graphs), then the random graphs
         i = len(calls)
