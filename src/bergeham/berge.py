@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -139,6 +140,13 @@ def verify_certificate(h: Hypergraph, cert: BergeCertificate) -> list[str]:
     return bad
 
 
+@lru_cache(maxsize=1 << 14)
+def _edge_cover_slots(n: int, em: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """An edge's members and the ``pair_cover`` indices a*n+b and b*n+a of its member pairs."""
+    members = members_of(em)
+    return members, tuple(i for a, b in combinations(members, 2) for i in (a * n + b, b * n + a))
+
+
 class BergeDecider:
     """Hamiltonicity decisions over a fixed (n, edge-universe) context.
 
@@ -151,16 +159,15 @@ class BergeDecider:
         self.universe = tuple(universe)
         self.full_chosen = (1 << len(self.universe)) - 1
         # pair_cover[a * n + b]: universe edges containing both a and b
-        self.pair_cover = [0] * (n * n)
-        self.vert_cover = [0] * n
+        self.pair_cover = pc = [0] * (n * n)
+        self.vert_cover = vc = [0] * n
         for ei, em in enumerate(self.universe):
-            mem = members_of(em)
-            for a in mem:
-                self.vert_cover[a] |= 1 << ei
-            for a, b in combinations(mem, 2):
-                bit = 1 << ei
-                self.pair_cover[a * n + b] |= bit
-                self.pair_cover[b * n + a] |= bit
+            bit = 1 << ei
+            members, pairs = _edge_cover_slots(n, em)
+            for a in members:
+                vc[a] |= bit
+            for p in pairs:
+                pc[p] |= bit
         # search starts (first vertex, per-depth candidate masks), see _search
         self._cycle_starts = ((0, [-1] * n),)
         self._free_path_starts = tuple((s, [-1] * (n - 1) + [-2 << s]) for s in range(n))

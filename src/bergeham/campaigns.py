@@ -47,7 +47,7 @@ from .enumeration import (
     ReductionPlan,
     SUPERGRAPHS,
     hypergraph_at,
-    iter_level_masks,
+    level_masks,
     level_size,
     monotone_reduction_plan,
     run_chunks,
@@ -152,8 +152,7 @@ def _decider(n: int, r: int) -> BergeDecider:
 
 def _berge_chunk(spec: LevelSpec, lo: int, hi: int, *, kind: str):
     """Decide one chunk; returns (decided, positives, [(rank, mask) negatives])."""
-    masks = np.fromiter((chosen for _, chosen in iter_level_masks(spec, lo, hi)), dtype=np.uint64,
-                        count=hi - lo)
+    masks = level_masks(spec, np.arange(lo, hi))
     yes = _decider(spec.n, spec.r).decide(masks, kind)
     neg = [(lo + i, int(masks[i])) for i in np.flatnonzero(~yes).tolist()]
     return len(masks), len(masks) - len(neg), neg
@@ -265,7 +264,8 @@ def _audit_graphs(n: int, r: int, graphs: Iterator, *, t_spec: int, t_edge: int,
 
 
 def _spectral_chunk(spec: LevelSpec, lo: int, hi: int, **audit_kwargs) -> AuditTally:
-    graphs = ((rank, hypergraph_at(spec, chosen), chosen) for rank, chosen in iter_level_masks(spec, lo, hi))
+    masks = level_masks(spec, np.arange(lo, hi)).tolist()
+    graphs = ((rank, hypergraph_at(spec, chosen), chosen) for rank, chosen in zip(range(lo, hi), masks))
     return _audit_graphs(spec.n, spec.r, graphs, **audit_kwargs)
 
 
@@ -325,8 +325,7 @@ def _recheck_sample(spec: LevelSpec, kind: str, negatives: set[int], rng: random
         return "", []
     ranks = sorted(rng.sample(range(total), k))
     certs: list[dict] = []
-    for rank in ranks:
-        (_, chosen), = iter_level_masks(spec, rank, rank + 1)
+    for rank, chosen in zip(ranks, level_masks(spec, np.array(ranks)).tolist()):
         h = hypergraph_at(spec, chosen)
         res = find_hamiltonian_berge_cycle(h) if kind == "cycle" else find_hamiltonian_berge_path(h)
         cert = res.certificate

@@ -3,13 +3,19 @@
 A *level* is the set of labeled hypergraphs on a fixed (n, r) with a
 fixed edge count m, optionally restricted to supergraphs of a base graph.
 Every labeled graph of a level is visited once; there is no isomorph
-rejection.  Levels are walked in colex order of the chosen edge-index
-sets, which coincides with ascending numeric order of the chosen-index
-bitmasks; successive masks come from Gosper's hack and rank/unrank uses
-the combinatorial number system.  That gives stateless chunks ``[lo, hi)`` that partition a level
-exactly, so work can be distributed over processes and the results merged
-back in rank order: aggregates are reproducible for any worker count, and
-interrupted sweeps can resume from a rank.
+rejection.  A graph's rank is the colex position of its chosen (non-base)
+edge indices, which is also ascending numeric order of its chosen-universe
+bitmask.  ``level_masks`` unranks a whole array of ranks at once in the
+combinatorial number system: for i = k down to 1, one ``searchsorted``
+over the column C(., i) finds every rank's i-th index c, whose binomial is
+subtracted and whose universe bit is set.  Index c is universe edge c on a
+labeled level and the c-th edge outside the base on a supergraph level,
+whose base mask is ORed in, so both modes share one path.  Masks are
+``uint64`` for universes of at most 64 edges and Python ints in ``object``
+arrays beyond, in the same loop.  Ranks give stateless chunks ``[lo, hi)``
+that partition a level exactly, so work can be distributed over processes
+and the results merged back in rank order: aggregates are reproducible for
+any worker count, and interrupted sweeps can resume from a rank.
 
 The monotone reduction plan encodes why sweeping two levels suffices to
 verify an edge-count Hamiltonicity threshold for *all* larger edge
@@ -27,9 +33,11 @@ from __future__ import annotations
 import multiprocessing
 from contextlib import ExitStack
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from math import comb
 from typing import Callable, Iterator
+
+import numpy as np
 
 from .hypergraph import Hypergraph, universe_masks
 
@@ -87,80 +95,65 @@ def level_size(spec: LevelSpec) -> int:
     return comb(u, spec.m)
 
 
-def colex_rank(mask: int) -> int:
-    """Position of a chosen-index bitmask in colex order of its popcount class."""
-    rank = 0
-    i = 0
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        i += 1
-        rank += comb(b.bit_length() - 1, i)
-    return rank
-
-
-def colex_unrank(rank: int, m: int) -> int:
-    """Inverse of ``colex_rank`` within the m-subsets."""
-    mask = 0
-    for i in range(m, 0, -1):
-        c = i - 1
-        while comb(c + 1, i) <= rank:
-            c += 1
-        rank -= comb(c, i)
-        mask |= 1 << c
-    return mask
-
-
-def next_same_popcount(v: int) -> int:
-    """Gosper's hack: numerically next integer with the same popcount."""
-    c = v & -v
-    r = v + c
-    return (((v ^ r) >> 2) // c) | r
-
-
 def _free_positions(spec: LevelSpec) -> list[int]:
     u = universe_masks(spec.n, spec.r)
     base_set = set(spec.base.edges)
     return [i for i, em in enumerate(u) if em not in base_set]
 
 
+@cache
+def _binomial_columns(width: int, k: int, dtype) -> tuple[np.ndarray, ...]:
+    """Column i - 1 holds C(c, i) for c = 0..width-1, ascending, for i = 1..k.
+    The columns are shared by every caller, so they are read-only."""
+    cols = tuple(np.array([comb(c, i) for c in range(width)], dtype=dtype) for i in range(1, k + 1))
+    for col in cols:
+        col.flags.writeable = False
+    return cols
+
+
+def level_masks(spec: LevelSpec, ranks) -> np.ndarray:
+    """The chosen-universe masks of the level's graphs at ``ranks``, in the given order.
+
+    ``ranks`` is an integer array of ranks in ``[0, level_size(spec))``, in
+    any order.  The masks come back ``uint64`` for universes of at most 64
+    edges, and as Python ints in an ``object`` array beyond that.
+    """
+    ranks = np.asarray(ranks)
+    total = level_size(spec)
+    if ranks.size and not (ranks.dtype.kind in "iu"
+                           or ranks.dtype == object and all(isinstance(x, int) for x in ranks.flat)):
+        raise ValueError(f"ranks must be integers, got an array of {ranks.dtype}")
+    if ranks.size and not (int(ranks.min()) >= 0 and int(ranks.max()) < total):
+        raise ValueError(f"ranks must lie in [0, {total}), got {ranks.min()}..{ranks.max()}")
+    u = universe_masks(spec.n, spec.r)
+    dtype = np.uint64 if len(u) <= 64 else object
+    if spec.base is None:
+        pos, base, k = range(len(u)), 0, spec.m
+    else:
+        pos, k = _free_positions(spec), spec.m - spec.base.m
+        base = chosen_mask(spec.n, spec.r, spec.base.edges)
+    bits = np.array([1 << p for p in pos], dtype=dtype)
+    rank = ranks.astype(dtype)
+    mask = np.full(rank.shape, base, dtype=dtype)
+    for col in reversed(_binomial_columns(len(bits), k, dtype)):
+        c = np.searchsorted(col, rank, "right") - 1
+        rank -= col[c]
+        mask |= bits[c]
+    return mask
+
+
 def iter_level_masks(spec: LevelSpec, lo: int = 0, hi: int | None = None) -> Iterator[tuple[int, int]]:
     """Yield (rank, chosen-universe-mask) over ranks [lo, hi) of the level,
-    in colex order of the chosen (non-base) edge indices."""
+    in rank order, unranking ``DEFAULT_CHUNK`` ranks at a time."""
     total = level_size(spec)
     if hi is None:
         hi = total
     if not 0 <= lo <= hi <= total:
         raise ValueError(f"bad rank window [{lo}, {hi}) for level of size {total}")
-    if lo == hi:
-        return
-    if spec.base is not None:
-        free = _free_positions(spec)
-        base_mask = chosen_mask(spec.n, spec.r, spec.base.edges)
-        k = spec.m - spec.base.m
-        if k == 0:
-            yield 0, base_mask
-            return
-        small = colex_unrank(lo, k)
-        for rank in range(lo, hi):
-            chosen = base_mask
-            s = small
-            while s:
-                b = s & -s
-                s ^= b
-                chosen |= 1 << free[b.bit_length() - 1]
-            yield rank, chosen
-            if rank + 1 < hi:
-                small = next_same_popcount(small)
-        return
-    if spec.m == 0:
-        yield 0, 0
-        return
-    mask = colex_unrank(lo, spec.m)
-    for rank in range(lo, hi):
-        yield rank, mask
-        if rank + 1 < hi:
-            mask = next_same_popcount(mask)
+    for a in range(lo, hi, DEFAULT_CHUNK):
+        b = min(a + DEFAULT_CHUNK, hi)
+        ranks = np.arange(a, b, dtype=np.int64 if b <= 1 << 63 else object)
+        yield from zip(range(a, b), level_masks(spec, ranks).tolist())
 
 
 def chosen_mask(n: int, r: int, edges) -> int:

@@ -261,6 +261,23 @@ def test_decider_reuses_a_universe():
     assert verify_certificate(complete(5, 3), cert) == []
 
 
+def test_decider_tables_equal_a_direct_construction():
+    rng = random.Random(11)
+    universes = [(2, ()), (2, (0b11,)), (5, ())]
+    for n in (2, 3, 4, 5, 6, 7, 8):
+        for _ in range(6):
+            u = universe_masks(n, rng.randint(2, n))
+            universes.append((n, tuple(rng.sample(u, rng.randint(0, len(u))))))
+    for n, universe in universes:
+        d = BergeDecider(n, universe)
+        assert d.vert_cover == [sum(1 << ei for ei, em in enumerate(universe) if em >> a & 1)
+                                for a in range(n)]
+        assert d.pair_cover == [
+            sum(1 << ei for ei, em in enumerate(universe) if a != b and em >> a & 1 and em >> b & 1)
+            for a in range(n) for b in range(n)
+        ]
+
+
 # ----- decide: Hall's condition on each found order, over a whole batch ----
 
 

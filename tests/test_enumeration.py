@@ -1,7 +1,9 @@
 import multiprocessing
+import random
 from functools import partial
 from math import comb
 
+import numpy as np
 import pytest
 
 from bergeham import campaigns
@@ -11,13 +13,11 @@ from bergeham.enumeration import (
     BudgetExceeded,
     LevelSpec,
     chosen_mask,
-    colex_rank,
-    colex_unrank,
     hypergraph_at,
     iter_level_masks,
+    level_masks,
     level_size,
     monotone_reduction_plan,
-    next_same_popcount,
     run_chunks,
 )
 from bergeham.hypergraph import (
@@ -47,6 +47,52 @@ def test_spec_validation():
     assert LevelSpec(5, 3, 6, base=clique_plus_pendant(5, 3)).mode == "supergraphs"
 
 
+# scalar oracles for level_masks: colex rank/unrank in the combinatorial
+# number system, and Gosper's hack for the numerically next mask
+
+
+def colex_rank(mask: int) -> int:
+    """Position of a chosen-index bitmask in colex order of its popcount class."""
+    rank = 0
+    i = 0
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        i += 1
+        rank += comb(b.bit_length() - 1, i)
+    return rank
+
+
+def colex_unrank(rank: int, m: int) -> int:
+    """Inverse of ``colex_rank`` within the m-subsets."""
+    mask = 0
+    for i in range(m, 0, -1):
+        c = i - 1
+        while comb(c + 1, i) <= rank:
+            c += 1
+        rank -= comb(c, i)
+        mask |= 1 << c
+    return mask
+
+
+def next_same_popcount(v: int) -> int:
+    """Gosper's hack: numerically next integer with the same popcount."""
+    c = v & -v
+    r = v + c
+    return (((v ^ r) >> 2) // c) | r
+
+
+def oracle_mask(spec: LevelSpec, rank: int) -> int:
+    """The chosen-universe mask at ``rank``, one scalar unrank at a time."""
+    u = universe_masks(spec.n, spec.r)
+    if spec.base is None:
+        return colex_unrank(rank, spec.m)
+    free = [i for i, em in enumerate(u) if em not in spec.base.edges]
+    small = colex_unrank(rank, spec.m - spec.base.m)
+    return chosen_mask(spec.n, spec.r, spec.base.edges) | sum(
+        1 << free[c] for c in range(len(free)) if small >> c & 1)
+
+
 def test_colex_rank_unrank_round_trip():
     for m in (1, 2, 4):
         mask = colex_unrank(0, m)
@@ -57,6 +103,73 @@ def test_colex_rank_unrank_round_trip():
                 nxt = next_same_popcount(mask)
                 assert nxt > mask and nxt.bit_count() == m
                 mask = nxt
+
+
+def test_level_masks_equal_the_scalar_oracle_on_every_5_3_level():
+    for m in range(11):
+        spec = LevelSpec(5, 3, m)
+        got = level_masks(spec, np.arange(level_size(spec)))
+        assert got.dtype == np.uint64
+        gosper = [colex_unrank(0, m)]
+        while len(gosper) < level_size(spec):
+            gosper.append(next_same_popcount(gosper[-1]))
+        assert got.tolist() == [colex_unrank(t, m) for t in range(level_size(spec))] == gosper
+
+
+def test_level_masks_on_windows_and_samples():
+    spec = LevelSpec(6, 3, 11)
+    total = level_size(spec)
+    rng = random.Random(4)
+    # ragged windows, including ones of a single rank and the level's last rank
+    for lo, hi in [(0, 1), (5, 6), (37, 101), (1000, 1999), (total - 3, total), (total - 1, total)]:
+        assert level_masks(spec, np.arange(lo, hi)).tolist() == [oracle_mask(spec, t) for t in range(lo, hi)]
+    sample = rng.sample(range(total), 300)
+    for ranks in (sorted(sample), sample, sample + sample[:7]):
+        assert level_masks(spec, np.array(ranks)).tolist() == [oracle_mask(spec, t) for t in ranks]
+    empty = level_masks(spec, np.arange(0))
+    assert empty.shape == (0,) and empty.dtype == np.uint64
+    assert level_masks(spec, []).shape == (0,)
+
+
+def test_level_masks_on_supergraph_levels():
+    for n, r in [(5, 3), (6, 3), (6, 4)]:
+        base = clique_plus_pendant(n, r)
+        for k in range(4):
+            spec = LevelSpec(n, r, base.m + k, base=base)
+            ranks = np.arange(level_size(spec))
+            got = level_masks(spec, ranks).tolist()
+            assert got == [oracle_mask(spec, t) for t in ranks.tolist()]
+            assert all(chosen_mask(n, r, base.edges) & ~g == 0 and g.bit_count() == spec.m for g in got)
+            assert got == sorted(got)
+
+
+def test_level_masks_take_object_arrays_past_64_edges():
+    # (9, 3) has 84 possible edges, more than a uint64 mask holds
+    spec = LevelSpec(9, 3, 2)
+    got = level_masks(spec, np.arange(level_size(spec)))
+    assert got.dtype == object and len(got) == comb(84, 2)
+    assert got.tolist() == [colex_unrank(t, 2) for t in range(comb(84, 2))]
+    # ranks past int64 on a wider level go through the same path
+    spec = LevelSpec(9, 3, 42)
+    lo = level_size(spec) - 5
+    ranks = np.array(range(lo, lo + 5), dtype=object)
+    assert level_masks(spec, ranks).tolist() == [colex_unrank(t, 42) for t in range(lo, lo + 5)]
+    assert [mk for _, mk in iter_level_masks(spec, lo, lo + 5)] == level_masks(spec, ranks).tolist()
+
+
+def test_level_masks_reject_ranks_outside_the_level_and_non_integers():
+    for spec in (LevelSpec(5, 3, 5), LevelSpec(6, 3, 12, base=clique_plus_pendant(6, 3))):
+        total = level_size(spec)
+        assert level_masks(spec, [0, total - 1]).tolist() == [oracle_mask(spec, 0), oracle_mask(spec, total - 1)]
+        for bad in (-1, total):
+            with pytest.raises(ValueError, match=rf"ranks must lie in \[0, {total}\)"):
+                level_masks(spec, np.array([0, bad]))
+        with pytest.raises(ValueError, match="ranks must be integers"):
+            level_masks(spec, np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="ranks must be integers"):
+            level_masks(spec, np.array([0, 0.5], dtype=object))
+        with pytest.raises(ValueError, match="bad rank window"):
+            list(iter_level_masks(spec, 0, total + 1))
 
 
 def test_chunks_partition_the_level_exactly():
