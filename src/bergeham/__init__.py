@@ -30,7 +30,7 @@ from .campaigns import (
     verify_lemma_r_plus_2,
     verify_spectral_theorem,
 )
-from .canonical import CanonicalForm, are_isomorphic, canonical_form, is_canonical
+from .canonical import CanonicalForm, are_isomorphic, canonical_form, is_canonical, isomorphism
 from .enumeration import (
     BudgetExceeded,
     LevelSpec,
@@ -88,6 +88,7 @@ __all__ = [
     "gradient_form",
     "is_canonical",
     "is_hamiltonian_connected",
+    "isomorphism",
     "level_size",
     "monotone_reduction_plan",
     "rotate_path_to_cycle",

@@ -6,9 +6,10 @@ failures by canonical form, and passes only when the exceptional graphs
 are exactly the predicted ones *as isomorphism classes and as labeled
 counts*.  Every Berge report row is one ``_berge_level`` call over a
 list of level specs: one whole level, or the supergraphs of each
-exception found (the closure row).  Exceptions are matched by canonical
-code against constructed exceptional graphs, never by ad-hoc structural
-tests, because the claims being verified are claims up to isomorphism.
+exception found (the closure row).  Exceptions are compared by canonical
+code with constructed exceptional graphs, because the claims being
+verified are claims up to isomorphism.  Each class is canonized once, and
+its other labeled copies match a class witness by a verified relabeling.
 
 Campaign aggregates are merged in rank order from deterministic chunks,
 so reports are identical for any worker count; a seeded sample of graphs
@@ -38,7 +39,7 @@ from .berge import (
     verify_certificate,
 )
 from .bounds import threshold
-from .canonical import CanonicalForm, canonical_form
+from .canonical import CanonicalForm, canonical_form, isomorphism
 from .enumeration import (
     ALL_LABELED,
     DEFAULT_BUDGET,
@@ -170,7 +171,7 @@ def _retried_verdict(h: Hypergraph, est, t_spec: int, tol: float) -> tuple[str, 
 
 
 def _audit_graph(h: Hypergraph, first: tuple[str, bool], hamiltonian: bool | None,
-                 t_edge: int, ke_code: str, kv_code: str):
+                 t_edge: int, ke: Hypergraph, ke_code: str, kv: Hypergraph, kv_code: str):
     """Audit one graph for the spectral->edge->Hamiltonicity implication chain.
 
     ``first`` is the graph's (verdict, unconverged flag) after the retry.
@@ -185,10 +186,10 @@ def _audit_graph(h: Hypergraph, first: tuple[str, bool], hamiltonian: bool | Non
     if h.m < t_edge:
         return verdict, "spectral radius certified above threshold but edge count below implied bound", unconverged
     if h.m > t_edge:
-        if not hamiltonian and canonical_form(h).compact() != ke_code:
+        if not hamiltonian and _class_code(h, {ke_code: ke}) != ke_code:
             return verdict, "non-hamiltonian above the edge threshold and not the pendant exception", unconverged
     else:
-        if not hamiltonian and canonical_form(h).compact() != kv_code:
+        if not hamiltonian and _class_code(h, {kv_code: kv}) != kv_code:
             return verdict, "no hamiltonian path at the edge threshold and not the isolated-vertex exception", unconverged
     return verdict, None, unconverged
 
@@ -238,7 +239,7 @@ class AuditTally:
 
 
 def _audit_graphs(n: int, r: int, graphs: Iterator, *, t_spec: int, t_edge: int, tol: float,
-                  ke_code: str, kv_code: str) -> AuditTally:
+                  ke: Hypergraph, ke_code: str, kv: Hypergraph, kv_code: str) -> AuditTally:
     """Audit (rank or None, h, chosen-universe mask) triples, in order.
 
     Brackets come from one ``spectral_radii`` call per ``SPECTRAL_SLICE``
@@ -259,7 +260,7 @@ def _audit_graphs(n: int, r: int, graphs: Iterator, *, t_spec: int, t_edge: int,
             for i, yes in zip(rows, d.decide([part[i][2] for i in rows], kind).tolist()):
                 hamiltonian[i] = yes
         for (rank, h, _), first, ham in zip(part, firsts, hamiltonian):
-            tally.add(rank, h, *_audit_graph(h, first, ham, t_edge, ke_code, kv_code))
+            tally.add(rank, h, *_audit_graph(h, first, ham, t_edge, ke, ke_code, kv, kv_code))
     return tally
 
 
@@ -273,6 +274,17 @@ def _spectral_chunk(spec: LevelSpec, lo: int, hi: int, **audit_kwargs) -> AuditT
 # shared campaign plumbing
 
 
+def _class_code(h: Hypergraph, witnesses: dict[str, Hypergraph]) -> str:
+    """Code of the first witness ``h`` maps onto, else ``h``'s canonical code,
+    with ``h`` recorded as the witness of a class that has none yet."""
+    for code, w in witnesses.items():
+        if isomorphism(h, w) is not None:
+            return code
+    code = canonical_form(h).compact()
+    witnesses.setdefault(code, h)
+    return code
+
+
 def _collapse_exceptions(spec: LevelSpec, negatives: list[tuple[int, int]]):
     """Group negative ranks by canonical form; returns (records, graphs)."""
     by_code: Counter[str] = Counter()
@@ -281,9 +293,7 @@ def _collapse_exceptions(spec: LevelSpec, negatives: list[tuple[int, int]]):
     for _, chosen in negatives:
         h = hypergraph_at(spec, chosen)
         graphs.append(h)
-        c = canonical_form(h).compact()
-        by_code[c] += 1
-        witness.setdefault(c, h)
+        by_code[_class_code(h, witness)] += 1
     records = [
         ExceptionRecord(code=c, count=k, example_edges=[list(members_of(e)) for e in witness[c].edges])
         for c, k in sorted(by_code.items())
@@ -536,7 +546,7 @@ def verify_spectral_theorem(
         jobs=jobs,
     )
 
-    audit_kwargs = dict(t_spec=t_spec, t_edge=t_edge, tol=tol, ke_code=ke_code, kv_code=kv_code)
+    audit_kwargs = dict(t_spec=t_spec, t_edge=t_edge, tol=tol, ke=ke, ke_code=ke_code, kv=kv, kv_code=kv_code)
     total = AuditTally()  # every row's tally, for the notes
     plan = monotone_reduction_plan(n, r)
     for spec in (plan.cycle_level, plan.path_level):

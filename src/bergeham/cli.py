@@ -7,6 +7,7 @@ Subcommands::
     check-berge decide Hamiltonian Berge cycle/path existence, with certificate
     check-cert  verify a certificate JSON against a hypergraph file
     gen         emit one of the named constructions as a hypergraph file
+    canon       canonical form of a hypergraph file
     verify      run a verification campaign (lemma21 | edges | spectral)
 
 Exit codes: 0 success (campaign PASS), 1 campaign FAIL or rejected

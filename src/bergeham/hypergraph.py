@@ -85,6 +85,10 @@ class Hypergraph:
     def __setattr__(self, name, value):
         raise AttributeError("Hypergraph is immutable")
 
+    def __reduce__(self):
+        # the default slot-state restore would go through __setattr__
+        return Hypergraph, (self.n, self.r, self.edges)
+
     @property
     def m(self) -> int:
         """Number of edges."""

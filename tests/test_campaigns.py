@@ -175,7 +175,8 @@ def test_spectral_theorem_6_4():
 
 def test_spectral_report_worker_invariance():
     a = verify_spectral_theorem(5, 3, samples=64, jobs=1).to_dict()
-    b = verify_spectral_theorem(5, 3, samples=64, jobs=2).to_dict()
+    # chunks small enough that the pool runs and its tasks carry the exceptional graphs
+    b = verify_spectral_theorem(5, 3, samples=64, jobs=2, chunk_size=100).to_dict()
     for d in (a, b):
         d.pop("seconds")
         d.pop("jobs")
@@ -210,6 +211,28 @@ def test_reports_match_the_golden_copies():
     # merged; any refactor must leave passing reports exactly as they were.
     # A deliberate change of the canonical form changes the exception codes
     # and must regenerate this file.
+    golden = json.loads(GOLDEN.read_text())
+    assert _snapshot(verify_lemma_r_plus_2(5)) == golden["lemma_r_plus_2(5)"]
+    assert _snapshot(verify_edge_theorem(5, 3)) == golden["edge_theorem(5, 3)"]
+    assert _snapshot(verify_spectral_theorem(5, 3, samples=64)) == golden["spectral_theorem(5, 3, samples=64)"]
+
+
+def test_each_exception_class_is_canonized_once(monkeypatch):
+    # one canonical search per exception class found plus one per expected
+    # construction; every other labeled copy is matched to its class witness
+    calls = []
+    original = campaigns.canonical_form
+    monkeypatch.setattr(campaigns, "canonical_form", lambda h: calls.append(h) or original(h))
+    assert verify_lemma_r_plus_2(6).passed
+    assert len(calls) == 1 + 1  # the pendant class; the pendant construction
+    calls.clear()
+    assert verify_edge_theorem(5, 3).passed
+    assert len(calls) == 2 + 2  # the pendant and isolated classes; both constructions
+
+
+def test_reports_do_not_depend_on_the_matcher(monkeypatch):
+    # with every match missed, each copy is canonized and the reports stay as they are
+    monkeypatch.setattr(campaigns, "isomorphism", lambda a, b: None)
     golden = json.loads(GOLDEN.read_text())
     assert _snapshot(verify_lemma_r_plus_2(5)) == golden["lemma_r_plus_2(5)"]
     assert _snapshot(verify_edge_theorem(5, 3)) == golden["edge_theorem(5, 3)"]

@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from bergeham.canonical import are_isomorphic, canonical_form, is_canonical
+from bergeham.canonical import are_isomorphic, canonical_form, is_canonical, isomorphism
 from bergeham.hypergraph import (
     Hypergraph,
     clique_plus_isolated,
@@ -87,10 +87,58 @@ def test_are_isomorphic():
 
 
 def test_large_n_rejected():
-    with pytest.raises(ValueError, match="n <= 10"):
-        canonical_form(Hypergraph(11, 3, []))
-    with pytest.raises(ValueError, match="n <= 10"):
-        is_canonical(Hypergraph(11, 3, []))
+    big = Hypergraph(11, 3, [])
+    for check in (canonical_form, is_canonical, lambda h: isomorphism(h, h), lambda h: are_isomorphic(h, h)):
+        with pytest.raises(ValueError, match="n <= 10"):
+            check(big)
+
+
+def test_isomorphism_agrees_with_canonical_codes():
+    # half the pairs are relabeled copies, whose codes are equal by the invariance
+    # test above; the other half are independent draws of the same (n, r, m)
+    rng = random.Random(11)
+    found = 0
+    for i in range(2000):
+        n = rng.randint(4, 7)
+        r = rng.randint(2, min(4, n))
+        u = [mask_of(c) for c in combinations(range(n), r)]
+        m = rng.randint(0, len(u))
+        a = Hypergraph(n, r, rng.sample(u, m))
+        if i % 2:
+            p = list(range(n))
+            rng.shuffle(p)
+            b = a.relabel(p)
+        else:
+            b = Hypergraph(n, r, rng.sample(u, m))
+        sigma = isomorphism(a, b)
+        same = bool(i % 2) or canonical_form(a) == canonical_form(b)
+        assert (sigma is not None) == same, (a.edges, b.edges)
+        if sigma is not None:
+            assert a.relabel(sigma) == b
+            found += 1
+    assert 1000 < found < 2000
+
+
+def test_isomorphism_maps_every_labeled_pendant_copy():
+    copies = labeled_pendant_copies(6, 3)
+    for c in copies:
+        sigma = isomorphism(c, copies[0])
+        assert sigma is not None and c.relabel(sigma) == copies[0]
+
+
+def test_isomorphism_backtracks_where_refinement_cannot_split():
+    # every vertex of both graphs looks alike to colour refinement
+    hexagon = Hypergraph(6, 2, [(i, (i + 1) % 6) for i in range(6)])
+    triangles = Hypergraph(6, 2, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert isomorphism(hexagon, triangles) is None
+    assert not are_isomorphic(hexagon, triangles)
+
+    def lift(h):  # to 3-uniform, through one extra vertex in every edge
+        return Hypergraph(7, 3, [e | 1 << 6 for e in h.edges])
+
+    assert isomorphism(lift(hexagon), lift(triangles)) is None
+    shifted = hexagon.relabel([2, 3, 4, 5, 0, 1])
+    assert hexagon.relabel(isomorphism(hexagon, shifted)) == shifted
 
 
 def test_empty_graphs_are_isomorphic_regardless_of_labels():

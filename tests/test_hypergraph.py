@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import combinations
 from math import comb
@@ -115,6 +116,15 @@ def test_relabel_requires_permutation():
     with pytest.raises(ValueError):
         h.relabel([0, 1, 2, 2])
     assert h.relabel([3, 2, 1, 0]) == h
+
+
+def test_pickle_round_trip():
+    # process-pool workers receive hypergraphs inside their chunk tasks
+    h = clique_plus_pendant(6, 4)
+    back = pickle.loads(pickle.dumps(h))
+    assert back == h and back.edges == h.edges
+    with pytest.raises(AttributeError, match="immutable"):
+        back.n = 5
 
 
 def test_mask_round_trip():
