@@ -33,9 +33,8 @@ Hall's condition on the order's slots (each set S of slots meets at
 least |S| of the graph's edges) has a Berge Hamiltonian cycle (path)
 along that order, and is positive.  Negatives come only from the
 exhaustive search, so answers are exact and do not depend on which
-graphs share a batch.  ``search_*``, ``*_certificate`` and ``find_*``
-decide one graph, so certificates and ``SearchStats`` depend on the
-graph alone.
+graphs share a batch.  ``search_*`` and ``find_*`` decide one graph, so
+certificates and ``SearchStats`` depend on the graph alone.
 """
 
 from __future__ import annotations
@@ -374,32 +373,6 @@ class BergeDecider:
                 rem = rem[~ok]
         return out
 
-    # ----- certificates --------------------------------------------------
-
-    def cycle_certificate(self, chosen: int, stats: SearchStats | None = None):
-        hit = self.search_cycle(chosen, stats)
-        if hit is None:
-            return None
-        order, slot_edges, closing = hit
-        u = self.universe
-        return BergeCertificate(
-            kind="cycle",
-            vertices=order,
-            edges=(u[closing],) + tuple(u[e] for e in slot_edges),
-        )
-
-    def path_certificate(self, chosen: int, endpoints=None, stats: SearchStats | None = None):
-        hit = self.search_path(chosen, endpoints, stats)
-        if hit is None:
-            return None
-        order, slot_edges = hit
-        u = self.universe
-        return BergeCertificate(
-            kind="path",
-            vertices=order,
-            edges=tuple(u[e] for e in slot_edges),
-        )
-
 
 def _hall(rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """Which rows can give every slot a distinct edge of their own.
@@ -431,20 +404,33 @@ def _hall(rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _failure_reason(h: Hypergraph, kind: str, endpoints=None) -> str:
-    """Why ``h`` has no Hamiltonian Berge cycle (path): the first reason that applies.
+def _find(h: Hypergraph, kind: str, endpoints=None) -> SearchResult:
+    """The body of ``find_*``: one timed search of ``h``, then its
+    certificate, or the first reason that applies for why none exists.
 
     A Berge cycle or path of a 2-graph is an ordinary one, so running the
     decider on the shadow 2-graph tells whether the shadow is Hamiltonian.
     """
-    if h.m < (h.n if kind == "cycle" else h.n - 1):
-        return REASON_INSUFFICIENT_EDGES
-    s = BergeDecider.for_hypergraph(Hypergraph(h.n, 2, h.shadow_pairs()))
-    if kind == "cycle":
-        hit = s.search_cycle(s.full_chosen)
+    def search(d: BergeDecider, stats: SearchStats | None = None):
+        if kind == "cycle":
+            return d.search_cycle(d.full_chosen, stats)
+        return d.search_path(d.full_chosen, endpoints, stats)
+
+    t0 = time.perf_counter()
+    stats = SearchStats()
+    d = BergeDecider.for_hypergraph(h)
+    hit = search(d, stats)
+    cert = reason = None
+    if hit is not None:
+        order, slots, *closing = hit  # a cycle's closing edge leads its certificate
+        cert = BergeCertificate(kind, order, tuple(d.universe[e] for e in (*closing, *slots)))
+    elif h.m < (h.n if kind == "cycle" else h.n - 1):
+        reason = REASON_INSUFFICIENT_EDGES
     else:
-        hit = s.search_path(s.full_chosen, endpoints)
-    return REASON_EXHAUSTED if hit else REASON_SHADOW_NOT_HAMILTONIAN
+        shadow = BergeDecider.for_hypergraph(Hypergraph(h.n, 2, h.shadow_pairs()))
+        reason = REASON_EXHAUSTED if search(shadow) else REASON_SHADOW_NOT_HAMILTONIAN
+    stats.seconds = time.perf_counter() - t0
+    return SearchResult(cert, reason, stats)
 
 
 def find_hamiltonian_berge_cycle(h: Hypergraph) -> SearchResult:
@@ -456,13 +442,7 @@ def find_hamiltonian_berge_cycle(h: Hypergraph) -> SearchResult:
     """
     if h.n < 3:
         raise ValueError(f"Hamiltonian Berge cycles need n >= 3, got n={h.n}")
-    t0 = time.perf_counter()
-    stats = SearchStats()
-    d = BergeDecider.for_hypergraph(h)
-    cert = d.cycle_certificate(d.full_chosen, stats)
-    reason = None if cert else _failure_reason(h, "cycle")
-    stats.seconds = time.perf_counter() - t0
-    return SearchResult(cert, reason, stats)
+    return _find(h, "cycle")
 
 
 def find_hamiltonian_berge_path(h: Hypergraph, endpoints: tuple[int, int] | None = None) -> SearchResult:
@@ -475,13 +455,7 @@ def find_hamiltonian_berge_path(h: Hypergraph, endpoints: tuple[int, int] | None
             raise ValueError("endpoints must be distinct")
         if not (0 <= a < h.n and 0 <= b < h.n):
             raise ValueError(f"endpoints {endpoints} out of range [0, {h.n})")
-    t0 = time.perf_counter()
-    stats = SearchStats()
-    d = BergeDecider.for_hypergraph(h)
-    cert = d.path_certificate(d.full_chosen, endpoints, stats)
-    reason = None if cert else _failure_reason(h, "path", endpoints)
-    stats.seconds = time.perf_counter() - t0
-    return SearchResult(cert, reason, stats)
+    return _find(h, "path", endpoints)
 
 
 def is_hamiltonian_connected(h: Hypergraph) -> bool:

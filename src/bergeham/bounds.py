@@ -5,6 +5,8 @@ verification campaigns.
 All threshold comparisons that decide a campaign are exact integer
 arithmetic; floating point appears only inside the monotone root-finding
 of ``binom_poly_inverse`` and in ``bai_lu_bound`` values derived from it.
+Both take numpy arrays too, and run each element through the scalar path,
+so an array gives exactly the scalar values.
 """
 
 from __future__ import annotations
@@ -43,16 +45,11 @@ def binom(a: int, b: int) -> int:
 def binom_poly(r: int, x):
     """The degree-r polynomial x(x-1)..(x-r+1)/r! extending binom(x, r).
 
-    Exact (int) for integer ``x``, float otherwise; numpy arrays are
-    evaluated elementwise in float64.
+    Exact (int) for integer ``x``, float otherwise; numpy arrays take the
+    float path and are evaluated elementwise in float64.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got r={r}")
-    if isinstance(x, np.ndarray):
-        acc = np.ones_like(x, dtype=np.float64)
-        for i in range(r):
-            acc = acc * (x - i)
-        return acc / factorial(r)
     if isinstance(x, (int, np.integer)):
         num = 1
         for i in range(r):
@@ -75,12 +72,13 @@ def binom_poly_inverse(r: int, y):
     Bracketed bisection to ~1e-13 relative accuracy followed by a Newton
     polish; results land exactly on integers whenever y is an exact
     binomial value (checked in integer arithmetic, not floating point).
-    Accepts numpy arrays for bulk evaluation.
+    A numpy array is inverted element by element through the same path,
+    into a float64 array of its shape.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got r={r}")
     if isinstance(y, np.ndarray):
-        return _inverse_array(r, y)
+        return np.array([binom_poly_inverse(r, v) for v in y.flat], dtype=np.float64).reshape(y.shape)
     y = float(y)
     if y < 0:
         raise ValueError(f"need y >= 0, got y={y}")
@@ -112,43 +110,18 @@ def binom_poly_inverse(r: int, y):
     return x
 
 
-def _inverse_array(r: int, ys: np.ndarray) -> np.ndarray:
-    ys = np.asarray(ys, dtype=np.float64)
-    if np.any(ys < 0):
-        raise ValueError("need y >= 0")
-    lo = np.full(ys.shape, float(r - 1))
-    hi = np.maximum(lo + 1e-9, (np.maximum(ys, 0.0) * factorial(r)) ** (1.0 / r) + r)
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        below = binom_poly(r, mid) < ys
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    xs = 0.5 * (lo + hi)
-    xs = np.where(ys == 0.0, float(r - 1), xs)
-    # integer snap, verified exactly
-    cand = np.rint(xs)
-    near = np.abs(xs - cand) < 1e-6
-    for idx in np.nonzero(near)[0]:
-        c = int(cand[idx])
-        yv = ys[idx]
-        if c >= r - 1 and float(yv).is_integer() and comb(c, r) == int(yv):
-            xs[idx] = float(c)
-    return xs
-
-
 def bai_lu_bound(r: int, m):
     """Upper bound on the spectral radius of any r-graph with m edges.
 
     This is the Bai-Lu function f_r(m) = binom_poly(r-1, binom_poly_inverse(r, m) - 1);
     it is tight exactly for complete r-graphs plus isolated vertices, and
-    for r = 2 it reduces to Stanley's classic bound (sqrt(1+8m)-1)/2.
+    for r = 2 it reduces to Stanley's classic bound (sqrt(1+8m)-1)/2.  A
+    numpy array is bounded element by element, into a float64 array.
     """
     if r < 2:
         raise ValueError(f"need r >= 2, got r={r}")
     if isinstance(m, np.ndarray):
-        if np.any(m < 0):
-            raise ValueError("need m >= 0")
-        return binom_poly(r - 1, binom_poly_inverse(r, np.asarray(m, np.float64)) - 1.0)
+        return np.array([bai_lu_bound(r, v) for v in m.flat], dtype=np.float64).reshape(m.shape)
     if m < 0:
         raise ValueError(f"need m >= 0, got m={m}")
     x = binom_poly_inverse(r, float(m))

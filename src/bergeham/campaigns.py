@@ -73,6 +73,7 @@ from .spectral import (
 CSV_HEADER = "n,r,m,visited,hamiltonian,nonhamiltonian,exceptions,pass"
 UNDECIDED_SHOWN = 10  # undecided witnesses listed in a spectral report's notes
 SPECTRAL_SLICE = 512  # graphs bracketed per batched kernel call, for any chunk size
+RECHECK_SAMPLE = 1000  # graphs per swept spec re-decided through ``find_*`` (closure rows: none)
 
 
 @dataclass
@@ -80,9 +81,6 @@ class ExceptionRecord:
     code: str                      # compact canonical form
     count: int                     # labeled copies found
     example_edges: list[list[int]]  # one witness, as vertex lists
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -99,11 +97,6 @@ class LevelOutcome:
     exceptions: list[ExceptionRecord]
     ok: bool
     note: str = ""
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["exceptions"] = [e.to_dict() for e in self.exceptions]
-        return d
 
     def csv_row(self) -> str:
         codes = ";".join(e.code for e in self.exceptions)
@@ -125,16 +118,7 @@ class VerificationReport:
     certificates: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "campaign": self.campaign,
-            "params": self.params,
-            "levels": [lv.to_dict() for lv in self.levels],
-            "passed": self.passed,
-            "seconds": self.seconds,
-            "jobs": self.jobs,
-            "notes": self.notes,
-            "certificates": self.certificates,
-        }
+        return asdict(self)
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -360,7 +344,7 @@ def _recheck_sample(spec: LevelSpec, kind: str, negatives: set[int], rng: random
 
 def _berge_level(report: VerificationReport, level: LevelSpec, kind: str,
                  expected: CanonicalForm | None, expected_count: int,
-                 rng: random.Random, recheck_sample: int, run: dict,
+                 rng: random.Random, run: dict,
                  bases: list[Hypergraph] | None = None) -> tuple[bool, list[Hypergraph]]:
     """Check one report row against its expected exceptions and record it.
 
@@ -368,7 +352,8 @@ def _berge_level(report: VerificationReport, level: LevelSpec, kind: str,
     ``bases``, the ``level.m``-edge supergraphs of each base graph, one spec
     per base (the closure row; no bases give a row of zero counts).  Each
     spec is swept with the ``kind`` decider (``run`` holds the
-    ``run_chunks`` options) and a seeded sample of it re-decided.  All the
+    ``run_chunks`` options), and a seeded sample of ``RECHECK_SAMPLE``
+    graphs of each whole-level spec is re-decided.  All the
     row's negatives are collapsed by canonical form at once and compared
     with ``expected_count`` labeled copies of ``expected``; the row and the
     sampled certificates go to ``report``.  Returns (ok, negative graphs).
@@ -376,13 +361,14 @@ def _berge_level(report: VerificationReport, level: LevelSpec, kind: str,
     specs = [level] if bases is None else [LevelSpec(level.n, level.r, level.m, base=g) for g in bases]
     visited = positive = 0
     negatives, failures = [], []
+    sample = RECHECK_SAMPLE if bases is None else 0
     for spec in specs:
         chunks = run_chunks(spec, partial(_berge_chunk, kind=kind), **run)
         found = [ng for c in chunks for ng in c[2]]
         visited += sum(c[0] for c in chunks)
         positive += sum(c[1] for c in chunks)
         negatives += found
-        failure, certs = _recheck_sample(spec, kind, {rk for rk, _ in found}, rng, recheck_sample)
+        failure, certs = _recheck_sample(spec, kind, {rk for rk, _ in found}, rng, sample)
         failures.append(failure)
         report.certificates.extend(certs)
     records, graphs = _collapse_exceptions(level, negatives)
@@ -400,17 +386,12 @@ def _berge_level(report: VerificationReport, level: LevelSpec, kind: str,
 
 
 def _cycle_level(report: VerificationReport, plan: ReductionPlan, rng: random.Random,
-                 recheck_sample: int, run: dict) -> tuple[bool, list[Hypergraph]]:
+                 run: dict) -> tuple[bool, list[Hypergraph]]:
     """Check the plan's cycle level: its non-Hamiltonian graphs must be
     exactly the n·C(n-1, r-1) labeled copies of the clique-plus-pendant graph."""
     n, r = plan.n, plan.r
     return _berge_level(report, plan.cycle_level, "cycle", canonical_form(clique_plus_pendant(n, r)),
-                        n * comb(n - 1, r - 1), rng, recheck_sample, run)
-
-
-def _require_nonnegative(name: str, value: int) -> None:
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
+                        n * comb(n - 1, r - 1), rng, run)
 
 
 # --------------------------------------------------------------------------
@@ -424,7 +405,6 @@ def verify_lemma_r_plus_2(
     budget: int | None = DEFAULT_BUDGET,
     chunk_size: int = DEFAULT_CHUNK,
     seed: int = 0,
-    recheck_sample: int = 1000,
     progress=None,
 ) -> VerificationReport:
     """Exhaustively check the (n-2)-uniform base case on n vertices.
@@ -438,7 +418,6 @@ def verify_lemma_r_plus_2(
     """
     if not 5 <= n <= 8:
         raise ValueError(f"supported exhaustive range is 5 <= n <= 8, got n={n}")
-    _require_nonnegative("recheck_sample", recheck_sample)
     plan = monotone_reduction_plan(n, n - 2)
     t0 = time.perf_counter()
     rng = random.Random(seed)
@@ -448,9 +427,9 @@ def verify_lemma_r_plus_2(
         jobs=jobs,
     )
     run = dict(jobs=jobs, budget=budget, chunk_size=chunk_size, progress=progress)
-    ok_cycle, _ = _cycle_level(report, plan, rng, recheck_sample, run)
+    ok_cycle, _ = _cycle_level(report, plan, rng, run)
     ok_next, _ = _berge_level(report, LevelSpec(n, plan.r, plan.cycle_level.m + 1), "cycle",
-                              None, 0, rng, recheck_sample, run)
+                              None, 0, rng, run)
     report.passed = ok_cycle and ok_next
     report.seconds = time.perf_counter() - t0
     return report
@@ -464,7 +443,6 @@ def verify_edge_theorem(
     budget: int | None = DEFAULT_BUDGET,
     chunk_size: int = DEFAULT_CHUNK,
     seed: int = 0,
-    recheck_sample: int = 1000,
     progress=None,
 ) -> VerificationReport:
     """Verify the edge-count Hamiltonicity threshold at (n, r), all m.
@@ -477,7 +455,6 @@ def verify_edge_theorem(
     edge addition this settles every edge count.
     """
     plan = monotone_reduction_plan(n, r)
-    _require_nonnegative("recheck_sample", recheck_sample)
     t0 = time.perf_counter()
     rng = random.Random(seed)
     report = VerificationReport(
@@ -488,16 +465,16 @@ def verify_edge_theorem(
     run = dict(jobs=jobs, budget=budget, chunk_size=chunk_size, progress=progress)
 
     # cycle level: one edge above the threshold
-    ok_cycle, exception_graphs = _cycle_level(report, plan, rng, recheck_sample, run)
+    ok_cycle, exception_graphs = _cycle_level(report, plan, rng, run)
 
     # closure row: every one-edge supergraph of each exception actually found
     ok_closure, _ = _berge_level(report, LevelSpec(n, r, plan.cycle_level.m + 1), "cycle", None, 0,
-                                 rng, 0, run, bases=exception_graphs)
+                                 rng, run, bases=exception_graphs)
 
     # path level: at the threshold
     ok_path, _ = _berge_level(
         report, plan.path_level, "path", canonical_form(clique_plus_isolated(n, r)),
-        n, rng, recheck_sample, run,
+        n, rng, run,
     )
 
     report.passed = ok_cycle and ok_closure and ok_path
@@ -531,7 +508,8 @@ def verify_spectral_theorem(
     """
     if r < 3 or n < r + 2:
         raise ValueError(f"need n >= r+2 and r >= 3, got (n={n}, r={r})")
-    _require_nonnegative("samples", samples)
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     t_spec = threshold("spectral_cycle", n, r).value

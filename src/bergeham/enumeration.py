@@ -31,11 +31,10 @@ a cycle certificate yields a path certificate by dropping an edge.
 from __future__ import annotations
 
 import multiprocessing
-from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cache, partial
 from math import comb
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -142,20 +141,6 @@ def level_masks(spec: LevelSpec, ranks) -> np.ndarray:
     return mask
 
 
-def iter_level_masks(spec: LevelSpec, lo: int = 0, hi: int | None = None) -> Iterator[tuple[int, int]]:
-    """Yield (rank, chosen-universe-mask) over ranks [lo, hi) of the level,
-    in rank order, unranking ``DEFAULT_CHUNK`` ranks at a time."""
-    total = level_size(spec)
-    if hi is None:
-        hi = total
-    if not 0 <= lo <= hi <= total:
-        raise ValueError(f"bad rank window [{lo}, {hi}) for level of size {total}")
-    for a in range(lo, hi, DEFAULT_CHUNK):
-        b = min(a + DEFAULT_CHUNK, hi)
-        ranks = np.arange(a, b, dtype=np.int64 if b <= 1 << 63 else object)
-        yield from zip(range(a, b), level_masks(spec, ranks).tolist())
-
-
 def chosen_mask(n: int, r: int, edges) -> int:
     """The chosen-universe mask of some edges: bit i set for edge ``universe_masks(n, r)[i]``."""
     edges = set(edges)
@@ -184,38 +169,47 @@ def run_chunks(
 ) -> list:
     """Apply ``chunk_fn(spec, lo, hi)`` over a level, merging in rank order.
 
-    ``chunk_fn`` must be picklable and pure; with ``jobs > 1`` chunks run
-    in a process pool, but the returned list is always ordered by rank, so
-    any aggregation over it is independent of the worker count.  The pool
-    forks where the platform can and spawns elsewhere, so under ``spawn``
-    ``chunk_fn`` must also be importable by the workers.  The ``progress``
-    callback fires per chunk, in rank order, with or without the pool.
+    The level is cut into rank windows ``[lo, hi)`` of ``chunk_size`` and
+    the chunks run through one ``map``: the builtin one, or with
+    ``jobs > 1`` and more than one chunk, a ``ProcessPoolExecutor``'s.
+    ``chunk_fn`` must be picklable and pure; the returned list is always
+    ordered by rank, so any aggregation over it is independent of the
+    worker count.  The pool forks where the platform can and spawns
+    elsewhere, so under ``spawn`` ``chunk_fn`` must also be importable by
+    the workers.  A worker that dies raises ``BrokenProcessPool``.  The
+    ``progress`` callback fires per chunk, in rank order, with or without
+    the pool.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     total = level_size(spec)
     if budget is not None and total > budget:
         raise BudgetExceeded(total, budget, spec)
-    windows = [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)] or [(0, 0)]
-    task = partial(_run_window, chunk_fn, spec)
-    results = []
-    with ExitStack() as stack:
-        outputs = map(task, windows)
-        if jobs > 1 and len(windows) > 1:
-            method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-            outputs = stack.enter_context(multiprocessing.get_context(method).Pool(jobs)).imap(task, windows)
-        for (lo, hi), res in zip(windows, outputs):
+    los = range(0, total, chunk_size)
+    his = [min(lo + chunk_size, total) for lo in los]
+
+    def merged(outputs) -> list:
+        results = []
+        for lo, hi, res in zip(los, his, outputs):
             if progress is not None:
                 progress(spec, lo, hi, res)
             results.append(res)
-    return results
+        return results
 
-
-def _run_window(chunk_fn, spec: LevelSpec, window: tuple[int, int]):
-    """``chunk_fn`` over one rank window; module level so pools can pickle it."""
-    return chunk_fn(spec, *window)
+    task = partial(chunk_fn, spec)
+    if jobs == 1 or len(los) < 2:
+        return merged(map(task, los, his))
+    from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for the import
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context(method))
+    try:
+        return merged(pool.map(task, los, his))
+    finally:
+        pool.shutdown(cancel_futures=True)  # an error stops the queued chunks too
 
 
 @dataclass(frozen=True)

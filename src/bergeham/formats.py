@@ -9,7 +9,9 @@ JSON alternative: ``{"n": ..., "r": ..., "edges": [[...], ...]}``.
 
 Both parsers reject anything that violates the hypergraph invariants
 (wrong edge sizes, out-of-range vertices, r > n), by way of the
-``Hypergraph`` constructor.
+``Hypergraph`` constructor.  JSON input must be an object whose ids are
+integers (not booleans or floats) and whose edges are lists of them;
+anything else raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,14 @@ import json
 from typing import Any
 
 from .berge import BergeCertificate
-from .hypergraph import Hypergraph, members_of
+from .hypergraph import Hypergraph, mask_of, members_of
+
+
+def _ints(values, what: str) -> list[int]:
+    """``values`` if it is a list of integers (not booleans or floats), else ``ValueError``."""
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise ValueError(f"{what} must be a list of integers, got {values!r}")
+    return values
 
 
 def parse_hypergraph_text(text: str) -> Hypergraph:
@@ -59,13 +68,14 @@ def parse_hypergraph_json(data: str | dict[str, Any]) -> Hypergraph:
     missing = {"n", "r", "edges"} - obj.keys()
     if missing:
         raise ValueError(f"hypergraph JSON missing keys: {sorted(missing)}")
+    n, r = _ints([obj["n"], obj["r"]], "[n, r]")
     edges = obj["edges"]
-    if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
+    if not isinstance(edges, list):
         raise ValueError("'edges' must be a list of vertex lists")
     for e in edges:
-        if len(e) != len(set(e)):
+        if len(_ints(e, "each edge")) != len(set(e)):
             raise ValueError(f"repeated vertex in edge {e}")
-    return Hypergraph(int(obj["n"]), int(obj["r"]), edges)
+    return Hypergraph(n, r, edges)
 
 
 def write_hypergraph_json(h: Hypergraph) -> str:
@@ -90,19 +100,17 @@ def certificate_to_dict(cert) -> dict[str, Any]:
 
 
 def certificate_from_dict(obj: dict[str, Any]) -> BergeCertificate:
+    if not isinstance(obj, dict):
+        raise ValueError("certificate JSON must be an object")
     missing = {"kind", "vertices", "edges"} - obj.keys()
     if missing:
         raise ValueError(f"certificate JSON missing keys: {sorted(missing)}")
-    edges = []
-    for e in obj["edges"]:
-        m = 0
-        for v in e:
-            m |= 1 << int(v)
-        edges.append(m)
+    if not isinstance(obj["edges"], list):
+        raise ValueError("'edges' must be a list of vertex lists")
     return BergeCertificate(
         kind=str(obj["kind"]),
-        vertices=tuple(int(v) for v in obj["vertices"]),
-        edges=tuple(edges),
+        vertices=tuple(_ints(obj["vertices"], "'vertices'")),
+        edges=tuple(mask_of(_ints(e, "each edge")) for e in obj["edges"]),
     )
 
 

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from bergeham import berge
@@ -16,7 +17,7 @@ from bergeham.berge import (
     rotate_path_to_cycle,
     verify_certificate,
 )
-from bergeham.enumeration import LevelSpec, chosen_mask, iter_level_masks
+from bergeham.enumeration import LevelSpec, chosen_mask, level_masks, level_size
 from bergeham.hypergraph import (
     Hypergraph,
     clique_plus_isolated,
@@ -257,8 +258,10 @@ def test_decider_reuses_a_universe():
     full = (1 << len(u)) - 1
     assert d.cycle_exists(full)
     assert not d.cycle_exists(0)
-    cert = d.cycle_certificate(full)
+    order, slots, closing = d.search_cycle(full)
+    cert = BergeCertificate("cycle", order, tuple(u[e] for e in (closing, *slots)))
     assert verify_certificate(complete(5, 3), cert) == []
+    assert cert == find_hamiltonian_berge_cycle(complete(5, 3)).certificate
 
 
 def test_decider_tables_equal_a_direct_construction():
@@ -330,7 +333,8 @@ def test_a_verdict_does_not_depend_on_its_batch():
     d = BergeDecider(6, universe_masks(6, 4))
     rng = random.Random(3)
     for kind, m in (("cycle", 6), ("path", 5)):
-        masks = [chosen for _, chosen in iter_level_masks(LevelSpec(6, 4, m))]
+        spec = LevelSpec(6, 4, m)
+        masks = level_masks(spec, np.arange(level_size(spec))).tolist()
         whole = d.decide(masks, kind)
         assert 0 < whole.sum() < len(masks)
         for _ in range(20):
@@ -357,7 +361,8 @@ def test_decide_rejects_wide_universes_and_unknown_kinds():
     (7, 5, 7, ("cycle",)),
 ])
 def test_decide_equals_the_search_on_whole_levels(n, r, m, kinds):
-    masks = [chosen for _, chosen in iter_level_masks(LevelSpec(n, r, m))]
+    spec = LevelSpec(n, r, m)
+    masks = level_masks(spec, np.arange(level_size(spec))).tolist()
     d = BergeDecider(n, universe_masks(n, r))
     for kind in kinds:
         search = d.search_cycle if kind == "cycle" else d.search_path
@@ -375,9 +380,9 @@ def test_certificates_and_stats_do_not_depend_on_earlier_decisions():
         used.decide([chosen], "path")
         for kind in ("cycle", "path"):
             got, want = SearchStats(), SearchStats()
-            cert = getattr(used, f"{kind}_certificate")
-            ref = getattr(fresh, f"{kind}_certificate")
-            assert cert(chosen, stats=got) == ref(chosen, stats=want), (kind, chosen)
+            search = getattr(used, f"search_{kind}")
+            ref = getattr(fresh, f"search_{kind}")
+            assert search(chosen, stats=got) == ref(chosen, stats=want), (kind, chosen)
             assert got == want, (kind, chosen)
 
 

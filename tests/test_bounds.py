@@ -87,8 +87,24 @@ def test_bai_lu_vectorized_matches_scalar():
     ms = np.arange(0, 500, dtype=np.float64)
     va = bai_lu_bound(4, ms)
     for i in (0, 1, 5, 70, 499):
-        assert abs(va[i] - bai_lu_bound(4, int(ms[i]))) < 1e-9
+        assert va[i] == bai_lu_bound(4, int(ms[i]))
     assert va[comb(8, 4)] == float(comb(7, 3))
+
+
+def test_array_arguments_give_exactly_the_scalar_values():
+    rng = np.random.default_rng(5)
+    ys = np.concatenate([np.arange(0, 300, dtype=np.float64), rng.random(200) * 1e9])
+    for r in range(1, 7):
+        xs = binom_poly_inverse(r, ys.reshape(20, 25))
+        assert xs.shape == (20, 25) and xs.dtype == np.float64
+        assert xs.ravel().tolist() == [binom_poly_inverse(r, float(y)) for y in ys]
+        assert binom_poly(r, xs).ravel().tolist() == [binom_poly(r, float(x)) for x in xs.flat]
+        if r >= 2:
+            assert bai_lu_bound(r, ys).tolist() == [bai_lu_bound(r, float(y)) for y in ys]
+    with pytest.raises(ValueError, match="need y >= 0"):
+        binom_poly_inverse(3, np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match="need m >= 0"):
+        bai_lu_bound(3, np.array([1.0, -1.0]))
 
 
 def test_threshold_values():

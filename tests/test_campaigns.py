@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import asdict
 from math import comb
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from bergeham.campaigns import (
     verify_spectral_theorem,
 )
 from bergeham.canonical import canonical_form
-from bergeham.enumeration import LevelSpec, hypergraph_at, iter_level_masks, level_size
+from bergeham.enumeration import LevelSpec, hypergraph_at, level_masks, level_size
 from bergeham.hypergraph import clique_plus_isolated, clique_plus_pendant, universe_masks
 from bergeham.spectral import CERTIFIED_ABOVE, CERTIFIED_BELOW_OR_EQUAL, UNDECIDED
 
@@ -36,16 +37,10 @@ def test_lemma_base_case_rejects_out_of_range():
             verify_lemma_r_plus_2(n)
 
 
-def test_berge_campaigns_reject_a_negative_recheck_sample():
-    with pytest.raises(ValueError, match="recheck_sample must be non-negative, got -1"):
-        verify_lemma_r_plus_2(5, recheck_sample=-1)
-    with pytest.raises(ValueError, match="recheck_sample must be non-negative, got -1"):
-        verify_edge_theorem(5, 3, recheck_sample=-1)
-
-
-def test_lemma_report_is_worker_count_invariant():
+def test_lemma_report_is_worker_count_invariant(monkeypatch):
+    monkeypatch.setattr(campaigns, "RECHECK_SAMPLE", 50)
     runs = (
-        lambda jobs: verify_lemma_r_plus_2(5, jobs=jobs, recheck_sample=50),
+        lambda jobs: verify_lemma_r_plus_2(5, jobs=jobs),
         # small chunks: workers decide different batches, so the orders
         # that decide finds and tests differ, which the report must not show
         lambda jobs: verify_edge_theorem(5, 3, jobs=jobs, chunk_size=37),
@@ -74,8 +69,8 @@ def test_a_failing_closure_row_collapses_its_negatives(monkeypatch):
     # at (5,3) each such graph is a supergraph of two exceptions
     cycle_level = LevelSpec(5, 3, 5)
     decider = BergeDecider(5, universe_masks(5, 3))
-    base = next(ch for _, ch in iter_level_masks(cycle_level) if not decider.cycle_exists(ch))
-    (_, target), = iter_level_masks(LevelSpec(5, 3, 6, base=hypergraph_at(cycle_level, base)), 3, 4)
+    base = next(ch for ch in level_masks(cycle_level, np.arange(level_size(cycle_level))).tolist() if not decider.cycle_exists(ch))
+    target, = level_masks(LevelSpec(5, 3, 6, base=hypergraph_at(cycle_level, base)), np.arange(3, 4)).tolist()
     decide = BergeDecider.decide
     hits = []
 
@@ -93,8 +88,8 @@ def test_a_failing_closure_row_collapses_its_negatives(monkeypatch):
     good = verify_edge_theorem(5, 3)
     assert not rep.passed and good.passed
     cycle, closure, path = rep.levels
-    assert cycle.to_dict() == good.levels[0].to_dict()
-    assert path.to_dict() == good.levels[2].to_dict()
+    assert asdict(cycle) == asdict(good.levels[0])
+    assert asdict(path) == asdict(good.levels[2])
     assert not closure.ok
     assert (closure.m, closure.mode, closure.visited, closure.negative) == (6, "supergraphs", 150, 1)
     assert closure.positive == good.levels[1].positive - 1 == 149
@@ -108,10 +103,11 @@ def test_closure_row_without_exceptions_has_zero_counts(monkeypatch):
     decide = BergeDecider.decide
     monkeypatch.setattr(BergeDecider, "decide", lambda self, masks, kind: (
         np.ones(len(masks), dtype=bool) if kind == "cycle" else decide(self, masks, kind)))
-    rep = verify_edge_theorem(5, 3, recheck_sample=0)
+    monkeypatch.setattr(campaigns, "RECHECK_SAMPLE", 0)
+    rep = verify_edge_theorem(5, 3)
     assert not rep.passed
     assert rep.levels[0].note == "expected exceptions, found none"
-    assert rep.levels[1].to_dict() == {
+    assert asdict(rep.levels[1]) == {
         "n": 5, "r": 3, "m": 6, "mode": "supergraphs", "kind": "cycle", "scanned": 0, "visited": 0,
         "positive": 0, "negative": 0, "exceptions": [], "ok": True, "note": "",
     }
@@ -133,8 +129,9 @@ def test_csv_schema():
     assert first[0] == "5" and first[1] == "3" and first[-1] in ("true", "false")
 
 
-def test_report_json_serializes():
-    rep = verify_lemma_r_plus_2(5, recheck_sample=10)
+def test_report_json_serializes(monkeypatch):
+    monkeypatch.setattr(campaigns, "RECHECK_SAMPLE", 10)
+    rep = verify_lemma_r_plus_2(5)
     d = json.loads(rep.to_json())
     assert d["campaign"] == "lemma_r_plus_2" and d["passed"] is True
     assert d["levels"][0]["negative"] == 30
@@ -244,7 +241,7 @@ def test_recheck_mismatch_names_the_rank(monkeypatch):
     ranks = sorted(random.Random(0).sample(range(level_size(spec)), 20))
 
     def graph(rank):
-        (_, chosen), = iter_level_masks(spec, rank, rank + 1)
+        chosen, = level_masks(spec, np.array([rank])).tolist()
         return hypergraph_at(spec, chosen)
 
     positives = [rk for rk in ranks if find_hamiltonian_berge_cycle(graph(rk))]
@@ -255,7 +252,8 @@ def test_recheck_mismatch_names_the_rank(monkeypatch):
         return SearchResult(None, "search_exhausted") if h == target else original(h)
 
     monkeypatch.setattr(campaigns, "find_hamiltonian_berge_cycle", fake)
-    rep = verify_lemma_r_plus_2(5, recheck_sample=20)
+    monkeypatch.setattr(campaigns, "RECHECK_SAMPLE", 20)
+    rep = verify_lemma_r_plus_2(5)
     assert not rep.passed
     assert not rep.levels[0].ok and rep.levels[1].ok
     assert rep.levels[0].note == (

@@ -9,7 +9,7 @@ import pytest
 import bergeham
 from bergeham.berge import BergeDecider
 from bergeham.cli import run_cli
-from bergeham.enumeration import LevelSpec, chosen_mask, hypergraph_at, iter_level_masks
+from bergeham.enumeration import LevelSpec, chosen_mask, hypergraph_at, level_masks
 from bergeham.formats import parse_hypergraph_text, write_hypergraph_text
 from bergeham.hypergraph import clique_plus_pendant, complete, labeled_pendant_copies, universe_masks
 
@@ -97,6 +97,39 @@ def test_check_cert_accepts_and_rejects(tmp_path, capsys):
     assert payload["accepted"] is False and payload["violations"]
 
 
+MALFORMED_CERTIFICATES = [
+    {"kind": "cycle", "vertices": [0, 1.9, 2], "edges": [[0, 2], [0, 1], [1, 2]]},
+    {"kind": "cycle", "vertices": [0, True, 2], "edges": [[0, 2], [0, 1], [1, 2]]},
+    {"kind": "cycle", "vertices": [0, 1, 2], "edges": [[0, 2], [0, 1.0], [1, 2]]},
+    {"kind": "path", "vertices": [0, 1, 2], "edges": [1, 2]},
+    [{"kind": "path", "vertices": [0, 1], "edges": [[0, 1]]}],
+]
+
+
+@pytest.mark.parametrize("cert", MALFORMED_CERTIFICATES)
+def test_check_cert_rejects_malformed_json_with_exit_2(tmp_path, capsys, cert):
+    f = tmp_path / "k3.txt"
+    f.write_text(write_hypergraph_text(complete(3, 2)))
+    c = tmp_path / "cert.json"
+    c.write_text(json.dumps(cert))
+    assert run(["check-cert", "--input", str(f), "--cert", str(c)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("graph", [
+    {"n": [3], "r": 2, "edges": [[0, 1]]},
+    {"n": 3, "r": 2, "edges": [["a", "b"]]},
+    {"n": 3, "r": 2, "edges": [[0, 1.0]]},
+])
+def test_malformed_hypergraph_json_exits_2(tmp_path, capsys, graph):
+    f = tmp_path / "h.json"
+    f.write_text(json.dumps(graph))
+    assert run(["canon", "--input", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_verify_lemma21_passes(capsys):
     assert run(["verify", "lemma21", "--n", "5", "--format", "csv"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
@@ -122,6 +155,10 @@ def test_negative_counts_exit_2(capsys):
     assert run(["verify", "lemma21", "--n", "5", "--jobs", "-3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "jobs must be at least 1, got -3" in captured.err
+    # before the check, -1 reported the level as infeasible past a budget of -1
+    assert run(["verify", "lemma21", "--n", "5", "--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: budget must be non-negative, got -1" in captured.err
 
 
 def test_usage_error_exits_2():
@@ -160,7 +197,8 @@ def test_verify_verbose_streams_one_progress_line_per_chunk(capsys):
     # the first 20 of the 30 negative ranks, straight from the decider
     spec = LevelSpec(5, 3, 5)
     d = BergeDecider(5, universe_masks(5, 3))
-    negatives = [rank for rank, chosen in iter_level_masks(spec) if not d.cycle_exists(chosen)]
+    negatives = [rank for rank, chosen in enumerate(level_masks(spec, range(252)).tolist())
+                 if not d.cycle_exists(chosen)]
     assert lines[0]["negative_ranks"] == negatives[:20]
     assert lines[1]["negative_ranks"] == []
     assert all("exceptions" not in line and "base" not in line for line in lines)

@@ -1,11 +1,18 @@
 import multiprocessing
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
 from functools import partial
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bergeham
 from bergeham import campaigns
 from bergeham.berge import BergeDecider
 from bergeham.canonical import canonical_form
@@ -14,7 +21,6 @@ from bergeham.enumeration import (
     LevelSpec,
     chosen_mask,
     hypergraph_at,
-    iter_level_masks,
     level_masks,
     level_size,
     monotone_reduction_plan,
@@ -154,7 +160,6 @@ def test_level_masks_take_object_arrays_past_64_edges():
     lo = level_size(spec) - 5
     ranks = np.array(range(lo, lo + 5), dtype=object)
     assert level_masks(spec, ranks).tolist() == [colex_unrank(t, 42) for t in range(lo, lo + 5)]
-    assert [mk for _, mk in iter_level_masks(spec, lo, lo + 5)] == level_masks(spec, ranks).tolist()
 
 
 def test_level_masks_reject_ranks_outside_the_level_and_non_integers():
@@ -168,26 +173,24 @@ def test_level_masks_reject_ranks_outside_the_level_and_non_integers():
             level_masks(spec, np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="ranks must be integers"):
             level_masks(spec, np.array([0, 0.5], dtype=object))
-        with pytest.raises(ValueError, match="bad rank window"):
-            list(iter_level_masks(spec, 0, total + 1))
 
 
 def test_chunks_partition_the_level_exactly():
     spec = LevelSpec(5, 3, 5)
-    whole = list(iter_level_masks(spec))
+    whole = level_masks(spec, np.arange(level_size(spec))).tolist()
     assert len(whole) == 252 and len(set(whole)) == 252
     pieces = []
     for lo in range(0, 252, 37):
-        pieces.extend(iter_level_masks(spec, lo, min(lo + 37, 252)))
+        pieces.extend(level_masks(spec, np.arange(lo, min(lo + 37, 252))).tolist())
     assert pieces == whole
     # checksum by canonical codes on a small level
-    codes_whole = sorted(canonical_form(hypergraph_at(spec, ch)).compact() for _, ch in whole)
-    codes_pieces = sorted(canonical_form(hypergraph_at(spec, ch)).compact() for _, ch in pieces)
+    codes_whole = sorted(canonical_form(hypergraph_at(spec, ch)).compact() for ch in whole)
+    codes_pieces = sorted(canonical_form(hypergraph_at(spec, ch)).compact() for ch in pieces)
     assert codes_whole == codes_pieces
 
 
 def _edge_counts(spec, lo, hi):
-    return [hypergraph_at(spec, chosen).m for _, chosen in iter_level_masks(spec, lo, hi)]
+    return [hypergraph_at(spec, chosen).m for chosen in level_masks(spec, np.arange(lo, hi)).tolist()]
 
 
 def test_sum_of_edges_identity():
@@ -201,7 +204,7 @@ def _first_edge_is_even(spec, lo, hi):
     """(graphs visited, ranks whose first edge mask is even) over one chunk."""
     visited = 0
     hits = []
-    for rank, chosen in iter_level_masks(spec, lo, hi):
+    for rank, chosen in zip(range(lo, hi), level_masks(spec, np.arange(lo, hi)).tolist()):
         visited += 1
         h = hypergraph_at(spec, chosen)
         if h.edges and not (h.edges[0] & 1):
@@ -222,9 +225,9 @@ def test_aggregate_is_identical_for_any_worker_count():
 def test_supergraph_mode_enumerates_exactly_the_supergraphs():
     base = clique_plus_pendant(6, 3)
     spec = LevelSpec(6, 3, 12, base=base)
-    seen = list(iter_level_masks(spec))
+    seen = level_masks(spec, np.arange(level_size(spec))).tolist()
     assert len(seen) == 9
-    for _, ch in seen:
+    for ch in seen:
         h = hypergraph_at(spec, ch)
         assert set(base.edges) <= set(h.edges) and h.m == 12
 
@@ -238,7 +241,7 @@ def test_nonhamiltonian_count_at_7_5_7():
     def classify(lo, hi, acc=None):
         d = BergeDecider(7, u)
         neg = 0
-        for _, ch in iter_level_masks(spec, lo, hi):
+        for ch in level_masks(spec, np.arange(lo, hi)).tolist():
             if not d.cycle_exists(ch):
                 neg += 1
         return neg
@@ -277,6 +280,82 @@ def test_run_chunks_rejects_a_chunk_size_below_one():
         campaigns.verify_spectral_theorem(5, 3, samples=0, chunk_size=-1)
 
 
+def test_run_chunks_rejects_a_negative_budget():
+    spec = LevelSpec(5, 3, 2)
+    with pytest.raises(ValueError, match="budget must be non-negative, got -1"):
+        run_chunks(spec, _first_rank, budget=-1)
+    with pytest.raises(BudgetExceeded):
+        run_chunks(spec, _first_rank, budget=0)
+    assert run_chunks(spec, _first_rank, budget=None, chunk_size=4) == list(range(0, level_size(spec), 4))
+
+
+DEAD_WORKER = """
+import os
+import sys
+from concurrent.futures.process import BrokenProcessPool
+
+from bergeham.enumeration import LevelSpec, run_chunks
+
+
+def chunk(spec, lo, hi):
+    if lo >= 100:
+        os._exit(3)
+    return lo
+
+
+if __name__ == "__main__":
+    try:
+        run_chunks(LevelSpec(5, 3, 5), chunk, jobs=2, chunk_size=50)
+    except BrokenProcessPool:
+        sys.exit(0)
+    sys.exit(1)
+"""
+
+
+def test_a_dead_pool_worker_raises_instead_of_hanging(tmp_path):
+    script = tmp_path / "dead_worker.py"
+    script.write_text(DEAD_WORKER)
+    env = {**os.environ, "PYTHONPATH": str(Path(bergeham.__file__).resolve().parent.parent)}
+    # its own session, so a hang can be killed with every worker it started
+    child = subprocess.Popen([sys.executable, str(script)], env=env, start_new_session=True,
+                             stderr=subprocess.PIPE, text=True)
+    try:
+        _, err = child.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("run_chunks did not raise within 60 s of a pool worker dying")
+    assert child.returncode == 0, err
+    # nothing of the child's process group outlives it
+    deadline = time.monotonic() + 10
+    while True:
+        try:
+            os.killpg(child.pid, 0)
+        except ProcessLookupError:
+            break
+        if time.monotonic() > deadline:
+            os.killpg(child.pid, signal.SIGKILL)
+            pytest.fail("pool workers outlived the broken pool")
+        time.sleep(0.05)
+
+
+def _marked_slow_chunk(spec, lo, hi, *, marks):
+    (marks / str(lo)).touch()
+    time.sleep(0.1)
+    return lo
+
+
+def test_an_error_in_progress_stops_the_queued_chunks(tmp_path):
+    def stop(spec, lo, hi, res):
+        raise RuntimeError("stop")
+
+    spec = LevelSpec(5, 3, 5)  # 42 chunks of 6
+    with pytest.raises(RuntimeError, match="stop"):
+        run_chunks(spec, partial(_marked_slow_chunk, marks=tmp_path), jobs=2, chunk_size=6, progress=stop)
+    # only the chunks already handed to a worker run; the rest are cancelled
+    assert 1 <= len(list(tmp_path.iterdir())) < 10
+
+
 def test_run_chunks_progress_is_the_same_under_the_pool():
     spec = LevelSpec(5, 3, 5)
     chunk = partial(campaigns._berge_chunk, kind="cycle")
@@ -312,7 +391,7 @@ def test_run_chunks_spawns_workers_where_fork_is_missing(monkeypatch):
 
 def test_chosen_mask_inverts_hypergraph_at():
     spec = LevelSpec(6, 3, 7)
-    for rank, chosen in iter_level_masks(spec, 0, 300):
+    for chosen in level_masks(spec, np.arange(300)).tolist():
         assert chosen_mask(6, 3, hypergraph_at(spec, chosen).edges) == chosen
 
 
@@ -345,7 +424,7 @@ def test_reduction_soundness_by_brute_force_5_3():
     for m in range(5, 11):
         spec = LevelSpec(5, 3, m)
         bad = []
-        for _, ch in iter_level_masks(spec):
+        for ch in level_masks(spec, np.arange(level_size(spec))).tolist():
             if not d.cycle_exists(ch):
                 bad.append(hypergraph_at(spec, ch).edges)
         if m == 5:
@@ -360,7 +439,7 @@ def test_reduction_soundness_by_brute_force_6_4():
     t = comb(5, 4)
     for m in range(t + 1, comb(6, 4) + 1):
         spec = LevelSpec(6, 4, m)
-        bad = sum(0 if d.cycle_exists(ch) else 1 for _, ch in iter_level_masks(spec))
+        bad = sum(0 if d.cycle_exists(ch) else 1 for ch in level_masks(spec, np.arange(level_size(spec))).tolist())
         if m == t + 1:
             assert bad == 6 * comb(5, 3) == 60
         else:

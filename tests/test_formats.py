@@ -50,6 +50,39 @@ def test_json_invariants_rejected():
         parse_hypergraph_json({"n": 5, "r": 3, "edges": [[0, 1, 2, 3]]})
 
 
+@pytest.mark.parametrize("obj, match", [
+    ({"n": [3], "r": 2, "edges": [[0, 1]]}, r"\[n, r\] must be a list of integers"),
+    ({"n": 3, "r": 2.0, "edges": [[0, 1]]}, r"\[n, r\] must be a list of integers"),
+    ({"n": 3, "r": True, "edges": [[0, 1]]}, r"\[n, r\] must be a list of integers"),
+    ({"n": 3, "r": 2, "edges": [["a", "b"]]}, "each edge must be a list of integers"),
+    ({"n": 3, "r": 2, "edges": [[0, 1.0]]}, "each edge must be a list of integers"),
+    ({"n": 3, "r": 2, "edges": [[0, False]]}, "each edge must be a list of integers"),
+    ({"n": 3, "r": 2, "edges": [1, 2]}, "each edge must be a list of integers"),
+    ({"n": 3, "r": 2, "edges": {"0": [0, 1]}}, "'edges' must be a list of vertex lists"),
+    ([3, 2, [[0, 1]]], "hypergraph JSON must be an object"),
+])
+def test_json_rejects_non_integer_ids_and_non_lists(obj, match):
+    with pytest.raises(ValueError, match=match):
+        parse_hypergraph_json(obj)
+    with pytest.raises(ValueError, match=match):
+        parse_hypergraph_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("obj, match", [
+    ({"kind": "cycle", "vertices": [0, 1.9, 2], "edges": [[0, 2], [0, 1], [1, 2]]}, "'vertices' must be"),
+    ({"kind": "cycle", "vertices": [0, True, 2], "edges": [[0, 2], [0, 1], [1, 2]]}, "'vertices' must be"),
+    ({"kind": "cycle", "vertices": "012", "edges": [[0, 2], [0, 1], [1, 2]]}, "'vertices' must be"),
+    ({"kind": "cycle", "vertices": [0, 1, 2], "edges": [[0, 2], [0, 1.9], [1, 2]]}, "each edge must be"),
+    ({"kind": "path", "vertices": [0, 1, 2], "edges": [1, 2]}, "each edge must be"),
+    ({"kind": "path", "vertices": [0, 1, 2], "edges": "01"}, "'edges' must be a list of vertex lists"),
+    ([{"kind": "path", "vertices": [0, 1], "edges": [[0, 1]]}], "certificate JSON must be an object"),
+    ({"kind": "path", "vertices": [0, 1]}, "missing keys"),
+])
+def test_certificate_rejects_non_integer_ids_and_non_lists(obj, match):
+    with pytest.raises(ValueError, match=match):
+        certificate_from_dict(obj)
+
+
 def test_load_sniffs_json_and_text(tmp_path):
     h = complete(5, 3)
     t = tmp_path / "h.txt"

@@ -9,7 +9,7 @@ import pytest
 
 from bergeham import spectral
 from bergeham.bounds import bai_lu_bound, threshold
-from bergeham.enumeration import LevelSpec, hypergraph_at, iter_level_masks
+from bergeham.enumeration import LevelSpec, hypergraph_at, level_masks, level_size
 from bergeham.hypergraph import (
     Hypergraph,
     clique_plus_isolated,
@@ -264,7 +264,7 @@ def _componentwise(h, **kw):
 @pytest.mark.parametrize("m", [4, 5])
 def test_batched_brackets_equal_per_graph_brackets_on_the_5_3_levels(m):
     spec = LevelSpec(5, 3, m)
-    masks = [chosen for _, chosen in iter_level_masks(spec)]
+    masks = level_masks(spec, np.arange(level_size(spec))).tolist()
     t = threshold("spectral_cycle", 5, 3).value
     for h, est in _batched(5, 3, masks, tol=1e-9, max_iter=50_000):
         one = _componentwise(h, tol=1e-9, max_iter=50_000)
@@ -391,7 +391,7 @@ def test_integer_certificate_handles_spread_exponents_and_zeros():
 
 def test_batched_run_out_of_iterations_still_brackets():
     spec = LevelSpec(6, 3, 11)
-    masks = [chosen for _, chosen in iter_level_masks(spec, 0, 200)]
+    masks = level_masks(spec, np.arange(200)).tolist()
     short = spectral_radii(6, 3, masks, tol=1e-12, max_iter=2)
     tight = spectral_radii(6, 3, masks, tol=1e-11)
     assert not any(est.converged for est in short)
