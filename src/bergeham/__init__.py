@@ -1,6 +1,6 @@
 """Berge Hamiltonicity of uniform hypergraphs, with certificates,
-certified spectral-radius brackets, exact threshold arithmetic, and
-exhaustive verification campaigns."""
+spectral-radius brackets, exact threshold arithmetic, and exhaustive
+verification campaigns."""
 
 from .berge import (
     BergeCertificate,

@@ -6,10 +6,13 @@ failures by canonical form, and passes only when the exceptional graphs
 are exactly the predicted ones *as isomorphism classes and as labeled
 counts*.  Every Berge report row is one ``_berge_level`` call over a
 list of level specs: one whole level, or the supergraphs of each
-exception found (the closure row).  Exceptions are compared by canonical
-code with constructed exceptional graphs, because the claims being
-verified are claims up to isomorphism.  Each class is canonized once, and
-its other labeled copies match a class witness by a verified relabeling.
+exception found (the closure row).  Berge rows compare exceptions by
+canonical code with constructed exceptional graphs, because the claims
+being verified are claims up to isomorphism.  Each class is canonized
+once, and its other labeled copies match a class witness by a verified
+relabeling.  The spectral audit runs every graph, of a level chunk or
+random, through ``_audit``, which checks a non-Hamiltonian graph against
+its exception by a verified isomorphism and runs no canonical search.
 
 Campaign aggregates are merged in rank order from deterministic chunks,
 so reports are identical for any worker count; a seeded sample of graphs
@@ -28,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 from functools import cache, partial
 from itertools import islice
 from math import comb
-from typing import Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -73,7 +76,8 @@ from .spectral import (
 CSV_HEADER = "n,r,m,visited,hamiltonian,nonhamiltonian,exceptions,pass"
 UNDECIDED_SHOWN = 10  # undecided witnesses listed in a spectral report's notes
 SPECTRAL_SLICE = 512  # graphs bracketed per batched kernel call, for any chunk size
-RECHECK_SAMPLE = 1000  # graphs per swept spec re-decided through ``find_*`` (closure rows: none)
+RECHECK_SAMPLE = 1000  # graphs per whole level re-decided through ``find_*`` (closure rows: none)
+RECHECK_CERTS = 3  # sampled certificates per rechecked level kept in the report
 
 
 @dataclass
@@ -143,41 +147,6 @@ def _berge_chunk(spec: LevelSpec, lo: int, hi: int, *, kind: str):
     return len(masks), len(masks) - len(neg), neg
 
 
-def _retried_verdict(h: Hypergraph, est, t_spec: int, tol: float) -> tuple[str, bool]:
-    """(verdict, unconverged flag) of a graph from its bracket ``est`` at ``tol``;
-    an undecided verdict is retried alone at ``tol/1000``."""
-    verdict, unconverged = threshold_verdict(h, est, t_spec, tol), not est.converged
-    if verdict == UNDECIDED:
-        est = spectral_radius(h, tol / 1000, max_iter=500_000)
-        unconverged = unconverged or not est.converged
-        verdict = threshold_verdict(h, est, t_spec, tol)
-    return verdict, unconverged
-
-
-def _audit_graph(h: Hypergraph, first: tuple[str, bool], hamiltonian: bool | None,
-                 t_edge: int, ke: Hypergraph, ke_code: str, kv: Hypergraph, kv_code: str):
-    """Audit one graph for the spectral->edge->Hamiltonicity implication chain.
-
-    ``first`` is the graph's (verdict, unconverged flag) after the retry.
-    ``hamiltonian`` is its Berge verdict, asked only of graphs certified
-    above the threshold with at least ``t_edge`` edges: a Hamiltonian cycle
-    above ``t_edge``, a Hamiltonian path at it.
-    Returns (verdict, violation reason or None, unconverged flag).
-    """
-    verdict, unconverged = first
-    if verdict != CERTIFIED_ABOVE:
-        return verdict, None, unconverged
-    if h.m < t_edge:
-        return verdict, "spectral radius certified above threshold but edge count below implied bound", unconverged
-    if h.m > t_edge:
-        if not hamiltonian and _class_code(h, {ke_code: ke}) != ke_code:
-            return verdict, "non-hamiltonian above the edge threshold and not the pendant exception", unconverged
-    else:
-        if not hamiltonian and _class_code(h, {kv_code: kv}) != kv_code:
-            return verdict, "no hamiltonian path at the edge threshold and not the isolated-vertex exception", unconverged
-    return verdict, None, unconverged
-
-
 @dataclass
 class AuditTally:
     """Spectral-audit counts over a set of graphs, merged in rank order.
@@ -222,36 +191,57 @@ class AuditTally:
         )
 
 
-def _audit_graphs(n: int, r: int, graphs: Iterator, *, t_spec: int, t_edge: int, tol: float,
-                  ke: Hypergraph, ke_code: str, kv: Hypergraph, kv_code: str) -> AuditTally:
-    """Audit (rank or None, h, chosen-universe mask) triples, in order.
+def _audit(n: int, r: int, rows: Iterable[tuple[int | None, int]], tol: float) -> AuditTally:
+    """Audit (rank or None, chosen-universe mask) pairs, in order, for the
+    spectral->edge->Hamiltonicity implication chain.
 
-    Brackets come from one ``spectral_radii`` call per ``SPECTRAL_SLICE``
-    graphs, and Berge verdicts from one ``decide`` call per slice and kind,
-    so memory stays flat however many graphs ``graphs`` yields.
+    A graph certified above the spectral threshold needs at least ``t_edge``
+    edges, and a Hamiltonian cycle above ``t_edge`` (a path at it) unless a
+    verified isomorphism maps it onto the pendant (isolated-vertex)
+    exception.  Per ``SPECTRAL_SLICE`` graphs, one ``spectral_radii`` call
+    brackets them all and one more re-brackets the undecided ones at
+    ``tol/1000`` (an estimate does not depend on its batch, so this is each
+    graph's own retry), and one ``decide`` call per kind gives the Berge
+    verdicts, so memory stays flat however many rows there are.
     """
-    d = _decider(n, r)
+    t_spec = threshold("spectral_cycle", n, r).value
+    t_edge = threshold("edge_cycle", n, r).value
+    exception = {"cycle": clique_plus_pendant(n, r), "path": clique_plus_isolated(n, r)}
+    reason = {"cycle": "non-hamiltonian above the edge threshold and not the pendant exception",
+              "path": "no hamiltonian path at the edge threshold and not the isolated-vertex exception"}
+    spec = LevelSpec(n, r, 0)  # hypergraph_at reads only (n, r)
+    rows = iter(rows)
     tally = AuditTally()
-    while part := list(islice(graphs, SPECTRAL_SLICE)):
-        ests = spectral_radii(n, r, [chosen for _, _, chosen in part], tol, max_iter=50_000)
-        firsts = [_retried_verdict(h, est, t_spec, tol) for (_, h, _), est in zip(part, ests)]
+    while part := list(islice(rows, SPECTRAL_SLICE)):
+        chosen = [c for _, c in part]
+        graphs = [hypergraph_at(spec, c) for c in chosen]
+        ests = spectral_radii(n, r, chosen, tol, max_iter=50_000)
+        verdicts = [threshold_verdict(h, est, t_spec, tol) for h, est in zip(graphs, ests)]
+        unconverged = [not est.converged for est in ests]
+        retry = [i for i, verdict in enumerate(verdicts) if verdict == UNDECIDED]
+        for i, est in zip(retry, spectral_radii(n, r, [chosen[i] for i in retry], tol / 1000, max_iter=500_000)):
+            verdicts[i] = threshold_verdict(graphs[i], est, t_spec, tol)
+            unconverged[i] |= not est.converged
+        violations: list[str | None] = [None] * len(part)
         asked: dict[str, list[int]] = {"cycle": [], "path": []}
-        for i, ((_, h, _), (verdict, _)) in enumerate(zip(part, firsts)):
-            if verdict == CERTIFIED_ABOVE and h.m >= t_edge:
+        for i, (h, verdict) in enumerate(zip(graphs, verdicts)):
+            if verdict != CERTIFIED_ABOVE:
+                continue
+            if h.m < t_edge:
+                violations[i] = "spectral radius certified above threshold but edge count below implied bound"
+            else:
                 asked["cycle" if h.m > t_edge else "path"].append(i)
-        hamiltonian: list[bool | None] = [None] * len(part)
-        for kind, rows in asked.items():
-            for i, yes in zip(rows, d.decide([part[i][2] for i in rows], kind).tolist()):
-                hamiltonian[i] = yes
-        for (rank, h, _), first, ham in zip(part, firsts, hamiltonian):
-            tally.add(rank, h, *_audit_graph(h, first, ham, t_edge, ke, ke_code, kv, kv_code))
+        for kind, idx in asked.items():
+            for i, yes in zip(idx, _decider(n, r).decide([chosen[i] for i in idx], kind).tolist()):
+                if not yes and isomorphism(graphs[i], exception[kind]) is None:
+                    violations[i] = reason[kind]
+        for (rank, _), h, verdict, violation, unconv in zip(part, graphs, verdicts, violations, unconverged):
+            tally.add(rank, h, verdict, violation, unconv)
     return tally
 
 
-def _spectral_chunk(spec: LevelSpec, lo: int, hi: int, **audit_kwargs) -> AuditTally:
-    masks = level_masks(spec, np.arange(lo, hi)).tolist()
-    graphs = ((rank, hypergraph_at(spec, chosen), chosen) for rank, chosen in zip(range(lo, hi), masks))
-    return _audit_graphs(spec.n, spec.r, graphs, **audit_kwargs)
+def _spectral_chunk(spec: LevelSpec, lo: int, hi: int, *, tol: float) -> AuditTally:
+    return _audit(spec.n, spec.r, zip(range(lo, hi), level_masks(spec, np.arange(lo, hi)).tolist()), tol)
 
 
 # --------------------------------------------------------------------------
@@ -303,9 +293,9 @@ def _expected_exception_outcome(records: list[ExceptionRecord], expected: Canoni
     return True, ""
 
 
-def _recheck_sample(spec: LevelSpec, kind: str, negatives: set[int], rng: random.Random,
-                    sample_size: int, keep_certs: int = 3):
-    """Re-decide a seeded sample through the public API and verify certificates.
+def _recheck_sample(spec: LevelSpec, kind: str, negatives: set[int], rng: random.Random):
+    """Re-decide a seeded sample of ``RECHECK_SAMPLE`` graphs through the
+    public API and verify their certificates.
 
     Cross-checks the fast sweep verdicts: a sampled rank must have a
     verifiable certificate exactly when the sweep did not list it as
@@ -314,10 +304,7 @@ def _recheck_sample(spec: LevelSpec, kind: str, negatives: set[int], rng: random
     failing rank and why it failed.
     """
     total = level_size(spec)
-    k = min(sample_size, total)
-    if k == 0:
-        return "", []
-    ranks = sorted(rng.sample(range(total), k))
+    ranks = sorted(rng.sample(range(total), min(RECHECK_SAMPLE, total)))
     certs: list[dict] = []
     for rank, chosen in zip(ranks, level_masks(spec, np.array(ranks)).tolist()):
         h = hypergraph_at(spec, chosen)
@@ -334,7 +321,7 @@ def _recheck_sample(spec: LevelSpec, kind: str, negatives: set[int], rng: random
             problem = f"no {kind} ({res.reason}) but the sweep decided the graph positive"
         if problem:
             return f"sampled re-verification failed at rank {rank}: {problem}", certs
-        if cert is not None and len(certs) < keep_certs:
+        if cert is not None and len(certs) < RECHECK_CERTS:
             d = certificate_to_dict(cert)
             d["rank"] = rank
             d["m"] = spec.m
@@ -352,29 +339,28 @@ def _berge_level(report: VerificationReport, level: LevelSpec, kind: str,
     ``bases``, the ``level.m``-edge supergraphs of each base graph, one spec
     per base (the closure row; no bases give a row of zero counts).  Each
     spec is swept with the ``kind`` decider (``run`` holds the
-    ``run_chunks`` options), and a seeded sample of ``RECHECK_SAMPLE``
-    graphs of each whole-level spec is re-decided.  All the
+    ``run_chunks`` options), and a seeded sample of a whole level is
+    re-decided (``_recheck_sample``; the closure row has none).  All the
     row's negatives are collapsed by canonical form at once and compared
     with ``expected_count`` labeled copies of ``expected``; the row and the
     sampled certificates go to ``report``.  Returns (ok, negative graphs).
     """
     specs = [level] if bases is None else [LevelSpec(level.n, level.r, level.m, base=g) for g in bases]
     visited = positive = 0
-    negatives, failures = [], []
-    sample = RECHECK_SAMPLE if bases is None else 0
+    negatives = []
     for spec in specs:
         chunks = run_chunks(spec, partial(_berge_chunk, kind=kind), **run)
-        found = [ng for c in chunks for ng in c[2]]
         visited += sum(c[0] for c in chunks)
         positive += sum(c[1] for c in chunks)
-        negatives += found
-        failure, certs = _recheck_sample(spec, kind, {rk for rk, _ in found}, rng, sample)
-        failures.append(failure)
+        negatives += [ng for c in chunks for ng in c[2]]
+    failure = ""
+    if bases is None:
+        failure, certs = _recheck_sample(level, kind, {rk for rk, _ in negatives}, rng)
         report.certificates.extend(certs)
     records, graphs = _collapse_exceptions(level, negatives)
     ok, note = _expected_exception_outcome(records, expected, expected_count)
-    ok = ok and not any(failures)
-    note = "; ".join(filter(None, [note, *failures]))
+    ok = ok and not failure
+    note = "; ".join(filter(None, [note, failure]))
     report.levels.append(
         LevelOutcome(
             n=level.n, r=level.r, m=level.m, mode=level.mode if bases is None else SUPERGRAPHS,
@@ -498,9 +484,9 @@ def verify_spectral_theorem(
 
     Three checks: (a) for every graph on the edge-theorem levels plus
     seeded random graphs over all edge counts, a spectral radius certified
-    above the spectral threshold must force the edge count over the edge
-    threshold and a Hamiltonicity verdict consistent with the edge-count
-    statement; (b) the pendant-clique exception sits strictly above the
+    above the spectral threshold must force at least the edge threshold's
+    C(n-1, r) edges and a Hamiltonicity verdict consistent with the
+    edge-count statement; (b) the pendant-clique exception sits strictly above the
     spectral threshold and is non-Hamiltonian; (c) the isolated-vertex
     exception brackets the threshold exactly and has no Hamiltonian path.
     Undecided threshold verdicts are retried at a tighter tolerance and
@@ -513,41 +499,32 @@ def verify_spectral_theorem(
     t0 = time.perf_counter()
     rng = random.Random(seed)
     t_spec = threshold("spectral_cycle", n, r).value
-    t_edge = threshold("edge_cycle", n, r).value
-    ke = clique_plus_pendant(n, r)
-    kv = clique_plus_isolated(n, r)
-    ke_code = canonical_form(ke).compact()
-    kv_code = canonical_form(kv).compact()
     report = VerificationReport(
         campaign="spectral_theorem",
         params={"n": n, "r": r, "samples": samples, "tol": tol, "seed": seed},
         jobs=jobs,
     )
 
-    audit_kwargs = dict(t_spec=t_spec, t_edge=t_edge, tol=tol, ke=ke, ke_code=ke_code, kv=kv, kv_code=kv_code)
     total = AuditTally()  # every row's tally, for the notes
     plan = monotone_reduction_plan(n, r)
     for spec in (plan.cycle_level, plan.path_level):
         tally = AuditTally()
-        for chunk in run_chunks(spec, partial(_spectral_chunk, **audit_kwargs), jobs=jobs,
+        for chunk in run_chunks(spec, partial(_spectral_chunk, tol=tol), jobs=jobs,
                                 chunk_size=chunk_size, budget=budget, progress=progress):
             tally.merge(chunk)
         report.levels.append(tally.outcome(n, r, spec.m, spec.mode, level_size(spec)))
         total.merge(tally)
 
     # random graphs across all edge counts, all drawn before any is audited
-    u = universe_masks(n, r)
-    drawn = []
-    for _ in range(samples):
-        m = rng.randint(0, len(u))
-        drawn.append(rng.sample(range(len(u)), m))
-    graphs = ((None, Hypergraph(n, r, [u[i] for i in idx]), mask_of(idx)) for idx in drawn)
-    tally = _audit_graphs(n, r, graphs, **audit_kwargs)
+    width = comb(n, r)
+    drawn = [(None, mask_of(rng.sample(range(width), rng.randint(0, width)))) for _ in range(samples)]
+    tally = _audit(n, r, drawn, tol)
     report.levels.append(tally.outcome(n, r, -1, "random", samples))
     total.merge(tally)
     report.notes.extend(total.violations)
 
     # (b) pendant exception: strictly above the threshold, non-hamiltonian
+    ke = clique_plus_pendant(n, r)
     est = spectral_radius(ke, tol)
     ok_pendant = (
         threshold_verdict(ke, est, t_spec, tol) == CERTIFIED_ABOVE
@@ -557,6 +534,7 @@ def verify_spectral_theorem(
         report.notes.append("pendant exception failed its spectral/hamiltonicity check")
 
     # (c) isolated exception: brackets the threshold, no hamiltonian path
+    kv = clique_plus_isolated(n, r)
     est = spectral_radius(kv, tol)
     ok_isolated = (
         est.converged

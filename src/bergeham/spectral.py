@@ -1,4 +1,4 @@
-"""Polynomial form evaluation and certified spectral radius brackets.
+"""Polynomial form evaluation and spectral radius brackets.
 
 The polynomial form of an r-graph is ``r * sum over edges of the product
 of the edge's coordinates``; its maximum over nonnegative unit vectors in
@@ -11,8 +11,14 @@ bracketed on each step by Collatz-Wielandt ratios:
     lower = form value at the current feasible iterate  <=  lambda
     upper = max_i (A x^{r-1})_i / x_i^{r-1}             >=  lambda
 
-so the returned bracket is certified whether or not the iteration hit the
-requested tolerance.
+so the returned bracket holds whether or not the iteration hit the
+requested tolerance, but only up to floating-point rounding: both ends are
+float sums, and either can land a few ulps on the wrong side of lambda
+(``complete(6, 4)`` has lambda = 10 and an ``upper`` of
+9.999999999999998; ``complete(5, 3)`` has lambda = 6 and a ``lower`` of
+6.000000000000002).  The exact guarantees are ``exact_form_ratio`` and
+``certified_above``, below; ``certified_below_or_equal`` verdicts rely on
+``tol`` being much larger than that rounding.
 
 One kernel, ``_power_iterate``, runs that iteration on a batch of graphs
 at once: a ``(B, E)`` 0/1 weight array picks each graph's edges out of a
@@ -62,9 +68,11 @@ _MANTISSA = 2.0 ** 53  # frexp fraction * _MANTISSA is an exact integer
 class SpectralEstimate:
     """Two-sided bracket on the spectral radius.
 
-    ``lower`` is exactly the form value at ``vector`` (an l_r-normalized
-    nonnegative vector), hence a true lower bound; ``upper`` dominates
-    every component's Collatz-Wielandt upper ratio.
+    ``lower`` is the form value at ``vector`` (an l_r-normalized
+    nonnegative vector) summed in floats; ``upper`` dominates every
+    component's Collatz-Wielandt upper ratio.  Both bound the spectral
+    radius up to floating-point rounding only; ``exact_form_ratio`` and
+    ``certified_above`` give the exact lower bound at ``vector``.
     """
 
     lower: float
@@ -276,14 +284,16 @@ def _bracket(n: int, r: int, members: np.ndarray, picked: np.ndarray, tol: float
 
 
 def spectral_radius(h: Hypergraph, tol: float = 1e-9, max_iter: int = 10 ** 6) -> SpectralEstimate:
-    """Certified bracket on the spectral radius of ``h``.
+    """Bracket on the spectral radius of ``h``, valid up to floating-point rounding.
 
     The form decomposes over shadow components (isolated vertices
     contribute zero), so each component is iterated on its own vertices;
     the estimate takes the largest upper bound over components and embeds
     the iterate of the component with the largest lower bound as the
     returned vector.  Non-convergence within ``max_iter`` still returns a
-    valid bracket, flagged via ``converged=False``.
+    bracket (just a wider one), flagged via ``converged=False``.  For an
+    exact lower bound, evaluate the returned vector with
+    ``exact_form_ratio`` or ``certified_above``.
     """
     return _bracket(h.n, h.r, _edge_index_array(h), np.ones((1, h.m), dtype=np.uint8), tol, max_iter)[0]
 

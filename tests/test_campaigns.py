@@ -15,10 +15,16 @@ from bergeham.campaigns import (
     verify_lemma_r_plus_2,
     verify_spectral_theorem,
 )
-from bergeham.canonical import canonical_form
+from bergeham.canonical import are_isomorphic, canonical_form
 from bergeham.enumeration import LevelSpec, hypergraph_at, level_masks, level_size
 from bergeham.hypergraph import clique_plus_isolated, clique_plus_pendant, universe_masks
-from bergeham.spectral import CERTIFIED_ABOVE, CERTIFIED_BELOW_OR_EQUAL, UNDECIDED
+from bergeham.spectral import (
+    CERTIFIED_ABOVE,
+    CERTIFIED_BELOW_OR_EQUAL,
+    UNDECIDED,
+    exceeds_threshold,
+    spectral_radius,
+)
 
 
 def test_lemma_base_case_n5():
@@ -172,7 +178,7 @@ def test_spectral_theorem_6_4():
 
 def test_spectral_report_worker_invariance():
     a = verify_spectral_theorem(5, 3, samples=64, jobs=1).to_dict()
-    # chunks small enough that the pool runs and its tasks carry the exceptional graphs
+    # chunks small enough that the pool runs
     b = verify_spectral_theorem(5, 3, samples=64, jobs=2, chunk_size=100).to_dict()
     for d in (a, b):
         d.pop("seconds")
@@ -228,12 +234,69 @@ def test_each_exception_class_is_canonized_once(monkeypatch):
 
 
 def test_reports_do_not_depend_on_the_matcher(monkeypatch):
-    # with every match missed, each copy is canonized and the reports stay as they are
+    # with every match missed, each Berge exception copy is canonized and
+    # the Berge reports stay as they are; the spectral audit, whose match is
+    # its only way to excuse a graph, fails on exactly the pendant copies
     monkeypatch.setattr(campaigns, "isomorphism", lambda a, b: None)
     golden = json.loads(GOLDEN.read_text())
     assert _snapshot(verify_lemma_r_plus_2(5)) == golden["lemma_r_plus_2(5)"]
     assert _snapshot(verify_edge_theorem(5, 3)) == golden["edge_theorem(5, 3)"]
-    assert _snapshot(verify_spectral_theorem(5, 3, samples=64)) == golden["spectral_theorem(5, 3, samples=64)"]
+    rep = verify_spectral_theorem(5, 3, samples=64)
+    assert not rep.passed
+    assert [(lv.m, lv.negative) for lv in rep.levels] == [(5, 30), (4, 0), (-1, 0)]
+    spec, pendant = LevelSpec(5, 3, 5), clique_plus_pendant(5, 3)
+    prefix = "violation at m=5 rank "
+    suffix = ": non-hamiltonian above the edge threshold and not the pendant exception"
+    violations = [note for note in rep.notes if note.startswith("violation")]
+    assert len(violations) == 30
+    for note in violations:
+        assert note.startswith(prefix) and note.endswith(suffix)
+        chosen, = level_masks(spec, [int(note[len(prefix):-len(suffix)])]).tolist()
+        assert are_isomorphic(hypergraph_at(spec, chosen), pendant)
+
+
+def test_spectral_campaign_runs_no_canonical_search(monkeypatch):
+    calls = []
+    original = campaigns.canonical_form
+    monkeypatch.setattr(campaigns, "canonical_form", lambda h: calls.append(h) or original(h))
+    assert verify_spectral_theorem(5, 3, samples=64).passed
+    assert calls == []
+
+
+def test_undecided_verdicts_are_retried_at_a_thousandth_of_the_tolerance(monkeypatch):
+    # force the first verdict of some cycle-level graphs to undecided; each
+    # must be re-bracketed alone at tol/1000, and its second verdict counted
+    spec = LevelSpec(5, 3, 5)
+    targets = {hypergraph_at(spec, c) for c in level_masks(spec, np.arange(0, 252, 25)).tolist()}
+    targets.discard(clique_plus_pendant(5, 3))  # the campaign's own check of it is not retried
+    t_spec = comb(3, 2)
+    assert {exceeds_threshold(h, t_spec) for h in targets} == {CERTIFIED_ABOVE, CERTIFIED_BELOW_OR_EQUAL}
+    expected = verify_spectral_theorem(5, 3, samples=64).to_dict()
+    original = campaigns.threshold_verdict
+    seen, forced, retried = {}, set(), []
+
+    def fake(h, est, t, tol):
+        first = id(h) not in seen
+        seen.setdefault(id(h), h)  # keeps h alive, so its id is not reused
+        if first and h in targets:
+            forced.add(id(h))
+            return UNDECIDED
+        if id(h) in forced:
+            retried.append((h, est, tol))
+        return original(h, est, t, tol)
+
+    monkeypatch.setattr(campaigns, "threshold_verdict", fake)
+    got = verify_spectral_theorem(5, 3, samples=64).to_dict()
+    assert len(forced) >= len(targets) and len(retried) == len(forced)
+    for h, est, tol in retried:
+        alone = spectral_radius(h, tol / 1000, max_iter=500_000)
+        assert (est.lower, est.upper, est.iterations, est.converged) == (
+            alone.lower, alone.upper, alone.iterations, alone.converged)
+        assert np.array_equal(est.vector, alone.vector)
+    assert got["levels"][0]["note"] == "undecided=0 unconverged=0"
+    got.pop("seconds")
+    expected.pop("seconds")
+    assert got == expected
 
 
 def test_recheck_mismatch_names_the_rank(monkeypatch):
@@ -263,29 +326,39 @@ def test_recheck_mismatch_names_the_rank(monkeypatch):
 
 
 def test_spectral_violations_and_undecided_verdicts_keep_witnesses(monkeypatch):
-    calls = []
+    # audit order: the cycle level (m=5, 252 graphs), the path level (m=4,
+    # 210 graphs), then the random graphs; the pendant exception's own
+    # check comes last
+    audited = 252 + 210 + 8
+    seen, calls = {}, []
 
-    def fake(h, *args, **kwargs):
-        # call order: the cycle level (m=5, 252 graphs), the path level
-        # (m=4, 210 graphs), then the random graphs
-        i = len(calls)
+    def fake(h, est, t, tol):
+        i = seen.setdefault(id(h), len(seen))
         calls.append(h)
+        if i >= audited:
+            return original(h, est, t, tol)
         if i == 7 or i == 252 + 210 + 2:
-            return CERTIFIED_ABOVE, "forced violation", False
+            return CERTIFIED_ABOVE
         if 252 <= i < 252 + 12:
-            return UNDECIDED, None, False
-        return CERTIFIED_BELOW_OR_EQUAL, None, False
+            return UNDECIDED
+        return CERTIFIED_BELOW_OR_EQUAL
 
-    monkeypatch.setattr(campaigns, "_audit_graph", fake)
+    original = campaigns.threshold_verdict
+    monkeypatch.setattr(campaigns, "threshold_verdict", fake)
+    monkeypatch.setattr(campaigns, "isomorphism", lambda a, b: None)
+    monkeypatch.setattr(BergeDecider, "decide", lambda self, masks, kind: np.zeros(len(masks), dtype=bool))
     rep = verify_spectral_theorem(5, 3, samples=8)
-    assert len(calls) == 252 + 210 + 8
+    assert len(seen) == audited + 1
+    assert len(calls) == audited + 12 + 1  # each undecided verdict is retried once
     assert not rep.passed
     assert [lv.negative for lv in rep.levels] == [1, 0, 1]
     assert rep.levels[1].note == "undecided=12 unconverged=0"
-    random_edges = [list(e) for e in calls[252 + 210 + 2].edge_sets()]
+    forced = [h for h in calls if seen[id(h)] == 252 + 210 + 2][0]
+    random_edges = [list(e) for e in forced.edge_sets()]
     shown = ", ".join(f"m=4 rank {rk}" for rk in range(10))
     assert rep.notes == [
-        "violation at m=5 rank 7: forced violation",
-        f"violation at random graph with edges {random_edges}: forced violation",
+        "violation at m=5 rank 7: non-hamiltonian above the edge threshold and not the pendant exception",
+        f"violation at random graph with edges {random_edges}: spectral radius certified above "
+        "threshold but edge count below implied bound",
         f"12 undecided instances need exact follow-up: {shown} (first 10)",
     ]
