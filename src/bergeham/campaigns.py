@@ -71,6 +71,7 @@ from .spectral import (
     spectral_radii,
     spectral_radius,
     threshold_verdict,
+    threshold_verdicts,
 )
 
 CSV_HEADER = "n,r,m,visited,hamiltonian,nonhamiltonian,exceptions,pass"
@@ -162,14 +163,16 @@ class AuditTally:
     undecided: list[str] = field(default_factory=list)   # witnesses
     violations: list[str] = field(default_factory=list)  # "violation at <witness>: <reason>"
 
-    def add(self, rank: int | None, h: Hypergraph, verdict: str, violation: str | None,
-            unconverged: bool) -> None:
+    def add(self, spec: LevelSpec, rank: int | None, chosen: int, verdict: str,
+            violation: str | None, unconverged: bool) -> None:
+        """Count the graph ``chosen`` on ``spec``'s universe; a ``Hypergraph``
+        is built only for the edge list of a random graph kept as a witness."""
         self.audited += 1
         self.unconverged += unconverged
         self.above += verdict == CERTIFIED_ABOVE
         if verdict == UNDECIDED or violation is not None:
-            witness = (f"m={h.m} rank {rank}" if rank is not None
-                       else f"random graph with edges {[list(e) for e in h.edge_sets()]}")
+            witness = (f"m={chosen.bit_count()} rank {rank}" if rank is not None else
+                       f"random graph with edges {[list(e) for e in hypergraph_at(spec, chosen).edge_sets()]}")
             if verdict == UNDECIDED:
                 self.undecided.append(witness)
             if violation is not None:
@@ -199,10 +202,13 @@ def _audit(n: int, r: int, rows: Iterable[tuple[int | None, int]], tol: float) -
     edges, and a Hamiltonian cycle above ``t_edge`` (a path at it) unless a
     verified isomorphism maps it onto the pendant (isolated-vertex)
     exception.  Per ``SPECTRAL_SLICE`` graphs, one ``spectral_radii`` call
-    brackets them all and one more re-brackets the undecided ones at
-    ``tol/1000`` (an estimate does not depend on its batch, so this is each
-    graph's own retry), and one ``decide`` call per kind gives the Berge
-    verdicts, so memory stays flat however many rows there are.
+    brackets them all and one ``threshold_verdicts`` call decides them; the
+    undecided ones, if any, are re-bracketed together at ``tol/1000`` (an
+    estimate does not depend on its batch, so this is each graph's own
+    retry) and decided again.  One ``decide`` call per kind gives the Berge
+    verdicts, so memory stays flat however many rows there are.  Edge
+    counts are mask popcounts; a ``Hypergraph`` is built only for an
+    isomorphism check or a kept witness.
     """
     t_spec = threshold("spectral_cycle", n, r).value
     t_edge = threshold("edge_cycle", n, r).value
@@ -214,29 +220,31 @@ def _audit(n: int, r: int, rows: Iterable[tuple[int | None, int]], tol: float) -
     tally = AuditTally()
     while part := list(islice(rows, SPECTRAL_SLICE)):
         chosen = [c for _, c in part]
-        graphs = [hypergraph_at(spec, c) for c in chosen]
         ests = spectral_radii(n, r, chosen, tol, max_iter=50_000)
-        verdicts = [threshold_verdict(h, est, t_spec, tol) for h, est in zip(graphs, ests)]
+        verdicts = threshold_verdicts(n, r, chosen, ests, t_spec, tol)
         unconverged = [not est.converged for est in ests]
-        retry = [i for i, verdict in enumerate(verdicts) if verdict == UNDECIDED]
-        for i, est in zip(retry, spectral_radii(n, r, [chosen[i] for i in retry], tol / 1000, max_iter=500_000)):
-            verdicts[i] = threshold_verdict(graphs[i], est, t_spec, tol)
-            unconverged[i] |= not est.converged
+        if retry := [i for i, verdict in enumerate(verdicts) if verdict == UNDECIDED]:
+            again = [chosen[i] for i in retry]
+            ests = spectral_radii(n, r, again, tol / 1000, max_iter=500_000)
+            for i, verdict, est in zip(retry, threshold_verdicts(n, r, again, ests, t_spec, tol), ests):
+                verdicts[i] = verdict
+                unconverged[i] |= not est.converged
         violations: list[str | None] = [None] * len(part)
         asked: dict[str, list[int]] = {"cycle": [], "path": []}
-        for i, (h, verdict) in enumerate(zip(graphs, verdicts)):
+        for i, (c, verdict) in enumerate(zip(chosen, verdicts)):
             if verdict != CERTIFIED_ABOVE:
                 continue
-            if h.m < t_edge:
+            m = c.bit_count()
+            if m < t_edge:
                 violations[i] = "spectral radius certified above threshold but edge count below implied bound"
             else:
-                asked["cycle" if h.m > t_edge else "path"].append(i)
+                asked["cycle" if m > t_edge else "path"].append(i)
         for kind, idx in asked.items():
             for i, yes in zip(idx, _decider(n, r).decide([chosen[i] for i in idx], kind).tolist()):
-                if not yes and isomorphism(graphs[i], exception[kind]) is None:
+                if not yes and isomorphism(hypergraph_at(spec, chosen[i]), exception[kind]) is None:
                     violations[i] = reason[kind]
-        for (rank, _), h, verdict, violation, unconv in zip(part, graphs, verdicts, violations, unconverged):
-            tally.add(rank, h, verdict, violation, unconv)
+        for (rank, c), verdict, violation, unconv in zip(part, verdicts, violations, unconverged):
+            tally.add(spec, rank, c, verdict, violation, unconv)
     return tally
 
 

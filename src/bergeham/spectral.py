@@ -41,7 +41,14 @@ returned vector.  Its float coordinates are dyadic rationals; scaled to a
 common power of two they become integers ``X_i``, and ``lambda > t`` is
 certified by the integer test ``r * den(t) * sum_e prod X_i > num(t) *
 sum_i X_i^r``, so campaign verdicts never hinge on floating-point
-rounding.
+rounding.  ``threshold_verdicts`` decides a whole batch at once with a
+float filter in front of that test: it recomputes both sums in floats
+from each vector and settles a row when ``r * T`` and ``t * D`` differ by
+more than a relative margin proven to exceed their rounding error (see
+``_verdicts``).  Rows inside the margin, rows whose vector the error
+bound does not cover, and every row of a threshold that is not exactly a
+float go to ``certified_above``; ``threshold_verdict`` is the one-row
+call of the same core.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import repeat
 from math import frexp
+from operator import index
 
 import numpy as np
 
@@ -62,6 +70,8 @@ UNDECIDED = "undecided"
 
 _TINY = 1e-300  # clamp for x**(r-1) denominators
 _MANTISSA = 2.0 ** 53  # frexp fraction * _MANTISSA is an exact integer
+_UNIT = 2.0 ** -53  # unit roundoff of float64
+_NORMAL = float(np.finfo(np.float64).tiny)  # smallest positive normal float, 2^-1022
 
 
 @dataclass(frozen=True)
@@ -82,10 +92,13 @@ class SpectralEstimate:
     converged: bool
 
 
+_edge_members = lru_cache(maxsize=1 << 16)(members_of)  # edge mask -> vertex tuple
+
+
 def _edge_index_array(h: Hypergraph) -> np.ndarray:
     if h.m == 0:
         return np.zeros((0, h.r), dtype=np.intp)
-    return np.array([members_of(e) for e in h.edges], dtype=np.intp)
+    return np.array([_edge_members(e) for e in h.edges], dtype=np.intp)
 
 
 def evaluate_form(h: Hypergraph, x) -> float:
@@ -307,16 +320,25 @@ def _universe_members(n: int, r: int) -> np.ndarray:
 
 
 def _picked_edges(n: int, r: int, chosen) -> np.ndarray:
-    """(B, C(n, r)) 0/1 array: entry [b, i] is bit i of the b-th chosen-universe mask."""
+    """(B, C(n, r)) 0/1 array: entry [b, i] is bit i of the b-th chosen-universe mask.
+
+    A mask is any integer, Python or numpy.
+    """
     width = len(universe_masks(n, r))
     nbytes = (width + 7) // 8
-    chosen = list(chosen)
-    if any(mask < 0 for mask in chosen):
-        raise ValueError("a chosen mask is negative")
-    if any(mask >> width for mask in chosen):
-        raise ValueError(f"a chosen mask selects an edge beyond the {width} of the ({n}, {r}) universe")
-    raw = np.frombuffer(b"".join(mask.to_bytes(nbytes, "little") for mask in chosen), dtype=np.uint8)
-    return np.unpackbits(raw.reshape(len(chosen), nbytes), axis=1, count=width, bitorder="little")
+    masks = []
+    for mask in chosen:
+        try:
+            value = index(mask)
+        except TypeError:
+            raise TypeError(f"a chosen mask is not an integer: {mask!r}") from None
+        if value < 0:
+            raise ValueError(f"a chosen mask is negative: {value}")
+        if value >> width:
+            raise ValueError(f"a chosen mask selects an edge beyond the {width} of the ({n}, {r}) universe: {value}")
+        masks.append(value)
+    raw = np.frombuffer(b"".join(mask.to_bytes(nbytes, "little") for mask in masks), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(masks), nbytes), axis=1, count=width, bitorder="little")
 
 
 def spectral_radii(n: int, r: int, chosen, tol: float = 1e-9,
@@ -330,9 +352,6 @@ def spectral_radii(n: int, r: int, chosen, tol: float = 1e-9,
     return _bracket(n, r, _universe_members(n, r), _picked_edges(n, r, chosen), tol, max_iter)
 
 
-_edge_members = lru_cache(maxsize=1 << 16)(members_of)  # edge mask -> vertex tuple
-
-
 def _dyadic_sums(h: Hypergraph, x) -> tuple[int, int]:
     """(sum_e prod_{i in e} X_i, sum_i X_i^r) over integers X_i = x_i * 2^-s.
 
@@ -340,7 +359,12 @@ def _dyadic_sums(h: Hypergraph, x) -> tuple[int, int]:
     so every X_i is an integer and both sums are exact; they share the
     factor 2^{r s}, which cancels in the form ratio.
     """
-    parts = [frexp(v) for v in np.asarray(x, dtype=np.float64).tolist()]
+    v = np.asarray(x, dtype=np.float64)
+    if v.shape != (h.n,):
+        raise ValueError(f"vector has shape {v.shape}, expected ({h.n},)")
+    if not np.isfinite(v).all():
+        raise ValueError("need a finite vector")
+    parts = [frexp(c) for c in v.tolist()]
     if any(f < 0 for f, _ in parts):
         raise ValueError("need a nonnegative vector")
     exps = [e for f, e in parts if f]
@@ -381,6 +405,103 @@ def certified_above(h: Hypergraph, x, t) -> bool:
     return h.r * den * total > num * denom
 
 
+def _margin(k: int) -> float:
+    """4 * gamma_k, the float filter's relative margin for k roundings."""
+    return 4 * k * _UNIT / (1 - k * _UNIT)
+
+
+def _verdicts(n: int, r: int, members: np.ndarray, picked: np.ndarray, vectors, uppers,
+              t, tol: float) -> list[str]:
+    """``threshold_verdict`` of each graph that ``picked`` selects from
+    ``members`` (as in ``_components``), at its vector and upper bound.
+
+    Per row, the float sums ``T = sum_e prod_{i in e} x_i`` and ``D =
+    sum_i x_i^r`` are recomputed from the vector (``est.lower`` is not
+    trusted), each product and power by repeated multiplication, and with
+    ``c = t * D`` the row is above when ``r * T > c * (1 + eps)`` and not
+    above when ``r * T < c * (1 - eps)``, with ``eps = _margin(k)`` for
+    ``k = r + E + n`` (E the width of ``members``).
+
+    Proof.  Let u = 2^-53 and gamma_j = j u / (1 - j u).  When no operation
+    overflows or lands below the normal range, a product of j roundings
+    (1 + delta_i), |delta_i| <= u, is 1 + theta with |theta| <= gamma_j
+    (Higham, Accuracy and Stability of Numerical Algorithms, Lemma 3.1).
+    Every term is nonnegative, and a sum in any order puts each of its E
+    terms through at most E - 1 roundings, so the computed ``r * T`` is
+    ``r T (1 + alpha)`` after at most (r - 1) + (E - 1) + 1 roundings and
+    the computed ``c`` is ``t D (1 + beta)`` after at most (r - 1) + (n - 1)
+    + 1, with |alpha|, |beta| <= gamma = gamma_k.  The factor ``1 + eps``
+    and the product ``c * (1 + eps)`` round twice more.  So the "above"
+    test implies r T / (t D) >= (1 + 4 gamma)(1 - gamma)(1 - u)^2 / (1 +
+    gamma), and the "not above" test implies r T / (t D) <= (1 - 4
+    gamma)(1 + gamma)(1 + u)^2 / (1 - gamma).  Since k >= 4 gives gamma >=
+    4u, and k < 2^50 gives gamma <= 1/4, the first bound exceeds 1 and the
+    second is below 1: the filter's answer is the exact one, strict on
+    both sides.
+
+    The bound needs its premises, so a row goes to ``certified_above`` (the
+    exact integer test, with its errors for a malformed vector) when the
+    filter cannot settle it: every row when ``t`` is not exactly a
+    positive finite float; a row whose vector does not have shape (n,),
+    or has a non-finite or negative coordinate, or none nonzero; a row
+    whose smallest nonzero coordinate, raised to the r, could leave the
+    normal range, or whose ``c * (1 +- eps)`` overflows or falls to the
+    normal range's edge; and a row inside the margin.  The verdict is
+    then ``certified_above``, else ``certified_below_or_equal`` when the
+    upper bound is at most ``t + tol``, else ``undecided``.
+    """
+    _check_tol(tol)
+    vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
+    b = len(vectors)
+    x = np.zeros((b, n))
+    for i, v in enumerate(vectors):
+        if v.shape == (n,):
+            x[i] = v
+    try:
+        tf = float(t)
+    except (TypeError, ValueError, OverflowError):
+        tf = np.nan
+    settle = np.full(b, tf == t and 0 < tf < np.inf)
+    settle &= np.isfinite(x).all(axis=1)
+    x[~settle] = 0.0
+    settle &= (x >= 0).all(axis=1) & x.any(axis=1)
+    # every nonzero coordinate is at least 2^(e - 1), e its smallest frexp exponent
+    low = np.frexp(np.where(x > 0, x, 1.0).min(axis=1))[1] - 1
+    settle &= r * low >= -1022
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow leaves a row unsettled
+        prods = x[:, members[:, 0]]
+        for j in range(1, r):
+            prods = prods * x[:, members[:, j]]
+        powers = x
+        for _ in range(r - 1):
+            powers = powers * x
+        form = r * (prods * picked).sum(axis=1)
+        c = tf * powers.sum(axis=1)
+        eps = _margin(r + members.shape[0] + n)
+        c_hi, c_lo = c * (1 + eps), c * (1 - eps)
+    settle &= (form < np.inf) & (c_hi < np.inf) & (c_lo > _NORMAL)
+    above = form > c_hi
+    settle &= above | (form < c_lo)
+    for i in np.flatnonzero(~settle).tolist():
+        graph = Hypergraph(n, r, members[np.flatnonzero(picked[i])].tolist())
+        above[i] = certified_above(graph, vectors[i], t)
+    bound = t + tol
+    return [CERTIFIED_ABOVE if yes else CERTIFIED_BELOW_OR_EQUAL if upper <= bound else UNDECIDED
+            for yes, upper in zip(above.tolist(), uppers)]
+
+
+def threshold_verdicts(n: int, r: int, chosen, estimates, t, tol: float = 1e-9) -> list[str]:
+    """``threshold_verdict`` of many graphs given as chosen-universe masks,
+    each with its estimate, decided together; the verdicts are exact.
+    """
+    estimates = list(estimates)
+    picked = _picked_edges(n, r, chosen)
+    if len(picked) != len(estimates):
+        raise ValueError(f"{len(picked)} graphs but {len(estimates)} estimates")
+    return _verdicts(n, r, _universe_members(n, r), picked, [est.vector for est in estimates],
+                     [est.upper for est in estimates], t, tol)
+
+
 def threshold_verdict(h: Hypergraph, est: SpectralEstimate, t, tol: float = 1e-9) -> str:
     """Classify lambda(h) against threshold ``t`` from a computed estimate.
 
@@ -388,14 +509,11 @@ def threshold_verdict(h: Hypergraph, est: SpectralEstimate, t, tol: float = 1e-9
     vector to exceed ``t``: a sound strict inequality.
     ``certified_below_or_equal`` means the floating upper bound clears
     ``t`` within ``tol`` (exact equality cases land here).  Anything else
-    is ``undecided`` and deserves exact-arithmetic follow-up.
+    is ``undecided`` and deserves exact-arithmetic follow-up.  This is the
+    one-row case of ``threshold_verdicts``.
     """
-    _check_tol(tol)
-    if certified_above(h, est.vector, t):
-        return CERTIFIED_ABOVE
-    if est.upper <= t + tol:
-        return CERTIFIED_BELOW_OR_EQUAL
-    return UNDECIDED
+    return _verdicts(h.n, h.r, _edge_index_array(h), np.ones((1, h.m), dtype=np.uint8), [est.vector],
+                     [est.upper], t, tol)[0]
 
 
 def exceeds_threshold(h: Hypergraph, t, tol: float = 1e-9, max_iter: int = 10 ** 6) -> str:

@@ -1,13 +1,14 @@
 import json
 import random
 from dataclasses import asdict
+from itertools import repeat
 from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bergeham import campaigns
+from bergeham import campaigns, spectral
 from bergeham.berge import BergeDecider, SearchResult, find_hamiltonian_berge_cycle
 from bergeham.campaigns import (
     CSV_HEADER,
@@ -272,20 +273,27 @@ def test_undecided_verdicts_are_retried_at_a_thousandth_of_the_tolerance(monkeyp
     t_spec = comb(3, 2)
     assert {exceeds_threshold(h, t_spec) for h in targets} == {CERTIFIED_ABOVE, CERTIFIED_BELOW_OR_EQUAL}
     expected = verify_spectral_theorem(5, 3, samples=64).to_dict()
-    original = campaigns.threshold_verdict
-    seen, forced, retried = {}, set(), []
+    original = campaigns.threshold_verdicts
+    forced, retried, pending = [], [], []
 
-    def fake(h, est, t, tol):
-        first = id(h) not in seen
-        seen.setdefault(id(h), h)  # keeps h alive, so its id is not reused
-        if first and h in targets:
-            forced.add(id(h))
-            return UNDECIDED
-        if id(h) in forced:
-            retried.append((h, est, tol))
-        return original(h, est, t, tol)
+    def fake(n, r, chosen, ests, t, tol):
+        # a slice's first call forces the targets; the call after it that
+        # holds exactly the undecided graphs is their retry
+        verdicts = original(n, r, chosen, ests, t, tol)
+        graphs = [hypergraph_at(spec, c) for c in chosen]
+        if pending:
+            assert graphs == pending
+            retried.extend(zip(graphs, ests, repeat(tol)))
+            pending.clear()
+            return verdicts
+        for i, h in enumerate(graphs):
+            if h in targets:
+                forced.append(h)
+                verdicts[i] = UNDECIDED
+        pending.extend(h for h, verdict in zip(graphs, verdicts) if verdict == UNDECIDED)
+        return verdicts
 
-    monkeypatch.setattr(campaigns, "threshold_verdict", fake)
+    monkeypatch.setattr(campaigns, "threshold_verdicts", fake)
     got = verify_spectral_theorem(5, 3, samples=64).to_dict()
     assert len(forced) >= len(targets) and len(retried) == len(forced)
     for h, est, tol in retried:
@@ -328,32 +336,39 @@ def test_recheck_mismatch_names_the_rank(monkeypatch):
 def test_spectral_violations_and_undecided_verdicts_keep_witnesses(monkeypatch):
     # audit order: the cycle level (m=5, 252 graphs), the path level (m=4,
     # 210 graphs), then the random graphs; the pendant exception's own
-    # check comes last
+    # check comes last, through the one-graph threshold_verdict
     audited = 252 + 210 + 8
-    seen, calls = {}, []
+    seen, calls, pending = [], [], []
 
-    def fake(h, est, t, tol):
-        i = seen.setdefault(id(h), len(seen))
-        calls.append(h)
-        if i >= audited:
-            return original(h, est, t, tol)
-        if i == 7 or i == 252 + 210 + 2:
-            return CERTIFIED_ABOVE
-        if 252 <= i < 252 + 12:
-            return UNDECIDED
-        return CERTIFIED_BELOW_OR_EQUAL
+    def fake(n, r, chosen, ests, t, tol):
+        spec = LevelSpec(n, r, 0)
+        graphs = [hypergraph_at(spec, c) for c in chosen]
+        calls.extend(graphs)
+        if pending:  # the retry of the previous call's undecided graphs
+            assert graphs == [seen[i] for i in pending]
+            index, verdicts = pending[:], [UNDECIDED] * len(graphs)
+            pending.clear()
+        else:
+            index = range(len(seen), len(seen) + len(graphs))
+            seen.extend(graphs)
+            verdicts = [CERTIFIED_ABOVE if i == 7 or i == 252 + 210 + 2 else
+                        UNDECIDED if 252 <= i < 252 + 12 else CERTIFIED_BELOW_OR_EQUAL for i in index]
+            pending.extend(i for i, verdict in zip(index, verdicts) if verdict == UNDECIDED)
+        return verdicts
 
+    one = []
     original = campaigns.threshold_verdict
-    monkeypatch.setattr(campaigns, "threshold_verdict", fake)
+    monkeypatch.setattr(campaigns, "threshold_verdicts", fake)
+    monkeypatch.setattr(campaigns, "threshold_verdict", lambda h, est, t, tol: one.append(h) or original(h, est, t, tol))
     monkeypatch.setattr(campaigns, "isomorphism", lambda a, b: None)
     monkeypatch.setattr(BergeDecider, "decide", lambda self, masks, kind: np.zeros(len(masks), dtype=bool))
     rep = verify_spectral_theorem(5, 3, samples=8)
-    assert len(seen) == audited + 1
-    assert len(calls) == audited + 12 + 1  # each undecided verdict is retried once
+    assert len(seen) + len(one) == audited + 1
+    assert len(calls) + len(one) == audited + 12 + 1  # each undecided verdict is retried once
     assert not rep.passed
     assert [lv.negative for lv in rep.levels] == [1, 0, 1]
     assert rep.levels[1].note == "undecided=12 unconverged=0"
-    forced = [h for h in calls if seen[id(h)] == 252 + 210 + 2][0]
+    forced = seen[252 + 210 + 2]
     random_edges = [list(e) for e in forced.edge_sets()]
     shown = ", ".join(f"m=4 rank {rk}" for rk in range(10))
     assert rep.notes == [
@@ -362,3 +377,24 @@ def test_spectral_violations_and_undecided_verdicts_keep_witnesses(monkeypatch):
         "threshold but edge count below implied bound",
         f"12 undecided instances need exact follow-up: {shown} (first 10)",
     ]
+
+
+def test_spectral_audit_sends_only_near_ties_to_the_exact_test(monkeypatch):
+    # the (6,4) levels hold 8,008 graphs; the float filter settles all but
+    # the near-ties, such as the copies of K_5^4 + v at lambda = t
+    calls = []
+    original = spectral.certified_above
+    monkeypatch.setattr(spectral, "certified_above", lambda h, x, t: calls.append(h) or original(h, x, t))
+    rep = verify_spectral_theorem(6, 4, samples=0)
+    assert rep.passed and sum(lv.visited for lv in rep.levels) == 8008
+    assert 0 < len(calls) <= 100
+
+
+def test_audit_brackets_no_retry_without_undecided_verdicts(monkeypatch):
+    calls = []
+    original = campaigns.spectral_radii
+    monkeypatch.setattr(campaigns, "spectral_radii", lambda n, r, chosen, *a, **k: (
+        calls.append(len(chosen)) or original(n, r, chosen, *a, **k)))
+    rep = verify_spectral_theorem(5, 3, samples=64)
+    assert all("undecided=0" in lv.note for lv in rep.levels)
+    assert calls and 0 not in calls

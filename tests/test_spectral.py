@@ -30,6 +30,7 @@ from bergeham.spectral import (
     spectral_radii,
     spectral_radius,
     threshold_verdict,
+    threshold_verdicts,
 )
 from conftest import random_hypergraph
 
@@ -400,3 +401,132 @@ def test_batched_run_out_of_iterations_still_brackets():
         assert good.converged
         assert est.lower <= good.upper and good.lower <= est.upper
         assert est.lower == evaluate_form(hypergraph_at(spec, mask), est.vector)
+
+
+def _exact_verdict(h, est, t, tol=1e-9):
+    """threshold_verdict spelled out on the exact integer test alone."""
+    if certified_above(h, est.vector, t):
+        return CERTIFIED_ABOVE
+    return CERTIFIED_BELOW_OR_EQUAL if est.upper <= t + tol else UNDECIDED
+
+
+def _audit_level_masks(n, r, sample=None):
+    """Masks of the spectral audit's two levels at (n, r), or a seeded sample of each."""
+    masks = []
+    for m in (comb(n - 1, r) + 1, comb(n - 1, r)):
+        spec = LevelSpec(n, r, m)
+        size = level_size(spec)
+        ranks = range(size) if sample is None else sorted(random.Random(m).sample(range(size), sample))
+        masks += level_masks(spec, np.array(ranks)).tolist()
+    return masks
+
+
+@pytest.mark.parametrize("n,r,masks", [
+    (5, 3, _audit_level_masks(5, 3)),
+    (6, 4, _audit_level_masks(6, 4)),
+    (6, 3, _audit_level_masks(6, 3, sample=1500)),
+    (6, 3, _random_masks(random.Random(21), 6, 3, 300)),
+    (6, 4, _random_masks(random.Random(22), 6, 4, 300)),
+    (7, 3, _random_masks(random.Random(23), 7, 3, 300)),
+], ids=["levels-5-3", "levels-6-4", "levels-6-3", "random-6-3", "random-6-4", "random-7-3"])
+def test_batched_verdicts_equal_the_exact_integer_test(n, r, masks):
+    t_spec = threshold("spectral_cycle", n, r).value
+    spec = LevelSpec(n, r, 0)
+    graphs = [hypergraph_at(spec, mask) for mask in masks]
+    ests = spectral_radii(n, r, masks, tol=1e-9, max_iter=50_000)
+    for t in (t_spec, t_spec - 1e-9, t_spec + 1e-9, 1.5 * t_spec):
+        want = [_exact_verdict(h, est, t) for h, est in zip(graphs, ests)]
+        assert threshold_verdicts(n, r, masks, ests, t) == want
+        if t == t_spec:
+            assert [threshold_verdict(h, est, t) for h, est in zip(graphs, ests)] == want
+
+
+def test_equality_case_stays_below_or_equal_inside_a_batch():
+    # lambda(K_5^3) = 6, and its float lower bound lands above 6
+    masks = [(1 << 10) - 1, *level_masks(LevelSpec(5, 3, 5), np.arange(40)).tolist()]
+    ests = spectral_radii(5, 3, masks, tol=1e-9)
+    assert ests[0].lower == 6.000000000000002
+    assert exact_form_ratio(complete(5, 3), ests[0].vector) == 6
+    assert threshold_verdicts(5, 3, masks, ests, 6)[0] == CERTIFIED_BELOW_OR_EQUAL
+    assert threshold_verdicts(5, 3, masks, ests, 6 - 2.0 ** -48)[0] == CERTIFIED_ABOVE
+
+
+@pytest.mark.parametrize("n,r", [(5, 3), (6, 4), (7, 3)])
+def test_filter_margin_covers_thresholds_next_to_the_exact_ratio(n, r):
+    # at the floats next to an exact form ratio, rounding decides the float
+    # comparison about one time in ten; the margin must send those rows on
+    rng = np.random.default_rng(n * r)
+    spec = LevelSpec(n, r, 0)
+    width = comb(n, r)
+    masks, ests, cases = [], [], []
+    for _ in range(60):
+        mask = int(rng.integers(1, 2 ** width))
+        x = rng.random(n) + 0.5
+        ratio = exact_form_ratio(hypergraph_at(spec, mask), x)
+        masks.append(mask)
+        ests.append(SpectralEstimate(float(ratio), float(ratio), x, 1, True))
+        cases.append(ratio)
+    for shift in (-1, 0, 1):
+        for i, ratio in enumerate(cases):
+            t = float(np.nextafter(float(ratio), np.inf * shift)) if shift else float(ratio)
+            want = CERTIFIED_ABOVE if ratio > t else CERTIFIED_BELOW_OR_EQUAL
+            assert threshold_verdicts(n, r, masks[i:i + 1], ests[i:i + 1], t) == [want]
+
+
+def test_rows_outside_the_filter_go_to_the_exact_test(monkeypatch):
+    calls = []
+    original = spectral.certified_above
+    monkeypatch.setattr(spectral, "certified_above", lambda h, x, t: calls.append(h) or original(h, x, t))
+    masks = level_masks(LevelSpec(5, 3, 5), np.arange(30)).tolist()
+    ests = spectral_radii(5, 3, masks, tol=1e-9)
+    graphs = [hypergraph_at(LevelSpec(5, 3, 0), mask) for mask in masks]
+
+    def run(ests, t):
+        calls.clear()
+        got = threshold_verdicts(5, 3, masks, ests, t)
+        assert got == [_exact_verdict(h, est, t) for h, est in zip(graphs, ests)]
+        return len(calls)
+
+    assert run(ests, 4.5) == 0
+    assert run(ests, Fraction(9, 2)) == 0                # exactly the float 4.5
+    assert run(ests, Fraction(10, 3)) == len(masks)      # not a float
+    assert run(ests, 0) == len(masks)                    # not positive
+    for scale, unsettled in ((2.0 ** -100, 0), (2.0 ** 100, 0), (2.0 ** -400, len(masks)), (2.0 ** 400, len(masks))):
+        scaled = [SpectralEstimate(e.lower, e.upper, e.vector * scale, e.iterations, e.converged) for e in ests]
+        assert run(scaled, 4.5) == unsettled
+
+
+def test_malformed_vectors_are_rejected():
+    h = complete(5, 3)
+    for x, match in (([1.0] * 6, "shape"), ([1.0] * 4, "shape"), ([1.0, 1.0, float("inf"), 1.0, 1.0], "finite"),
+                     ([1.0, float("nan"), 1.0, 1.0, 1.0], "finite"), ([1.0, -1.0, 1.0, 1.0, 1.0], "nonnegative"),
+                     ([0.0] * 5, "nonzero")):
+        with pytest.raises(ValueError, match=match):
+            exact_form_ratio(h, x)
+        with pytest.raises(ValueError, match=match):
+            certified_above(h, x, 6)
+        est = SpectralEstimate(6.0, 6.0, np.array(x), 1, True)
+        with pytest.raises(ValueError, match=match):
+            threshold_verdict(h, est, 6)
+        good = spectral_radius(h)
+        with pytest.raises(ValueError, match=match):
+            threshold_verdicts(5, 3, [(1 << 10) - 1] * 2, [good, est], 6)
+
+
+def test_threshold_verdicts_needs_one_estimate_per_graph():
+    est = spectral_radius(complete(5, 3))
+    with pytest.raises(ValueError, match="2 graphs but 1 estimates"):
+        threshold_verdicts(5, 3, [1, 2], [est], 6)
+
+
+def test_numpy_integer_masks_are_accepted():
+    masks = level_masks(LevelSpec(5, 3, 5), np.arange(3))
+    ests = spectral_radii(5, 3, masks)
+    for est, other in zip(ests, spectral_radii(5, 3, masks.tolist())):
+        assert (est.lower, est.upper) == (other.lower, other.upper)
+        assert est.vector.tobytes() == other.vector.tobytes()
+    assert threshold_verdicts(5, 3, masks, ests, 6) == threshold_verdicts(5, 3, masks.tolist(), ests, 6)
+    with pytest.raises(TypeError, match="not an integer: 7.0"):
+        spectral_radii(5, 3, [7.0])
+    with pytest.raises(ValueError, match="beyond the 10"):
+        spectral_radii(5, 3, [np.uint64(1 << 10)])
