@@ -46,7 +46,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .hypergraph import Hypergraph, members_of
+from .hypergraph import Hypergraph, chosen_index, members_of
 
 REASON_INSUFFICIENT_EDGES = "insufficient_edges"
 REASON_SHADOW_NOT_HAMILTONIAN = "shadow_not_hamiltonian"
@@ -287,6 +287,7 @@ class BergeDecider:
         universe indices.  Vertex 0 anchors the cycle.
         """
         n = self.n
+        chosen = chosen_index(chosen, len(self.universe))
         if chosen.bit_count() < n:
             return None
         vc = self.vert_cover
@@ -312,6 +313,7 @@ class BergeDecider:
         reversed copies; with endpoints (a, b) the order runs from a to b.
         """
         n = self.n
+        chosen = chosen_index(chosen, len(self.universe))
         if chosen.bit_count() < n - 1:
             return None
         vc = self.vert_cover
@@ -347,7 +349,8 @@ class BergeDecider:
         slots is positive too.  A negative answer always comes from the
         search, and a slice's answers and work depend on that slice alone.
         Universes of more than 64 edges raise ``ValueError``, since masks
-        are held as ``uint64``.
+        are held as ``uint64``.  The masks are checked as one array, and
+        walked only to name the first bad one through ``chosen_index``.
         """
         if kind not in ("cycle", "path"):
             raise ValueError(f"kind must be 'cycle' or 'path', got {kind!r}")
@@ -355,7 +358,11 @@ class BergeDecider:
             raise ValueError(f"decide needs at most 64 universe edges, got {len(self.universe)}")
         close = kind == "cycle"
         search = self.search_cycle if close else self.search_path
-        masks = np.asarray(masks, dtype=np.uint64)
+        rows = np.asarray(masks)
+        if rows.dtype.kind not in "iu" or rows.size and (rows.min() < 0 or rows.max() > self.full_chosen):
+            for mask in masks:
+                chosen_index(mask, len(self.universe))
+        masks = rows.astype(np.uint64, copy=False)
         out = np.zeros(len(masks), dtype=bool)
         for lo in range(0, len(masks), DECIDE_SLICE):
             part = masks[lo:lo + DECIDE_SLICE]

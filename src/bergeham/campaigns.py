@@ -163,16 +163,16 @@ class AuditTally:
     undecided: list[str] = field(default_factory=list)   # witnesses
     violations: list[str] = field(default_factory=list)  # "violation at <witness>: <reason>"
 
-    def add(self, spec: LevelSpec, rank: int | None, chosen: int, verdict: str,
+    def add(self, n: int, r: int, rank: int | None, chosen: int, verdict: str,
             violation: str | None, unconverged: bool) -> None:
-        """Count the graph ``chosen`` on ``spec``'s universe; a ``Hypergraph``
+        """Count the graph ``chosen`` on the (n, r) universe; a ``Hypergraph``
         is built only for the edge list of a random graph kept as a witness."""
         self.audited += 1
         self.unconverged += unconverged
         self.above += verdict == CERTIFIED_ABOVE
         if verdict == UNDECIDED or violation is not None:
             witness = (f"m={chosen.bit_count()} rank {rank}" if rank is not None else
-                       f"random graph with edges {[list(e) for e in hypergraph_at(spec, chosen).edge_sets()]}")
+                       f"random graph with edges {[list(e) for e in hypergraph_at(n, r, chosen).edge_sets()]}")
             if verdict == UNDECIDED:
                 self.undecided.append(witness)
             if violation is not None:
@@ -215,7 +215,6 @@ def _audit(n: int, r: int, rows: Iterable[tuple[int | None, int]], tol: float) -
     exception = {"cycle": clique_plus_pendant(n, r), "path": clique_plus_isolated(n, r)}
     reason = {"cycle": "non-hamiltonian above the edge threshold and not the pendant exception",
               "path": "no hamiltonian path at the edge threshold and not the isolated-vertex exception"}
-    spec = LevelSpec(n, r, 0)  # hypergraph_at reads only (n, r)
     rows = iter(rows)
     tally = AuditTally()
     while part := list(islice(rows, SPECTRAL_SLICE)):
@@ -241,10 +240,10 @@ def _audit(n: int, r: int, rows: Iterable[tuple[int | None, int]], tol: float) -
                 asked["cycle" if m > t_edge else "path"].append(i)
         for kind, idx in asked.items():
             for i, yes in zip(idx, _decider(n, r).decide([chosen[i] for i in idx], kind).tolist()):
-                if not yes and isomorphism(hypergraph_at(spec, chosen[i]), exception[kind]) is None:
+                if not yes and isomorphism(hypergraph_at(n, r, chosen[i]), exception[kind]) is None:
                     violations[i] = reason[kind]
         for (rank, c), verdict, violation, unconv in zip(part, verdicts, violations, unconverged):
-            tally.add(spec, rank, c, verdict, violation, unconv)
+            tally.add(n, r, rank, c, verdict, violation, unconv)
     return tally
 
 
@@ -267,20 +266,16 @@ def _class_code(h: Hypergraph, witnesses: dict[str, Hypergraph]) -> str:
     return code
 
 
-def _collapse_exceptions(spec: LevelSpec, negatives: list[tuple[int, int]]):
-    """Group negative ranks by canonical form; returns (records, graphs)."""
+def _collapse_exceptions(spec: LevelSpec, negatives: list[tuple[int, int]]) -> list[ExceptionRecord]:
+    """Group negative (rank, mask) pairs by canonical form, one record per class."""
     by_code: Counter[str] = Counter()
     witness: dict[str, Hypergraph] = {}
-    graphs: list[Hypergraph] = []
     for _, chosen in negatives:
-        h = hypergraph_at(spec, chosen)
-        graphs.append(h)
-        by_code[_class_code(h, witness)] += 1
-    records = [
+        by_code[_class_code(hypergraph_at(spec.n, spec.r, chosen), witness)] += 1
+    return [
         ExceptionRecord(code=c, count=k, example_edges=[list(members_of(e)) for e in witness[c].edges])
         for c, k in sorted(by_code.items())
     ]
-    return records, graphs
 
 
 def _expected_exception_outcome(records: list[ExceptionRecord], expected: CanonicalForm | None,
@@ -315,7 +310,7 @@ def _recheck_sample(spec: LevelSpec, kind: str, negatives: set[int], rng: random
     ranks = sorted(rng.sample(range(total), min(RECHECK_SAMPLE, total)))
     certs: list[dict] = []
     for rank, chosen in zip(ranks, level_masks(spec, np.array(ranks)).tolist()):
-        h = hypergraph_at(spec, chosen)
+        h = hypergraph_at(spec.n, spec.r, chosen)
         res = find_hamiltonian_berge_cycle(h) if kind == "cycle" else find_hamiltonian_berge_path(h)
         cert = res.certificate
         problem = ""
@@ -340,20 +335,21 @@ def _recheck_sample(spec: LevelSpec, kind: str, negatives: set[int], rng: random
 def _berge_level(report: VerificationReport, level: LevelSpec, kind: str,
                  expected: CanonicalForm | None, expected_count: int,
                  rng: random.Random, run: dict,
-                 bases: list[Hypergraph] | None = None) -> tuple[bool, list[Hypergraph]]:
+                 bases: list[int] | None = None) -> tuple[bool, list[int]]:
     """Check one report row against its expected exceptions and record it.
 
     A row sweeps a list of level specs: the whole ``level``, or, given
-    ``bases``, the ``level.m``-edge supergraphs of each base graph, one spec
+    ``bases``, the ``level.m``-edge supergraphs of each base mask, one spec
     per base (the closure row; no bases give a row of zero counts).  Each
     spec is swept with the ``kind`` decider (``run`` holds the
     ``run_chunks`` options), and a seeded sample of a whole level is
     re-decided (``_recheck_sample``; the closure row has none).  All the
     row's negatives are collapsed by canonical form at once and compared
     with ``expected_count`` labeled copies of ``expected``; the row and the
-    sampled certificates go to ``report``.  Returns (ok, negative graphs).
+    sampled certificates go to ``report``.  Returns (ok, the negatives'
+    masks), which are the bases of the closure row.
     """
-    specs = [level] if bases is None else [LevelSpec(level.n, level.r, level.m, base=g) for g in bases]
+    specs = [level] if bases is None else [LevelSpec(level.n, level.r, level.m, base) for base in bases]
     visited = positive = 0
     negatives = []
     for spec in specs:
@@ -365,7 +361,7 @@ def _berge_level(report: VerificationReport, level: LevelSpec, kind: str,
     if bases is None:
         failure, certs = _recheck_sample(level, kind, {rk for rk, _ in negatives}, rng)
         report.certificates.extend(certs)
-    records, graphs = _collapse_exceptions(level, negatives)
+    records = _collapse_exceptions(level, negatives)
     ok, note = _expected_exception_outcome(records, expected, expected_count)
     ok = ok and not failure
     note = "; ".join(filter(None, [note, failure]))
@@ -376,11 +372,11 @@ def _berge_level(report: VerificationReport, level: LevelSpec, kind: str,
             negative=len(negatives), exceptions=records, ok=ok, note=note,
         )
     )
-    return ok, graphs
+    return ok, [chosen for _, chosen in negatives]
 
 
 def _cycle_level(report: VerificationReport, plan: ReductionPlan, rng: random.Random,
-                 run: dict) -> tuple[bool, list[Hypergraph]]:
+                 run: dict) -> tuple[bool, list[int]]:
     """Check the plan's cycle level: its non-Hamiltonian graphs must be
     exactly the n·C(n-1, r-1) labeled copies of the clique-plus-pendant graph."""
     n, r = plan.n, plan.r
@@ -459,11 +455,11 @@ def verify_edge_theorem(
     run = dict(jobs=jobs, budget=budget, chunk_size=chunk_size, progress=progress)
 
     # cycle level: one edge above the threshold
-    ok_cycle, exception_graphs = _cycle_level(report, plan, rng, run)
+    ok_cycle, exception_masks = _cycle_level(report, plan, rng, run)
 
     # closure row: every one-edge supergraph of each exception actually found
     ok_closure, _ = _berge_level(report, LevelSpec(n, r, plan.cycle_level.m + 1), "cycle", None, 0,
-                                 rng, run, bases=exception_graphs)
+                                 rng, run, bases=exception_masks)
 
     # path level: at the threshold
     ok_path, _ = _berge_level(

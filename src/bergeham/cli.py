@@ -24,7 +24,7 @@ from . import campaigns
 from .berge import find_hamiltonian_berge_cycle, find_hamiltonian_berge_path, verify_certificate
 from .bounds import THRESHOLD_NAMES, bai_lu_bound, threshold
 from .canonical import canonical_form
-from .enumeration import DEFAULT_BUDGET, BudgetExceeded, chosen_mask
+from .enumeration import DEFAULT_BUDGET, BudgetExceeded
 from .formats import (
     certificate_to_dict,
     load_certificate,
@@ -62,8 +62,8 @@ def _emit_report(report: campaigns.VerificationReport, fmt: str, out: str | None
 def _progress_printer(kind: str):
     def emit(spec, lo: int, hi: int, res) -> None:
         line = {"m": spec.m, "mode": spec.mode}
-        if spec.base is not None:
-            line["base"] = chosen_mask(spec.n, spec.r, spec.base.edges)
+        if spec.base:
+            line["base"] = spec.base
         line["chunk"] = [lo, hi]
         if kind == "berge":
             count, pos, neg = res

@@ -1,21 +1,23 @@
 """Exhaustive level enumeration of hypergraphs with deterministic chunking.
 
-A *level* is the set of labeled hypergraphs on a fixed (n, r) with a
-fixed edge count m, optionally restricted to supergraphs of a base graph.
-Every labeled graph of a level is visited once; there is no isomorph
-rejection.  A graph's rank is the colex position of its chosen (non-base)
-edge indices, which is also ascending numeric order of its chosen-universe
-bitmask.  ``level_masks`` unranks a whole array of ranks at once in the
-combinatorial number system: for i = k down to 1, one ``searchsorted``
-over the column C(., i) finds every rank's i-th index c, whose binomial is
-subtracted and whose universe bit is set.  Index c is universe edge c on a
-labeled level and the c-th edge outside the base on a supergraph level,
-whose base mask is ORed in, so both modes share one path.  Masks are
-``uint64`` for universes of at most 64 edges and Python ints in ``object``
-arrays beyond, in the same loop.  Ranks give stateless chunks ``[lo, hi)``
-that partition a level exactly, so work can be distributed over processes
-and the results merged back in rank order: aggregates are reproducible for
-any worker count, and interrupted sweeps can resume from a rank.
+A graph is named by its chosen-universe mask, an int whose bit i selects
+edge ``universe_masks(n, r)[i]``.  A *level* is the set of labeled m-edge
+hypergraphs on a fixed (n, r) that contain a base mask of k edges: base 0
+gives every labeled graph, any other base its supergraphs, and one
+formula, C(C(n, r) - k, m - k), counts both.  Every labeled graph of a
+level is visited once; there is no isomorph rejection.  A graph's rank
+is the colex position of its edge indices outside the base, which is
+also ascending numeric order of its mask.  ``level_masks`` unranks a
+whole array of ranks at once in the combinatorial number system: for
+i = m - k down to 1, one ``searchsorted`` over the column C(., i) finds
+every rank's i-th index c, whose binomial is subtracted and whose bit,
+the c-th bit clear in the base, is set on top of the base.  Masks are
+``uint64`` for universes of at most 64 edges and Python ints in
+``object`` arrays beyond, in the same loop.  Ranks give stateless chunks
+``[lo, hi)`` that partition a level exactly, so work can be distributed
+over processes and the results merged back in rank order: aggregates
+are reproducible for any worker count, and interrupted sweeps can resume
+from a rank.
 
 The monotone reduction plan encodes why sweeping two levels suffices to
 verify an edge-count Hamiltonicity threshold for *all* larger edge
@@ -38,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hypergraph import Hypergraph, universe_masks
+from .hypergraph import Hypergraph, chosen_index, universe_masks
 
 ALL_LABELED = "all_labeled"
 SUPERGRAPHS = "supergraphs"
@@ -61,43 +63,34 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class LevelSpec:
-    """One enumeration level: m-edge r-graphs on n vertices, or only the
-    supergraphs of ``base`` when one is given."""
+    """One enumeration level: the m-edge r-graphs on n vertices that contain
+    ``base``, a chosen-universe mask; the default 0 gives every labeled graph."""
 
     n: int
     r: int
     m: int
-    base: Hypergraph | None = None
+    base: int = 0
 
     def __post_init__(self):
         if not 2 <= self.r <= self.n:
             raise ValueError(f"need 2 <= r <= n, got r={self.r}, n={self.n}")
-        if not 0 <= self.m <= comb(self.n, self.r):
+        width = comb(self.n, self.r)
+        if not 0 <= self.m <= width:
             raise ValueError(f"need 0 <= m <= C(n,r), got m={self.m}")
-        if self.base is not None:
-            if (self.base.n, self.base.r) != (self.n, self.r):
-                raise ValueError("base must live on the same (n, r)")
-            if self.base.m > self.m:
-                raise ValueError("base has more edges than the level")
+        object.__setattr__(self, "base", chosen_index(self.base, width))
+        if self.base.bit_count() > self.m:
+            raise ValueError("base has more edges than the level")
 
     @property
     def mode(self) -> str:
-        return ALL_LABELED if self.base is None else SUPERGRAPHS
+        return SUPERGRAPHS if self.base else ALL_LABELED
 
 
 def level_size(spec: LevelSpec) -> int:
-    """Exact number of graphs the level enumerates: every labeled m-edge
-    graph, or every m-edge supergraph of the base."""
-    u = comb(spec.n, spec.r)
-    if spec.base is not None:
-        return comb(u - spec.base.m, spec.m - spec.base.m)
-    return comb(u, spec.m)
-
-
-def _free_positions(spec: LevelSpec) -> list[int]:
-    u = universe_masks(spec.n, spec.r)
-    base_set = set(spec.base.edges)
-    return [i for i, em in enumerate(u) if em not in base_set]
+    """Exact number of graphs the level enumerates: the m-edge graphs that
+    contain the base's k edges."""
+    k = spec.base.bit_count()
+    return comb(comb(spec.n, spec.r) - k, spec.m - k)
 
 
 @cache
@@ -124,17 +117,12 @@ def level_masks(spec: LevelSpec, ranks) -> np.ndarray:
         raise ValueError(f"ranks must be integers, got an array of {ranks.dtype}")
     if ranks.size and not (int(ranks.min()) >= 0 and int(ranks.max()) < total):
         raise ValueError(f"ranks must lie in [0, {total}), got {ranks.min()}..{ranks.max()}")
-    u = universe_masks(spec.n, spec.r)
-    dtype = np.uint64 if len(u) <= 64 else object
-    if spec.base is None:
-        pos, base, k = range(len(u)), 0, spec.m
-    else:
-        pos, k = _free_positions(spec), spec.m - spec.base.m
-        base = chosen_mask(spec.n, spec.r, spec.base.edges)
-    bits = np.array([1 << p for p in pos], dtype=dtype)
+    width = comb(spec.n, spec.r)
+    dtype = np.uint64 if width <= 64 else object
+    bits = np.array([1 << p for p in range(width) if not spec.base >> p & 1], dtype=dtype)
     rank = ranks.astype(dtype)
-    mask = np.full(rank.shape, base, dtype=dtype)
-    for col in reversed(_binomial_columns(len(bits), k, dtype)):
+    mask = np.full(rank.shape, spec.base, dtype=dtype)
+    for col in reversed(_binomial_columns(len(bits), spec.m - spec.base.bit_count(), dtype)):
         c = np.searchsorted(col, rank, "right") - 1
         rank -= col[c]
         mask |= bits[c]
@@ -147,15 +135,18 @@ def chosen_mask(n: int, r: int, edges) -> int:
     return sum(1 << i for i, em in enumerate(universe_masks(n, r)) if em in edges)
 
 
-def hypergraph_at(spec: LevelSpec, chosen: int) -> Hypergraph:
-    """Materialize the hypergraph a chosen-universe mask denotes."""
-    u = universe_masks(spec.n, spec.r)
+def hypergraph_at(n: int, r: int, chosen) -> Hypergraph:
+    """Materialize the hypergraph a chosen-universe mask denotes on (n, r)."""
+    if not 2 <= r <= n:
+        raise ValueError(f"need 2 <= r <= n, got r={r}, n={n}")
+    u = universe_masks(n, r)
+    chosen = chosen_index(chosen, len(u))
     masks = []
     while chosen:
         b = chosen & -chosen
         chosen ^= b
         masks.append(u[b.bit_length() - 1])
-    return Hypergraph._from_sorted_masks(spec.n, spec.r, tuple(masks))
+    return Hypergraph._from_sorted_masks(n, r, tuple(masks))
 
 
 def run_chunks(

@@ -28,6 +28,21 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def chosen_index(mask, width: int) -> int:
+    """Any integer ``mask``, numpy's included, as a Python int whose bit i
+    selects edge i of a ``width``-edge universe; a non-integer raises
+    ``TypeError``, a negative mask or a bit past the universe ``ValueError``."""
+    try:
+        value = operator.index(mask)
+    except TypeError:
+        raise TypeError(f"a chosen mask is not an integer: {mask!r}") from None
+    if value < 0:
+        raise ValueError(f"a chosen mask is negative: {value}")
+    if value >> width:
+        raise ValueError(f"a chosen mask selects an edge beyond the {width} universe edges: {value}")
+    return value
+
+
 def members_of(mask: int) -> tuple[int, ...]:
     """Unpack a bitmask into a sorted tuple of vertex ids."""
     out = []

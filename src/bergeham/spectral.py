@@ -58,11 +58,10 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import repeat
 from math import frexp
-from operator import index
 
 import numpy as np
 
-from .hypergraph import Hypergraph, members_of, universe_masks
+from .hypergraph import Hypergraph, chosen_index, members_of, universe_masks
 
 CERTIFIED_ABOVE = "certified_above"
 CERTIFIED_BELOW_OR_EQUAL = "certified_below_or_equal"
@@ -326,17 +325,7 @@ def _picked_edges(n: int, r: int, chosen) -> np.ndarray:
     """
     width = len(universe_masks(n, r))
     nbytes = (width + 7) // 8
-    masks = []
-    for mask in chosen:
-        try:
-            value = index(mask)
-        except TypeError:
-            raise TypeError(f"a chosen mask is not an integer: {mask!r}") from None
-        if value < 0:
-            raise ValueError(f"a chosen mask is negative: {value}")
-        if value >> width:
-            raise ValueError(f"a chosen mask selects an edge beyond the {width} of the ({n}, {r}) universe: {value}")
-        masks.append(value)
+    masks = [chosen_index(mask, width) for mask in chosen]
     raw = np.frombuffer(b"".join(mask.to_bytes(nbytes, "little") for mask in masks), dtype=np.uint8)
     return np.unpackbits(raw.reshape(len(masks), nbytes), axis=1, count=width, bitorder="little")
 

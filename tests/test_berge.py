@@ -355,6 +355,33 @@ def test_decide_rejects_wide_universes_and_unknown_kinds():
     assert d.decide([], "path").tolist() == []
 
 
+def test_the_decider_takes_numpy_masks_and_rejects_bad_ones():
+    d = BergeDecider(5, universe_masks(5, 3))
+    spec = LevelSpec(5, 3, 6)
+    masks = level_masks(spec, np.arange(level_size(spec)))
+    assert masks.dtype == np.uint64
+    for m in masks[::7]:
+        assert d.search_cycle(m) == d.search_cycle(int(m))
+        assert d.search_path(m) == d.search_path(int(m))
+        assert d.cycle_exists(m) == d.cycle_exists(int(m))
+    full = (1 << 10) - 1
+    assert d.decide(masks, "cycle").tolist() == d.decide(masks.tolist(), "cycle").tolist()
+    assert d.decide(np.array([full], dtype=np.int64), "cycle").tolist() == [True]
+    for bad, error, match in [
+        (1023.9, TypeError, "not an integer: 1023.9"),
+        (full | 1 << 30, ValueError, f"beyond the 10 universe edges: {full | 1 << 30}"),
+        (-1, ValueError, "negative: -1"),
+    ]:
+        for call in (d.search_cycle, d.search_path, lambda c: d.decide([full, c], "cycle")):
+            with pytest.raises(error, match=match):
+                call(bad)
+    # a negative row among numpy integers, and one past uint64
+    with pytest.raises(ValueError, match="negative: -2"):
+        d.decide(np.array([full, -2]), "path")
+    with pytest.raises(ValueError, match="beyond the 10"):
+        d.decide([full, 1 << 64], "path")
+
+
 @pytest.mark.parametrize("n, r, m, kinds", [
     (6, 4, 5, ("cycle", "path")),
     (6, 4, 6, ("cycle", "path")),

@@ -77,7 +77,7 @@ def test_a_failing_closure_row_collapses_its_negatives(monkeypatch):
     cycle_level = LevelSpec(5, 3, 5)
     decider = BergeDecider(5, universe_masks(5, 3))
     base = next(ch for ch in level_masks(cycle_level, np.arange(level_size(cycle_level))).tolist() if not decider.cycle_exists(ch))
-    target, = level_masks(LevelSpec(5, 3, 6, base=hypergraph_at(cycle_level, base)), np.arange(3, 4)).tolist()
+    target, = level_masks(LevelSpec(5, 3, 6, base=base), np.arange(3, 4)).tolist()
     decide = BergeDecider.decide
     hits = []
 
@@ -102,7 +102,7 @@ def test_a_failing_closure_row_collapses_its_negatives(monkeypatch):
     assert closure.positive == good.levels[1].positive - 1 == 149
     record, = closure.exceptions
     assert record.count == 1
-    assert record.code == canonical_form(hypergraph_at(cycle_level, target)).compact()
+    assert record.code == canonical_form(hypergraph_at(5, 3, target)).compact()
     assert closure.note == "expected no exceptions, found 1"
 
 
@@ -253,7 +253,7 @@ def test_reports_do_not_depend_on_the_matcher(monkeypatch):
     for note in violations:
         assert note.startswith(prefix) and note.endswith(suffix)
         chosen, = level_masks(spec, [int(note[len(prefix):-len(suffix)])]).tolist()
-        assert are_isomorphic(hypergraph_at(spec, chosen), pendant)
+        assert are_isomorphic(hypergraph_at(5, 3, chosen), pendant)
 
 
 def test_spectral_campaign_runs_no_canonical_search(monkeypatch):
@@ -268,7 +268,7 @@ def test_undecided_verdicts_are_retried_at_a_thousandth_of_the_tolerance(monkeyp
     # force the first verdict of some cycle-level graphs to undecided; each
     # must be re-bracketed alone at tol/1000, and its second verdict counted
     spec = LevelSpec(5, 3, 5)
-    targets = {hypergraph_at(spec, c) for c in level_masks(spec, np.arange(0, 252, 25)).tolist()}
+    targets = {hypergraph_at(5, 3, c) for c in level_masks(spec, np.arange(0, 252, 25)).tolist()}
     targets.discard(clique_plus_pendant(5, 3))  # the campaign's own check of it is not retried
     t_spec = comb(3, 2)
     assert {exceeds_threshold(h, t_spec) for h in targets} == {CERTIFIED_ABOVE, CERTIFIED_BELOW_OR_EQUAL}
@@ -280,7 +280,7 @@ def test_undecided_verdicts_are_retried_at_a_thousandth_of_the_tolerance(monkeyp
         # a slice's first call forces the targets; the call after it that
         # holds exactly the undecided graphs is their retry
         verdicts = original(n, r, chosen, ests, t, tol)
-        graphs = [hypergraph_at(spec, c) for c in chosen]
+        graphs = [hypergraph_at(n, r, c) for c in chosen]
         if pending:
             assert graphs == pending
             retried.extend(zip(graphs, ests, repeat(tol)))
@@ -313,7 +313,7 @@ def test_recheck_mismatch_names_the_rank(monkeypatch):
 
     def graph(rank):
         chosen, = level_masks(spec, np.array([rank])).tolist()
-        return hypergraph_at(spec, chosen)
+        return hypergraph_at(5, 3, chosen)
 
     positives = [rk for rk in ranks if find_hamiltonian_berge_cycle(graph(rk))]
     target = graph(positives[2])
@@ -341,8 +341,7 @@ def test_spectral_violations_and_undecided_verdicts_keep_witnesses(monkeypatch):
     seen, calls, pending = [], [], []
 
     def fake(n, r, chosen, ests, t, tol):
-        spec = LevelSpec(n, r, 0)
-        graphs = [hypergraph_at(spec, c) for c in chosen]
+        graphs = [hypergraph_at(n, r, c) for c in chosen]
         calls.extend(graphs)
         if pending:  # the retry of the previous call's undecided graphs
             assert graphs == [seen[i] for i in pending]

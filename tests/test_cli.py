@@ -210,10 +210,14 @@ def test_verbose_closure_lines_name_their_base(capsys):
     closure = [line for line in lines if line["mode"] == "supergraphs"]
     assert len(closure) == 30 and {line["m"] for line in closure} == {6}
     # each base is one labeled copy of the pendant exception, as a universe mask
-    spec = LevelSpec(5, 3, 5)
     copies = {chosen_mask(5, 3, h.edges) for h in labeled_pendant_copies(5, 3)}
     assert {line["base"] for line in closure} == copies
-    assert all(hypergraph_at(spec, line["base"]).m == 5 for line in closure)
+    assert all(hypergraph_at(5, 3, line["base"]).m == 5 for line in closure)
+    # a line's ranks rebuild into supergraphs of its base, as README says
+    for line in closure:
+        lo, _ = line["chunk"]
+        h = hypergraph_at(5, 3, int(level_masks(LevelSpec(5, 3, line["m"], line["base"]), [lo])[0]))
+        assert set(hypergraph_at(5, 3, line["base"]).edges) < set(h.edges) and h.m == 6
 
 
 def test_verbose_is_a_verify_flag():

@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 import random
@@ -28,29 +29,44 @@ from bergeham.enumeration import (
 )
 from bergeham.hypergraph import (
     clique_plus_pendant,
+    complete,
     labeled_pendant_copies,
     universe_masks,
 )
 
 
+def pendant_mask(n: int, r: int) -> int:
+    return chosen_mask(n, r, clique_plus_pendant(n, r).edges)
+
+
 def test_level_sizes():
     assert level_size(LevelSpec(6, 4, 6)) == comb(15, 6) == 5005
     assert level_size(LevelSpec(8, 6, 8)) == comb(28, 8) == 3108105
-    base = clique_plus_pendant(6, 3)
-    assert level_size(LevelSpec(6, 3, 12, base=base)) == comb(9, 1) == 9
+    assert level_size(LevelSpec(6, 3, 12, base=pendant_mask(6, 3))) == comb(9, 1) == 9
     assert level_size(LevelSpec(5, 3, 0)) == 1
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
         LevelSpec(5, 3, 11)  # m > C(5,3)
-    with pytest.raises(ValueError):
-        LevelSpec(5, 3, 3, base=clique_plus_pendant(5, 3))  # base bigger
-    with pytest.raises(ValueError):
-        LevelSpec(5, 3, 6, base=clique_plus_pendant(6, 3))  # base on another n
+    with pytest.raises(ValueError, match="more edges than the level"):
+        LevelSpec(5, 3, 3, base=pendant_mask(5, 3))  # base bigger
+    with pytest.raises(ValueError, match="negative: -1"):
+        LevelSpec(5, 3, 6, base=-1)
+    with pytest.raises(ValueError, match="beyond the 10 universe edges: 1024"):
+        LevelSpec(5, 3, 6, base=1 << 10)
+    with pytest.raises(TypeError, match="not an integer: 7.0"):
+        LevelSpec(5, 3, 6, base=7.0)
+    # a numpy base, as level_masks returns it, is stored as a Python int
+    spec = LevelSpec(5, 3, 6, base=np.uint64(pendant_mask(5, 3)))
+    assert type(spec.base) is int and spec == LevelSpec(5, 3, 6, base=pendant_mask(5, 3))
+    assert json.loads(json.dumps(vars(spec))) == {"n": 5, "r": 3, "m": 6, "base": pendant_mask(5, 3)}
+    # base 0 is the labeled level itself
+    assert LevelSpec(5, 3, 6, base=0) == LevelSpec(5, 3, 6)
+    assert hash(LevelSpec(5, 3, 6, base=0)) == hash(LevelSpec(5, 3, 6))
     # the mode follows from the base, so a spec cannot disagree with itself
     assert LevelSpec(5, 3, 5).mode == "all_labeled"
-    assert LevelSpec(5, 3, 6, base=clique_plus_pendant(5, 3)).mode == "supergraphs"
+    assert LevelSpec(5, 3, 6, base=pendant_mask(5, 3)).mode == "supergraphs"
 
 
 # scalar oracles for level_masks: colex rank/unrank in the combinatorial
@@ -90,13 +106,11 @@ def next_same_popcount(v: int) -> int:
 
 def oracle_mask(spec: LevelSpec, rank: int) -> int:
     """The chosen-universe mask at ``rank``, one scalar unrank at a time."""
-    u = universe_masks(spec.n, spec.r)
-    if spec.base is None:
+    if not spec.base:
         return colex_unrank(rank, spec.m)
-    free = [i for i, em in enumerate(u) if em not in spec.base.edges]
-    small = colex_unrank(rank, spec.m - spec.base.m)
-    return chosen_mask(spec.n, spec.r, spec.base.edges) | sum(
-        1 << free[c] for c in range(len(free)) if small >> c & 1)
+    free = [i for i in range(len(universe_masks(spec.n, spec.r))) if not spec.base >> i & 1]
+    small = colex_unrank(rank, spec.m - spec.base.bit_count())
+    return spec.base | sum(1 << free[c] for c in range(len(free)) if small >> c & 1)
 
 
 def test_colex_rank_unrank_round_trip():
@@ -139,13 +153,13 @@ def test_level_masks_on_windows_and_samples():
 
 def test_level_masks_on_supergraph_levels():
     for n, r in [(5, 3), (6, 3), (6, 4)]:
-        base = clique_plus_pendant(n, r)
+        base = pendant_mask(n, r)
         for k in range(4):
-            spec = LevelSpec(n, r, base.m + k, base=base)
+            spec = LevelSpec(n, r, base.bit_count() + k, base=base)
             ranks = np.arange(level_size(spec))
             got = level_masks(spec, ranks).tolist()
             assert got == [oracle_mask(spec, t) for t in ranks.tolist()]
-            assert all(chosen_mask(n, r, base.edges) & ~g == 0 and g.bit_count() == spec.m for g in got)
+            assert all(base & ~g == 0 and g.bit_count() == spec.m for g in got)
             assert got == sorted(got)
 
 
@@ -163,7 +177,7 @@ def test_level_masks_take_object_arrays_past_64_edges():
 
 
 def test_level_masks_reject_ranks_outside_the_level_and_non_integers():
-    for spec in (LevelSpec(5, 3, 5), LevelSpec(6, 3, 12, base=clique_plus_pendant(6, 3))):
+    for spec in (LevelSpec(5, 3, 5), LevelSpec(6, 3, 12, base=pendant_mask(6, 3))):
         total = level_size(spec)
         assert level_masks(spec, [0, total - 1]).tolist() == [oracle_mask(spec, 0), oracle_mask(spec, total - 1)]
         for bad in (-1, total):
@@ -184,13 +198,13 @@ def test_chunks_partition_the_level_exactly():
         pieces.extend(level_masks(spec, np.arange(lo, min(lo + 37, 252))).tolist())
     assert pieces == whole
     # checksum by canonical codes on a small level
-    codes_whole = sorted(canonical_form(hypergraph_at(spec, ch)).compact() for ch in whole)
-    codes_pieces = sorted(canonical_form(hypergraph_at(spec, ch)).compact() for ch in pieces)
+    codes_whole = sorted(canonical_form(hypergraph_at(5, 3, ch)).compact() for ch in whole)
+    codes_pieces = sorted(canonical_form(hypergraph_at(5, 3, ch)).compact() for ch in pieces)
     assert codes_whole == codes_pieces
 
 
 def _edge_counts(spec, lo, hi):
-    return [hypergraph_at(spec, chosen).m for chosen in level_masks(spec, np.arange(lo, hi)).tolist()]
+    return [hypergraph_at(spec.n, spec.r, chosen).m for chosen in level_masks(spec, np.arange(lo, hi)).tolist()]
 
 
 def test_sum_of_edges_identity():
@@ -206,7 +220,7 @@ def _first_edge_is_even(spec, lo, hi):
     hits = []
     for rank, chosen in zip(range(lo, hi), level_masks(spec, np.arange(lo, hi)).tolist()):
         visited += 1
-        h = hypergraph_at(spec, chosen)
+        h = hypergraph_at(spec.n, spec.r, chosen)
         if h.edges and not (h.edges[0] & 1):
             hits.append(rank)
     return visited, hits
@@ -224,11 +238,11 @@ def test_aggregate_is_identical_for_any_worker_count():
 
 def test_supergraph_mode_enumerates_exactly_the_supergraphs():
     base = clique_plus_pendant(6, 3)
-    spec = LevelSpec(6, 3, 12, base=base)
+    spec = LevelSpec(6, 3, 12, base=pendant_mask(6, 3))
     seen = level_masks(spec, np.arange(level_size(spec))).tolist()
     assert len(seen) == 9
     for ch in seen:
-        h = hypergraph_at(spec, ch)
+        h = hypergraph_at(6, 3, ch)
         assert set(base.edges) <= set(h.edges) and h.m == 12
 
 
@@ -391,8 +405,23 @@ def test_run_chunks_spawns_workers_where_fork_is_missing(monkeypatch):
 
 def test_chosen_mask_inverts_hypergraph_at():
     spec = LevelSpec(6, 3, 7)
-    for chosen in level_masks(spec, np.arange(300)).tolist():
-        assert chosen_mask(6, 3, hypergraph_at(spec, chosen).edges) == chosen
+    masks = level_masks(spec, np.arange(300))
+    for chosen in masks.tolist():
+        assert chosen_mask(6, 3, hypergraph_at(6, 3, chosen).edges) == chosen
+    # a mask straight from level_masks is a numpy integer
+    assert hypergraph_at(6, 3, masks[5]) == hypergraph_at(6, 3, int(masks[5]))
+
+
+def test_hypergraph_at_checks_its_mask():
+    assert hypergraph_at(5, 3, (1 << 10) - 1) == complete(5, 3)
+    with pytest.raises(ValueError, match="negative: -3"):
+        hypergraph_at(5, 3, -3)
+    with pytest.raises(ValueError, match="beyond the 10 universe edges: 1024"):
+        hypergraph_at(5, 3, 1 << 10)
+    with pytest.raises(TypeError, match="not an integer: 3.0"):
+        hypergraph_at(5, 3, 3.0)
+    with pytest.raises(ValueError, match="need 2 <= r <= n"):
+        hypergraph_at(3, 5, 0)
 
 
 def test_universe_is_built_once_per_shape():
@@ -426,7 +455,7 @@ def test_reduction_soundness_by_brute_force_5_3():
         bad = []
         for ch in level_masks(spec, np.arange(level_size(spec))).tolist():
             if not d.cycle_exists(ch):
-                bad.append(hypergraph_at(spec, ch).edges)
+                bad.append(hypergraph_at(5, 3, ch).edges)
         if m == 5:
             assert len(bad) == 30 and set(bad) == pendant_edge_sets
         else:

@@ -203,9 +203,8 @@ def _random_masks(rng, n, r, count):
 
 def _batched(n, r, masks, **kw):
     """(graph, batched estimate) for each mask."""
-    spec = LevelSpec(n, r, 0)
     for mask, est in zip(masks, spectral_radii(n, r, masks, **kw)):
-        yield hypergraph_at(spec, mask), est
+        yield hypergraph_at(n, r, mask), est
 
 
 def _fraction_ratio(h, x):
@@ -307,7 +306,7 @@ def test_estimates_do_not_depend_on_the_batch(n, r):
     together = spectral_radii(n, r, masks, tol=1e-9)
     reversed_ = spectral_radii(n, r, masks[::-1], tol=1e-9)[::-1]
     alone = [spectral_radii(n, r, [mask], tol=1e-9)[0] for mask in masks]
-    single = [spectral_radius(h, tol=1e-9) for h in map(partial(hypergraph_at, LevelSpec(n, r, 0)), masks)]
+    single = [spectral_radius(h, tol=1e-9) for h in map(partial(hypergraph_at, n, r), masks)]
     for est, *others in zip(together, reversed_, alone, single):
         for other in others:
             assert (est.lower, est.upper, est.iterations, est.converged) == (
@@ -400,7 +399,7 @@ def test_batched_run_out_of_iterations_still_brackets():
     for mask, est, good in zip(masks, short, tight):
         assert good.converged
         assert est.lower <= good.upper and good.lower <= est.upper
-        assert est.lower == evaluate_form(hypergraph_at(spec, mask), est.vector)
+        assert est.lower == evaluate_form(hypergraph_at(6, 3, mask), est.vector)
 
 
 def _exact_verdict(h, est, t, tol=1e-9):
@@ -431,8 +430,7 @@ def _audit_level_masks(n, r, sample=None):
 ], ids=["levels-5-3", "levels-6-4", "levels-6-3", "random-6-3", "random-6-4", "random-7-3"])
 def test_batched_verdicts_equal_the_exact_integer_test(n, r, masks):
     t_spec = threshold("spectral_cycle", n, r).value
-    spec = LevelSpec(n, r, 0)
-    graphs = [hypergraph_at(spec, mask) for mask in masks]
+    graphs = [hypergraph_at(n, r, mask) for mask in masks]
     ests = spectral_radii(n, r, masks, tol=1e-9, max_iter=50_000)
     for t in (t_spec, t_spec - 1e-9, t_spec + 1e-9, 1.5 * t_spec):
         want = [_exact_verdict(h, est, t) for h, est in zip(graphs, ests)]
@@ -456,13 +454,12 @@ def test_filter_margin_covers_thresholds_next_to_the_exact_ratio(n, r):
     # at the floats next to an exact form ratio, rounding decides the float
     # comparison about one time in ten; the margin must send those rows on
     rng = np.random.default_rng(n * r)
-    spec = LevelSpec(n, r, 0)
     width = comb(n, r)
     masks, ests, cases = [], [], []
     for _ in range(60):
         mask = int(rng.integers(1, 2 ** width))
         x = rng.random(n) + 0.5
-        ratio = exact_form_ratio(hypergraph_at(spec, mask), x)
+        ratio = exact_form_ratio(hypergraph_at(n, r, mask), x)
         masks.append(mask)
         ests.append(SpectralEstimate(float(ratio), float(ratio), x, 1, True))
         cases.append(ratio)
@@ -479,7 +476,7 @@ def test_rows_outside_the_filter_go_to_the_exact_test(monkeypatch):
     monkeypatch.setattr(spectral, "certified_above", lambda h, x, t: calls.append(h) or original(h, x, t))
     masks = level_masks(LevelSpec(5, 3, 5), np.arange(30)).tolist()
     ests = spectral_radii(5, 3, masks, tol=1e-9)
-    graphs = [hypergraph_at(LevelSpec(5, 3, 0), mask) for mask in masks]
+    graphs = [hypergraph_at(5, 3, mask) for mask in masks]
 
     def run(ests, t):
         calls.clear()
