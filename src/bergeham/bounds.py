@@ -5,13 +5,14 @@ verification campaigns.
 All threshold comparisons that decide a campaign are exact integer
 arithmetic; floating point appears only inside the monotone root-finding
 of ``binom_poly_inverse`` and in ``bai_lu_bound`` values derived from it.
-Both take numpy arrays too, and run each element through the scalar path,
-so an array gives exactly the scalar values.
+Each is one array body: a scalar runs as a one-element array and comes
+back as a float, a numpy array comes back as float64 in its own shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb, factorial
 
 import numpy as np
@@ -50,64 +51,67 @@ def binom_poly(r: int, x):
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got r={r}")
-    if isinstance(x, (int, np.integer)):
-        num = 1
-        for i in range(r):
-            num *= x - i
-        return num // factorial(r)
-    acc = 1.0
+    exact = isinstance(x, (int, np.integer))
+    acc = 1 if exact else 1.0
     for i in range(r):
         acc *= x - i
-    return acc / factorial(r)
+    return acc // factorial(r) if exact else acc / factorial(r)
 
 
-def _grow_upper_bracket(r: int, y: float) -> float:
-    # (hi - r + 1)^r >= y * r!  guarantees binom_poly(r, hi) >= y.
-    return (y * factorial(r)) ** (1.0 / r) + r
+def _checked(name: str, v) -> np.ndarray:
+    # v as a flat float64 array, every element finite and nonnegative
+    try:
+        a = np.asarray(v, dtype=np.float64).reshape(-1)
+    except OverflowError:
+        raise ValueError(f"{name}={v} is too large for a float") from None
+    for bad, need in ((~np.isfinite(a), f"a finite {name}"), (a < 0, f"{name} >= 0")):
+        if bad.any():
+            raise ValueError(f"need {need}, got {name}={a[bad][0]}")
+    return a
 
 
 def binom_poly_inverse(r: int, y):
     """The unique x >= r-1 with binom_poly(r, x) = y, for y >= 0.
 
-    Bracketed bisection to ~1e-13 relative accuracy followed by a Newton
-    polish; results land exactly on integers whenever y is an exact
-    binomial value (checked in integer arithmetic, not floating point).
-    A numpy array is inverted element by element through the same path,
-    into a float64 array of its shape.
+    Bracketed bisection to adjacent floats followed by a Newton polish;
+    results land exactly on integers whenever y is an exact binomial value
+    (checked in integer arithmetic, not floating point).  One array body
+    runs every element at once, scalars as one-element arrays.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got r={r}")
-    if isinstance(y, np.ndarray):
-        return np.array([binom_poly_inverse(r, v) for v in y.flat], dtype=np.float64).reshape(y.shape)
-    y = float(y)
-    if y < 0:
-        raise ValueError(f"need y >= 0, got y={y}")
-    if y == 0.0:
-        return float(r - 1)
-    lo, hi = float(r - 1), _grow_upper_bracket(r, y)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if binom_poly(r, mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(2):
-        px = binom_poly(r, x)
-        if px <= 0.0:
-            break
-        deriv = px * sum(1.0 / (x - i) for i in range(r))
-        if deriv <= 0.0:
-            break
-        x -= (px - y) / deriv
-        x = min(max(x, lo), hi) if lo < hi else x
-    cand = round(x)
-    if cand >= r - 1 and float(cand).is_integer() and y.is_integer():
-        if comb(int(cand), r) == int(y):
-            return float(cand)
-    return x
+    ys = _checked("y", y)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # (hi - r + 1)^r >= y * r! guarantees binom_poly(r, hi) >= y; the root is
+        # libm's pow, as numpy's array pow can round the last bit differently
+        roots = map(pow, (ys * factorial(r)).tolist(), repeat(1.0 / r))
+        lo, hi = np.full(ys.shape, float(r - 1)), np.fromiter(roots, np.float64, count=ys.size) + r
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            moving = (mid != lo) & (mid != hi)
+            if not moving.any():
+                break
+            below = binom_poly(r, mid) < ys
+            np.copyto(lo, mid, where=moving & below)
+            np.copyto(hi, mid, where=moving & ~below)
+        x = 0.5 * (lo + hi)
+        live = np.ones(ys.shape, dtype=bool)  # stops at its first px <= 0 or deriv <= 0
+        for _ in range(2):
+            px = binom_poly(r, x)
+            deriv = px * sum(1.0 / (x - i) for i in range(r))
+            live &= ~((px <= 0.0) | (deriv <= 0.0))
+            step = x - (px - ys) / deriv
+            step = np.where(lo > step, lo, step)  # min(max(step, lo), hi), as lo < hi throughout
+            x = np.where(live, np.where(hi < step, hi, step), x)
+    if not np.isfinite(x).all():
+        raise ValueError(f"cannot invert binom_poly({r}, x) = {ys[~np.isfinite(x)][0]}: "
+                         "the polynomial overflows a float first")
+    cand = np.rint(x)
+    for i in np.flatnonzero((ys == np.floor(ys)) & (cand >= r - 1)).tolist():
+        if comb(int(cand[i]), r) == int(ys[i]):
+            x[i] = cand[i]
+    x[ys == 0.0] = r - 1
+    return x.reshape(y.shape) if isinstance(y, np.ndarray) else x.item()
 
 
 def bai_lu_bound(r: int, m):
@@ -115,21 +119,16 @@ def bai_lu_bound(r: int, m):
 
     This is the Bai-Lu function f_r(m) = binom_poly(r-1, binom_poly_inverse(r, m) - 1);
     it is tight exactly for complete r-graphs plus isolated vertices, and
-    for r = 2 it reduces to Stanley's classic bound (sqrt(1+8m)-1)/2.  A
-    numpy array is bounded element by element, into a float64 array.
+    for r = 2 it reduces to Stanley's classic bound (sqrt(1+8m)-1)/2.
+    Exact at integer x; one array body, as in :func:`binom_poly_inverse`.
     """
     if r < 2:
         raise ValueError(f"need r >= 2, got r={r}")
-    if isinstance(m, np.ndarray):
-        return np.array([bai_lu_bound(r, v) for v in m.flat], dtype=np.float64).reshape(m.shape)
-    if m < 0:
-        raise ValueError(f"need m >= 0, got m={m}")
-    x = binom_poly_inverse(r, float(m))
-    if r - 1 == 1:
-        return x - 1.0
-    if float(x).is_integer():
-        return float(comb(int(x) - 1, r - 1))
-    return binom_poly(r - 1, x - 1.0)
+    x = binom_poly_inverse(r, _checked("m", m))
+    f = binom_poly(r - 1, x - 1.0)  # x - 1 itself at r = 2
+    for i in np.flatnonzero(x == np.floor(x)).tolist():
+        f[i] = float(comb(int(x[i]) - 1, r - 1))
+    return f.reshape(m.shape) if isinstance(m, np.ndarray) else f.item()
 
 
 def threshold(name: str, n: int, r: int) -> Threshold:

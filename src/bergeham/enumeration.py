@@ -33,6 +33,7 @@ a cycle certificate yields a path certificate by dropping an edge.
 from __future__ import annotations
 
 import multiprocessing
+import operator
 from dataclasses import dataclass
 from functools import cache, partial
 from math import comb
@@ -72,6 +73,11 @@ class LevelSpec:
     base: int = 0
 
     def __post_init__(self):
+        for name in ("n", "r", "m", "base"):  # stored as Python ints; chosen_index checks the base
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise TypeError(f"LevelSpec.{name} is not an integer: {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if not 2 <= self.r <= self.n:
             raise ValueError(f"need 2 <= r <= n, got r={self.r}, n={self.n}")
         width = comb(self.n, self.r)

@@ -42,6 +42,18 @@ def test_bound_lists_thresholds(capsys):
     assert payload["bai_lu_bound"] > 6
 
 
+def test_bound_at_the_spectral_threshold_and_past_the_float_range(capsys):
+    # C(5, 3) = 10 edges on 6 vertices: the bound is exactly C(4, 2) = 6
+    assert run(["bound", "--n", "6", "--r", "3", "--m", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["bai_lu_bound"] == 6.0
+    assert run(["bound", "--n", "6", "--r", "3", "--m", "9"]) == 0
+    assert json.loads(capsys.readouterr().out)["bai_lu_bound"] < 6.0
+    for r, m in ((3, 10 ** 400), (8, 10 ** 304)):  # too large for a float; m * 8! overflows
+        assert run(["bound", "--n", "6", "--r", str(r), "--m", str(m)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and "NaN" not in captured.err
+
+
 def test_lambda_rejects_max_iter_below_one(tmp_path, capsys):
     f = tmp_path / "h.txt"
     f.write_text(write_hypergraph_text(complete(5, 3)))

@@ -69,6 +69,30 @@ def test_spec_validation():
     assert LevelSpec(5, 3, 6, base=pendant_mask(5, 3)).mode == "supergraphs"
 
 
+def test_spec_rejects_a_bool_size():
+    # True would be taken as m = 1, a level of 10 graphs
+    with pytest.raises(TypeError, match="LevelSpec.m is not an integer: True"):
+        LevelSpec(5, 3, True)
+    with pytest.raises(TypeError, match="LevelSpec.r is not an integer: True"):
+        LevelSpec(5, True, 1)
+    with pytest.raises(TypeError, match="LevelSpec.base is not an integer: True"):
+        LevelSpec(5, 3, 6, base=True)
+
+
+def test_spec_rejects_a_float_size_where_it_enters():
+    with pytest.raises(TypeError, match="LevelSpec.m is not an integer: 6.0"):
+        LevelSpec(5, 3, 6.0)
+    with pytest.raises(TypeError, match="LevelSpec.n is not an integer: 5.0"):
+        LevelSpec(5.0, 3, 6)
+
+
+def test_spec_stores_numpy_sizes_as_python_ints():
+    spec = LevelSpec(np.int64(5), np.int32(3), np.int64(6))
+    assert all(type(v) is int for v in vars(spec).values())
+    assert json.dumps(vars(spec)) == '{"n": 5, "r": 3, "m": 6, "base": 0}'
+    assert spec == LevelSpec(5, 3, 6) and hash(spec) == hash(LevelSpec(5, 3, 6))
+
+
 # scalar oracles for level_masks: colex rank/unrank in the combinatorial
 # number system, and Gosper's hack for the numerically next mask
 
