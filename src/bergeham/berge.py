@@ -33,8 +33,10 @@ Hall's condition on the order's slots (each set S of slots meets at
 least |S| of the graph's edges) has a Berge Hamiltonian cycle (path)
 along that order, and is positive.  Negatives come only from the
 exhaustive search, so answers are exact and do not depend on which
-graphs share a batch.  ``search_*`` and ``find_*`` decide one graph, so
-certificates and ``SearchStats`` depend on the graph alone.
+graphs share a batch.  Hall's condition is one table of constraints per
+order, kept in a bounded cache (``_hall_sets``) that answers do not depend
+on.  ``search_*`` and ``find_*`` decide one graph, so certificates and
+``SearchStats`` depend on the graph alone.
 """
 
 from __future__ import annotations
@@ -374,40 +376,51 @@ class BergeDecider:
                     continue
                 order = hit[0]
                 pairs = zip(order, order[1:] + order[:1] if close else order[1:])
-                slots = np.array([self.pair_cover[a * self.n + b] for a, b in pairs], dtype=np.uint64)
-                ok = _hall(part[rem], slots)
+                slots = tuple(self.pair_cover[a * self.n + b] for a, b in pairs)
+                ok = _hall(part[rem], slots, len(self.universe))
                 out[lo + rem[ok]] = True
                 rem = rem[~ok]
         return out
 
 
-def _hall(rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=1 << 10)
+def _hall_sets(slots: tuple[int, ...], width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hall's condition on ``slots`` as read-only arrays ``(unions, need, slack)``
+    over a ``width``-edge universe, cached per order; see ``_hall``."""
+    need: dict[int, int] = {}  # union of a non-empty set of slots -> size of the largest such set
+    for s in slots:
+        for u, q in [(0, 0), *need.items()]:
+            need[u | s] = max(need.get(u | s, 0), q + 1)
+    unions = np.array(list(need), dtype=np.uint64)
+    q = np.array(list(need.values()), dtype=np.uint8)
+    table = unions, q, q + width - np.bitwise_count(unions)
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def _hall(rows: np.ndarray, slots: tuple[int, ...], width: int) -> np.ndarray:
     """Which rows can give every slot a distinct edge of their own.
 
-    ``rows`` are chosen-universe masks and ``slots[s]`` masks the universe
-    edges that fit slot s.  By Hall's theorem a row can exactly when every
-    non-empty set S of slots meets at least |S| of its edges.  The sets
-    are walked depth-first, each with the union of its slots' masks, and a
-    branch is cut once every row still standing meets so many edges that
-    no set in the branch can fail it.
+    ``rows`` are ``uint64`` chosen-universe masks below ``1 << width`` and
+    ``slots[s]`` masks the universe edges that fit slot s.  By Hall's
+    theorem a row can exactly when every non-empty set S of slots meets at
+    least |S| of its edges.  Of the sets with one union U the largest, all
+    slots inside U, asks the most, so ``_hall_sets`` keeps one pair (U,
+    need(U) = that count) per union.  No pair follows from another: for U2
+    strictly inside U, the slots inside U2 are inside U but not all of
+    them (their union is U2), so need(U2) < need(U).  A row with p edges
+    meets U in at least p - width + |U|, so it passes (U, need) when slack
+    = need + width - |U| <= p: a call drops the pairs with slack at most
+    its rows' smallest popcount and tests the rest on blocks of 512 rows,
+    one broadcast popcount each.
     """
-    k = len(slots)
+    unions, need, slack = _hall_sets(slots, width)
+    live = slack > np.bitwise_count(rows).min(initial=width)
+    unions, need = unions[live], need[live]
     ok = np.ones(len(rows), dtype=bool)
-    idx = np.arange(len(rows))
-    stack = [(np.uint64(0), 0, 0)]  # (union of the set's slots, set size, first slot to add)
-    while stack:
-        union, size, first = stack.pop()
-        for s in range(first, k):
-            u = union | slots[s]
-            met = np.bitwise_count(rows & u)
-            fail = met <= size  # the set has size + 1 slots
-            if fail.any():
-                ok[idx[fail]] = False
-                idx, rows, met = idx[~fail], rows[~fail], met[~fail]
-                if not len(idx):
-                    return ok
-            if met.min() < size + k - s:  # the largest set below has size + k - s slots
-                stack.append((u, size + 1, s + 1))
+    for lo in range(0, len(rows), 512):
+        ok[lo:lo + 512] = (np.bitwise_count(rows[lo:lo + 512, None] & unions) >= need).all(axis=1)
     return ok
 
 

@@ -8,6 +8,7 @@ sweeps use every available core (capped at 8).
 import os
 import random
 import time
+from collections import defaultdict
 from itertools import combinations
 from math import comb
 
@@ -17,6 +18,7 @@ from bergeham.berge import BergeDecider, brute_force_oracle
 from bergeham.bounds import bai_lu_bound, check_convexity_chain
 from bergeham.campaigns import verify_edge_theorem, verify_lemma_r_plus_2
 from bergeham.canonical import canonical_form
+from bergeham.enumeration import chosen_mask
 from bergeham.hypergraph import (
     Hypergraph,
     clique_plus_isolated,
@@ -29,6 +31,7 @@ from bergeham.spectral import (
     evaluate_form,
     exceeds_threshold,
     gradient_form,
+    spectral_radii,
     spectral_radius,
 )
 from conftest import random_hypergraph
@@ -119,16 +122,23 @@ def test_criterion_3_spectral_closed_forms():
 
 
 def test_criterion_4_bai_lu_property_suite():
+    # one spectral_radii call per (n, r) and one bai_lu_bound call per r;
+    # both give each graph what its scalar call gives, bit for bit
     t0 = time.time()
     rng = random.Random(20240)
-    violations = 0
+    drawn = defaultdict(list)  # (n, r) -> chosen-universe masks, in draw order
     for _ in range(10_000):
         n = rng.randint(5, 8)
         r = rng.randint(3, n - 2)
-        h = random_hypergraph(rng, n, r)
-        est = spectral_radius(h, tol=1e-10, max_iter=50_000)
-        if est.upper > bai_lu_bound(r, h.m) + 1e-9:
-            violations += 1
+        drawn[n, r].append(chosen_mask(n, r, random_hypergraph(rng, n, r).edges))
+    uppers, edge_counts = defaultdict(list), defaultdict(list)
+    for (n, r), masks in drawn.items():
+        uppers[r] += [est.upper for est in spectral_radii(n, r, masks, tol=1e-10, max_iter=50_000)]
+        edge_counts[r] += [mask.bit_count() for mask in masks]
+    violations = sum(
+        int(np.count_nonzero(np.array(uppers[r]) > bai_lu_bound(r, np.array(edge_counts[r], dtype=np.float64)) + 1e-9))
+        for r in uppers
+    )
     ok = violations == 0
     detail = f"10^4 graphs, {violations} violations, {time.time() - t0:.0f}s"
     _verdict("4 spectral edge-bound suite", ok, detail)

@@ -413,6 +413,113 @@ def test_certificates_and_stats_do_not_depend_on_earlier_decisions():
             assert got == want, (kind, chosen)
 
 
+# ----- _hall: Hall's condition on one order's slots, as a cached table ------
+
+
+def _matching_exists(row: int, slots: list[int]) -> bool:
+    """Whether every slot gets a distinct edge of ``row``: augmenting paths,
+    slot by slot, over the edges each slot may take."""
+    owner: dict[int, int] = {}  # edge -> slot
+
+    def place(s: int, seen: set[int]) -> bool:
+        for e in range(row.bit_length()):
+            if (row & slots[s]) >> e & 1 and e not in seen:
+                seen.add(e)
+                if e not in owner or place(owner[e], seen):
+                    owner[e] = s
+                    return True
+        return False
+
+    return all(place(s, set()) for s in range(len(slots)))
+
+
+def _slot_cases(seed: int):
+    """(slots, width) of seeded cycle and path orders, 3 to 8 slots, on
+    universes up to (8,3); slot masks built here from the universe."""
+    rng = random.Random(seed)
+    for n in range(4, 9):
+        for r in range(2, n):
+            u = universe_masks(n, r)
+            if len(u) > 64:
+                continue
+            for close in (True, False):
+                order = list(range(n))
+                rng.shuffle(order)
+                pairs = zip(order, order[1:] + order[:1] if close else order[1:])
+                yield [sum(1 << i for i, e in enumerate(u) if e >> a & 1 and e >> b & 1) for a, b in pairs], len(u)
+
+
+def _rows(rng: random.Random, count: int, slots: list[int], width: int) -> list[int]:
+    # popcounts 0..width, and rows near the number of slots drawn mostly from the slots' edges
+    near = [i for i in range(width) if any(s >> i & 1 for s in slots)]
+    rows = []
+    for _ in range(count):
+        if rng.random() < 0.4:
+            bits = rng.sample(range(width), rng.randint(0, width))
+        else:
+            bits = rng.sample(near, min(len(near), rng.randint(len(slots) - 2, len(slots) + 2)))
+            bits += rng.sample(range(width), rng.randint(0, 2))
+        rows.append(sum(1 << i for i in set(bits)))
+    return rows
+
+
+def test_hall_equals_an_augmenting_path_matching():
+    rng = random.Random(16)
+    cases = list(_slot_cases(16))
+    assert {len(slots) for slots, _ in cases} == set(range(3, 9))
+    assert max(width for _, width in cases) == 56
+    for i, (slots, width) in enumerate(cases):
+        for count in (0, 1, 40, 1300 if i % 6 == 0 else 3):  # 1300 rows cross two block edges
+            rows = _rows(rng, count, slots, width)
+            got = berge._hall(np.array(rows, dtype=np.uint64), tuple(slots), width)
+            assert got.dtype == bool and got.shape == (count,)
+            assert got.tolist() == [_matching_exists(row, slots) for row in rows], (slots, width)
+
+
+def test_the_hall_table_implies_every_set_and_keeps_no_redundant_pair():
+    for slots, width in _slot_cases(17):
+        unions, need, slack = berge._hall_sets(tuple(slots), width)
+        assert not any(a.flags.writeable for a in (unions, need, slack))
+        table = list(zip(unions.tolist(), need.tolist()))
+        assert slack.tolist() == [q + width - u.bit_count() for u, q in table]
+        sets = {}  # union -> size of the largest set of slots with that union
+        for k in range(1, len(slots) + 1):
+            for chosen in combinations(slots, k):
+                u = 0
+                for s in chosen:
+                    u |= s
+                sets[u] = max(sets.get(u, 0), k)
+        assert all(sets.get(u) == q for u, q in table)  # each pair is a set's own constraint
+        for u, q in sets.items():  # each set's constraint follows from a kept pair
+            assert any(u2 & ~u == 0 and q2 >= q for u2, q2 in table), (slots, u)
+        for u, q in table:  # and no kept pair follows from another
+            assert not any(u2 != u and u2 & ~u == 0 and q2 >= q for u2, q2 in table), (slots, u)
+
+
+def test_decide_does_not_depend_on_the_hall_cache():
+    # 5,000 seeded graphs of each (6,3) threshold level, and all its negatives
+    u = universe_masks(6, 3)
+    d = BergeDecider(6, u)
+    rng = random.Random(6)
+    for kind, m, exception in (("cycle", 11, clique_plus_pendant(6, 3)), ("path", 10, clique_plus_isolated(6, 3))):
+        spec = LevelSpec(6, 3, m)
+        negatives = [chosen_mask(6, 3, edges) for edges in _labeled_copies(exception)]
+        sample = level_masks(spec, np.array(rng.sample(range(level_size(spec)), 5000))).tolist()
+        masks = sorted(set(sample) | set(negatives))
+        rng.shuffle(masks)
+        search = d.search_cycle if kind == "cycle" else d.search_path
+        want = [search(c) is not None for c in masks]
+        assert [c for c, ok in zip(masks, want) if not ok] == [c for c in masks if c in negatives]
+        assert len(negatives) == (60 if kind == "cycle" else 6)
+        d.decide(masks, kind)
+        assert d.decide(masks, kind).tolist() == want  # warm
+        for lo in range(0, len(masks), 2500):
+            berge._hall_sets.cache_clear()
+            assert d.decide(masks[lo:lo + 2500], kind).tolist() == want[lo:lo + 2500]  # cold
+    info = berge._hall_sets.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
 # ----- rotation ------------------------------------------------------------
 
 
