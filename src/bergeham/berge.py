@@ -35,13 +35,13 @@ along that order, and is positive.  Negatives come only from the
 exhaustive search, so answers are exact and do not depend on which
 graphs share a batch.  Hall's condition is one table of constraints per
 order, kept in a bounded cache (``_hall_sets``) that answers do not depend
-on.  ``search_*`` and ``find_*`` decide one graph, so certificates and
-``SearchStats`` depend on the graph alone.
+on.  ``certificate``, through which ``decide`` and ``find_*`` search,
+decides one graph, so certificates and ``SearchStats`` depend on the
+graph alone.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -77,7 +77,6 @@ class BergeCertificate:
 class SearchStats:
     nodes: int = 0        # order extensions attempted
     augments: int = 0     # matching (re)computations
-    seconds: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -141,13 +140,6 @@ def verify_certificate(h: Hypergraph, cert: BergeCertificate) -> list[str]:
     return bad
 
 
-@lru_cache(maxsize=1 << 14)
-def _edge_cover_slots(n: int, em: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """An edge's members and the ``pair_cover`` indices a*n+b and b*n+a of its member pairs."""
-    members = members_of(em)
-    return members, tuple(i for a, b in combinations(members, 2) for i in (a * n + b, b * n + a))
-
-
 class BergeDecider:
     """Hamiltonicity decisions over a fixed (n, edge-universe) context.
 
@@ -164,11 +156,12 @@ class BergeDecider:
         self.vert_cover = vc = [0] * n
         for ei, em in enumerate(self.universe):
             bit = 1 << ei
-            members, pairs = _edge_cover_slots(n, em)
+            members = members_of(em)
             for a in members:
                 vc[a] |= bit
-            for p in pairs:
-                pc[p] |= bit
+            for a, b in combinations(members, 2):
+                pc[a * n + b] |= bit
+                pc[b * n + a] |= bit
         # search starts (first vertex, per-depth candidate masks), see _search
         self._cycle_starts = ((0, [-1] * n),)
         self._free_path_starts = tuple((s, [-1] * (n - 1) + [-2 << s]) for s in range(n))
@@ -338,6 +331,23 @@ class BergeDecider:
         """Whether the graph has a Hamiltonian Berge path (from a to b, if given)."""
         return self.search_path(chosen, endpoints) is not None
 
+    def certificate(self, chosen: int, kind: str, endpoints: tuple[int, int] | None = None,
+                    stats: SearchStats | None = None) -> BergeCertificate | None:
+        """The Hamiltonian Berge cycle or path (from a to b, if ``endpoints``
+        are given) that ``search_*`` finds in the graph ``chosen``, or None.
+        Edges are tried in ascending mask order, so the level's decider and
+        one over the graph's own edges give the same certificate and stats."""
+        if kind == "cycle":
+            hit = self.search_cycle(chosen, stats)
+        elif kind == "path":
+            hit = self.search_path(chosen, endpoints, stats)
+        else:
+            raise ValueError(f"kind must be 'cycle' or 'path', got {kind!r}")
+        if hit is None:
+            return None
+        order, slots, *closing = hit
+        return BergeCertificate(kind, order, tuple(self.universe[e] for e in (*closing, *slots)))
+
     # ----- batches -------------------------------------------------------
 
     def decide(self, masks, kind: str) -> np.ndarray:
@@ -346,8 +356,8 @@ class BergeDecider:
 
         ``masks`` holds chosen-universe masks.  They are decided in slices
         of at most ``DECIDE_SLICE``, each in rounds: the first undecided
-        graph of the slice goes through ``search_*``, and when that finds an
-        order, every undecided graph that passes ``_hall`` on the order's
+        graph of the slice goes through ``certificate``, and when that finds
+        an order, every undecided graph that passes ``_hall`` on the order's
         slots is positive too.  A negative answer always comes from the
         search, and a slice's answers and work depend on that slice alone.
         Universes of more than 64 edges raise ``ValueError``, since masks
@@ -359,7 +369,6 @@ class BergeDecider:
         if len(self.universe) > 64:
             raise ValueError(f"decide needs at most 64 universe edges, got {len(self.universe)}")
         close = kind == "cycle"
-        search = self.search_cycle if close else self.search_path
         rows = np.asarray(masks)
         if rows.dtype.kind not in "iu" or rows.size and (rows.min() < 0 or rows.max() > self.full_chosen):
             for mask in masks:
@@ -370,11 +379,11 @@ class BergeDecider:
             part = masks[lo:lo + DECIDE_SLICE]
             rem = np.arange(len(part))  # undecided rows of the slice
             while len(rem):
-                hit = search(int(part[rem[0]]))
-                if hit is None:
+                cert = self.certificate(int(part[rem[0]]), kind)
+                if cert is None:
                     rem = rem[1:]
                     continue
-                order = hit[0]
+                order = cert.vertices
                 pairs = zip(order, order[1:] + order[:1] if close else order[1:])
                 slots = tuple(self.pair_cover[a * self.n + b] for a, b in pairs)
                 ok = _hall(part[rem], slots, len(self.universe))
@@ -425,31 +434,22 @@ def _hall(rows: np.ndarray, slots: tuple[int, ...], width: int) -> np.ndarray:
 
 
 def _find(h: Hypergraph, kind: str, endpoints=None) -> SearchResult:
-    """The body of ``find_*``: one timed search of ``h``, then its
-    certificate, or the first reason that applies for why none exists.
+    """The body of ``find_*``: the certificate of ``h``, or the first reason
+    that applies for why none exists.
 
     A Berge cycle or path of a 2-graph is an ordinary one, so running the
     decider on the shadow 2-graph tells whether the shadow is Hamiltonian.
     """
-    def search(d: BergeDecider, stats: SearchStats | None = None):
-        if kind == "cycle":
-            return d.search_cycle(d.full_chosen, stats)
-        return d.search_path(d.full_chosen, endpoints, stats)
-
-    t0 = time.perf_counter()
     stats = SearchStats()
     d = BergeDecider.for_hypergraph(h)
-    hit = search(d, stats)
-    cert = reason = None
-    if hit is not None:
-        order, slots, *closing = hit  # a cycle's closing edge leads its certificate
-        cert = BergeCertificate(kind, order, tuple(d.universe[e] for e in (*closing, *slots)))
-    elif h.m < (h.n if kind == "cycle" else h.n - 1):
+    cert = d.certificate(d.full_chosen, kind, endpoints, stats)
+    reason = None
+    if cert is None and h.m < (h.n if kind == "cycle" else h.n - 1):
         reason = REASON_INSUFFICIENT_EDGES
-    else:
+    elif cert is None:
         shadow = BergeDecider.for_hypergraph(Hypergraph(h.n, 2, h.shadow_pairs()))
-        reason = REASON_EXHAUSTED if search(shadow) else REASON_SHADOW_NOT_HAMILTONIAN
-    stats.seconds = time.perf_counter() - t0
+        found = shadow.certificate(shadow.full_chosen, kind, endpoints) is not None
+        reason = REASON_EXHAUSTED if found else REASON_SHADOW_NOT_HAMILTONIAN
     return SearchResult(cert, reason, stats)
 
 

@@ -134,13 +134,15 @@ def bai_lu_bound(r: int, m):
 def threshold(name: str, n: int, r: int) -> Threshold:
     """Exact integer threshold for the named sufficient condition at (n, r).
 
+    At r = 2 the edge and spectral thresholds are Ore's and Fiedler and
+    Nikiforov's theorems; Ore's has extra exceptions at n = 4 and 5.
     Raises ValueError when the named variant does not apply at (n, r).
     """
     if name not in THRESHOLD_NAMES:
         raise ValueError(f"unknown threshold {name!r}; expected one of {THRESHOLD_NAMES}")
     if name in ("edge_cycle", "edge_path", "spectral_cycle", "spectral_path"):
-        if not (r >= 3 and n >= r + 2):
-            raise ValueError(f"{name} needs n >= r+2 and r >= 3, got (n={n}, r={r})")
+        if not (r >= 2 and n >= r + 2):
+            raise ValueError(f"{name} needs n >= r+2 and r >= 2, got (n={n}, r={r})")
         if name.startswith("edge"):
             return Threshold(name, comb(n - 1, r))
         return Threshold(name, comb(n - 2, r - 1))

@@ -16,9 +16,8 @@ its exception by a verified isomorphism and runs no canonical search.
 
 Campaign aggregates are merged in rank order from deterministic chunks,
 so reports are identical for any worker count; a seeded sample of graphs
-is re-decided through the public certificate-producing API afterwards and
-each certificate re-verified, tying the fast sweep path to the checkable
-one.
+is re-decided afterwards through the level decider's ``certificate`` and
+each certificate re-verified, tying the batched sweep to the checkable one.
 """
 
 from __future__ import annotations
@@ -35,12 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .berge import (
-    BergeDecider,
-    find_hamiltonian_berge_cycle,
-    find_hamiltonian_berge_path,
-    verify_certificate,
-)
+from .berge import BergeDecider, verify_certificate
 from .bounds import threshold
 from .canonical import CanonicalForm, canonical_form, isomorphism
 from .enumeration import (
@@ -50,6 +44,7 @@ from .enumeration import (
     LevelSpec,
     ReductionPlan,
     SUPERGRAPHS,
+    chosen_mask,
     hypergraph_at,
     level_masks,
     level_size,
@@ -77,7 +72,7 @@ from .spectral import (
 CSV_HEADER = "n,r,m,visited,hamiltonian,nonhamiltonian,exceptions,pass"
 UNDECIDED_SHOWN = 10  # undecided witnesses listed in a spectral report's notes
 SPECTRAL_SLICE = 512  # graphs bracketed per batched kernel call, for any chunk size
-RECHECK_SAMPLE = 1000  # graphs per whole level re-decided through ``find_*`` (closure rows: none)
+RECHECK_SAMPLE = 1000  # graphs per whole level re-decided one at a time (closure rows: none)
 RECHECK_CERTS = 3  # sampled certificates per rechecked level kept in the report
 
 
@@ -198,23 +193,21 @@ def _audit(n: int, r: int, rows: Iterable[tuple[int | None, int]], tol: float) -
     """Audit (rank or None, chosen-universe mask) pairs, in order, for the
     spectral->edge->Hamiltonicity implication chain.
 
-    A graph certified above the spectral threshold needs at least ``t_edge``
-    edges, and a Hamiltonian cycle above ``t_edge`` (a path at it) unless a
-    verified isomorphism maps it onto the pendant (isolated-vertex)
-    exception.  Per ``SPECTRAL_SLICE`` graphs, one ``spectral_radii`` call
-    brackets them all and one ``threshold_verdicts`` call decides them; the
-    undecided ones, if any, are re-bracketed together at ``tol/1000`` (an
-    estimate does not depend on its batch, so this is each graph's own
-    retry) and decided again.  One ``decide`` call per kind gives the Berge
-    verdicts, so memory stays flat however many rows there are.  Edge
-    counts are mask popcounts; a ``Hypergraph`` is built only for an
-    isomorphism check or a kept witness.
+    A graph certified above t = C(n-2, r-1) needs more than ``t_edge`` =
+    C(n-1, r) edges (Bai-Lu: lambda <= f_r(m), increasing, and
+    f_r(C(n-1, r)) = t), and a Hamiltonian cycle unless a verified
+    isomorphism maps it onto the pendant exception.  Per ``SPECTRAL_SLICE``
+    graphs, one ``spectral_radii`` call brackets them all and one
+    ``threshold_verdicts`` call decides them; the undecided ones, if any,
+    are re-bracketed together at ``tol/1000`` (an estimate does not depend
+    on its batch, so this is each graph's own retry) and decided again.
+    One ``decide`` call gives the Berge verdicts, so memory stays flat
+    however many rows there are.  Edge counts are mask popcounts; a
+    ``Hypergraph`` is built only for an isomorphism check or a kept witness.
     """
     t_spec = threshold("spectral_cycle", n, r).value
     t_edge = threshold("edge_cycle", n, r).value
-    exception = {"cycle": clique_plus_pendant(n, r), "path": clique_plus_isolated(n, r)}
-    reason = {"cycle": "non-hamiltonian above the edge threshold and not the pendant exception",
-              "path": "no hamiltonian path at the edge threshold and not the isolated-vertex exception"}
+    pendant = clique_plus_pendant(n, r)
     rows = iter(rows)
     tally = AuditTally()
     while part := list(islice(rows, SPECTRAL_SLICE)):
@@ -229,19 +222,17 @@ def _audit(n: int, r: int, rows: Iterable[tuple[int | None, int]], tol: float) -
                 verdicts[i] = verdict
                 unconverged[i] |= not est.converged
         violations: list[str | None] = [None] * len(part)
-        asked: dict[str, list[int]] = {"cycle": [], "path": []}
+        asked: list[int] = []  # certified above with enough edges: must be Hamiltonian
         for i, (c, verdict) in enumerate(zip(chosen, verdicts)):
             if verdict != CERTIFIED_ABOVE:
                 continue
-            m = c.bit_count()
-            if m < t_edge:
+            if c.bit_count() <= t_edge:
                 violations[i] = "spectral radius certified above threshold but edge count below implied bound"
             else:
-                asked["cycle" if m > t_edge else "path"].append(i)
-        for kind, idx in asked.items():
-            for i, yes in zip(idx, _decider(n, r).decide([chosen[i] for i in idx], kind).tolist()):
-                if not yes and isomorphism(hypergraph_at(n, r, chosen[i]), exception[kind]) is None:
-                    violations[i] = reason[kind]
+                asked.append(i)
+        for i, yes in zip(asked, _decider(n, r).decide([chosen[i] for i in asked], "cycle").tolist()):
+            if not yes and isomorphism(hypergraph_at(n, r, chosen[i]), pendant) is None:
+                violations[i] = "non-hamiltonian above the edge threshold and not the pendant exception"
         for (rank, c), verdict, violation, unconv in zip(part, verdicts, violations, unconverged):
             tally.add(n, r, rank, c, verdict, violation, unconv)
     return tally
@@ -297,8 +288,8 @@ def _expected_exception_outcome(records: list[ExceptionRecord], expected: Canoni
 
 
 def _recheck_sample(spec: LevelSpec, kind: str, negatives: set[int], rng: random.Random):
-    """Re-decide a seeded sample of ``RECHECK_SAMPLE`` graphs through the
-    public API and verify their certificates.
+    """Re-decide a seeded sample of ``RECHECK_SAMPLE`` graphs one at a time
+    through the level decider's ``certificate`` and verify each certificate.
 
     Cross-checks the fast sweep verdicts: a sampled rank must have a
     verifiable certificate exactly when the sweep did not list it as
@@ -309,19 +300,18 @@ def _recheck_sample(spec: LevelSpec, kind: str, negatives: set[int], rng: random
     total = level_size(spec)
     ranks = sorted(rng.sample(range(total), min(RECHECK_SAMPLE, total)))
     certs: list[dict] = []
+    decider = _decider(spec.n, spec.r)
     for rank, chosen in zip(ranks, level_masks(spec, np.array(ranks)).tolist()):
-        h = hypergraph_at(spec.n, spec.r, chosen)
-        res = find_hamiltonian_berge_cycle(h) if kind == "cycle" else find_hamiltonian_berge_path(h)
-        cert = res.certificate
+        cert = decider.certificate(chosen, kind)
         problem = ""
         if cert is not None:
-            bad = verify_certificate(h, cert)
-            if bad or len(cert.vertices) != h.n:
+            bad = verify_certificate(hypergraph_at(spec.n, spec.r, chosen), cert)
+            if bad or len(cert.vertices) != spec.n:
                 problem = f"certificate rejected: {'; '.join(bad) or 'does not span the graph'}"
             elif rank in negatives:
                 problem = f"a {kind} certificate exists but the sweep decided the graph negative"
         elif rank not in negatives:
-            problem = f"no {kind} ({res.reason}) but the sweep decided the graph positive"
+            problem = f"no {kind} but the sweep decided the graph positive"
         if problem:
             return f"sampled re-verification failed at rank {rank}: {problem}", certs
         if cert is not None and len(certs) < RECHECK_CERTS:
@@ -442,7 +432,9 @@ def verify_edge_theorem(
     edge on top of each exception actually found must always be
     Hamiltonian, and the path-threshold level must fail exactly on the
     labeled isolated-vertex copies.  Together with monotonicity under
-    edge addition this settles every edge count.
+    edge addition this settles every edge count.  At r = 2 this is Ore's
+    theorem, which fails by naming its extra exceptions at n = 4 (the star
+    K_{1,3}, no path) and n = 5 (K_2 ∨ \bar K_3, no cycle).
     """
     plan = monotone_reduction_plan(n, r)
     t0 = time.perf_counter()
@@ -488,16 +480,17 @@ def verify_spectral_theorem(
 
     Three checks: (a) for every graph on the edge-theorem levels plus
     seeded random graphs over all edge counts, a spectral radius certified
-    above the spectral threshold must force at least the edge threshold's
-    C(n-1, r) edges and a Hamiltonicity verdict consistent with the
-    edge-count statement; (b) the pendant-clique exception sits strictly above the
+    above the spectral threshold must force more than the edge threshold's
+    C(n-1, r) edges and a Hamiltonian cycle unless the graph is the
+    pendant exception; (b) the pendant-clique exception sits strictly above the
     spectral threshold and is non-Hamiltonian; (c) the isolated-vertex
     exception brackets the threshold exactly and has no Hamiltonian path.
     Undecided threshold verdicts are retried at a tighter tolerance and
     otherwise reported for exact-arithmetic follow-up, never dropped.
+    At r = 2 this is Fiedler and Nikiforov's theorem for graphs.
     """
-    if r < 3 or n < r + 2:
-        raise ValueError(f"need n >= r+2 and r >= 3, got (n={n}, r={r})")
+    if r < 2 or n < r + 2:
+        raise ValueError(f"need n >= r+2 and r >= 2, got (n={n}, r={r})")
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
     t0 = time.perf_counter()
@@ -528,11 +521,12 @@ def verify_spectral_theorem(
     report.notes.extend(total.violations)
 
     # (b) pendant exception: strictly above the threshold, non-hamiltonian
+    decider = _decider(n, r)
     ke = clique_plus_pendant(n, r)
     est = spectral_radius(ke, tol)
     ok_pendant = (
         threshold_verdict(ke, est, t_spec, tol) == CERTIFIED_ABOVE
-        and not find_hamiltonian_berge_cycle(ke)
+        and decider.certificate(chosen_mask(n, r, ke.edges), "cycle") is None
     )
     if not ok_pendant:
         report.notes.append("pendant exception failed its spectral/hamiltonicity check")
@@ -544,7 +538,7 @@ def verify_spectral_theorem(
         est.converged
         and abs(est.lower - t_spec) <= tol
         and abs(est.upper - t_spec) <= tol
-        and not find_hamiltonian_berge_path(kv)
+        and decider.certificate(chosen_mask(n, r, kv.edges), "path") is None
     )
     if not ok_isolated:
         report.notes.append("isolated-vertex exception failed its equality-case check")

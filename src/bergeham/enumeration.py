@@ -228,7 +228,9 @@ class ReductionPlan:
 
 
 def monotone_reduction_plan(n: int, r: int) -> ReductionPlan:
-    if r < 3 or n < r + 2:
-        raise ValueError(f"threshold theorems need n >= r+2 and r >= 3, got (n={n}, r={r})")
+    """The edge theorem's cycle level (m = C(n-1, r) + 1) and path level
+    (m = C(n-1, r)) at (n, r); at r = 2 the theorem is Ore's for graphs."""
+    if r < 2 or n < r + 2:
+        raise ValueError(f"threshold theorems need n >= r+2 and r >= 2, got (n={n}, r={r})")
     t = comb(n - 1, r)
     return ReductionPlan(n=n, r=r, cycle_level=LevelSpec(n, r, t + 1), path_level=LevelSpec(n, r, t))

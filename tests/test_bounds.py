@@ -36,6 +36,10 @@ def test_binom_poly_values():
     for r in range(1, 6):
         for x in range(r, 15):
             assert binom_poly(r, x) == comb(x, r)
+    # an array is evaluated elementwise, each element as its own float call
+    xs = np.concatenate([np.linspace(-3.0, 40.0, 300), np.random.default_rng(5).random(200) * 1e4])
+    for r in range(1, 7):
+        assert binom_poly(r, xs.reshape(20, 25)).ravel().tolist() == [binom_poly(r, float(x)) for x in xs]
 
 
 def test_binom_poly_inverse_values():
@@ -89,22 +93,6 @@ def test_bai_lu_vectorized_matches_scalar():
     for i in (0, 1, 5, 70, 499):
         assert va[i] == bai_lu_bound(4, int(ms[i]))
     assert va[comb(8, 4)] == float(comb(7, 3))
-
-
-def test_array_arguments_give_exactly_the_scalar_values():
-    rng = np.random.default_rng(5)
-    ys = np.concatenate([np.arange(0, 300, dtype=np.float64), rng.random(200) * 1e9])
-    for r in range(1, 7):
-        xs = binom_poly_inverse(r, ys.reshape(20, 25))
-        assert xs.shape == (20, 25) and xs.dtype == np.float64
-        assert xs.ravel().tolist() == [binom_poly_inverse(r, float(y)) for y in ys]
-        assert binom_poly(r, xs).ravel().tolist() == [binom_poly(r, float(x)) for x in xs.flat]
-        if r >= 2:
-            assert bai_lu_bound(r, ys).tolist() == [bai_lu_bound(r, float(y)) for y in ys]
-    with pytest.raises(ValueError, match="need y >= 0"):
-        binom_poly_inverse(3, np.array([1.0, -1.0]))
-    with pytest.raises(ValueError, match="need m >= 0"):
-        bai_lu_bound(3, np.array([1.0, -1.0]))
 
 
 # The scalar bisection that binom_poly_inverse and bai_lu_bound ran on
@@ -235,7 +223,9 @@ def test_scalars_come_back_as_floats_and_arrays_keep_their_shape():
     (10 ** 400, "{v}=1000+ is too large for a float"),
     (1e305, r"cannot invert binom_poly\(8, x\) = 1e\+305"),  # 1e305 * 8! overflows
     (-1, "need {v} >= 0, got {v}=-1.0"),
-], ids=["nan", "inf", "nan-in-array", "int-past-floats", "times-8!-overflows", "negative"])
+    (np.array([1.0, -1.0]), "need {v} >= 0, got {v}=-1.0"),
+], ids=["nan", "inf", "nan-in-array", "int-past-floats", "times-8!-overflows", "negative",
+        "negative-in-array"])
 def test_the_bounds_name_a_value_they_cannot_take(bad, match):
     with pytest.raises(ValueError, match=match.format(v="y")):
         binom_poly_inverse(8, bad)
@@ -248,6 +238,7 @@ def test_threshold_values():
     assert threshold("edge_path", 6, 3).value == 10
     assert threshold("spectral_cycle", 6, 3).value == 6
     assert threshold("spectral_path", 6, 3).value == 6
+    assert threshold("edge_cycle", 5, 2).value == 6 and threshold("spectral_cycle", 5, 2).value == 3  # Ore, Fiedler-Nikiforov
     assert threshold("klm_1i", 11, 3).value == comb(5, 2) + 1 == 11
     assert threshold("klm_1ii", 6, 4).value == 4
     assert threshold("klm_2i", 10, 3).value == comb(5, 2) + 1
@@ -257,6 +248,8 @@ def test_threshold_values():
 def test_threshold_applicability_errors():
     with pytest.raises(ValueError):
         threshold("edge_cycle", 4, 3)  # needs n >= r+2
+    with pytest.raises(ValueError):
+        threshold("klm_1ii", 4, 2)  # the klm thresholds still need r >= 3
     with pytest.raises(ValueError):
         threshold("klm_1i", 6, 3)  # needs r <= (n-1)/2
     with pytest.raises(ValueError):
@@ -302,6 +295,6 @@ def test_bound_implication_round_trip_small():
         for n in range(r + 2, 12):
             t_spec = comb(n - 2, r - 1)
             t_edge = comb(n - 1, r)
-            for m in range(comb(n, r) + 1):
-                if bai_lu_bound(r, m) >= t_spec:
-                    assert m >= t_edge, (n, r, m)
+            ms = np.arange(comb(n, r) + 1)
+            forced = ms[bai_lu_bound(r, ms) >= t_spec]
+            assert (forced >= t_edge).all(), (n, r, forced[forced < t_edge].tolist())

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bergeham import campaigns, spectral
-from bergeham.berge import BergeDecider, SearchResult, find_hamiltonian_berge_cycle
+from bergeham.berge import BergeDecider
 from bergeham.campaigns import (
     CSV_HEADER,
     verify_edge_theorem,
@@ -18,7 +18,7 @@ from bergeham.campaigns import (
 )
 from bergeham.canonical import are_isomorphic, canonical_form
 from bergeham.enumeration import LevelSpec, hypergraph_at, level_masks, level_size
-from bergeham.hypergraph import clique_plus_isolated, clique_plus_pendant, universe_masks
+from bergeham.hypergraph import Hypergraph, clique_plus_isolated, clique_plus_pendant, universe_masks
 from bergeham.spectral import (
     CERTIFIED_ABOVE,
     CERTIFIED_BELOW_OR_EQUAL,
@@ -125,6 +125,37 @@ def test_edge_theorem_6_4():
     assert rep.passed
     assert rep.levels[0].negative == 6 * comb(5, 3) == 60
     assert rep.levels[2].negative == 6
+
+
+def test_ore_edge_theorem_names_its_one_more_exception_at_5_2():
+    # a positive control with no fakes: at r = 2 the edge theorem is Ore's,
+    # and at n = 5 the join K_2 ∨ \bar K_3 is a second non-Hamiltonian
+    # class, 5!/|Aut| = 120/12 = 10 labeled copies beside K_4 + e's 20
+    rep = verify_edge_theorem(5, 2)
+    join = Hypergraph(5, 2, [(0, 1)] + [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+    alien = canonical_form(join).compact()
+    pendant = canonical_form(clique_plus_pendant(5, 2)).compact()
+    cycle, closure, path = rep.levels
+    assert not rep.passed and not cycle.ok
+    assert sorted((e.code, e.count) for e in cycle.exceptions) == sorted([(alien, 10), (pendant, 20)])
+    assert cycle.note == f"unexpected exception classes: {[alien]}"
+    assert closure.ok and closure.visited == 30 * 3 and path.ok and path.negative == 5
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_ore_edge_theorem_holds_at_6_2_and_7_2(n):
+    rep = verify_edge_theorem(n, 2)
+    assert rep.passed
+    assert [lv.negative for lv in rep.levels] == [n * (n - 1), 0, n]
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_fiedler_nikiforov_spectral_theorem_holds_at_r_2(n):
+    # every graph certified above n-2 on the cycle level is a copy of K_{n-1} + e
+    rep = verify_spectral_theorem(n, 2, samples=200)
+    assert rep.passed and rep.notes == []
+    assert [lv.negative for lv in rep.levels] == [0, 0, 0]
+    assert rep.levels[0].positive == n * (n - 1)
 
 
 def test_csv_schema():
@@ -310,26 +341,23 @@ def test_undecided_verdicts_are_retried_at_a_thousandth_of_the_tolerance(monkeyp
 def test_recheck_mismatch_names_the_rank(monkeypatch):
     spec = LevelSpec(5, 3, 5)
     ranks = sorted(random.Random(0).sample(range(level_size(spec)), 20))
+    masks = level_masks(spec, np.array(ranks)).tolist()
+    d = BergeDecider(5, universe_masks(5, 3))
+    positives = [(rk, c) for rk, c in zip(ranks, masks) if d.certificate(c, "cycle") is not None]
+    target_rank, target = positives[2]
+    original = BergeDecider.certificate
 
-    def graph(rank):
-        chosen, = level_masks(spec, np.array([rank])).tolist()
-        return hypergraph_at(5, 3, chosen)
+    def fake(self, chosen, kind, *args, **kwargs):
+        return None if chosen == target else original(self, chosen, kind, *args, **kwargs)
 
-    positives = [rk for rk in ranks if find_hamiltonian_berge_cycle(graph(rk))]
-    target = graph(positives[2])
-    original = campaigns.find_hamiltonian_berge_cycle
-
-    def fake(h):
-        return SearchResult(None, "search_exhausted") if h == target else original(h)
-
-    monkeypatch.setattr(campaigns, "find_hamiltonian_berge_cycle", fake)
+    monkeypatch.setattr(BergeDecider, "certificate", fake)
     monkeypatch.setattr(campaigns, "RECHECK_SAMPLE", 20)
     rep = verify_lemma_r_plus_2(5)
     assert not rep.passed
     assert not rep.levels[0].ok and rep.levels[1].ok
     assert rep.levels[0].note == (
-        f"sampled re-verification failed at rank {positives[2]}: "
-        "no cycle (search_exhausted) but the sweep decided the graph positive"
+        f"sampled re-verification failed at rank {target_rank}: "
+        "no cycle but the sweep decided the graph positive"
     )
 
 
@@ -375,6 +403,30 @@ def test_spectral_violations_and_undecided_verdicts_keep_witnesses(monkeypatch):
         f"violation at random graph with edges {random_edges}: spectral radius certified above "
         "threshold but edge count below implied bound",
         f"12 undecided instances need exact follow-up: {shown} (first 10)",
+    ]
+
+
+def test_a_path_level_graph_certified_above_is_an_edge_bound_violation(monkeypatch):
+    # lambda > C(n-2, r-1) forces more than C(n-1, r) edges (Bai-Lu), so a
+    # path-level graph certified above fails the edge bound, though it has a
+    # Hamiltonian path
+    spec = LevelSpec(5, 3, 4)
+    masks = level_masks(spec, np.arange(level_size(spec))).tolist()
+    d = BergeDecider(5, universe_masks(5, 3))
+    rank = next(rk for rk, c in enumerate(masks) if d.certificate(c, "path") is not None)
+    original = campaigns.threshold_verdicts
+
+    def fake(n, r, chosen, ests, t, tol):
+        verdicts = original(n, r, chosen, ests, t, tol)
+        return [CERTIFIED_ABOVE if c == masks[rank] else v for c, v in zip(chosen, verdicts)]
+
+    monkeypatch.setattr(campaigns, "threshold_verdicts", fake)
+    rep = verify_spectral_theorem(5, 3, samples=0)
+    assert not rep.passed
+    assert [lv.negative for lv in rep.levels] == [0, 1, 0]
+    assert rep.notes == [
+        f"violation at m=4 rank {rank}: spectral radius certified above threshold "
+        "but edge count below implied bound"
     ]
 
 
