@@ -185,19 +185,7 @@ class BergeDecider:
         """
         n = self.n
         pc = self.pair_cover
-        nbr = [0] * n  # shadow graph of the chosen edges
-        for a in range(n):
-            base = a * n
-            row = 0
-            for b in range(a + 1, n):
-                if pc[base + b] & chosen:
-                    row |= 1 << b
-                    nbr[b] |= 1 << a
-            nbr[a] |= row
-        if close:
-            for v in range(n):
-                if nbr[v].bit_count() < 2:
-                    return None
+        everyone = (1 << n) - 1
 
         match_owner: dict[int, int] = {}
         slot_avail: list[int] = []
@@ -235,13 +223,16 @@ class BergeDecider:
                 ok = augment(len(slot_avail) - 1, [0])
                 slot_avail.pop()
                 return ok
-            cands = nbr[last] & ~used & allow[depth]
+            cands = everyone & ~used & allow[depth]
             while cands:
                 b = cands & -cands
                 cands ^= b
                 v = b.bit_length() - 1
+                av = pc[last * n + v] & chosen  # chosen edges that hold last and v
+                if not av:
+                    continue
                 nodes += 1
-                slot_avail.append(pc[last * n + v] & chosen)
+                slot_avail.append(av)
                 mark = len(trail)
                 augments += 1
                 if augment(len(slot_avail) - 1, [0]):

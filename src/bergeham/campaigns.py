@@ -197,10 +197,12 @@ def _audit(n: int, r: int, rows: Iterable[tuple[int | None, int]], tol: float) -
     C(n-1, r) edges (Bai-Lu: lambda <= f_r(m), increasing, and
     f_r(C(n-1, r)) = t), and a Hamiltonian cycle unless a verified
     isomorphism maps it onto the pendant exception.  Per ``SPECTRAL_SLICE``
-    graphs, one ``spectral_radii`` call brackets them all and one
+    graphs, one ``spectral_radii`` call brackets them all, each until it is
+    settled against t (clear of it by ``tol``) or ``tol`` wide, and one
     ``threshold_verdicts`` call decides them; the undecided ones, if any,
-    are re-bracketed together at ``tol/1000`` (an estimate does not depend
-    on its batch, so this is each graph's own retry) and decided again.
+    are re-bracketed together at ``tol/1000``, settled the same way (an
+    estimate does not depend on its batch, so this is each graph's own
+    retry), and decided again.  A settled graph counts as converged.
     One ``decide`` call gives the Berge verdicts, so memory stays flat
     however many rows there are.  Edge counts are mask popcounts; a
     ``Hypergraph`` is built only for an isomorphism check or a kept witness.
@@ -212,12 +214,12 @@ def _audit(n: int, r: int, rows: Iterable[tuple[int | None, int]], tol: float) -
     tally = AuditTally()
     while part := list(islice(rows, SPECTRAL_SLICE)):
         chosen = [c for _, c in part]
-        ests = spectral_radii(n, r, chosen, tol, max_iter=50_000)
+        ests = spectral_radii(n, r, chosen, tol, max_iter=50_000, t=t_spec)
         verdicts = threshold_verdicts(n, r, chosen, ests, t_spec, tol)
         unconverged = [not est.converged for est in ests]
         if retry := [i for i, verdict in enumerate(verdicts) if verdict == UNDECIDED]:
             again = [chosen[i] for i in retry]
-            ests = spectral_radii(n, r, again, tol / 1000, max_iter=500_000)
+            ests = spectral_radii(n, r, again, tol / 1000, max_iter=500_000, t=t_spec)
             for i, verdict, est in zip(retry, threshold_verdicts(n, r, again, ests, t_spec, tol), ests):
                 verdicts[i] = verdict
                 unconverged[i] |= not est.converged

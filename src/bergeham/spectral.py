@@ -26,7 +26,14 @@ shared edge list, leave-one-out products and a ``np.bincount`` scatter
 build ``A x^{r-1}`` for every row, and a row leaves the batch on the step
 it converges.  Absent edges add exact zeros in the same order as the
 single-graph scatter, so every row's iterates are those of a run on its
-graph alone.
+graph alone.  Without a threshold, converged means a bracket at most
+``tol`` wide.  A caller that decides a threshold ``t`` (the spectral
+audit, ``exceeds_threshold``) passes it, and a row is then also done once
+its bracket is settled, clear of t by ``tol``: ``upper < t - tol`` or
+``lower > t + tol``.  A settled estimate counts as converged; its
+bracket may be wide, but it gives the verdict that its ``tol``-wide
+bracket would (``_power_iterate`` proves this, and states what it
+assumes about ``tol``).
 
 The form splits over shadow components, so there is one path, ``_bracket``:
 it splits every graph of a batch into components, runs the components with
@@ -82,6 +89,8 @@ class SpectralEstimate:
     component's Collatz-Wielandt upper ratio.  Both bound the spectral
     radius up to floating-point rounding only; ``exact_form_ratio`` and
     ``certified_above`` give the exact lower bound at ``vector``.
+    ``converged`` says every component's bracket got ``tol`` wide, or
+    settled against the threshold the call was given, within ``max_iter``.
     """
 
     lower: float
@@ -148,7 +157,8 @@ def _leave_one_out(cols: list[np.ndarray], weights: np.ndarray | None = None) ->
     return out
 
 
-def _power_iterate(edges: np.ndarray, weights: np.ndarray, k: int, r: int, tol: float, max_iter: int):
+def _power_iterate(edges: np.ndarray, weights: np.ndarray, k: int, r: int, tol: float, max_iter: int,
+                   t: float):
     """Power-iterate B graphs on k vertices at once over one shared edge list.
 
     ``edges`` is an (E, r) array of vertex indices in [0, k) and row b of
@@ -157,6 +167,51 @@ def _power_iterate(edges: np.ndarray, weights: np.ndarray, k: int, r: int, tol: 
     Returns per-row arrays (lower, upper, vectors, iterations, converged):
     ``lower`` and ``upper`` bracket the last step taken, and each vector is
     l_r-normalized and strictly positive.
+
+    A row is done, and ``converged`` at that step, when its bracket is
+    ``tol`` wide, ``upper - lower <= tol``, or, given the threshold ``t``
+    that the caller decides, when it is settled: clear of t by ``tol``,
+    ``upper < t - tol`` or ``lower > t + tol``.  A NaN ``t`` settles
+    nothing, so the steps are exactly those of a run without a threshold.
+    Rows never interact, so every other row runs as it would anyway.
+
+    Claim.  Let ``_verdicts`` decide at a bound t + T with T >= ``tol``,
+    assume 4 delta < ``tol`` (delta below), and assume the run without
+    ``t``, the converged run, converges within ``max_iter``.  Then a
+    graph's verdict from its settled estimate is its verdict from the
+    converged one, unless a component's spectral radius lies within 3
+    delta of t + ``tol``.  So the spectral audit (T = ``tol`` on its first
+    call, and a retry of its undecided graphs at ``tol/1000``) gives every
+    graph the same final verdict either way, unless a component's
+    spectral radius lies within 3 delta of t + T or of t + T/1000; this
+    needs 4 delta < T/1000.
+
+    Proof.  Let delta bound the absolute error of every float ``lower``
+    and ``upper``, here and in ``_bracket``, and of the floats ``t -+
+    tol``, against the exact form ratio at the iterate, the exact
+    Collatz-Wielandt ratio ``max_i G_i / x_i^{r-1}`` (the two bracket the
+    component's lambda; Chang, Pearson & Zhang, Commun. Math. Sci. 6,
+    2008) and the exact ``t -+ tol``.  delta is about lambda (r + E + k)
+    2^-53, under 1e-13 at the audited sizes.  A converged bracket is at
+    most tol' = tol (1 + 2^-52) wide.  Take a graph with a settled
+    component; its unsettled components run identically in both runs.
+    All settled below, ``upper < t - tol``: each such c has lambda_c < t -
+    tol + 2 delta, so in both runs c's ``lower`` is below t - tol + 3
+    delta and its ``upper`` below t + 4 delta <= t + T.  If an unsettled
+    component's ``lower`` is at least t - tol + 3 delta, both runs take
+    the graph's vector from the same unsettled component, so
+    ``certified_above`` answers alike; otherwise every vector's exact
+    ratio is below t - tol + 4 delta < t, and neither run is above.  No
+    settled ``upper`` decides whether the graph's ``upper`` exceeds t + T,
+    so the verdicts agree.
+    One settled above, ``lower > t + tol``, call it c: the vector of
+    largest ``lower`` has an exact ratio above t + tol - 2 delta > t, so
+    the settled verdict is ``certified_above``.  lambda_c > t + tol - 2
+    delta, and the converged c ends with a ``lower`` of at least lambda_c
+    - delta - tol', so the converged vector's exact ratio is above t when
+    lambda_c > t + tol' + 2 delta.  Only lambda_c within 3 delta of t +
+    tol escapes both bounds, and there the settled run certifies lambda >
+    t exactly.  []
     """
     b = len(weights)
     exp = r - 1
@@ -182,7 +237,7 @@ def _power_iterate(edges: np.ndarray, weights: np.ndarray, k: int, r: int, tol: 
         lo = (x[:, None, :] @ g[:, :, None])[:, 0, 0]   # form value at each unit iterate
         xp = np.maximum(x, _TINY) ** exp
         up = (g / xp).max(axis=1)                        # Collatz-Wielandt ratio
-        done = up - lo <= tol
+        done = (up - lo <= tol) | (up < t - tol) | (lo > t + tol)
         if done.any():
             fin = rows[done]
             lower[fin], upper[fin], vectors[fin] = lo[done], up[done], x[done]
@@ -247,20 +302,31 @@ def _components(n: int, r: int, members: np.ndarray, picked: np.ndarray):
     return name, local, groups
 
 
+def _as_float(t) -> float:
+    """``t`` as a float, or NaN when it has none."""
+    try:
+        return float(t)
+    except (TypeError, ValueError, OverflowError):
+        return np.nan
+
+
 def _check_tol(tol: float) -> None:
     if not 0 < tol < np.inf:
         raise ValueError(f"need a finite tol > 0, got {tol}")
 
 
 def _bracket(n: int, r: int, members: np.ndarray, picked: np.ndarray, tol: float,
-             max_iter: int) -> list[SpectralEstimate]:
+             max_iter: int, t=None) -> list[SpectralEstimate]:
     """One estimate per graph that ``picked`` selects from ``members`` (as in
-    ``_components``), reassembled from the kernel rows of its components.
+    ``_components``), reassembled from the kernel rows of its components,
+    each run until converged or settled against the threshold ``t`` (see
+    ``_power_iterate``); a ``t`` that is None, or has no float, settles nothing.
     """
     _check_tol(tol)
     b, width = picked.shape
     name, local, groups = _components(n, r, members, picked)
-    runs = [(k, rows, _power_iterate(edges, weights, k, r, tol, max_iter))
+    t = _as_float(t)
+    runs = [(k, rows, _power_iterate(edges, weights, k, r, tol, max_iter, t))
             for k, rows, edges, weights in groups]
     # per component name, filled where a component ran (allocated after the
     # kernel runs, which keeps them off the memory peak)
@@ -295,7 +361,8 @@ def _bracket(n: int, r: int, members: np.ndarray, picked: np.ndarray, tol: float
                     converged.tolist()))
 
 
-def spectral_radius(h: Hypergraph, tol: float = 1e-9, max_iter: int = 10 ** 6) -> SpectralEstimate:
+def spectral_radius(h: Hypergraph, tol: float = 1e-9, max_iter: int = 10 ** 6, *,
+                    t=None) -> SpectralEstimate:
     """Bracket on the spectral radius of ``h``, valid up to floating-point rounding.
 
     The form decomposes over shadow components (isolated vertices
@@ -305,9 +372,12 @@ def spectral_radius(h: Hypergraph, tol: float = 1e-9, max_iter: int = 10 ** 6) -
     returned vector.  Non-convergence within ``max_iter`` still returns a
     bracket (just a wider one), flagged via ``converged=False``.  For an
     exact lower bound, evaluate the returned vector with
-    ``exact_form_ratio`` or ``certified_above``.
+    ``exact_form_ratio`` or ``certified_above``.  Given the threshold
+    ``t`` a caller decides, each component stops once its bracket is
+    settled, clear of t by ``tol``, and counts as converged there.
     """
-    return _bracket(h.n, h.r, _edge_index_array(h), np.ones((1, h.m), dtype=np.uint8), tol, max_iter)[0]
+    return _bracket(h.n, h.r, _edge_index_array(h), np.ones((1, h.m), dtype=np.uint8), tol, max_iter,
+                    t)[0]
 
 
 @cache
@@ -330,15 +400,15 @@ def _picked_edges(n: int, r: int, chosen) -> np.ndarray:
     return np.unpackbits(raw.reshape(len(masks), nbytes), axis=1, count=width, bitorder="little")
 
 
-def spectral_radii(n: int, r: int, chosen, tol: float = 1e-9,
-                   max_iter: int = 10 ** 6) -> list[SpectralEstimate]:
+def spectral_radii(n: int, r: int, chosen, tol: float = 1e-9, max_iter: int = 10 ** 6, *,
+                   t=None) -> list[SpectralEstimate]:
     """``spectral_radius`` of many graphs given as chosen-universe masks.
 
     Bit i of a mask selects edge ``universe_masks(n, r)[i]``.  Each
-    estimate equals ``spectral_radius`` of the same graph, whichever
-    graphs share its call.
+    estimate equals ``spectral_radius`` of the same graph, with the same
+    ``t``, whichever graphs share its call.
     """
-    return _bracket(n, r, _universe_members(n, r), _picked_edges(n, r, chosen), tol, max_iter)
+    return _bracket(n, r, _universe_members(n, r), _picked_edges(n, r, chosen), tol, max_iter, t)
 
 
 def _dyadic_sums(h: Hypergraph, x) -> tuple[int, int]:
@@ -446,10 +516,7 @@ def _verdicts(n: int, r: int, members: np.ndarray, picked: np.ndarray, vectors, 
     for i, v in enumerate(vectors):
         if v.shape == (n,):
             x[i] = v
-    try:
-        tf = float(t)
-    except (TypeError, ValueError, OverflowError):
-        tf = np.nan
+    tf = _as_float(t)
     settle = np.full(b, tf == t and 0 < tf < np.inf)
     settle &= np.isfinite(x).all(axis=1)
     x[~settle] = 0.0
@@ -506,6 +573,7 @@ def threshold_verdict(h: Hypergraph, est: SpectralEstimate, t, tol: float = 1e-9
 
 
 def exceeds_threshold(h: Hypergraph, t, tol: float = 1e-9, max_iter: int = 10 ** 6) -> str:
-    """Decide lambda(h) vs t; see ``threshold_verdict`` for the semantics."""
-    est = spectral_radius(h, tol, max_iter)
+    """Decide lambda(h) vs t; see ``threshold_verdict`` for the semantics.
+    The bracket stops once settled against ``t`` (see ``_power_iterate``)."""
+    est = spectral_radius(h, tol, max_iter, t=t)
     return threshold_verdict(h, est, t, tol)

@@ -328,7 +328,7 @@ def test_undecided_verdicts_are_retried_at_a_thousandth_of_the_tolerance(monkeyp
     got = verify_spectral_theorem(5, 3, samples=64).to_dict()
     assert len(forced) >= len(targets) and len(retried) == len(forced)
     for h, est, tol in retried:
-        alone = spectral_radius(h, tol / 1000, max_iter=500_000)
+        alone = spectral_radius(h, tol / 1000, max_iter=500_000, t=t_spec)
         assert (est.lower, est.upper, est.iterations, est.converged) == (
             alone.lower, alone.upper, alone.iterations, alone.converged)
         assert np.array_equal(est.vector, alone.vector)

@@ -9,12 +9,13 @@ import pytest
 
 from bergeham import spectral
 from bergeham.bounds import bai_lu_bound, threshold
-from bergeham.enumeration import LevelSpec, hypergraph_at, level_masks, level_size
+from bergeham.enumeration import LevelSpec, chosen_mask, hypergraph_at, level_masks, level_size
 from bergeham.hypergraph import (
     Hypergraph,
     clique_plus_isolated,
     clique_plus_pendant,
     complete,
+    labeled_isolated_copies,
     universe_masks,
 )
 from bergeham.spectral import (
@@ -148,6 +149,10 @@ def test_exact_equality_case_is_decided_exactly():
     assert exact_form_ratio(h, est.vector) == Fraction(6)
     assert threshold_verdict(h, est, 6 - 1e-9, tol=1e-12) == CERTIFIED_ABOVE
     assert threshold_verdict(h, est, 6, tol=1e-9) == CERTIFIED_BELOW_OR_EQUAL
+    # settled against t = 6 it is the same bracket, and exceeds_threshold agrees
+    full = spectral_radius(h)
+    assert _settled(h, 6, full).iterations == full.iterations == 1
+    assert exceeds_threshold(h, 6) == threshold_verdict(h, full, 6) == CERTIFIED_BELOW_OR_EQUAL
 
 
 def test_wide_bracket_is_undecided():
@@ -420,7 +425,9 @@ def _audit_level_masks(n, r, sample=None):
     return masks
 
 
-@pytest.mark.parametrize("n,r,masks", [
+# the audit's two whole levels at (5,3) and (6,4), 1,500 sampled ranks of
+# each (6,3) level, and 300 seeded random graphs at three sizes
+_VERDICT_SETS = pytest.mark.parametrize("n,r,masks", [
     (5, 3, _audit_level_masks(5, 3)),
     (6, 4, _audit_level_masks(6, 4)),
     (6, 3, _audit_level_masks(6, 3, sample=1500)),
@@ -428,6 +435,9 @@ def _audit_level_masks(n, r, sample=None):
     (6, 4, _random_masks(random.Random(22), 6, 4, 300)),
     (7, 3, _random_masks(random.Random(23), 7, 3, 300)),
 ], ids=["levels-5-3", "levels-6-4", "levels-6-3", "random-6-3", "random-6-4", "random-7-3"])
+
+
+@_VERDICT_SETS
 def test_batched_verdicts_equal_the_exact_integer_test(n, r, masks):
     t_spec = threshold("spectral_cycle", n, r).value
     graphs = [hypergraph_at(n, r, mask) for mask in masks]
@@ -437,6 +447,84 @@ def test_batched_verdicts_equal_the_exact_integer_test(n, r, masks):
         assert threshold_verdicts(n, r, masks, ests, t) == want
         if t == t_spec:
             assert [threshold_verdict(h, est, t) for h, est in zip(graphs, ests)] == want
+
+
+def _audit_verdicts(n, r, masks, t, settle, tol=1e-9):
+    """The spectral audit's final verdicts, as ``campaigns._audit`` reaches
+    them: one call at ``tol``, the undecided graphs again at ``tol/1000``,
+    each settled against ``t`` if ``settle``; with the first call's
+    estimates and each graph's unconverged flag."""
+    kw = {"t": t} if settle else {}
+    ests = spectral_radii(n, r, masks, tol, max_iter=50_000, **kw)
+    verdicts = threshold_verdicts(n, r, masks, ests, t, tol)
+    unconverged = [not est.converged for est in ests]
+    if retry := [i for i, verdict in enumerate(verdicts) if verdict == UNDECIDED]:
+        again = [masks[i] for i in retry]
+        more = spectral_radii(n, r, again, tol / 1000, max_iter=500_000, **kw)
+        for i, verdict, est in zip(retry, threshold_verdicts(n, r, again, more, t, tol), more):
+            verdicts[i] = verdict
+            unconverged[i] |= not est.converged
+    return verdicts, ests, unconverged
+
+
+@_VERDICT_SETS
+def test_settled_audit_verdicts_equal_converged_verdicts(n, r, masks):
+    t_spec = threshold("spectral_cycle", n, r).value
+    for t in (t_spec, t_spec - 1e-3, t_spec + 1e-3):
+        want, full, _ = _audit_verdicts(n, r, masks, t, settle=False)
+        got, settled, unconverged = _audit_verdicts(n, r, masks, t, settle=True)
+        assert got == want
+        assert not any(unconverged)  # a settled graph counts as converged
+        assert all(a.iterations <= b.iterations for a, b in zip(settled, full))
+        assert sum(a.iterations for a in settled) < sum(b.iterations for b in full)
+
+
+def _settled(h, t, full, tol=1e-9):
+    """The estimate of ``h`` settled against ``t``, checked against its
+    ``full`` one without ``t``: it stops no later, and either stopped
+    early, with its bracket clear of t by ``tol`` (for a connected ``h``,
+    whose bracket is its one component's), or is ``full`` bit for bit."""
+    est = spectral_radius(h, tol, t=t)
+    assert est.converged and est.iterations <= full.iterations
+    if est.iterations == full.iterations:
+        assert (est.lower, est.upper, est.converged) == (full.lower, full.upper, full.converged)
+        assert est.vector.tobytes() == full.vector.tobytes()
+    elif len(_split(h)) == 1:
+        assert est.upper < t - tol or est.lower > t + tol
+    return est
+
+
+@pytest.mark.parametrize("n,r,seed", [(6, 3, 21), (6, 4, 22), (7, 3, 23)])
+def test_thresholds_next_to_lambda_keep_the_converged_verdict(n, r, seed):
+    # each graph at t = lambda +- {0.5, 2} tol and lambda +- 1e-3, lambda from
+    # a bracket 1e-12 wide: the settled bracket gives the converged one's
+    # verdict, which is exceeds_threshold's (called itself on 20 graphs)
+    tol = 1e-9
+    early = 0
+    for i, mask in enumerate(_random_masks(random.Random(seed), n, r, 300)[1:]):
+        h = hypergraph_at(n, r, mask)
+        lam = spectral_radius(h, 1e-12, max_iter=500_000).lower
+        full = spectral_radius(h, tol)
+        for t in (lam - 1e-3, lam - 2 * tol, lam - tol / 2, lam + tol / 2, lam + 2 * tol, lam + 1e-3):
+            est = _settled(h, t, full, tol)
+            want = threshold_verdict(h, full, t, tol)
+            assert threshold_verdict(h, est, t, tol) == want
+            if i < 20:
+                assert exceeds_threshold(h, t, tol) == want
+            early += est.iterations < full.iterations
+    assert early > 0
+
+
+@pytest.mark.parametrize("n,r", [(5, 3), (6, 3), (6, 4), (7, 5)])
+def test_exact_equality_graphs_settle_below_or_equal(n, r):
+    # lambda(K_{n-1}^r + v) = t exactly, wherever the isolated vertex sits
+    t = threshold("spectral_cycle", n, r).value
+    masks = [chosen_mask(n, r, h.edges) for h in labeled_isolated_copies(n, r)]
+    want, full, _ = _audit_verdicts(n, r, masks, t, settle=False)
+    got, settled, _ = _audit_verdicts(n, r, masks, t, settle=True)
+    assert got == want == [CERTIFIED_BELOW_OR_EQUAL] * n
+    for a, b in zip(settled, full):
+        assert (a.lower, a.upper, a.iterations, a.converged) == (b.lower, b.upper, b.iterations, b.converged)
 
 
 def test_equality_case_stays_below_or_equal_inside_a_batch():
