@@ -11,8 +11,8 @@ canonical code with constructed exceptional graphs, because the claims
 being verified are claims up to isomorphism.  Each class is canonized
 once, and its other labeled copies match a class witness by a verified
 relabeling.  The spectral audit runs every graph, of a level chunk or
-random, through ``_audit``, which checks a non-Hamiltonian graph against
-its exception by a verified isomorphism and runs no canonical search.
+random, through ``_audit``, which recognizes the pendant exception by its
+structure (``_is_pendant_copy``) and runs no canonical or isomorphism search.
 
 Campaign aggregates are merged in rank order from deterministic chunks,
 so reports are identical for any worker count; a seeded sample of graphs
@@ -63,10 +63,12 @@ from .hypergraph import (
 from .spectral import (
     CERTIFIED_ABOVE,
     UNDECIDED,
-    spectral_radii,
+    _bracket,
+    _picked_edges,
+    _universe_members,
+    _verdicts,
     spectral_radius,
     threshold_verdict,
-    threshold_verdicts,
 )
 
 CSV_HEADER = "n,r,m,visited,hamiltonian,nonhamiltonian,exceptions,pass"
@@ -158,20 +160,16 @@ class AuditTally:
     undecided: list[str] = field(default_factory=list)   # witnesses
     violations: list[str] = field(default_factory=list)  # "violation at <witness>: <reason>"
 
-    def add(self, n: int, r: int, rank: int | None, chosen: int, verdict: str,
-            violation: str | None, unconverged: bool) -> None:
-        """Count the graph ``chosen`` on the (n, r) universe; a ``Hypergraph``
-        is built only for the edge list of a random graph kept as a witness."""
-        self.audited += 1
-        self.unconverged += unconverged
-        self.above += verdict == CERTIFIED_ABOVE
-        if verdict == UNDECIDED or violation is not None:
-            witness = (f"m={chosen.bit_count()} rank {rank}" if rank is not None else
-                       f"random graph with edges {[list(e) for e in hypergraph_at(n, r, chosen).edge_sets()]}")
-            if verdict == UNDECIDED:
-                self.undecided.append(witness)
-            if violation is not None:
-                self.violations.append(f"violation at {witness}: {violation}")
+    def add(self, n: int, r: int, rank: int | None, chosen: int, undecided: bool,
+            violation: str | None) -> None:
+        """Keep the witness of an undecided or violating graph ``chosen`` on the (n, r)
+        universe; a ``Hypergraph`` is built only for a random graph's edge list."""
+        witness = (f"m={chosen.bit_count()} rank {rank}" if rank is not None else
+                   f"random graph with edges {[list(e) for e in hypergraph_at(n, r, chosen).edge_sets()]}")
+        if undecided:
+            self.undecided.append(witness)
+        if violation is not None:
+            self.violations.append(f"violation at {witness}: {violation}")
 
     def merge(self, other: "AuditTally") -> None:
         self.audited += other.audited
@@ -189,54 +187,65 @@ class AuditTally:
         )
 
 
+@cache
+def _avoiding(n: int, r: int) -> tuple[int, ...]:
+    """Per vertex v, the chosen-universe mask of the C(n-1, r) edges that avoid v."""
+    return tuple(sum(1 << i for i, e in enumerate(universe_masks(n, r)) if not e >> v & 1) for v in range(n))
+
+
+def _is_pendant_copy(n: int, r: int, chosen: int) -> bool:
+    """Whether ``chosen`` is a labeled copy of K_{n-1}^r + e: exactly when it has
+    C(n-1, r) + 1 edges, all C(n-1, r) avoiding some vertex v among them."""
+    return chosen.bit_count() == comb(n - 1, r) + 1 and any(chosen & a == a for a in _avoiding(n, r))
+
+
 def _audit(n: int, r: int, rows: Iterable[tuple[int | None, int]], tol: float) -> AuditTally:
     """Audit (rank or None, chosen-universe mask) pairs, in order, for the
     spectral->edge->Hamiltonicity implication chain.
 
     A graph certified above t = C(n-2, r-1) needs more than ``t_edge`` =
     C(n-1, r) edges (Bai-Lu: lambda <= f_r(m), increasing, and
-    f_r(C(n-1, r)) = t), and a Hamiltonian cycle unless a verified
-    isomorphism maps it onto the pendant exception.  Per ``SPECTRAL_SLICE``
-    graphs, one ``spectral_radii`` call brackets them all, each until it is
-    settled against t (clear of it by ``tol``) or ``tol`` wide, and one
-    ``threshold_verdicts`` call decides them; the undecided ones, if any,
-    are re-bracketed together at ``tol/1000``, settled the same way (an
-    estimate does not depend on its batch, so this is each graph's own
-    retry), and decided again.  A settled graph counts as converged.
-    One ``decide`` call gives the Berge verdicts, so memory stays flat
-    however many rows there are.  Edge counts are mask popcounts; a
-    ``Hypergraph`` is built only for an isomorphism check or a kept witness.
+    f_r(C(n-1, r)) = t), and a Hamiltonian cycle unless its mask is a
+    pendant exception copy (``_is_pendant_copy``).  Per ``SPECTRAL_SLICE``
+    graphs, as arrays over one edge selection, one ``_bracket`` call
+    brackets them all, each until it is settled against t (clear of it by
+    ``tol``) or ``tol`` wide, and one ``_verdicts`` call decides them; the
+    undecided ones, if any, are re-bracketed together at ``tol/1000``,
+    settled the same way (an estimate does not depend on its batch, so
+    this is each graph's own retry), and decided again.  A settled graph
+    counts as converged.  One ``decide`` call gives the Berge verdicts, so
+    memory stays flat however many rows there are.  Counts are sums over
+    the slice; only witnessed graphs go through ``AuditTally.add``.
     """
     t_spec = threshold("spectral_cycle", n, r).value
     t_edge = threshold("edge_cycle", n, r).value
-    pendant = clique_plus_pendant(n, r)
+    members = _universe_members(n, r)
     rows = iter(rows)
     tally = AuditTally()
     while part := list(islice(rows, SPECTRAL_SLICE)):
         chosen = [c for _, c in part]
-        ests = spectral_radii(n, r, chosen, tol, max_iter=50_000, t=t_spec)
-        verdicts = threshold_verdicts(n, r, chosen, ests, t_spec, tol)
-        unconverged = [not est.converged for est in ests]
+        picked = _picked_edges(n, r, chosen)
+        _, upper, vectors, _, converged = _bracket(n, r, members, picked, tol, 50_000, t_spec)
+        verdicts = _verdicts(n, r, members, picked, vectors, upper, t_spec, tol)
         if retry := [i for i, verdict in enumerate(verdicts) if verdict == UNDECIDED]:
-            again = [chosen[i] for i in retry]
-            ests = spectral_radii(n, r, again, tol / 1000, max_iter=500_000, t=t_spec)
-            for i, verdict, est in zip(retry, threshold_verdicts(n, r, again, ests, t_spec, tol), ests):
+            again = picked[retry]
+            _, upper, vectors, _, done = _bracket(n, r, members, again, tol / 1000, 500_000, t_spec)
+            for i, verdict in zip(retry, _verdicts(n, r, members, again, vectors, upper, t_spec, tol)):
                 verdicts[i] = verdict
-                unconverged[i] |= not est.converged
-        violations: list[str | None] = [None] * len(part)
-        asked: list[int] = []  # certified above with enough edges: must be Hamiltonian
-        for i, (c, verdict) in enumerate(zip(chosen, verdicts)):
-            if verdict != CERTIFIED_ABOVE:
-                continue
-            if c.bit_count() <= t_edge:
-                violations[i] = "spectral radius certified above threshold but edge count below implied bound"
-            else:
-                asked.append(i)
+            converged[retry] &= done
+        above = [i for i, verdict in enumerate(verdicts) if verdict == CERTIFIED_ABOVE]
+        violations = {i: "spectral radius certified above threshold but edge count below implied bound"
+                      for i in above if chosen[i].bit_count() <= t_edge}
+        asked = [i for i in above if i not in violations]  # enough edges: must be Hamiltonian
         for i, yes in zip(asked, _decider(n, r).decide([chosen[i] for i in asked], "cycle").tolist()):
-            if not yes and isomorphism(hypergraph_at(n, r, chosen[i]), pendant) is None:
+            if not yes and not _is_pendant_copy(n, r, chosen[i]):
                 violations[i] = "non-hamiltonian above the edge threshold and not the pendant exception"
-        for (rank, c), verdict, violation, unconv in zip(part, verdicts, violations, unconverged):
-            tally.add(n, r, rank, c, verdict, violation, unconv)
+        tally.audited += len(part)
+        tally.above += len(above)
+        tally.unconverged += int((~converged).sum())
+        for i, ((rank, c), verdict) in enumerate(zip(part, verdicts)):
+            if verdict == UNDECIDED or i in violations:
+                tally.add(n, r, rank, c, verdict == UNDECIDED, violations.get(i))
     return tally
 
 

@@ -41,7 +41,8 @@ k vertices as rows of one kernel call in local labels, and reassembles each
 graph's estimate from its own components.  An estimate therefore does not
 depend on which graphs share its batch.  ``spectral_radii`` feeds it graphs
 as chosen-universe masks; ``spectral_radius`` feeds it one graph's own
-edges, so it never builds the ``(n, r)`` edge universe.
+edges, so it never builds the ``(n, r)`` edge universe.  Both wrap its
+arrays in estimates; the spectral audit hands them straight to ``_verdicts``.
 
 Strict threshold decisions re-derive the lower bound exactly at the
 returned vector.  Its float coordinates are dyadic rationals; scaled to a
@@ -54,8 +55,8 @@ from each vector and settles a row when ``r * T`` and ``t * D`` differ by
 more than a relative margin proven to exceed their rounding error (see
 ``_verdicts``).  Rows inside the margin, rows whose vector the error
 bound does not cover, and every row of a threshold that is not exactly a
-float go to ``certified_above``; ``threshold_verdict`` is the one-row
-call of the same core.
+float go to ``certified_above``.  ``threshold_verdict``, one row, goes
+straight to ``certified_above``, which gives the filter's verdict.
 """
 
 from __future__ import annotations
@@ -109,11 +110,17 @@ def _edge_index_array(h: Hypergraph) -> np.ndarray:
     return np.array([_edge_members(e) for e in h.edges], dtype=np.intp)
 
 
+def _vector(x, n: int) -> np.ndarray:
+    """``x`` as a float array, which must have shape (n,)."""
+    v = np.asarray(x, dtype=np.float64)
+    if v.shape != (n,):
+        raise ValueError(f"vector has shape {v.shape}, expected ({n},)")
+    return v
+
+
 def evaluate_form(h: Hypergraph, x) -> float:
     """The form r * sum_e prod_{i in e} x_i at a vector of length n."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.shape != (h.n,):
-        raise ValueError(f"vector has shape {v.shape}, expected ({h.n},)")
+    v = _vector(x, h.n)
     if h.m == 0:
         return 0.0
     e = _edge_index_array(h)
@@ -126,9 +133,7 @@ def gradient_form(h: Hypergraph, x) -> np.ndarray:
     Computed with leave-one-out products rather than division, so zero
     entries (isolated vertices included) come out exact.
     """
-    v = np.asarray(x, dtype=np.float64)
-    if v.shape != (h.n,):
-        raise ValueError(f"vector has shape {v.shape}, expected ({h.n},)")
+    v = _vector(x, h.n)
     grad = np.zeros(h.n)
     if h.m == 0:
         return grad
@@ -316,9 +321,10 @@ def _check_tol(tol: float) -> None:
 
 
 def _bracket(n: int, r: int, members: np.ndarray, picked: np.ndarray, tol: float,
-             max_iter: int, t=None) -> list[SpectralEstimate]:
-    """One estimate per graph that ``picked`` selects from ``members`` (as in
-    ``_components``), reassembled from the kernel rows of its components,
+             max_iter: int, t=None):
+    """The arrays (lower, upper, (B, n) vectors, iterations, converged) of the
+    estimates of the graphs that ``picked`` selects from ``members`` (as in
+    ``_components``), reassembled from the kernel rows of their components,
     each run until converged or settled against the threshold ``t`` (see
     ``_power_iterate``); a ``t`` that is None, or has no float, settles nothing.
     """
@@ -356,7 +362,11 @@ def _bracket(n: int, r: int, members: np.ndarray, picked: np.ndarray, tol: float
     for m in set(sizes.tolist()):
         sel = np.flatnonzero(sizes == m)
         lower[sel] = r * prods[starts[sel, None] + np.arange(m)].sum(axis=1)
-    upper = np.maximum(upper, lower)
+    return lower, np.maximum(upper, lower), vectors, iterations, converged
+
+
+def _estimates(lower, upper, vectors, iterations, converged) -> list[SpectralEstimate]:
+    """The ``SpectralEstimate`` of each row of ``_bracket``'s arrays."""
     return list(map(SpectralEstimate, lower.tolist(), upper.tolist(), vectors, iterations.tolist(),
                     converged.tolist()))
 
@@ -376,8 +386,8 @@ def spectral_radius(h: Hypergraph, tol: float = 1e-9, max_iter: int = 10 ** 6, *
     ``t`` a caller decides, each component stops once its bracket is
     settled, clear of t by ``tol``, and counts as converged there.
     """
-    return _bracket(h.n, h.r, _edge_index_array(h), np.ones((1, h.m), dtype=np.uint8), tol, max_iter,
-                    t)[0]
+    return _estimates(*_bracket(h.n, h.r, _edge_index_array(h), np.ones((1, h.m), dtype=np.uint8), tol,
+                                max_iter, t))[0]
 
 
 @cache
@@ -408,7 +418,7 @@ def spectral_radii(n: int, r: int, chosen, tol: float = 1e-9, max_iter: int = 10
     estimate equals ``spectral_radius`` of the same graph, with the same
     ``t``, whichever graphs share its call.
     """
-    return _bracket(n, r, _universe_members(n, r), _picked_edges(n, r, chosen), tol, max_iter, t)
+    return _estimates(*_bracket(n, r, _universe_members(n, r), _picked_edges(n, r, chosen), tol, max_iter, t))
 
 
 def _dyadic_sums(h: Hypergraph, x) -> tuple[int, int]:
@@ -418,9 +428,7 @@ def _dyadic_sums(h: Hypergraph, x) -> tuple[int, int]:
     so every X_i is an integer and both sums are exact; they share the
     factor 2^{r s}, which cancels in the form ratio.
     """
-    v = np.asarray(x, dtype=np.float64)
-    if v.shape != (h.n,):
-        raise ValueError(f"vector has shape {v.shape}, expected ({h.n},)")
+    v = _vector(x, h.n)
     if not np.isfinite(v).all():
         raise ValueError("need a finite vector")
     parts = [frexp(c) for c in v.tolist()]
@@ -469,10 +477,11 @@ def _margin(k: int) -> float:
     return 4 * k * _UNIT / (1 - k * _UNIT)
 
 
-def _verdicts(n: int, r: int, members: np.ndarray, picked: np.ndarray, vectors, uppers,
+def _verdicts(n: int, r: int, members: np.ndarray, picked: np.ndarray, vectors: np.ndarray, uppers,
               t, tol: float) -> list[str]:
     """``threshold_verdict`` of each graph that ``picked`` selects from
-    ``members`` (as in ``_components``), at its vector and upper bound.
+    ``members`` (as in ``_components``), at its row of the (B, n) array
+    ``vectors`` and its upper bound.
 
     Per row, the float sums ``T = sum_e prod_{i in e} x_i`` and ``D =
     sum_i x_i^r`` are recomputed from the vector (``est.lower`` is not
@@ -501,23 +510,18 @@ def _verdicts(n: int, r: int, members: np.ndarray, picked: np.ndarray, vectors, 
     The bound needs its premises, so a row goes to ``certified_above`` (the
     exact integer test, with its errors for a malformed vector) when the
     filter cannot settle it: every row when ``t`` is not exactly a
-    positive finite float; a row whose vector does not have shape (n,),
-    or has a non-finite or negative coordinate, or none nonzero; a row
-    whose smallest nonzero coordinate, raised to the r, could leave the
-    normal range, or whose ``c * (1 +- eps)`` overflows or falls to the
-    normal range's edge; and a row inside the margin.  The verdict is
-    then ``certified_above``, else ``certified_below_or_equal`` when the
-    upper bound is at most ``t + tol``, else ``undecided``.
+    positive finite float; a row whose vector has a non-finite or negative
+    coordinate, or none nonzero; a row whose smallest nonzero coordinate,
+    raised to the r, could leave the normal range, or whose ``c * (1 +-
+    eps)`` overflows or falls to the normal range's edge; and a row inside
+    the margin.  The verdict is then ``certified_above``, else
+    ``certified_below_or_equal`` when the upper bound is at most ``t +
+    tol``, else ``undecided``.
     """
     _check_tol(tol)
-    vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
-    b = len(vectors)
-    x = np.zeros((b, n))
-    for i, v in enumerate(vectors):
-        if v.shape == (n,):
-            x[i] = v
+    x = np.array(vectors, dtype=np.float64)
     tf = _as_float(t)
-    settle = np.full(b, tf == t and 0 < tf < np.inf)
+    settle = np.full(len(x), tf == t and 0 < tf < np.inf)
     settle &= np.isfinite(x).all(axis=1)
     x[~settle] = 0.0
     settle &= (x >= 0).all(axis=1) & x.any(axis=1)
@@ -554,8 +558,14 @@ def threshold_verdicts(n: int, r: int, chosen, estimates, t, tol: float = 1e-9) 
     picked = _picked_edges(n, r, chosen)
     if len(picked) != len(estimates):
         raise ValueError(f"{len(picked)} graphs but {len(estimates)} estimates")
-    return _verdicts(n, r, _universe_members(n, r), picked, [est.vector for est in estimates],
-                     [est.upper for est in estimates], t, tol)
+    vectors = [np.asarray(est.vector, dtype=np.float64) for est in estimates]
+    # decide the rows ahead of a misshapen vector first: a malformed one there raises first
+    good = next((i for i, v in enumerate(vectors) if v.shape != (n,)), len(vectors))
+    verdicts = _verdicts(n, r, _universe_members(n, r), picked[:good], np.reshape(vectors[:good], (good, n)),
+                         [est.upper for est in estimates[:good]], t, tol)
+    if good < len(vectors):
+        _vector(vectors[good], n)  # raises: the shape is wrong
+    return verdicts
 
 
 def threshold_verdict(h: Hypergraph, est: SpectralEstimate, t, tol: float = 1e-9) -> str:
@@ -565,11 +575,12 @@ def threshold_verdict(h: Hypergraph, est: SpectralEstimate, t, tol: float = 1e-9
     vector to exceed ``t``: a sound strict inequality.
     ``certified_below_or_equal`` means the floating upper bound clears
     ``t`` within ``tol`` (exact equality cases land here).  Anything else
-    is ``undecided`` and deserves exact-arithmetic follow-up.  This is the
-    one-row case of ``threshold_verdicts``.
+    is ``undecided`` and deserves exact-arithmetic follow-up.  This is
+    ``threshold_verdicts``' verdict, without the float filter in front.
     """
-    return _verdicts(h.n, h.r, _edge_index_array(h), np.ones((1, h.m), dtype=np.uint8), [est.vector],
-                     [est.upper], t, tol)[0]
+    _check_tol(tol)
+    return (CERTIFIED_ABOVE if certified_above(h, est.vector, t) else
+            CERTIFIED_BELOW_OR_EQUAL if est.upper <= t + tol else UNDECIDED)
 
 
 def exceeds_threshold(h: Hypergraph, t, tol: float = 1e-9, max_iter: int = 10 ** 6) -> str:

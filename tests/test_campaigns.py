@@ -16,9 +16,9 @@ from bergeham.campaigns import (
     verify_lemma_r_plus_2,
     verify_spectral_theorem,
 )
-from bergeham.canonical import are_isomorphic, canonical_form
-from bergeham.enumeration import LevelSpec, hypergraph_at, level_masks, level_size
-from bergeham.hypergraph import Hypergraph, clique_plus_isolated, clique_plus_pendant, universe_masks
+from bergeham.canonical import are_isomorphic, canonical_form, isomorphism
+from bergeham.enumeration import LevelSpec, chosen_mask, hypergraph_at, level_masks, level_size
+from bergeham.hypergraph import Hypergraph, clique_plus_isolated, clique_plus_pendant, complete, universe_masks
 from bergeham.spectral import (
     CERTIFIED_ABOVE,
     CERTIFIED_BELOW_OR_EQUAL,
@@ -234,6 +234,11 @@ def test_spectral_report_hides_chunk_and_slice_boundaries(monkeypatch):
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 
 
+def _chosen(picked):
+    """The chosen-universe mask of each row of a (B, C(n, r)) 0/1 edge selection."""
+    return [sum(1 << i for i in np.flatnonzero(row).tolist()) for row in picked]
+
+
 def _snapshot(rep):
     d = rep.to_dict()
     d.pop("seconds")
@@ -267,9 +272,11 @@ def test_each_exception_class_is_canonized_once(monkeypatch):
 
 def test_reports_do_not_depend_on_the_matcher(monkeypatch):
     # with every match missed, each Berge exception copy is canonized and
-    # the Berge reports stay as they are; the spectral audit, whose match is
-    # its only way to excuse a graph, fails on exactly the pendant copies
+    # the Berge reports stay as they are; with its pendant check missing
+    # every copy, the spectral audit, whose check is its only way to excuse
+    # a graph, fails on exactly the pendant copies
     monkeypatch.setattr(campaigns, "isomorphism", lambda a, b: None)
+    monkeypatch.setattr(campaigns, "_is_pendant_copy", lambda n, r, chosen: False)
     golden = json.loads(GOLDEN.read_text())
     assert _snapshot(verify_lemma_r_plus_2(5)) == golden["lemma_r_plus_2(5)"]
     assert _snapshot(verify_edge_theorem(5, 3)) == golden["edge_theorem(5, 3)"]
@@ -304,16 +311,25 @@ def test_undecided_verdicts_are_retried_at_a_thousandth_of_the_tolerance(monkeyp
     t_spec = comb(3, 2)
     assert {exceeds_threshold(h, t_spec) for h in targets} == {CERTIFIED_ABOVE, CERTIFIED_BELOW_OR_EQUAL}
     expected = verify_spectral_theorem(5, 3, samples=64).to_dict()
-    original = campaigns.threshold_verdicts
-    forced, retried, pending = [], [], []
+    original_bracket, original_verdicts = campaigns._bracket, campaigns._verdicts
+    forced, retried, pending, brackets = [], [], [], []
 
-    def fake(n, r, chosen, ests, t, tol):
+    def bracket(n, r, members, picked, *args):
+        run = original_bracket(n, r, members, picked, *args)
+        brackets.append((picked, run))
+        return run
+
+    def fake(n, r, members, picked, vectors, uppers, t, tol):
         # a slice's first call forces the targets; the call after it that
-        # holds exactly the undecided graphs is their retry
-        verdicts = original(n, r, chosen, ests, t, tol)
-        graphs = [hypergraph_at(n, r, c) for c in chosen]
+        # holds exactly the undecided graphs is their retry, on the arrays
+        # of the bracket call just before it
+        verdicts = original_verdicts(n, r, members, picked, vectors, uppers, t, tol)
+        graphs = [hypergraph_at(n, r, c) for c in _chosen(picked)]
         if pending:
             assert graphs == pending
+            (bracketed, (lower, upper, vecs, iterations, converged)), = brackets[-1:]
+            assert np.array_equal(bracketed, picked) and vecs is vectors and upper is uppers
+            ests = zip(lower.tolist(), upper.tolist(), vecs, iterations.tolist(), converged.tolist())
             retried.extend(zip(graphs, ests, repeat(tol)))
             pending.clear()
             return verdicts
@@ -324,14 +340,15 @@ def test_undecided_verdicts_are_retried_at_a_thousandth_of_the_tolerance(monkeyp
         pending.extend(h for h, verdict in zip(graphs, verdicts) if verdict == UNDECIDED)
         return verdicts
 
-    monkeypatch.setattr(campaigns, "threshold_verdicts", fake)
+    monkeypatch.setattr(campaigns, "_bracket", bracket)
+    monkeypatch.setattr(campaigns, "_verdicts", fake)
     got = verify_spectral_theorem(5, 3, samples=64).to_dict()
     assert len(forced) >= len(targets) and len(retried) == len(forced)
-    for h, est, tol in retried:
+    for h, (lower, upper, vector, iterations, converged), tol in retried:
         alone = spectral_radius(h, tol / 1000, max_iter=500_000, t=t_spec)
-        assert (est.lower, est.upper, est.iterations, est.converged) == (
+        assert (lower, upper, iterations, converged) == (
             alone.lower, alone.upper, alone.iterations, alone.converged)
-        assert np.array_equal(est.vector, alone.vector)
+        assert np.array_equal(vector, alone.vector)
     assert got["levels"][0]["note"] == "undecided=0 unconverged=0"
     got.pop("seconds")
     expected.pop("seconds")
@@ -368,8 +385,8 @@ def test_spectral_violations_and_undecided_verdicts_keep_witnesses(monkeypatch):
     audited = 252 + 210 + 8
     seen, calls, pending = [], [], []
 
-    def fake(n, r, chosen, ests, t, tol):
-        graphs = [hypergraph_at(n, r, c) for c in chosen]
+    def fake(n, r, members, picked, vectors, uppers, t, tol):
+        graphs = [hypergraph_at(n, r, c) for c in _chosen(picked)]
         calls.extend(graphs)
         if pending:  # the retry of the previous call's undecided graphs
             assert graphs == [seen[i] for i in pending]
@@ -385,9 +402,9 @@ def test_spectral_violations_and_undecided_verdicts_keep_witnesses(monkeypatch):
 
     one = []
     original = campaigns.threshold_verdict
-    monkeypatch.setattr(campaigns, "threshold_verdicts", fake)
+    monkeypatch.setattr(campaigns, "_verdicts", fake)
     monkeypatch.setattr(campaigns, "threshold_verdict", lambda h, est, t, tol: one.append(h) or original(h, est, t, tol))
-    monkeypatch.setattr(campaigns, "isomorphism", lambda a, b: None)
+    monkeypatch.setattr(campaigns, "_is_pendant_copy", lambda n, r, chosen: False)
     monkeypatch.setattr(BergeDecider, "decide", lambda self, masks, kind: np.zeros(len(masks), dtype=bool))
     rep = verify_spectral_theorem(5, 3, samples=8)
     assert len(seen) + len(one) == audited + 1
@@ -414,13 +431,13 @@ def test_a_path_level_graph_certified_above_is_an_edge_bound_violation(monkeypat
     masks = level_masks(spec, np.arange(level_size(spec))).tolist()
     d = BergeDecider(5, universe_masks(5, 3))
     rank = next(rk for rk, c in enumerate(masks) if d.certificate(c, "path") is not None)
-    original = campaigns.threshold_verdicts
+    original = campaigns._verdicts
 
-    def fake(n, r, chosen, ests, t, tol):
-        verdicts = original(n, r, chosen, ests, t, tol)
-        return [CERTIFIED_ABOVE if c == masks[rank] else v for c, v in zip(chosen, verdicts)]
+    def fake(n, r, members, picked, *args):
+        verdicts = original(n, r, members, picked, *args)
+        return [CERTIFIED_ABOVE if c == masks[rank] else v for c, v in zip(_chosen(picked), verdicts)]
 
-    monkeypatch.setattr(campaigns, "threshold_verdicts", fake)
+    monkeypatch.setattr(campaigns, "_verdicts", fake)
     rep = verify_spectral_theorem(5, 3, samples=0)
     assert not rep.passed
     assert [lv.negative for lv in rep.levels] == [0, 1, 0]
@@ -443,9 +460,52 @@ def test_spectral_audit_sends_only_near_ties_to_the_exact_test(monkeypatch):
 
 def test_audit_brackets_no_retry_without_undecided_verdicts(monkeypatch):
     calls = []
-    original = campaigns.spectral_radii
-    monkeypatch.setattr(campaigns, "spectral_radii", lambda n, r, chosen, *a, **k: (
-        calls.append(len(chosen)) or original(n, r, chosen, *a, **k)))
+    original = campaigns._bracket
+    monkeypatch.setattr(campaigns, "_bracket", lambda n, r, members, picked, *a: (
+        calls.append(len(picked)) or original(n, r, members, picked, *a)))
     rep = verify_spectral_theorem(5, 3, samples=64)
     assert all("undecided=0" in lv.note for lv in rep.levels)
     assert calls and 0 not in calls
+
+
+@pytest.mark.parametrize("n,r,sample", [(5, 2, None), (5, 3, None), (6, 4, None), (6, 3, 20_000), (7, 5, 20_000)])
+def test_pendant_copies_are_recognized_by_their_structure(n, r, sample):
+    # the whole cycle level, or a seeded sample of it, against a verified
+    # isomorphism onto the construction
+    spec = LevelSpec(n, r, comb(n - 1, r) + 1)
+    size = level_size(spec)
+    ranks = range(size) if sample is None else sorted(random.Random(size).sample(range(size), sample))
+    pendant = clique_plus_pendant(n, r)
+    masks = level_masks(spec, np.array(ranks)).tolist()
+    got = [campaigns._is_pendant_copy(n, r, c) for c in masks]
+    assert got == [isomorphism(hypergraph_at(n, r, c), pendant) is not None for c in masks]
+    # n * C(n-1, r-1) labeled copies on a whole level, some in each sample
+    assert sum(got) == n * comb(n - 1, r - 1) if sample is None else any(got)
+
+
+@pytest.mark.parametrize("n,r", [(5, 2), (5, 3), (6, 3), (6, 4), (7, 5)])
+def test_pendant_check_rejects_the_other_dense_graphs(n, r):
+    # K_n^r holds every edge avoiding a vertex, with too many edges; the
+    # isolated-vertex graph has too few
+    assert campaigns._is_pendant_copy(n, r, chosen_mask(n, r, clique_plus_pendant(n, r).edges))
+    for h in (complete(n, r), clique_plus_isolated(n, r)):
+        assert not campaigns._is_pendant_copy(n, r, chosen_mask(n, r, h.edges))
+
+
+def test_pendant_check_rejects_ores_other_exception():
+    # K_2 v \bar K_3 has the C(4, 2) + 1 = 7 edges of K_4 + e, but any four
+    # of its vertices hold two of the three independent ones
+    alien = Hypergraph(5, 2, [(0, 1), *((a, b) for a in (0, 1) for b in (2, 3, 4))])
+    assert alien.m == comb(4, 2) + 1
+    assert not campaigns._is_pendant_copy(5, 2, chosen_mask(5, 2, alien.edges))
+
+
+def test_spectral_audit_builds_no_estimate_and_matches_no_graph(monkeypatch):
+    # the 8,008 level graphs run as arrays; the two estimates are the
+    # campaign's own checks of the pendant and isolated-vertex exceptions
+    matched, built = [], []
+    original = spectral.SpectralEstimate
+    monkeypatch.setattr(campaigns, "isomorphism", lambda a, b: matched.append(a))
+    monkeypatch.setattr(spectral, "SpectralEstimate", lambda *a: built.append(a) or original(*a))
+    assert verify_spectral_theorem(6, 4, samples=0).passed
+    assert matched == [] and len(built) == 2

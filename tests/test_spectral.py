@@ -449,6 +449,24 @@ def test_batched_verdicts_equal_the_exact_integer_test(n, r, masks):
             assert [threshold_verdict(h, est, t) for h, est in zip(graphs, ests)] == want
 
 
+def test_one_row_verdicts_go_straight_to_the_exact_test(monkeypatch):
+    # each graph of the (5,3) audit levels: one certified_above call, and the
+    # verdict its batch gives it
+    masks = _audit_level_masks(5, 3)
+    t = threshold("spectral_cycle", 5, 3).value
+    ests = spectral_radii(5, 3, masks, tol=1e-9, max_iter=50_000)
+    batched = threshold_verdicts(5, 3, masks, ests, t)
+    assert set(batched) == {CERTIFIED_ABOVE, CERTIFIED_BELOW_OR_EQUAL}
+    calls = []
+    original = spectral.certified_above
+    monkeypatch.setattr(spectral, "certified_above", lambda h, x, t: calls.append(h) or original(h, x, t))
+    for mask, est, want in zip(masks, ests, batched):
+        h = hypergraph_at(5, 3, mask)
+        calls.clear()
+        assert threshold_verdict(h, est, t) == want
+        assert calls == [h]
+
+
 def _audit_verdicts(n, r, masks, t, settle, tol=1e-9):
     """The spectral audit's final verdicts, as ``campaigns._audit`` reaches
     them: one call at ``tol``, the undecided graphs again at ``tol/1000``,
