@@ -1,4 +1,4 @@
-"""Exact hypergraph canonicalization by pruned permutation search.
+"""Exact hypergraph canonicalization by a bounded min-lex labeling search.
 
 The canonical code of a hypergraph is the lexicographically minimal
 sorted edge-bitmask list over all ``n!`` vertex relabelings, so two
@@ -7,14 +7,50 @@ isomorphic.  An exact search is affordable at the instance sizes this
 library targets (n <= 10) and removes the correctness risk a refinement
 heuristic would carry.
 
-The search assigns new labels ``0, 1, ..`` one at a time.  An edge whose
-members are all labeled contributes its relabeled mask, and any edge
-completed at depth ``d`` contains bit ``d``, so completed masks are
-strictly larger than everything completed earlier: the code grows as an
-append-only sorted prefix.  That makes prefix comparison against the best
-code found so far a sound branch-and-bound rule.  Vertices interchangeable
-under a transposition automorphism are explored only once per node, which
-collapses the otherwise factorial plateau of highly symmetric graphs.
+The search gives labels to vertices one at a time in one fixed sequence:
+``n-1, n-2, .., 0`` when ``2r >= n`` and ``0, 1, .., n-1`` otherwise.
+Either way the labels still free at a node form one contiguous range
+starting at ``lo`` (``lo = 0`` descending, ``lo`` = labels given so far
+ascending), disjoint from the labels already given.
+
+*The bound.*  Let an edge's given labels form the mask ``P`` and let
+``k`` of its members be unlabeled.  They will get ``k`` distinct free
+labels ``S``, and ``mask(S) >= ((1 << k) - 1) << lo``: the largest label
+of ``S`` is at least ``lo + k - 1``, and if it is larger, ``mask(S)``
+already exceeds the whole right-hand side; otherwise drop it and repeat
+with ``k - 1``.  ``P`` is disjoint from every free label, so the edge's
+final mask is at least ``P | ((1 << k) - 1) << lo``.
+
+*Why sorted bounds order the code.*  If every edge's bound is at most its
+final mask, the j-th smallest bound is at most the j-th smallest final
+mask for every j (order statistics are monotone), so the sorted bound
+vector is elementwise, hence lexicographically, at most the final code of
+every labeling below the node.  A node whose sorted bounds are not below
+the incumbent therefore holds no labeling with a smaller code and is cut.
+Once every vertex is labeled the bounds are the masks, so the sorted
+bound vector is the code itself.
+
+*The incumbent* starts as ``h.edges``, the code of the identity labeling.
+``canonical_form`` lowers it at every leaf it reaches, so it ends at the
+minimum; ``is_canonical`` stops at the first leaf below it.
+
+*The direction rule.*  Both directions give valid bounds; they differ in
+how early the bounds separate the edges.  Labeling from the top fixes
+the high bits, which integer order reads first, and pays off when edges
+hold most vertices.  When ``r`` is small most edges miss the labeled
+vertices, whose bounds descending labels leave at ``(1 << r) - 1``, while
+ascending labels lift them above every label given.  On random (9, 2)
+and (9, 7) graphs the wrong direction visits about 50 to 100 times as
+many nodes.
+
+*Transposition pruning.*  If exchanging two unlabeled vertices ``u`` and
+``w`` is an automorphism ``s`` of ``h``, then ``p -> p o s`` maps the
+labelings that give the next label to ``u`` onto those that give it to
+``w``: ``s`` fixes every labeled vertex, and ``h.relabel(p o s)`` equals
+``h.relabel(p)`` because ``s`` maps edges onto edges.  Both subtrees hold
+the same codes whichever label is being given, so only one is searched;
+this collapses the factorial plateau of highly symmetric graphs.
+
 ``isomorphism`` instead finds an explicit vertex map by colour refinement
 and backtracking, without canonizing, and checks it edge for edge.
 """
@@ -24,7 +60,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .hypergraph import Hypergraph, mask_of, members_of
+from .hypergraph import Hypergraph, mask_of
 
 MAX_EXACT_VERTICES = 10
 
@@ -65,118 +101,48 @@ def _swap_automorphism_table(h: Hypergraph) -> list[list[bool]]:
     return auto
 
 
-class _CodeSearch:
-    def __init__(self, h: Hypergraph):
-        self.n = h.n
-        self.edges = h.edges
-        m = len(h.edges)
-        self.incident = [[] for _ in range(self.n)]
-        for ei, e in enumerate(h.edges):
-            for v in members_of(e):
-                self.incident[v].append(ei)
-        self.unlabeled = [e.bit_count() for e in h.edges]
-        self.relabeled = [0] * m
-        self.assigned = [False] * self.n
-        self.auto = _swap_automorphism_table(h)
-        self.best: list[int] = []
+def _min_code(h: Hypergraph, improve: bool) -> list[int]:
+    """The least code of ``h`` below ``h.edges``, or ``h.edges`` if none is.
 
-    def _assign(self, u: int, d: int) -> list[int]:
-        self.assigned[u] = True
-        batch = []
-        bit = 1 << d
-        for ei in self.incident[u]:
-            self.unlabeled[ei] -= 1
-            self.relabeled[ei] |= bit
-            if self.unlabeled[ei] == 0:
-                batch.append(self.relabeled[ei])
-        batch.sort()
-        return batch
+    With ``improve`` false the search stops at the first labeling whose
+    code is below ``h.edges`` by raising ``_SmallerLabelingFound``.
+    """
+    n, edges = h.n, h.edges
+    best = list(edges)
+    descending = 2 * h.r >= n
+    labels = range(n - 1, -1, -1) if descending else range(n)
+    # fill[d][k]: the k least labels still free after depth d
+    fill = [[((1 << k) - 1) << (0 if descending else d + 1) for k in range(h.r + 1)] for d in range(n)]
+    incident = [[i for i, e in enumerate(edges) if e >> u & 1] for u in range(n)]
+    auto = _swap_automorphism_table(h)
+    part = [0] * len(edges)  # the labels given to each edge's members so far
+    free = [h.r] * len(edges)  # each edge's members still unlabeled
 
-    def _unassign(self, u: int, d: int) -> None:
-        self.assigned[u] = False
-        bit = 1 << d
-        for ei in self.incident[u]:
-            self.unlabeled[ei] += 1
-            self.relabeled[ei] &= ~bit
-
-    def _candidates(self) -> list[int]:
-        cands: list[int] = []
-        for u in range(self.n):
-            if self.assigned[u]:
+    def walk(d: int, unlabeled: list[int]) -> None:
+        nonlocal best
+        bit, low = 1 << labels[d], fill[d]
+        tried: list[int] = []
+        for u in unlabeled:
+            if any(auto[w][u] for w in tried):
                 continue
-            if any(self.auto[w][u] for w in cands):
-                continue
-            cands.append(u)
-        return cands
-
-    @staticmethod
-    def _batch_less(a: list[int], b: list[int]) -> bool:
-        # Element-wise; on a shared prefix the LONGER batch is smaller, because
-        # the shorter branch's next element completes later and has a higher top bit.
-        for x, y in zip(a, b):
-            if x != y:
-                return x < y
-        return len(a) > len(b)
-
-    def _greedy_completion(self, d: int) -> list[int]:
-        """Complete the current partial labeling by locally minimal choices.
-
-        Leaves the search state exactly as found; returns the code suffix
-        contributed by depths ``d..n-1``.
-        """
-        out: list[int] = []
-        taken: list[tuple[int, int]] = []
-        for depth in range(d, self.n):
-            best_u = -1
-            best_batch: list[int] | None = None
-            for u in self._candidates():
-                batch = self._assign(u, depth)
-                self._unassign(u, depth)
-                if best_batch is None or self._batch_less(batch, best_batch):
-                    best_u, best_batch = u, batch
-            self._assign(best_u, depth)
-            taken.append((best_u, depth))
-            out.extend(best_batch)  # type: ignore[arg-type]
-        for u, depth in reversed(taken):
-            self._unassign(u, depth)
-        return out
-
-    def _walk(self, d: int, pos: int, improve: bool) -> None:
-        if d == self.n:
-            return
-        for u in self._candidates():
-            batch = self._assign(u, d)
-            verdict = 0
-            for i, x in enumerate(batch):
-                bx = self.best[pos + i]
-                if x != bx:
-                    verdict = -1 if x < bx else 1
-                    break
-            if verdict > 0:
-                self._unassign(u, d)
-                continue
-            if verdict < 0:
-                if not improve:
-                    self._unassign(u, d)
+            tried.append(u)
+            for i in incident[u]:
+                part[i] |= bit
+                free[i] -= 1
+            bound = sorted([p | low[k] for p, k in zip(part, free)])
+            if bound < best:
+                if d + 1 < n:
+                    walk(d + 1, [w for w in unlabeled if w != u])
+                elif improve:
+                    best = bound
+                else:
                     raise _SmallerLabelingFound
-                # This branch strictly beats the incumbent: materialize a full
-                # labeling from here so the equal-prefix invariant is restored.
-                self.best[pos:] = batch + self._greedy_completion(d + 1)
-            self._walk(d + 1, pos + len(batch), improve)
-            self._unassign(u, d)
+            for i in incident[u]:
+                part[i] ^= bit
+                free[i] += 1
 
-    def minimum_code(self) -> tuple[int, ...]:
-        self.best = self._greedy_completion(0)
-        self._walk(0, 0, improve=True)
-        return tuple(self.best)
-
-    def identity_is_minimal(self) -> bool:
-        self.best = list(self.edges)
-        try:
-            self._walk(0, 0, improve=False)
-        except _SmallerLabelingFound:
-            return False
-        return True
+    walk(0, list(range(n)))
+    return best
 
 
 def _check_size(h: Hypergraph) -> None:
@@ -189,7 +155,7 @@ def _check_size(h: Hypergraph) -> None:
 def canonical_form(h: Hypergraph) -> CanonicalForm:
     """Minimal encoding of ``h`` over all vertex relabelings (exact)."""
     _check_size(h)
-    return CanonicalForm(n=h.n, r=h.r, code=_CodeSearch(h).minimum_code())
+    return CanonicalForm(n=h.n, r=h.r, code=tuple(_min_code(h, improve=True)))
 
 
 def is_canonical(h: Hypergraph) -> bool:
@@ -201,7 +167,11 @@ def is_canonical(h: Hypergraph) -> bool:
     first strictly smaller relabeling.
     """
     _check_size(h)
-    return _CodeSearch(h).identity_is_minimal()
+    try:
+        _min_code(h, improve=False)
+    except _SmallerLabelingFound:
+        return False
+    return True
 
 
 def _refined_colours(members: list[list[tuple[int, ...]]], n: int) -> list[list[int]] | None:

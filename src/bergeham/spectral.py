@@ -401,13 +401,22 @@ def _universe_members(n: int, r: int) -> np.ndarray:
 def _picked_edges(n: int, r: int, chosen) -> np.ndarray:
     """(B, C(n, r)) 0/1 array: entry [b, i] is bit i of the b-th chosen-universe mask.
 
-    A mask is any integer, Python or numpy.
+    A mask is any integer, Python or numpy.  Up to 64 universe edges the
+    masks are checked as one array and unpacked from their ``uint64``
+    bytes; they are walked through ``chosen_index`` only to name a bad one,
+    or when the universe is wider.
     """
     width = len(universe_masks(n, r))
-    nbytes = (width + 7) // 8
-    masks = [chosen_index(mask, width) for mask in chosen]
-    raw = np.frombuffer(b"".join(mask.to_bytes(nbytes, "little") for mask in masks), dtype=np.uint8)
-    return np.unpackbits(raw.reshape(len(masks), nbytes), axis=1, count=width, bitorder="little")
+    rows = np.asarray(chosen)
+    if (width <= 64 and rows.ndim == 1 and rows.dtype.kind in "iu"
+            and not (rows.size and (rows.min() < 0 or rows.max() > (1 << width) - 1))):
+        raw = rows.astype("<u8").view(np.uint8).reshape(len(rows), 8)
+    else:
+        nbytes = (width + 7) // 8
+        masks = [chosen_index(mask, width) for mask in chosen]
+        raw = np.frombuffer(b"".join(mask.to_bytes(nbytes, "little") for mask in masks), dtype=np.uint8)
+        raw = raw.reshape(len(masks), nbytes)
+    return np.unpackbits(raw, axis=1, count=width, bitorder="little")
 
 
 def spectral_radii(n: int, r: int, chosen, tol: float = 1e-9, max_iter: int = 10 ** 6, *,

@@ -359,6 +359,27 @@ def test_negative_chosen_mask_is_rejected():
         spectral_radii(5, 3, [-1])
 
 
+@pytest.mark.parametrize("n,r", [(5, 3), (6, 4), (8, 3), (8, 4)])
+def test_picked_edges_unpacks_every_mask_bit(n, r):
+    # 10, 15 and 56 universe edges go through the uint64 bytes, 70 mask by mask
+    width = comb(n, r)
+    rng = random.Random(width)
+    masks = [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(30)]
+    expected = np.array([[mask >> i & 1 for i in range(width)] for mask in masks], dtype=np.uint8)
+    forms = [masks, np.array(masks, dtype=object)]
+    if width <= 64:
+        forms.append(np.array(masks, dtype=np.uint64))
+    for form in forms:
+        assert np.array_equal(spectral._picked_edges(n, r, form), expected)
+    assert spectral._picked_edges(n, r, []).shape == (0, width)
+    with pytest.raises(ValueError, match="negative: -1"):
+        spectral._picked_edges(n, r, masks + [-1])
+    with pytest.raises(ValueError, match=f"beyond the {width} universe edges"):
+        spectral._picked_edges(n, r, masks + [1 << width])
+    with pytest.raises(TypeError, match="not an integer"):
+        spectral._picked_edges(n, r, masks + [2.0])
+
+
 @pytest.mark.parametrize("n,r", [(6, 3), (6, 4)])
 def test_integer_certificate_agrees_with_fractions(n, r):
     masks = _random_masks(random.Random(12), n, r, 300)
