@@ -3,16 +3,17 @@
 Each campaign sweeps enumeration levels, classifies every graph with the
 exact Berge searcher (or the spectral threshold machinery), collapses the
 failures by canonical form, and passes only when the exceptional graphs
-are exactly the predicted ones *as isomorphism classes and as labeled
-counts*.  Every Berge report row is one ``_berge_level`` call over a
-list of level specs: one whole level, or the supergraphs of each
-exception found (the closure row).  Berge rows compare exceptions by
-canonical code with constructed exceptional graphs, because the claims
-being verified are claims up to isomorphism.  Each class is canonized
-once, and its other labeled copies match a class witness by a verified
-relabeling.  The spectral audit runs every graph, of a level chunk or
-random, through ``_audit``, which recognizes the pendant exception by its
-structure (``_is_pendant_copy``) and runs no canonical or isomorphism search.
+are exactly the predicted ones: the labeled copies of K_{n-1}^r + e on a
+cycle level and of K_{n-1}^r + v on a path level, given as sets of
+chosen-universe masks (``pendant_copies``, ``isolated_copies``).  Every
+Berge report row is one ``_berge_level`` call over a list of level specs:
+one whole level, or the supergraphs of each exception found (the closure
+row).  A row's negatives in its expected set are one class, canonized
+once; every other negative is canonized on its own, so an unexpected
+class is named by its canonical code and counted.  The spectral audit
+runs every graph, of a level chunk or random, through ``_audit``, which
+excuses a graph only by membership in ``pendant_copies`` and runs no
+canonical search.
 
 Campaign aggregates are merged in rank order from deterministic chunks,
 so reports are identical for any worker count; a seeded sample of graphs
@@ -36,19 +37,20 @@ import numpy as np
 
 from .berge import BergeDecider, verify_certificate
 from .bounds import threshold
-from .canonical import CanonicalForm, canonical_form, isomorphism
+from .canonical import canonical_form
 from .enumeration import (
     ALL_LABELED,
     DEFAULT_BUDGET,
     DEFAULT_CHUNK,
     LevelSpec,
-    ReductionPlan,
     SUPERGRAPHS,
     chosen_mask,
     hypergraph_at,
+    isolated_copies,
     level_masks,
     level_size,
     monotone_reduction_plan,
+    pendant_copies,
     run_chunks,
 )
 from .formats import certificate_to_dict
@@ -187,26 +189,14 @@ class AuditTally:
         )
 
 
-@cache
-def _avoiding(n: int, r: int) -> tuple[int, ...]:
-    """Per vertex v, the chosen-universe mask of the C(n-1, r) edges that avoid v."""
-    return tuple(sum(1 << i for i, e in enumerate(universe_masks(n, r)) if not e >> v & 1) for v in range(n))
-
-
-def _is_pendant_copy(n: int, r: int, chosen: int) -> bool:
-    """Whether ``chosen`` is a labeled copy of K_{n-1}^r + e: exactly when it has
-    C(n-1, r) + 1 edges, all C(n-1, r) avoiding some vertex v among them."""
-    return chosen.bit_count() == comb(n - 1, r) + 1 and any(chosen & a == a for a in _avoiding(n, r))
-
-
 def _audit(n: int, r: int, rows: Iterable[tuple[int | None, int]], tol: float) -> AuditTally:
     """Audit (rank or None, chosen-universe mask) pairs, in order, for the
     spectral->edge->Hamiltonicity implication chain.
 
     A graph certified above t = C(n-2, r-1) needs more than ``t_edge`` =
     C(n-1, r) edges (Bai-Lu: lambda <= f_r(m), increasing, and
-    f_r(C(n-1, r)) = t), and a Hamiltonian cycle unless its mask is a
-    pendant exception copy (``_is_pendant_copy``).  Per ``SPECTRAL_SLICE``
+    f_r(C(n-1, r)) = t), and a Hamiltonian cycle unless its mask is one
+    of the ``pendant_copies``.  Per ``SPECTRAL_SLICE``
     graphs, as arrays over one edge selection, one ``_bracket`` call
     brackets them all, each until it is settled against t (clear of it by
     ``tol``) or ``tol`` wide, and one ``_verdicts`` call decides them; the
@@ -219,6 +209,7 @@ def _audit(n: int, r: int, rows: Iterable[tuple[int | None, int]], tol: float) -
     """
     t_spec = threshold("spectral_cycle", n, r).value
     t_edge = threshold("edge_cycle", n, r).value
+    excused = pendant_copies(n, r)
     members = _universe_members(n, r)
     rows = iter(rows)
     tally = AuditTally()
@@ -238,7 +229,7 @@ def _audit(n: int, r: int, rows: Iterable[tuple[int | None, int]], tol: float) -
                       for i in above if chosen[i].bit_count() <= t_edge}
         asked = [i for i in above if i not in violations]  # enough edges: must be Hamiltonian
         for i, yes in zip(asked, _decider(n, r).decide([chosen[i] for i in asked], "cycle").tolist()):
-            if not yes and not _is_pendant_copy(n, r, chosen[i]):
+            if not yes and chosen[i] not in excused:
                 violations[i] = "non-hamiltonian above the edge threshold and not the pendant exception"
         tally.audited += len(part)
         tally.above += len(above)
@@ -257,45 +248,46 @@ def _spectral_chunk(spec: LevelSpec, lo: int, hi: int, *, tol: float) -> AuditTa
 # shared campaign plumbing
 
 
-def _class_code(h: Hypergraph, witnesses: dict[str, Hypergraph]) -> str:
-    """Code of the first witness ``h`` maps onto, else ``h``'s canonical code,
-    with ``h`` recorded as the witness of a class that has none yet."""
-    for code, w in witnesses.items():
-        if isomorphism(h, w) is not None:
-            return code
-    code = canonical_form(h).compact()
-    witnesses.setdefault(code, h)
-    return code
+def _collapse_exceptions(spec: LevelSpec, negatives: list[tuple[int, int]],
+                         copies: frozenset[int]) -> tuple[list[ExceptionRecord], str]:
+    """Group negative (rank, mask) pairs by canonical form, one record per
+    class in code order with its first negative as witness, and check them
+    against ``copies``, the masks of every labeled copy of the expected
+    exception (empty where none is expected).
 
-
-def _collapse_exceptions(spec: LevelSpec, negatives: list[tuple[int, int]]) -> list[ExceptionRecord]:
-    """Group negative (rank, mask) pairs by canonical form, one record per class."""
+    The negatives in ``copies`` are one class, canonized once through the
+    first of them; every other negative is canonized on its own.  As
+    ``copies`` holds every labeled copy, no other negative shares its
+    class.  Returns the records and a note, empty exactly when the
+    negatives are all of ``copies``.
+    """
+    found = [chosen for _, chosen in negatives if chosen in copies]
+    groups = ([found] if found else []) + [[chosen] for _, chosen in negatives if chosen not in copies]
     by_code: Counter[str] = Counter()
     witness: dict[str, Hypergraph] = {}
-    for _, chosen in negatives:
-        by_code[_class_code(hypergraph_at(spec.n, spec.r, chosen), witness)] += 1
-    return [
+    codes = []  # per group, so the found copies' code comes first
+    for group in groups:
+        h = hypergraph_at(spec.n, spec.r, group[0])
+        code = canonical_form(h).compact()
+        codes.append(code)
+        by_code[code] += len(group)
+        witness.setdefault(code, h)
+    records = [
         ExceptionRecord(code=c, count=k, example_edges=[list(members_of(e)) for e in witness[c].edges])
         for c, k in sorted(by_code.items())
     ]
-
-
-def _expected_exception_outcome(records: list[ExceptionRecord], expected: CanonicalForm | None,
-                                expected_count: int) -> tuple[bool, str]:
-    if expected is None or expected_count == 0:
-        if records:
-            return False, f"expected no exceptions, found {sum(r.count for r in records)}"
-        return True, ""
-    want = expected.compact()
-    if not records:
-        return False, "expected exceptions, found none"
-    if any(r.code != want for r in records):
-        alien = [r.code for r in records if r.code != want]
-        return False, f"unexpected exception classes: {alien}"
-    found = records[0].count
-    if found != expected_count:
-        return False, f"expected {expected_count} labeled copies, found {found}"
-    return True, ""
+    aliens = sorted(set(codes[bool(found):]))
+    if not copies:
+        note = f"expected no exceptions, found {len(negatives)}" if negatives else ""
+    elif not negatives:
+        note = "expected exceptions, found none"
+    elif aliens:
+        note = f"unexpected exception classes: {aliens}"
+    elif len(found) != len(copies):
+        note = f"expected {len(copies)} labeled copies, found {len(found)}"
+    else:
+        note = ""
+    return records, note
 
 
 def _recheck_sample(spec: LevelSpec, kind: str, negatives: set[int], rng: random.Random):
@@ -333,8 +325,7 @@ def _recheck_sample(spec: LevelSpec, kind: str, negatives: set[int], rng: random
     return "", certs
 
 
-def _berge_level(report: VerificationReport, level: LevelSpec, kind: str,
-                 expected: CanonicalForm | None, expected_count: int,
+def _berge_level(report: VerificationReport, level: LevelSpec, kind: str, copies: frozenset[int],
                  rng: random.Random, run: dict,
                  bases: list[int] | None = None) -> tuple[bool, list[int]]:
     """Check one report row against its expected exceptions and record it.
@@ -345,10 +336,11 @@ def _berge_level(report: VerificationReport, level: LevelSpec, kind: str,
     spec is swept with the ``kind`` decider (``run`` holds the
     ``run_chunks`` options), and a seeded sample of a whole level is
     re-decided (``_recheck_sample``; the closure row has none).  All the
-    row's negatives are collapsed by canonical form at once and compared
-    with ``expected_count`` labeled copies of ``expected``; the row and the
-    sampled certificates go to ``report``.  Returns (ok, the negatives'
-    masks), which are the bases of the closure row.
+    row's negatives are collapsed by canonical form at once and must be
+    exactly ``copies``, the masks of the expected exception's labeled
+    copies (empty where none is expected); the row and the sampled
+    certificates go to ``report``.  Returns (ok, the negatives' masks),
+    which are the bases of the closure row.
     """
     specs = [level] if bases is None else [LevelSpec(level.n, level.r, level.m, base) for base in bases]
     visited = positive = 0
@@ -362,9 +354,8 @@ def _berge_level(report: VerificationReport, level: LevelSpec, kind: str,
     if bases is None:
         failure, certs = _recheck_sample(level, kind, {rk for rk, _ in negatives}, rng)
         report.certificates.extend(certs)
-    records = _collapse_exceptions(level, negatives)
-    ok, note = _expected_exception_outcome(records, expected, expected_count)
-    ok = ok and not failure
+    records, note = _collapse_exceptions(level, negatives, copies)
+    ok = not note and not failure
     note = "; ".join(filter(None, [note, failure]))
     report.levels.append(
         LevelOutcome(
@@ -374,15 +365,6 @@ def _berge_level(report: VerificationReport, level: LevelSpec, kind: str,
         )
     )
     return ok, [chosen for _, chosen in negatives]
-
-
-def _cycle_level(report: VerificationReport, plan: ReductionPlan, rng: random.Random,
-                 run: dict) -> tuple[bool, list[int]]:
-    """Check the plan's cycle level: its non-Hamiltonian graphs must be
-    exactly the n·C(n-1, r-1) labeled copies of the clique-plus-pendant graph."""
-    n, r = plan.n, plan.r
-    return _berge_level(report, plan.cycle_level, "cycle", canonical_form(clique_plus_pendant(n, r)),
-                        n * comb(n - 1, r - 1), rng, run)
 
 
 # --------------------------------------------------------------------------
@@ -418,9 +400,9 @@ def verify_lemma_r_plus_2(
         jobs=jobs,
     )
     run = dict(jobs=jobs, budget=budget, chunk_size=chunk_size, progress=progress)
-    ok_cycle, _ = _cycle_level(report, plan, rng, run)
+    ok_cycle, _ = _berge_level(report, plan.cycle_level, "cycle", pendant_copies(n, plan.r), rng, run)
     ok_next, _ = _berge_level(report, LevelSpec(n, plan.r, plan.cycle_level.m + 1), "cycle",
-                              None, 0, rng, run)
+                              frozenset(), rng, run)
     report.passed = ok_cycle and ok_next
     report.seconds = time.perf_counter() - t0
     return report
@@ -458,17 +440,15 @@ def verify_edge_theorem(
     run = dict(jobs=jobs, budget=budget, chunk_size=chunk_size, progress=progress)
 
     # cycle level: one edge above the threshold
-    ok_cycle, exception_masks = _cycle_level(report, plan, rng, run)
+    ok_cycle, exception_masks = _berge_level(report, plan.cycle_level, "cycle", pendant_copies(n, r),
+                                             rng, run)
 
     # closure row: every one-edge supergraph of each exception actually found
-    ok_closure, _ = _berge_level(report, LevelSpec(n, r, plan.cycle_level.m + 1), "cycle", None, 0,
+    ok_closure, _ = _berge_level(report, LevelSpec(n, r, plan.cycle_level.m + 1), "cycle", frozenset(),
                                  rng, run, bases=exception_masks)
 
     # path level: at the threshold
-    ok_path, _ = _berge_level(
-        report, plan.path_level, "path", canonical_form(clique_plus_isolated(n, r)),
-        n, rng, run,
-    )
+    ok_path, _ = _berge_level(report, plan.path_level, "path", isolated_copies(n, r), rng, run)
 
     report.passed = ok_cycle and ok_closure and ok_path
     report.seconds = time.perf_counter() - t0

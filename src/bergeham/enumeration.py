@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import multiprocessing
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, partial
 from math import comb
@@ -136,9 +137,43 @@ def level_masks(spec: LevelSpec, ranks) -> np.ndarray:
 
 
 def chosen_mask(n: int, r: int, edges) -> int:
-    """The chosen-universe mask of some edges: bit i set for edge ``universe_masks(n, r)[i]``."""
-    edges = set(edges)
-    return sum(1 << i for i, em in enumerate(universe_masks(n, r)) if em in edges)
+    """The chosen-universe mask of some edges, each a vertex mask as in
+    ``Hypergraph.edges``: bit i set for edge ``universe_masks(n, r)[i]``.
+
+    A non-integer edge raises ``TypeError``, and the first edge that is not
+    an r-subset of [0, n) ``ValueError``, so no edge is dropped unseen.
+    """
+    u = universe_masks(n, r)
+    chosen = 0
+    for e in edges:
+        try:
+            em = operator.index(e)
+        except TypeError:
+            raise TypeError(f"an edge mask is not an integer: {e!r}") from None
+        i = bisect_left(u, em)
+        if i == len(u) or u[i] != em:
+            raise ValueError(f"edge mask {em} is not a {r}-subset of [0, {n})")
+        chosen |= 1 << i
+    return chosen
+
+
+@cache
+def isolated_copies(n: int, r: int) -> frozenset[int]:
+    """The chosen-universe masks of the n labeled copies of K_{n-1}^r + v:
+    per vertex v, the C(n-1, r) edges that avoid v."""
+    if not 2 <= r < n:
+        raise ValueError(f"need 2 <= r < n, got r={r}, n={n}")
+    u = universe_masks(n, r)
+    return frozenset(sum(1 << i for i, e in enumerate(u) if not e >> v & 1) for v in range(n))
+
+
+@cache
+def pendant_copies(n: int, r: int) -> frozenset[int]:
+    """The chosen-universe masks of the n·C(n-1, r-1) labeled copies of
+    K_{n-1}^r + e: each copy of K_{n-1}^r + v plus one of the edges it
+    lacks, which are the C(n-1, r-1) edges through its vertex v."""
+    width = comb(n, r)
+    return frozenset(a | 1 << i for a in isolated_copies(n, r) for i in range(width) if not a >> i & 1)
 
 
 def hypergraph_at(n: int, r: int, chosen) -> Hypergraph:

@@ -239,27 +239,3 @@ def universe_masks(n: int, r: int) -> tuple[int, ...]:
     """
     return tuple(sorted(mask_of(c) for c in combinations(range(n), r)))
 
-
-def labeled_isolated_copies(n: int, r: int) -> list[Hypergraph]:
-    """All n labeled copies on [0, n) of the clique-plus-isolated-vertex graph."""
-    out = []
-    for v in range(n):
-        rest = [u for u in range(n) if u != v]
-        out.append(Hypergraph(n, r, (mask_of(c) for c in combinations(rest, r))))
-    return out
-
-
-def labeled_pendant_copies(n: int, r: int) -> list[Hypergraph]:
-    """All n * C(n-1, r-1) labeled copies of the clique-plus-pendant-edge graph.
-
-    A copy is determined by the low-degree vertex together with the other
-    r-1 members of its single edge; distinct choices give distinct edge
-    sets, so the count is exact.
-    """
-    out = []
-    for v in range(n):
-        rest = [u for u in range(n) if u != v]
-        clique = [mask_of(c) for c in combinations(rest, r)]
-        for stem in combinations(rest, r - 1):
-            out.append(Hypergraph(n, r, clique + [mask_of(stem) | (1 << v)]))
-    return out

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -27,7 +27,7 @@ from bergeham.hypergraph import (
     mask_of,
     universe_masks,
 )
-from conftest import random_hypergraph
+from conftest import labeled_copies, random_hypergraph
 
 
 def test_verify_accepts_the_square_cycle():
@@ -285,10 +285,6 @@ def test_decider_tables_equal_a_direct_construction():
 # ----- decide: Hall's condition on each found order, over a whole batch ----
 
 
-def _labeled_copies(h):
-    return sorted({tuple(sorted(h.relabel(p).edges)) for p in permutations(range(h.n))})
-
-
 @pytest.mark.parametrize("slice_size", (berge.DECIDE_SLICE, 1, 7))
 def test_decide_matches_the_oracle_in_any_order(monkeypatch, slice_size):
     monkeypatch.setattr(berge, "DECIDE_SLICE", slice_size)
@@ -320,7 +316,7 @@ def _bottleneck_6_3():
 def test_an_order_passes_only_graphs_with_distinct_slot_edges(n, bad):
     # the complete graph comes first, so its order is tested on every copy
     u = universe_masks(n, 3)
-    copies = _labeled_copies(bad)
+    copies = labeled_copies(bad)
     assert len(copies) == (30 if n == 5 else 90)
     if n == 6:
         assert bad.min_degree() >= 2 and bad.m >= n  # past every degree pre-check
@@ -531,7 +527,7 @@ def test_decide_does_not_depend_on_the_hall_cache():
     rng = random.Random(6)
     for kind, m, exception in (("cycle", 11, clique_plus_pendant(6, 3)), ("path", 10, clique_plus_isolated(6, 3))):
         spec = LevelSpec(6, 3, m)
-        negatives = [chosen_mask(6, 3, edges) for edges in _labeled_copies(exception)]
+        negatives = [chosen_mask(6, 3, edges) for edges in labeled_copies(exception)]
         sample = level_masks(spec, np.array(rng.sample(range(level_size(spec)), 5000))).tolist()
         masks = sorted(set(sample) | set(negatives))
         rng.shuffle(masks)

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from dataclasses import asdict
 from itertools import repeat
 from math import comb
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bergeham import campaigns, spectral
+from bergeham import campaigns, canonical, spectral
 from bergeham.berge import BergeDecider
 from bergeham.campaigns import (
     CSV_HEADER,
@@ -17,7 +18,15 @@ from bergeham.campaigns import (
     verify_spectral_theorem,
 )
 from bergeham.canonical import are_isomorphic, canonical_form, isomorphism
-from bergeham.enumeration import LevelSpec, chosen_mask, hypergraph_at, level_masks, level_size
+from bergeham.enumeration import (
+    LevelSpec,
+    chosen_mask,
+    hypergraph_at,
+    isolated_copies,
+    level_masks,
+    level_size,
+    pendant_copies,
+)
 from bergeham.hypergraph import Hypergraph, clique_plus_isolated, clique_plus_pendant, complete, universe_masks
 from bergeham.spectral import (
     CERTIFIED_ABOVE,
@@ -258,28 +267,50 @@ def test_reports_match_the_golden_copies():
 
 
 def test_each_exception_class_is_canonized_once(monkeypatch):
-    # one canonical search per exception class found plus one per expected
-    # construction; every other labeled copy is matched to its class witness
+    # a row's negatives in its expected copy set are one class, canonized
+    # once; every other negative is canonized on its own, and no
+    # construction is canonized
     calls = []
     original = campaigns.canonical_form
     monkeypatch.setattr(campaigns, "canonical_form", lambda h: calls.append(h) or original(h))
     assert verify_lemma_r_plus_2(6).passed
-    assert len(calls) == 1 + 1  # the pendant class; the pendant construction
+    assert len(calls) == 1  # the pendant class
     calls.clear()
     assert verify_edge_theorem(5, 3).passed
-    assert len(calls) == 2 + 2  # the pendant and isolated classes; both constructions
+    assert len(calls) == 2  # the pendant and isolated classes
+    calls.clear()
+    assert not verify_edge_theorem(5, 2).passed
+    assert len(calls) == 1 + 10 + 1  # the pendant class, each copy of K_2 v \bar K_3, the isolated class
 
 
-def test_reports_do_not_depend_on_the_matcher(monkeypatch):
-    # with every match missed, each Berge exception copy is canonized and
-    # the Berge reports stay as they are; with its pendant check missing
-    # every copy, the spectral audit, whose check is its only way to excuse
-    # a graph, fails on exactly the pendant copies
-    monkeypatch.setattr(campaigns, "isomorphism", lambda a, b: None)
-    monkeypatch.setattr(campaigns, "_is_pendant_copy", lambda n, r, chosen: False)
-    golden = json.loads(GOLDEN.read_text())
-    assert _snapshot(verify_lemma_r_plus_2(5)) == golden["lemma_r_plus_2(5)"]
-    assert _snapshot(verify_edge_theorem(5, 3)) == golden["edge_theorem(5, 3)"]
+@pytest.mark.parametrize("campaign", ["lemma21-5", "edges-5-3", "edges-6-3", "edges-5-2", "edges-4-2"])
+def test_berge_records_equal_a_canonical_census(campaign):
+    # every negative of a fresh sweep of each row, canonized on its own: the
+    # report's (code, count) pairs are that census, unexpected classes
+    # included ((5,2) has one on its cycle level, (4,2) the star on its
+    # path level), and each witness has its record's code
+    name, *args = campaign.split("-")
+    rep = (verify_lemma_r_plus_2 if name == "lemma21" else verify_edge_theorem)(*map(int, args))
+    n, r = rep.levels[0].n, rep.levels[0].r
+    decider = BergeDecider(n, universe_masks(n, r))
+    negatives = []
+    for lv in rep.levels:
+        # a closure row holds the supergraphs of the row before's negatives
+        bases = [0] if lv.mode == "all_labeled" else negatives
+        specs = [LevelSpec(n, r, lv.m, base) for base in bases]
+        masks = [c for spec in specs for c in level_masks(spec, np.arange(level_size(spec))).tolist()]
+        negatives = [c for c, yes in zip(masks, decider.decide(masks, lv.kind).tolist()) if not yes]
+        census = Counter(canonical_form(hypergraph_at(n, r, c)).compact() for c in negatives)
+        assert [(e.code, e.count) for e in lv.exceptions] == sorted(census.items())
+        for e in lv.exceptions:
+            assert canonical_form(Hypergraph(n, r, e.example_edges)).compact() == e.code
+    assert rep.passed == (r > 2 or n > 5)
+
+
+def test_spectral_audit_excuses_a_graph_only_by_pendant_membership(monkeypatch):
+    # with its copy set empty, the spectral audit, whose set is its only way
+    # to excuse a graph, fails on exactly the pendant copies
+    monkeypatch.setattr(campaigns, "pendant_copies", lambda n, r: frozenset())
     rep = verify_spectral_theorem(5, 3, samples=64)
     assert not rep.passed
     assert [(lv.m, lv.negative) for lv in rep.levels] == [(5, 30), (4, 0), (-1, 0)]
@@ -404,7 +435,7 @@ def test_spectral_violations_and_undecided_verdicts_keep_witnesses(monkeypatch):
     original = campaigns.threshold_verdict
     monkeypatch.setattr(campaigns, "_verdicts", fake)
     monkeypatch.setattr(campaigns, "threshold_verdict", lambda h, est, t, tol: one.append(h) or original(h, est, t, tol))
-    monkeypatch.setattr(campaigns, "_is_pendant_copy", lambda n, r, chosen: False)
+    monkeypatch.setattr(campaigns, "pendant_copies", lambda n, r: frozenset())
     monkeypatch.setattr(BergeDecider, "decide", lambda self, masks, kind: np.zeros(len(masks), dtype=bool))
     rep = verify_spectral_theorem(5, 3, samples=8)
     assert len(seen) + len(one) == audited + 1
@@ -470,26 +501,36 @@ def test_audit_brackets_no_retry_without_undecided_verdicts(monkeypatch):
 
 @pytest.mark.parametrize("n,r,sample", [(5, 2, None), (5, 3, None), (6, 4, None), (6, 3, 20_000), (7, 5, 20_000)])
 def test_pendant_copies_are_recognized_by_their_structure(n, r, sample):
-    # the whole cycle level, or a seeded sample of it, against a verified
-    # isomorphism onto the construction
+    # membership in the copy set, on the whole cycle level or a seeded
+    # sample of it, against a verified isomorphism onto the construction
     spec = LevelSpec(n, r, comb(n - 1, r) + 1)
     size = level_size(spec)
     ranks = range(size) if sample is None else sorted(random.Random(size).sample(range(size), sample))
     pendant = clique_plus_pendant(n, r)
     masks = level_masks(spec, np.array(ranks)).tolist()
-    got = [campaigns._is_pendant_copy(n, r, c) for c in masks]
+    got = [c in pendant_copies(n, r) for c in masks]
     assert got == [isomorphism(hypergraph_at(n, r, c), pendant) is not None for c in masks]
     # n * C(n-1, r-1) labeled copies on a whole level, some in each sample
     assert sum(got) == n * comb(n - 1, r - 1) if sample is None else any(got)
+
+
+@pytest.mark.parametrize("n,r", [(5, 2), (5, 3), (6, 4)])
+def test_isolated_copies_are_recognized_on_whole_path_levels(n, r):
+    spec = LevelSpec(n, r, comb(n - 1, r))
+    isolated = clique_plus_isolated(n, r)
+    masks = level_masks(spec, np.arange(level_size(spec))).tolist()
+    got = [c in isolated_copies(n, r) for c in masks]
+    assert got == [isomorphism(hypergraph_at(n, r, c), isolated) is not None for c in masks]
+    assert sum(got) == n
 
 
 @pytest.mark.parametrize("n,r", [(5, 2), (5, 3), (6, 3), (6, 4), (7, 5)])
 def test_pendant_check_rejects_the_other_dense_graphs(n, r):
     # K_n^r holds every edge avoiding a vertex, with too many edges; the
     # isolated-vertex graph has too few
-    assert campaigns._is_pendant_copy(n, r, chosen_mask(n, r, clique_plus_pendant(n, r).edges))
+    assert chosen_mask(n, r, clique_plus_pendant(n, r).edges) in pendant_copies(n, r)
     for h in (complete(n, r), clique_plus_isolated(n, r)):
-        assert not campaigns._is_pendant_copy(n, r, chosen_mask(n, r, h.edges))
+        assert chosen_mask(n, r, h.edges) not in pendant_copies(n, r)
 
 
 def test_pendant_check_rejects_ores_other_exception():
@@ -497,7 +538,7 @@ def test_pendant_check_rejects_ores_other_exception():
     # of its vertices hold two of the three independent ones
     alien = Hypergraph(5, 2, [(0, 1), *((a, b) for a in (0, 1) for b in (2, 3, 4))])
     assert alien.m == comb(4, 2) + 1
-    assert not campaigns._is_pendant_copy(5, 2, chosen_mask(5, 2, alien.edges))
+    assert chosen_mask(5, 2, alien.edges) not in pendant_copies(5, 2)
 
 
 def test_spectral_audit_builds_no_estimate_and_matches_no_graph(monkeypatch):
@@ -505,7 +546,8 @@ def test_spectral_audit_builds_no_estimate_and_matches_no_graph(monkeypatch):
     # campaign's own checks of the pendant and isolated-vertex exceptions
     matched, built = [], []
     original = spectral.SpectralEstimate
-    monkeypatch.setattr(campaigns, "isomorphism", lambda a, b: matched.append(a))
+    monkeypatch.setattr(canonical, "isomorphism", lambda a, b: matched.append(a))
     monkeypatch.setattr(spectral, "SpectralEstimate", lambda *a: built.append(a) or original(*a))
     assert verify_spectral_theorem(6, 4, samples=0).passed
     assert matched == [] and len(built) == 2
+    assert not hasattr(campaigns, "isomorphism")

@@ -5,19 +5,23 @@ import pytest
 
 from bergeham import canonical
 from bergeham.canonical import are_isomorphic, canonical_form, is_canonical, isomorphism
+from bergeham.enumeration import hypergraph_at, pendant_copies
 from bergeham.hypergraph import (
     Hypergraph,
     clique_plus_isolated,
     clique_plus_pendant,
     complete,
-    labeled_pendant_copies,
     mask_of,
 )
 
 
+def _pendant_copies(n, r):
+    return [hypergraph_at(n, r, chosen) for chosen in sorted(pendant_copies(n, r))]
+
+
 def test_all_labeled_pendant_copies_share_one_code():
     # 5 isolated-vertex choices x C(4,2) = 6 pendant edges = 30 labeled copies
-    copies = labeled_pendant_copies(5, 3)
+    copies = _pendant_copies(5, 3)
     assert len(copies) == 30
     assert len({c.edges for c in copies}) == 30
     assert len({canonical_form(c) for c in copies}) == 1
@@ -160,7 +164,7 @@ def test_isomorphism_agrees_with_canonical_codes():
 
 
 def test_isomorphism_maps_every_labeled_pendant_copy():
-    copies = labeled_pendant_copies(6, 3)
+    copies = _pendant_copies(6, 3)
     for c in copies:
         sigma = isomorphism(c, copies[0])
         assert sigma is not None and c.relabel(sigma) == copies[0]

@@ -16,23 +16,26 @@ import pytest
 import bergeham
 from bergeham import campaigns
 from bergeham.berge import BergeDecider
-from bergeham.canonical import canonical_form
+from bergeham.canonical import canonical_form, isomorphism
 from bergeham.enumeration import (
     BudgetExceeded,
     LevelSpec,
     chosen_mask,
     hypergraph_at,
+    isolated_copies,
     level_masks,
     level_size,
     monotone_reduction_plan,
+    pendant_copies,
     run_chunks,
 )
 from bergeham.hypergraph import (
+    clique_plus_isolated,
     clique_plus_pendant,
     complete,
-    labeled_pendant_copies,
     universe_masks,
 )
+from conftest import labeled_copies
 
 
 def pendant_mask(n: int, r: int) -> int:
@@ -287,7 +290,7 @@ def test_nonhamiltonian_count_at_7_5_7():
     total = level_size(spec)
     neg = classify(0, total)
     assert total == comb(21, 7) == 116280
-    assert neg == 105 == len(labeled_pendant_copies(7, 5))
+    assert neg == 105 == 7 * comb(6, 4)
 
 
 def test_budget_exceeded_reports_exact_size():
@@ -436,6 +439,50 @@ def test_chosen_mask_inverts_hypergraph_at():
     assert hypergraph_at(6, 3, masks[5]) == hypergraph_at(6, 3, int(masks[5]))
 
 
+def test_chosen_mask_rejects_what_is_not_a_universe_edge():
+    # a vertex tuple is not an edge mask, and 0b1111 holds four vertices;
+    # neither may drop out of the mask unseen
+    with pytest.raises(TypeError, match=r"not an integer: \(0, 1, 2\)"):
+        chosen_mask(5, 3, [(0, 1, 2)])
+    with pytest.raises(ValueError, match="edge mask 15 is not a 3-subset of \\[0, 5\\)"):
+        chosen_mask(5, 3, [0b0111, 0b1111])
+    with pytest.raises(ValueError, match="edge mask 35 is not a 3-subset"):
+        chosen_mask(5, 3, [0b100011])  # vertex 5 is past [0, 5)
+    # every edge of the universe, numpy integers too, round-trips
+    u = universe_masks(5, 3)
+    assert chosen_mask(5, 3, np.array(u, dtype=np.uint64)) == (1 << 10) - 1
+    assert hypergraph_at(5, 3, chosen_mask(5, 3, complete(5, 3).edges)) == complete(5, 3)
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(4, 8) for r in range(2, n - 1)])
+def test_copy_sets_are_the_labeled_copies(n, r):
+    # against every relabeling of the two constructions, as masks
+    pendant = {chosen_mask(n, r, edges) for edges in labeled_copies(clique_plus_pendant(n, r))}
+    isolated = {chosen_mask(n, r, edges) for edges in labeled_copies(clique_plus_isolated(n, r))}
+    assert pendant_copies(n, r) == pendant
+    assert isolated_copies(n, r) == isolated
+
+
+@pytest.mark.parametrize("n,r", [(6, 3), (8, 6), (9, 3)])
+def test_copy_sets_have_the_labeled_counts(n, r):
+    # too many relabelings for brute force: the counts, and a verified
+    # isomorphism from each member onto its construction
+    for copies, h, count in ((pendant_copies(n, r), clique_plus_pendant(n, r), n * comb(n - 1, r - 1)),
+                             (isolated_copies(n, r), clique_plus_isolated(n, r), n)):
+        assert len(copies) == count
+        for chosen in copies:
+            g = hypergraph_at(n, r, chosen)
+            assert g.m == h.m and isomorphism(g, h) is not None
+
+
+def test_copy_sets_need_a_vertex_off_the_clique():
+    for n, r in ((5, 5), (5, 1)):
+        with pytest.raises(ValueError, match="need 2 <= r < n"):
+            isolated_copies(n, r)
+        with pytest.raises(ValueError, match="need 2 <= r < n"):
+            pendant_copies(n, r)
+
+
 def test_hypergraph_at_checks_its_mask():
     assert hypergraph_at(5, 3, (1 << 10) - 1) == complete(5, 3)
     with pytest.raises(ValueError, match="negative: -3"):
@@ -473,7 +520,7 @@ def test_reduction_soundness_by_brute_force_5_3():
     # only at m = 5 and are exactly the 30 labeled pendant copies
     u = universe_masks(5, 3)
     d = BergeDecider(5, u)
-    pendant_edge_sets = {c.edges for c in labeled_pendant_copies(5, 3)}
+    pendant_edge_sets = set(labeled_copies(clique_plus_pendant(5, 3)))
     for m in range(5, 11):
         spec = LevelSpec(5, 3, m)
         bad = []

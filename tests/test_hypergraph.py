@@ -10,8 +10,6 @@ from bergeham.hypergraph import (
     clique_plus_isolated,
     clique_plus_pendant,
     complete,
-    labeled_isolated_copies,
-    labeled_pendant_copies,
     mask_of,
     members_of,
     universe_masks,
@@ -136,14 +134,6 @@ def test_universe_is_sorted_and_complete():
     u = universe_masks(6, 3)
     assert len(u) == 20 and list(u) == sorted(u)
     assert len(set(u)) == 20
-
-
-def test_labeled_copy_counts():
-    assert len(labeled_isolated_copies(6, 3)) == 6
-    copies = labeled_pendant_copies(6, 3)
-    assert len(copies) == 6 * comb(5, 2) == 60
-    assert len({c.edges for c in copies}) == 60  # all distinct as edge sets
-    assert all(c.m == 11 for c in copies)
 
 
 def test_shadow_pairs_of_single_edge():

@@ -9,13 +9,12 @@ import pytest
 
 from bergeham import spectral
 from bergeham.bounds import bai_lu_bound, threshold
-from bergeham.enumeration import LevelSpec, chosen_mask, hypergraph_at, level_masks, level_size
+from bergeham.enumeration import LevelSpec, hypergraph_at, isolated_copies, level_masks, level_size
 from bergeham.hypergraph import (
     Hypergraph,
     clique_plus_isolated,
     clique_plus_pendant,
     complete,
-    labeled_isolated_copies,
     universe_masks,
 )
 from bergeham.spectral import (
@@ -558,7 +557,7 @@ def test_thresholds_next_to_lambda_keep_the_converged_verdict(n, r, seed):
 def test_exact_equality_graphs_settle_below_or_equal(n, r):
     # lambda(K_{n-1}^r + v) = t exactly, wherever the isolated vertex sits
     t = threshold("spectral_cycle", n, r).value
-    masks = [chosen_mask(n, r, h.edges) for h in labeled_isolated_copies(n, r)]
+    masks = sorted(isolated_copies(n, r))
     want, full, _ = _audit_verdicts(n, r, masks, t, settle=False)
     got, settled, _ = _audit_verdicts(n, r, masks, t, settle=True)
     assert got == want == [CERTIFIED_BELOW_OR_EQUAL] * n
