@@ -19,12 +19,17 @@ A negative answer carries a reason.  Whether the shadow graph itself is
 Hamiltonian is settled by the same decider run on the shadow 2-graph,
 where a Berge Hamiltonian cycle or path is exactly an ordinary one.
 
-Everything is deterministic: candidates are tried in ascending id, edges
-in ascending universe index, so a given hypergraph always yields the
-same certificate.  ``BergeDecider`` binds the expensive per-universe
-tables once so that enumeration campaigns can decide millions of graphs
-that share an edge universe; the public ``find_*`` functions wrap it for
-a single hypergraph.
+Everything is deterministic.  Candidates are tried in ascending id, and
+a new slot takes its lowest-index covering edge that no slot owns, or
+else the first augmenting path through its owned edges in ascending
+index, so a given hypergraph always yields the same certificate.  By
+Berge's lemma a slot can be added exactly when an augmenting path
+exists, whichever matching is current, so this edge rule decides which
+edges a certificate lists but never which orders the search tries.
+``BergeDecider`` binds the expensive per-universe tables once so that
+enumeration campaigns can decide millions of graphs that share an edge
+universe; the public ``find_*`` functions wrap it for a single
+hypergraph.
 
 ``decide`` answers one kind of question for many graphs of a universe
 at once.  It searches the first undecided graph of a slice; when that
@@ -55,6 +60,7 @@ REASON_SHADOW_NOT_HAMILTONIAN = "shadow_not_hamiltonian"
 REASON_EXHAUSTED = "search_exhausted"
 
 DECIDE_SLICE = 4096  # graphs per Hall-filter slice in ``BergeDecider.decide``, for any batch size
+HALL_BLOCK = 1024  # rows per broadcast in ``_hall``, which bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -188,6 +194,7 @@ class BergeDecider:
         everyone = (1 << n) - 1
 
         match_owner: dict[int, int] = {}
+        owned = 0  # mask of the edges in match_owner
         slot_avail: list[int] = []
         trail: list[tuple[int, int]] = []
         order: list[int] = []
@@ -195,21 +202,32 @@ class BergeDecider:
         augments = 0
 
         def augment(s: int, visited: list[int]) -> bool:
+            """Match slot s: its lowest edge no slot owns, else the first
+            augmenting path through its owned edges in ascending index."""
+            nonlocal owned
+            free = slot_avail[s] & ~owned
+            if free:
+                b = free & -free
+                e = b.bit_length() - 1
+                trail.append((e, -1))
+                match_owner[e] = s
+                owned |= b
+                return True
             av = slot_avail[s] & ~visited[0]
             while av:
                 b = av & -av
                 av ^= b
                 visited[0] |= b
                 e = b.bit_length() - 1
-                o = match_owner.get(e, -1)
-                if o == -1 or augment(o, visited):
+                o = match_owner[e]
+                if augment(o, visited):
                     trail.append((e, o))
                     match_owner[e] = s
                     return True
             return False
 
         def extend(last: int, depth: int, used: int) -> bool:
-            nonlocal nodes, augments
+            nonlocal nodes, augments, owned
             if depth == n:
                 if not close:
                     return True
@@ -244,6 +262,7 @@ class BergeDecider:
                     e, o = trail.pop()
                     if o == -1:
                         del match_owner[e]
+                        owned ^= 1 << e
                     else:
                         match_owner[e] = o
                 slot_avail.pop()
@@ -326,8 +345,10 @@ class BergeDecider:
                     stats: SearchStats | None = None) -> BergeCertificate | None:
         """The Hamiltonian Berge cycle or path (from a to b, if ``endpoints``
         are given) that ``search_*`` finds in the graph ``chosen``, or None.
-        Edges are tried in ascending mask order, so the level's decider and
-        one over the graph's own edges give the same certificate and stats."""
+        Each new slot takes its lowest unowned covering edge, else the first
+        augmenting path in ascending edge index.  Universe indices follow
+        ascending mask order, so the level's decider and one over the
+        graph's own edges give the same certificate and stats."""
         if kind == "cycle":
             hit = self.search_cycle(chosen, stats)
         elif kind == "path":
@@ -412,15 +433,17 @@ def _hall(rows: np.ndarray, slots: tuple[int, ...], width: int) -> np.ndarray:
     them (their union is U2), so need(U2) < need(U).  A row with p edges
     meets U in at least p - width + |U|, so it passes (U, need) when slack
     = need + width - |U| <= p: a call drops the pairs with slack at most
-    its rows' smallest popcount and tests the rest on blocks of 512 rows,
-    one broadcast popcount each.
+    its rows' smallest popcount and tests the rest on blocks of
+    ``HALL_BLOCK`` rows, one ``(unions × rows)`` broadcast popcount each,
+    reduced along the unions so that each step runs over a contiguous row
+    of the block.
     """
     unions, need, slack = _hall_sets(slots, width)
     live = slack > np.bitwise_count(rows).min(initial=width)
-    unions, need = unions[live], need[live]
+    unions, need = unions[live, None], need[live, None]
     ok = np.ones(len(rows), dtype=bool)
-    for lo in range(0, len(rows), 512):
-        ok[lo:lo + 512] = (np.bitwise_count(rows[lo:lo + 512, None] & unions) >= need).all(axis=1)
+    for lo in range(0, len(rows), HALL_BLOCK):
+        ok[lo:lo + HALL_BLOCK] = (np.bitwise_count(unions & rows[lo:lo + HALL_BLOCK]) >= need).all(axis=0)
     return ok
 
 

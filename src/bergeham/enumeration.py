@@ -9,15 +9,19 @@ level is visited once; there is no isomorph rejection.  A graph's rank
 is the colex position of its edge indices outside the base, which is
 also ascending numeric order of its mask.  ``level_masks`` unranks a
 whole array of ranks at once in the combinatorial number system: for
-i = m - k down to 1, one ``searchsorted`` over the column C(., i) finds
-every rank's i-th index c, whose binomial is subtracted and whose bit,
-the c-th bit clear in the base, is set on top of the base.  Masks are
-``uint64`` for universes of at most 64 edges and Python ints in
-``object`` arrays beyond, in the same loop.  Ranks give stateless chunks
-``[lo, hi)`` that partition a level exactly, so work can be distributed
-over processes and the results merged back in rank order: aggregates
-are reproducible for any worker count, and interrupted sweeps can resume
-from a rank.
+i = m - k down to j + 1, one ``searchsorted`` over the column C(., i)
+finds every rank's i-th index c, whose binomial is subtracted and whose
+bit, the c-th bit clear in the base, is set on top of the base.  The
+lowest j digits come from one gather in a cached, read-only table of
+the j-subsets of those free bits in colex order, with j the largest
+value whose table, and every smaller one it is built from, has at most
+``LOW_DIGIT_TABLE`` entries; on small levels that is the whole level.
+Masks are ``uint64`` for universes of at most 64 edges and Python ints
+in ``object`` arrays beyond, in the same loop.  Ranks give stateless
+chunks ``[lo, hi)`` that partition a level exactly, so work can be
+distributed over processes and the results merged back in rank order:
+aggregates are reproducible for any worker count, and interrupted sweeps
+can resume from a rank.
 
 The monotone reduction plan encodes why sweeping two levels suffices to
 verify an edge-count Hamiltonicity threshold for *all* larger edge
@@ -36,7 +40,7 @@ import multiprocessing
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from math import comb
 from typing import Callable
 
@@ -49,6 +53,7 @@ SUPERGRAPHS = "supergraphs"
 
 DEFAULT_BUDGET = 10 ** 10
 DEFAULT_CHUNK = 1 << 16
+LOW_DIGIT_TABLE = 1 << 16  # most entries of a low-digit table in ``level_masks``
 
 
 class BudgetExceeded(RuntimeError):
@@ -110,6 +115,23 @@ def _binomial_columns(width: int, k: int, dtype) -> tuple[np.ndarray, ...]:
     return cols
 
 
+@lru_cache(maxsize=16)  # a uint64 table holds at most LOW_DIGIT_TABLE entries, 0.5 MB
+def _low_digit_table(width: int, base: int, j: int) -> np.ndarray:
+    """Entry t is the mask of the j-subset at colex rank t of the bits clear
+    in ``base`` (the free bits) of a ``width``-edge universe, for t below
+    C(free, j).  Colex order lists the subsets whose largest free position
+    is c after all those below c, so the i-subset table is, for c = i-1,
+    i, ... in turn, the first C(c, i-1) entries of the (i-1)-subset table
+    with bit c set.  Shared by every caller, so read-only."""
+    dtype = np.uint64 if width <= 64 else object
+    bits = np.array([1 << p for p in range(width) if not base >> p & 1], dtype=dtype)
+    table = np.zeros(1, dtype=dtype)
+    for i in range(1, j + 1):
+        table = np.concatenate([table[:comb(c, i - 1)] | bits[c] for c in range(i - 1, len(bits))])
+    table.flags.writeable = False
+    return table
+
+
 def level_masks(spec: LevelSpec, ranks) -> np.ndarray:
     """The chosen-universe masks of the level's graphs at ``ranks``, in the given order.
 
@@ -127,13 +149,19 @@ def level_masks(spec: LevelSpec, ranks) -> np.ndarray:
     width = comb(spec.n, spec.r)
     dtype = np.uint64 if width <= 64 else object
     bits = np.array([1 << p for p in range(width) if not spec.base >> p & 1], dtype=dtype)
+    k = spec.m - spec.base.bit_count()
+    j = 0  # a table is built through every smaller one, so each must fit
+    while j < k and comb(len(bits), j + 1) <= LOW_DIGIT_TABLE:
+        j += 1
     rank = ranks.astype(dtype)
     mask = np.full(rank.shape, spec.base, dtype=dtype)
-    for col in reversed(_binomial_columns(len(bits), spec.m - spec.base.bit_count(), dtype)):
+    for col in reversed(_binomial_columns(len(bits), k, dtype)[j:]):
         c = np.searchsorted(col, rank, "right") - 1
         rank -= col[c]
         mask |= bits[c]
-    return mask
+    # the rank left is below C(c, j) for the last digit c taken, so it names
+    # a j-subset of smaller free positions at that colex rank
+    return mask | _low_digit_table(width, spec.base, j)[rank.astype(np.intp)]
 
 
 def chosen_mask(n: int, r: int, edges) -> int:

@@ -44,7 +44,10 @@ def chosen_index(mask, width: int) -> int:
 
 
 def members_of(mask: int) -> tuple[int, ...]:
-    """Unpack a bitmask into a sorted tuple of vertex ids."""
+    """Unpack a bitmask into a sorted tuple of vertex ids; a negative mask,
+    which has no lowest bit left to clear, raises ``ValueError``."""
+    if mask < 0:
+        raise ValueError(f"a vertex mask is negative: {mask}")
     out = []
     while mask:
         b = mask & -mask

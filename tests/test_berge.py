@@ -71,6 +71,8 @@ def test_verify_flags_foreign_edge_and_bad_vertex():
     cert = BergeCertificate("path", (0, 1, 9), (mask_of({0, 1, 2}), mask_of({1, 2, 3})))
     problems = verify_certificate(h, cert)
     assert any("out of range" in v for v in problems)
+    with pytest.raises(ValueError, match="a vertex mask is negative: -1$"):
+        verify_certificate(h, BergeCertificate("path", (0, 1, 2), (-1, mask_of({1, 2, 3}))))
 
 
 @pytest.mark.parametrize("r", (3, 4, 5))
@@ -437,6 +439,142 @@ def test_the_level_decider_certificate_equals_find(n, r, masks):
     assert min(found.values()) > 0 and len(found) == 4  # both answers of both kinds
 
 
+# ----- the search's edge rule -----------------------------------------------
+
+
+# The order search with the edge rule it had before a new slot took its
+# lowest unowned covering edge first: each slot tries its covering edges in
+# ascending index, free or owned alike, so it follows an augmenting path
+# through an owned edge before it looks at a free edge above it.  Kept as
+# the reference that the search must match in orders, verdicts and stats.
+def reference_search(self, chosen: int, starts, close: bool, stats: SearchStats | None):
+    n = self.n
+    pc = self.pair_cover
+    everyone = (1 << n) - 1
+
+    match_owner: dict[int, int] = {}
+    slot_avail: list[int] = []
+    trail: list[tuple[int, int]] = []
+    order: list[int] = []
+    nodes = 0
+    augments = 0
+
+    def augment(s: int, visited: list[int]) -> bool:
+        av = slot_avail[s] & ~visited[0]
+        while av:
+            b = av & -av
+            av ^= b
+            visited[0] |= b
+            e = b.bit_length() - 1
+            o = match_owner.get(e, -1)
+            if o == -1 or augment(o, visited):
+                trail.append((e, o))
+                match_owner[e] = s
+                return True
+        return False
+
+    def extend(last: int, depth: int, used: int) -> bool:
+        nonlocal nodes, augments
+        if depth == n:
+            if not close:
+                return True
+            if order[1] > last:  # direction symmetry: v2 < vn
+                return False
+            av = pc[last * n + order[0]] & chosen
+            if not av:
+                return False
+            slot_avail.append(av)
+            augments += 1
+            ok = augment(len(slot_avail) - 1, [0])
+            slot_avail.pop()
+            return ok
+        cands = everyone & ~used & allow[depth]
+        while cands:
+            b = cands & -cands
+            cands ^= b
+            v = b.bit_length() - 1
+            av = pc[last * n + v] & chosen  # chosen edges that hold last and v
+            if not av:
+                continue
+            nodes += 1
+            slot_avail.append(av)
+            mark = len(trail)
+            augments += 1
+            if augment(len(slot_avail) - 1, [0]):
+                order.append(v)
+                if extend(v, depth + 1, used | b):
+                    return True
+                order.pop()
+            while len(trail) > mark:
+                e, o = trail.pop()
+                if o == -1:
+                    del match_owner[e]
+                else:
+                    match_owner[e] = o
+            slot_avail.pop()
+        return False
+
+    found = False
+    for first, allow in starts:
+        order[:] = [first]
+        if extend(first, 1, 1 << first):
+            found = True
+            break
+    if stats is not None:
+        stats.nodes += nodes
+        stats.augments += augments
+    if not found:
+        return None
+    slot_to_edge = [-1] * (n if close else n - 1)
+    for e, s in match_owner.items():
+        slot_to_edge[s] = e
+    return tuple(order), tuple(slot_to_edge)
+
+
+def _reference_cases():
+    """(n, r, kind, masks): 1,000 seeded graphs of each of four levels that
+    the campaigns sweep, then 1,000 seeded (8,2) graphs of 8 to 16 edges,
+    whose negatives often pass the degree checks and exhaust the search."""
+    for n, r, m, kind in ((7, 5, 8, "cycle"), (6, 3, 10, "path"), (6, 4, 11, "cycle"), (8, 6, 8, "cycle")):
+        spec = LevelSpec(n, r, m)
+        ranks = random.Random(n * 100 + m).sample(range(level_size(spec)), 1000)
+        yield n, r, kind, level_masks(spec, np.array(ranks)).tolist()
+    rng = random.Random(82)
+    sparse = [mask_of(rng.sample(range(28), rng.randint(8, 16))) for _ in range(1000)]
+    yield 8, 2, "cycle", sparse
+    yield 8, 2, "path", sparse
+
+
+@pytest.mark.parametrize("n, r, kind, masks", _reference_cases(),
+                         ids=["7-5-8-cycle", "6-3-10-path", "6-4-11-cycle", "8-6-8-cycle", "8-2-cycle", "8-2-path"])
+def test_the_search_tries_the_reference_orders(monkeypatch, n, r, kind, masks):
+    # by Berge's lemma a new slot can be matched whichever saturating matching
+    # is current, so taking a free edge first changes only the slot edges
+    d = BergeDecider(n, universe_masks(n, r))
+    search = getattr(d, f"search_{kind}")
+    got = []
+    for chosen in masks:
+        stats = SearchStats()
+        hit = search(chosen, stats=stats)
+        cert = d.certificate(chosen, kind)
+        assert (hit is None) == (cert is None), chosen
+        if cert is not None:
+            h = hypergraph_at(n, r, chosen)
+            assert verify_certificate(h, cert) == [] and len(cert.vertices) == n, chosen
+            own = BergeDecider.for_hypergraph(h)
+            assert own.certificate(own.full_chosen, kind) == cert, chosen
+        got.append((hit and hit[0], stats))
+    monkeypatch.setattr(BergeDecider, "_search", reference_search)
+    want = []
+    for chosen in masks:
+        stats = SearchStats()
+        hit = search(chosen, stats=stats)
+        want.append((hit and hit[0], stats))
+    assert got == want
+    if r == 2:  # negatives that the degree checks let through, decided by exhausting the search
+        assert sum(order is None and stats.nodes > 0 for order, stats in got) > 50
+
+
 # ----- _hall: Hall's condition on one order's slots, as a cached table ------
 
 
@@ -493,11 +631,48 @@ def test_hall_equals_an_augmenting_path_matching():
     assert {len(slots) for slots, _ in cases} == set(range(3, 9))
     assert max(width for _, width in cases) == 56
     for i, (slots, width) in enumerate(cases):
-        for count in (0, 1, 40, 1300 if i % 6 == 0 else 3):  # 1300 rows cross two block edges
+        for count in (0, 1, 40, 1300 if i % 6 == 0 else 3):  # 1300 rows cross a block edge
             rows = _rows(rng, count, slots, width)
             got = berge._hall(np.array(rows, dtype=np.uint64), tuple(slots), width)
             assert got.dtype == bool and got.shape == (count,)
             assert got.tolist() == [_matching_exists(row, slots) for row in rows], (slots, width)
+
+
+def _hall_by_every_set(rows: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
+    """Hall's condition as stated: every non-empty set S of slots meets at
+    least |S| of a row's edges, tried for all 2^len(slots) - 1 sets."""
+    ok = np.ones(len(rows), dtype=bool)
+    for k in range(1, len(slots) + 1):
+        for chosen in combinations(slots, k):
+            union = 0
+            for s in chosen:
+                union |= s
+            ok &= np.bitwise_count(rows & np.uint64(union)) >= k
+    return ok
+
+
+@pytest.mark.parametrize("n, r, kind", [(6, 3, "path"), (7, 5, "cycle"), (8, 6, "cycle")])
+def test_hall_equals_every_set_across_block_edges(n, r, kind):
+    d = BergeDecider(n, universe_masks(n, r))
+    width = len(d.universe)
+    order = list(range(n))
+    random.Random(n).shuffle(order)
+    pairs = zip(order, order[1:] + order[:1] if kind == "cycle" else order[1:])
+    slots = tuple(d.pair_cover[a * n + b] for a, b in pairs)
+    _, _, slack = berge._hall_sets(slots, width)
+    rng = random.Random(r)
+    tight = LevelSpec(n, r, len(slots) + 1)  # rows where Hall's condition often fails
+    dense = LevelSpec(n, r, int(slack.max()))  # rows that every kept union passes by popcount alone
+    for spec in (tight, dense):
+        for count in (1, 1023, 1024, 1025, 4096):  # around the 1,024-row blocks
+            rows = level_masks(spec, np.array(rng.choices(range(level_size(spec)), k=count)))
+            got = berge._hall(rows, slots, width)
+            assert got.dtype == bool and got.shape == (count,)
+            assert got.tolist() == _hall_by_every_set(rows, slots).tolist(), (spec, count)
+        if spec is tight:
+            assert 0 < got.sum() < count  # both answers at 4,096 rows
+        else:
+            assert (slack <= spec.m).all() and got.all()  # the call drops every union
 
 
 def test_the_hall_table_implies_every_set_and_keeps_no_redundant_pair():

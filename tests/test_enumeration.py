@@ -18,6 +18,7 @@ from bergeham import campaigns
 from bergeham.berge import BergeDecider
 from bergeham.canonical import canonical_form, isomorphism
 from bergeham.enumeration import (
+    LOW_DIGIT_TABLE,
     BudgetExceeded,
     LevelSpec,
     chosen_mask,
@@ -201,6 +202,30 @@ def test_level_masks_take_object_arrays_past_64_edges():
     lo = level_size(spec) - 5
     ranks = np.array(range(lo, lo + 5), dtype=object)
     assert level_masks(spec, ranks).tolist() == [colex_unrank(t, 42) for t in range(lo, lo + 5)]
+
+
+@pytest.mark.parametrize("spec, free, table_digits", [
+    (LevelSpec(7, 5, 6), 21, 6),  # C(21, 6) just under the table bound: the whole level in the table
+    (LevelSpec(7, 5, 7), 21, 6),  # C(21, 7) just over it: one digit searched
+    (LevelSpec(6, 3, 7), 20, 6),  # C(20, 7) just over it
+    (LevelSpec(6, 4, 11), 15, 11),  # every C(15, i) under it: the whole level in the table
+    (LevelSpec(8, 6, 8), 28, 4),  # four digits searched
+    (LevelSpec(7, 3, 7, base=1 << 3 | 1 << 17), 33, 4),  # a supergraph base splits the free bits
+    (LevelSpec(6, 3, 16, base=(1 << 11) - 1), 9, 5),  # a table past the peak of C(9, i)
+    (LevelSpec(9, 3, 4, base=1 << 40), 83, 2),  # object masks past 64 edges
+])
+def test_level_masks_split_between_the_digit_search_and_the_table(spec, free, table_digits):
+    # the lowest table_digits digits of a rank come from one table lookup
+    k = spec.m - spec.base.bit_count()
+    assert free == comb(spec.n, spec.r) - spec.base.bit_count()
+    assert all(comb(free, i) <= LOW_DIGIT_TABLE for i in range(table_digits + 1))
+    assert table_digits == k or comb(free, table_digits + 1) > LOW_DIGIT_TABLE
+    total = level_size(spec)
+    rng = random.Random(total)
+    ranks = [0, 1, total - 2, total - 1] + rng.sample(range(total), min(total, 2000))
+    got = level_masks(spec, np.array(ranks))
+    assert got.dtype == (np.uint64 if free + spec.base.bit_count() <= 64 else object)
+    assert got.tolist() == [oracle_mask(spec, t) for t in ranks]
 
 
 def test_level_masks_reject_ranks_outside_the_level_and_non_integers():

@@ -3,6 +3,7 @@ import random
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from bergeham.hypergraph import (
@@ -30,6 +31,22 @@ def test_duplicate_edges_collapse():
 def test_out_of_range_vertex_rejected():
     with pytest.raises(ValueError, match="out of range"):
         Hypergraph(5, 3, [{0, 1, 5}])
+
+
+def test_negative_edge_mask_rejected():
+    with pytest.raises(ValueError, match="a vertex mask is negative: -1$"):
+        Hypergraph(5, 3, [-1])
+    with pytest.raises(ValueError, match="a vertex mask is negative: -3$"):
+        Hypergraph(5, 3, [0b111, np.int64(-3)])
+    with pytest.raises(ValueError, match="a vertex mask is negative: -2$"):
+        members_of(-2)
+
+
+def test_adding_a_negative_edge_mask_rejected():
+    h = Hypergraph(5, 3, [0b111])
+    with pytest.raises(ValueError, match="a vertex mask is negative: -8$"):
+        h.add_edge(-8)
+    assert h.edges == (0b111,)
 
 
 def test_wrong_edge_size_rejected():
