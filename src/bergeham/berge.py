@@ -36,13 +36,18 @@ at once.  It searches the first undecided graph of a slice; when that
 finds a vertex order, every undecided graph of the slice that passes
 Hall's condition on the order's slots (each set S of slots meets at
 least |S| of the graph's edges) has a Berge Hamiltonian cycle (path)
-along that order, and is positive.  Negatives come only from the
-exhaustive search, so answers are exact and do not depend on which
-graphs share a batch.  Hall's condition is one table of constraints per
-order, kept in a bounded cache (``_hall_sets``) that answers do not depend
-on.  ``certificate``, through which ``decide`` and ``find_*`` search,
-decides one graph, so certificates and ``SearchStats`` depend on the
-graph alone.
+along that order, and is positive.  Before it searches, a slice tries
+the orders that certified a graph in the decider's last slice of the
+same kind, in the order they were found.  That memory is kept per kind:
+a path order's slots pass the copies of K_{n-1}^r + e, which have no
+Hamiltonian cycle.  Negatives come only from the exhaustive search, so
+answers are exact and depend neither on which graphs share a batch nor
+on which orders the decider remembers.  Hall's condition is one table
+of constraints per order, over the unions of overlap-connected sets of
+slots, kept in a bounded cache (``_hall_sets``) that answers do not
+depend on.  ``certificate``, through which ``decide`` and ``find_*``
+search, decides one graph, so certificates and ``SearchStats`` depend on
+the graph alone.
 """
 
 from __future__ import annotations
@@ -171,6 +176,8 @@ class BergeDecider:
         # search starts (first vertex, per-depth candidate masks), see _search
         self._cycle_starts = ((0, [-1] * n),)
         self._free_path_starts = tuple((s, [-1] * (n - 1) + [-2 << s]) for s in range(n))
+        # kind -> slots of the orders that certified a graph in decide's last slice of that kind
+        self._last_orders: dict[str, list[tuple[int, ...]]] = {}
 
     @classmethod
     def for_hypergraph(cls, h: Hypergraph) -> "BergeDecider":
@@ -367,14 +374,19 @@ class BergeDecider:
         or path without endpoints (``kind="path"``), as a boolean array.
 
         ``masks`` holds chosen-universe masks.  They are decided in slices
-        of at most ``DECIDE_SLICE``, each in rounds: the first undecided
-        graph of the slice goes through ``certificate``, and when that finds
-        an order, every undecided graph that passes ``_hall`` on the order's
-        slots is positive too.  A negative answer always comes from the
-        search, and a slice's answers and work depend on that slice alone.
-        Universes of more than 64 edges raise ``ValueError``, since masks
-        are held as ``uint64``.  The masks are checked as one array, and
-        walked only to name the first bad one through ``chosen_index``.
+        of at most ``DECIDE_SLICE``.  A slice first runs ``_hall`` on the
+        slots of each order that certified a graph in the last slice of the
+        same ``kind``, in the order they were found, and marks the rows that
+        pass positive.  Then it goes in rounds: the first undecided graph
+        goes through ``certificate``, and when that finds an order, every
+        undecided graph that passes ``_hall`` on the order's slots is
+        positive too.  The orders that certified a row are remembered for
+        the next slice of that kind, and only they.  A negative answer
+        always comes from the search, and a slice's answers depend on that
+        slice alone; its work depends on the slice before.  Universes of
+        more than 64 edges raise ``ValueError``, since masks are held as
+        ``uint64``.  The masks are checked as one array, and walked only to
+        name the first bad one through ``chosen_index``.
         """
         if kind not in ("cycle", "path"):
             raise ValueError(f"kind must be 'cycle' or 'path', got {kind!r}")
@@ -390,6 +402,15 @@ class BergeDecider:
         for lo in range(0, len(masks), DECIDE_SLICE):
             part = masks[lo:lo + DECIDE_SLICE]
             rem = np.arange(len(part))  # undecided rows of the slice
+            used = []  # slots of the orders that certify a row of this slice
+            for slots in self._last_orders.get(kind, ()):
+                if not len(rem):
+                    break
+                ok = _hall(part[rem], slots, len(self.universe))
+                if ok.any():
+                    used.append(slots)
+                    out[lo + rem[ok]] = True
+                    rem = rem[~ok]
             while len(rem):
                 cert = self.certificate(int(part[rem[0]]), kind)
                 if cert is None:
@@ -398,22 +419,39 @@ class BergeDecider:
                 order = cert.vertices
                 pairs = zip(order, order[1:] + order[:1] if close else order[1:])
                 slots = tuple(self.pair_cover[a * self.n + b] for a, b in pairs)
+                used.append(slots)
                 ok = _hall(part[rem], slots, len(self.universe))
                 out[lo + rem[ok]] = True
                 rem = rem[~ok]
+            self._last_orders[kind] = used
         return out
 
 
 @lru_cache(maxsize=1 << 10)
 def _hall_sets(slots: tuple[int, ...], width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hall's condition on ``slots`` as read-only arrays ``(unions, need, slack)``
-    over a ``width``-edge universe, cached per order; see ``_hall``."""
-    need: dict[int, int] = {}  # union of a non-empty set of slots -> size of the largest such set
-    for s in slots:
-        for u, q in [(0, 0), *need.items()]:
-            need[u | s] = max(need.get(u | s, 0), q + 1)
-    unions = np.array(list(need), dtype=np.uint64)
-    q = np.array(list(need.values()), dtype=np.uint8)
+    over a ``width``-edge universe, cached per order; see ``_hall``.
+
+    Two slots overlap when their masks meet.  The unions kept are those of
+    the overlap-connected sets of slots: the single slots, closed under
+    adding a slot that meets the union, and need(U) is the number of slots
+    inside U.  That suffices.  A set S of slots splits into its overlap
+    components; their unions are disjoint, so for every row |N(S)| is the
+    sum over the components, and each component's union is kept with a
+    need of at least that component's size.  Where any two pairs of
+    vertices lie in a common edge (r >= 4) every set is connected and every
+    union is kept; at r = 3 only the arcs of the order are, and at r = 2
+    only the single slots.
+    """
+    unions = list(dict.fromkeys(slots))
+    seen = set(unions)
+    for u in unions:  # grows while it is walked, until no slot meets a union without lying inside it
+        for s in slots:
+            if s & u and (v := u | s) not in seen:
+                seen.add(v)
+                unions.append(v)
+    unions = np.array(unions, dtype=np.uint64)
+    q = ((np.array(slots, dtype=np.uint64) & ~unions[:, None]) == 0).sum(axis=1, dtype=np.uint8)
     table = unions, q, q + width - np.bitwise_count(unions)
     for a in table:
         a.flags.writeable = False
@@ -428,15 +466,18 @@ def _hall(rows: np.ndarray, slots: tuple[int, ...], width: int) -> np.ndarray:
     theorem a row can exactly when every non-empty set S of slots meets at
     least |S| of its edges.  Of the sets with one union U the largest, all
     slots inside U, asks the most, so ``_hall_sets`` keeps one pair (U,
-    need(U) = that count) per union.  No pair follows from another: for U2
-    strictly inside U, the slots inside U2 are inside U but not all of
-    them (their union is U2), so need(U2) < need(U).  A row with p edges
-    meets U in at least p - width + |U|, so it passes (U, need) when slack
-    = need + width - |U| <= p: a call drops the pairs with slack at most
-    its rows' smallest popcount and tests the rest on blocks of
-    ``HALL_BLOCK`` rows, one ``(unions × rows)`` broadcast popcount each,
-    reduced along the unions so that each step runs over a contiguous row
-    of the block.
+    need(U) = that count) per union, and only for the unions of
+    overlap-connected sets: S splits into overlap components with disjoint
+    unions, so S meets the sum of what its components meet, and each
+    component's own pair already asks for at least its size.  No kept pair
+    follows from another: for U2 strictly inside U, the slots inside U2
+    are inside U but not all of them (their union is U2), so need(U2) <
+    need(U).  A row with p edges meets U in at least p - width + |U|, so
+    it passes (U, need) when slack = need + width - |U| <= p: a call drops
+    the pairs with slack at most its rows' smallest popcount and tests the
+    rest on blocks of ``HALL_BLOCK`` rows, one ``(unions × rows)``
+    broadcast popcount each, reduced along the unions so that each step
+    runs over a contiguous row of the block.
     """
     unions, need, slack = _hall_sets(slots, width)
     live = slack > np.bitwise_count(rows).min(initial=width)

@@ -106,6 +106,8 @@ def cmd_lambda(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    if not 2 <= args.r <= args.n:
+        raise ValueError(f"need 2 <= r <= n, got r={args.r}, n={args.n}")
     values: dict[str, int | None] = {}
     for name in THRESHOLD_NAMES:
         try:

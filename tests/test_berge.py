@@ -1,7 +1,9 @@
 import random
 from collections import Counter
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import or_
 
 import numpy as np
 import pytest
@@ -675,24 +677,32 @@ def test_hall_equals_every_set_across_block_edges(n, r, kind):
             assert (slack <= spec.m).all() and got.all()  # the call drops every union
 
 
+def _overlap_components(slots) -> list[tuple[int, int]]:
+    """(union, size) of each overlap component of a set of slot masks, where
+    two slots overlap when their masks meet."""
+    comps: list[tuple[int, int]] = []
+    for s in slots:
+        meet = [c for c in comps if c[0] & s]
+        comps = [c for c in comps if not c[0] & s]
+        comps.append((s | reduce(or_, (u for u, _ in meet), 0), 1 + sum(k for _, k in meet)))
+    return comps
+
+
 def test_the_hall_table_implies_every_set_and_keeps_no_redundant_pair():
     for slots, width in _slot_cases(17):
         unions, need, slack = berge._hall_sets(tuple(slots), width)
         assert not any(a.flags.writeable for a in (unions, need, slack))
-        table = list(zip(unions.tolist(), need.tolist()))
-        assert slack.tolist() == [q + width - u.bit_count() for u, q in table]
-        sets = {}  # union -> size of the largest set of slots with that union
-        for k in range(1, len(slots) + 1):
+        table = dict(zip(unions.tolist(), need.tolist()))
+        assert len(table) == len(unions)
+        assert slack.tolist() == [q + width - u.bit_count() for u, q in table.items()]
+        for u, q in table.items():  # a kept union is an overlap-connected set's, asking for all slots inside it
+            inner = [s for s in slots if s | u == u]
+            assert _overlap_components(inner) == [(u, q)], (slots, u)
+        for k in range(1, len(slots) + 1):  # each set's constraint is the sum of its components'
             for chosen in combinations(slots, k):
-                u = 0
-                for s in chosen:
-                    u |= s
-                sets[u] = max(sets.get(u, 0), k)
-        assert all(sets.get(u) == q for u, q in table)  # each pair is a set's own constraint
-        for u, q in sets.items():  # each set's constraint follows from a kept pair
-            assert any(u2 & ~u == 0 and q2 >= q for u2, q2 in table), (slots, u)
-        for u, q in table:  # and no kept pair follows from another
-            assert not any(u2 != u and u2 & ~u == 0 and q2 >= q for u2, q2 in table), (slots, u)
+                assert all(table.get(u, 0) >= size for u, size in _overlap_components(chosen)), (slots, chosen)
+        for u, q in table.items():  # and no kept pair follows from another
+            assert not any(u2 != u and u2 & ~u == 0 and q2 >= q for u2, q2 in table.items()), (slots, u)
 
 
 def test_decide_does_not_depend_on_the_hall_cache():
@@ -714,9 +724,40 @@ def test_decide_does_not_depend_on_the_hall_cache():
         assert d.decide(masks, kind).tolist() == want  # warm
         for lo in range(0, len(masks), 2500):
             berge._hall_sets.cache_clear()
+            d._last_orders.clear()
             assert d.decide(masks[lo:lo + 2500], kind).tolist() == want[lo:lo + 2500]  # cold
     info = berge._hall_sets.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+@pytest.mark.parametrize("slice_size", (berge.DECIDE_SLICE, 7, 1))
+def test_remembered_orders_never_change_a_verdict(monkeypatch, slice_size):
+    # a path order's n-1 slots pass copies of K_5^3 + e, which have no
+    # Hamiltonian cycle, so each kind remembers only its own orders
+    monkeypatch.setattr(berge, "DECIDE_SLICE", slice_size)
+    u = universe_masks(6, 3)
+    rng = random.Random(23)
+    batches, want = {}, {}
+    for kind, m, exception in (("path", 10, clique_plus_isolated(6, 3)), ("cycle", 11, clique_plus_pendant(6, 3))):
+        spec = LevelSpec(6, 3, m)
+        negatives = {chosen_mask(6, 3, edges) for edges in labeled_copies(exception)}
+        masks = sorted(set(level_masks(spec, np.array(rng.sample(range(level_size(spec)), 400))).tolist()) | negatives)
+        rng.shuffle(masks)
+        search = getattr(BergeDecider(6, u), f"search_{kind}")
+        batches[kind], want[kind] = masks, [search(c) is not None for c in masks]
+        assert sum(want[kind]) == len(masks) - len(negatives)
+    for sequence in (("path", "cycle"), ("cycle", "path")):
+        d = BergeDecider(6, u)
+        for kind in sequence:
+            assert d.decide(batches[kind], kind).tolist() == want[kind], (sequence, kind)
+            assert BergeDecider(6, u).decide(batches[kind], kind).tolist() == want[kind], kind
+            assert d._last_orders[kind]
+    # remembered cycle orders that pass no row: the copies of K_5^3 + e alone
+    pendant = [c for c, ok in zip(batches["cycle"], want["cycle"]) if not ok]
+    assert len(pendant) == 60 and d._last_orders["cycle"]
+    assert not d.decide(pendant, "cycle").any()
+    assert d._last_orders["cycle"] == []
+    assert d.decide(batches["cycle"], "cycle").tolist() == want["cycle"]
 
 
 # ----- rotation ------------------------------------------------------------

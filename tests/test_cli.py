@@ -48,10 +48,18 @@ def test_bound_at_the_spectral_threshold_and_past_the_float_range(capsys):
     assert json.loads(capsys.readouterr().out)["bai_lu_bound"] == 6.0
     assert run(["bound", "--n", "6", "--r", "3", "--m", "9"]) == 0
     assert json.loads(capsys.readouterr().out)["bai_lu_bound"] < 6.0
-    for r, m in ((3, 10 ** 400), (8, 10 ** 304)):  # too large for a float; m * 8! overflows
-        assert run(["bound", "--n", "6", "--r", str(r), "--m", str(m)]) == 2
+    for n, r, m in ((6, 3, 10 ** 400), (9, 8, 10 ** 304)):  # too large for a float; m * 8! overflows
+        assert run(["bound", "--n", str(n), "--r", str(r), "--m", str(m)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ") and "NaN" not in captured.err
+
+
+def test_bound_rejects_r_outside_2_to_n(capsys):
+    # as gen does, rather than a bound with an all-null threshold table
+    for n, r in ((3, 5), (6, 7), (6, 1)):
+        assert run(["bound", "--n", str(n), "--r", str(r), "--m", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: need 2 <= r <= n, got r={r}, n={n}\n"
 
 
 def test_lambda_rejects_max_iter_below_one(tmp_path, capsys):
