@@ -29,7 +29,6 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import cache, partial
-from itertools import islice
 from math import comb
 from typing import Iterable
 
@@ -65,17 +64,12 @@ from .hypergraph import (
 from .spectral import (
     CERTIFIED_ABOVE,
     UNDECIDED,
-    _bracket,
-    _picked_edges,
-    _universe_members,
-    _verdicts,
     spectral_radius,
-    threshold_verdict,
+    threshold_verdicts,
 )
 
 CSV_HEADER = "n,r,m,visited,hamiltonian,nonhamiltonian,exceptions,pass"
 UNDECIDED_SHOWN = 10  # undecided witnesses listed in a spectral report's notes
-SPECTRAL_SLICE = 512  # graphs bracketed per batched kernel call, for any chunk size
 RECHECK_SAMPLE = 1000  # graphs per whole level re-decided one at a time (closure rows: none)
 RECHECK_CERTS = 3  # sampled certificates per rechecked level kept in the report
 
@@ -196,47 +190,29 @@ def _audit(n: int, r: int, rows: Iterable[tuple[int | None, int]], tol: float) -
     A graph certified above t = C(n-2, r-1) needs more than ``t_edge`` =
     C(n-1, r) edges (Bai-Lu: lambda <= f_r(m), increasing, and
     f_r(C(n-1, r)) = t), and a Hamiltonian cycle unless its mask is one
-    of the ``pendant_copies``.  Per ``SPECTRAL_SLICE``
-    graphs, as arrays over one edge selection, one ``_bracket`` call
-    brackets them all, each until it is settled against t (clear of it by
-    ``tol``) or ``tol`` wide, and one ``_verdicts`` call decides them; the
-    undecided ones, if any, are re-bracketed together at ``tol/1000``,
-    settled the same way (an estimate does not depend on its batch, so
-    this is each graph's own retry), and decided again.  A settled graph
-    counts as converged.  One ``decide`` call gives the Berge verdicts, so
-    memory stays flat however many rows there are.  Counts are sums over
-    the slice; only witnessed graphs go through ``AuditTally.add``.
+    of the ``pendant_copies``.  One ``threshold_verdicts`` call decides
+    every graph against t, with its tighter retry of the undecided ones,
+    and one ``decide`` call gives the Berge verdicts of those certified
+    above.  Counts are sums over the rows; only witnessed graphs go
+    through ``AuditTally.add``.
     """
     t_spec = threshold("spectral_cycle", n, r).value
     t_edge = threshold("edge_cycle", n, r).value
+    rows = list(rows)
+    chosen = [c for _, c in rows]
+    verdicts, converged = threshold_verdicts(n, r, chosen, t_spec, tol)
+    above = [i for i, verdict in enumerate(verdicts) if verdict == CERTIFIED_ABOVE]
+    violations = {i: "spectral radius certified above threshold but edge count below implied bound"
+                  for i in above if chosen[i].bit_count() <= t_edge}
+    asked = [i for i in above if i not in violations]  # enough edges: must be Hamiltonian
     excused = pendant_copies(n, r)
-    members = _universe_members(n, r)
-    rows = iter(rows)
-    tally = AuditTally()
-    while part := list(islice(rows, SPECTRAL_SLICE)):
-        chosen = [c for _, c in part]
-        picked = _picked_edges(n, r, chosen)
-        _, upper, vectors, _, converged = _bracket(n, r, members, picked, tol, 50_000, t_spec)
-        verdicts = _verdicts(n, r, members, picked, vectors, upper, t_spec, tol)
-        if retry := [i for i, verdict in enumerate(verdicts) if verdict == UNDECIDED]:
-            again = picked[retry]
-            _, upper, vectors, _, done = _bracket(n, r, members, again, tol / 1000, 500_000, t_spec)
-            for i, verdict in zip(retry, _verdicts(n, r, members, again, vectors, upper, t_spec, tol)):
-                verdicts[i] = verdict
-            converged[retry] &= done
-        above = [i for i, verdict in enumerate(verdicts) if verdict == CERTIFIED_ABOVE]
-        violations = {i: "spectral radius certified above threshold but edge count below implied bound"
-                      for i in above if chosen[i].bit_count() <= t_edge}
-        asked = [i for i in above if i not in violations]  # enough edges: must be Hamiltonian
-        for i, yes in zip(asked, _decider(n, r).decide([chosen[i] for i in asked], "cycle").tolist()):
-            if not yes and chosen[i] not in excused:
-                violations[i] = "non-hamiltonian above the edge threshold and not the pendant exception"
-        tally.audited += len(part)
-        tally.above += len(above)
-        tally.unconverged += int((~converged).sum())
-        for i, ((rank, c), verdict) in enumerate(zip(part, verdicts)):
-            if verdict == UNDECIDED or i in violations:
-                tally.add(n, r, rank, c, verdict == UNDECIDED, violations.get(i))
+    for i, yes in zip(asked, _decider(n, r).decide([chosen[i] for i in asked], "cycle").tolist()):
+        if not yes and chosen[i] not in excused:
+            violations[i] = "non-hamiltonian above the edge threshold and not the pendant exception"
+    tally = AuditTally(audited=len(rows), above=len(above), unconverged=int((~converged).sum()))
+    for i, ((rank, c), verdict) in enumerate(zip(rows, verdicts)):
+        if verdict == UNDECIDED or i in violations:
+            tally.add(n, r, rank, c, verdict == UNDECIDED, violations.get(i))
     return tally
 
 
@@ -513,12 +489,9 @@ def verify_spectral_theorem(
 
     # (b) pendant exception: strictly above the threshold, non-hamiltonian
     decider = _decider(n, r)
-    ke = clique_plus_pendant(n, r)
-    est = spectral_radius(ke, tol)
-    ok_pendant = (
-        threshold_verdict(ke, est, t_spec, tol) == CERTIFIED_ABOVE
-        and decider.certificate(chosen_mask(n, r, ke.edges), "cycle") is None
-    )
+    pendant = chosen_mask(n, r, clique_plus_pendant(n, r).edges)
+    (verdict,), _ = threshold_verdicts(n, r, [pendant], t_spec, tol)
+    ok_pendant = verdict == CERTIFIED_ABOVE and decider.certificate(pendant, "cycle") is None
     if not ok_pendant:
         report.notes.append("pendant exception failed its spectral/hamiltonicity check")
 

@@ -10,8 +10,9 @@ JSON alternative: ``{"n": ..., "r": ..., "edges": [[...], ...]}``.
 Both parsers reject anything that violates the hypergraph invariants
 (wrong edge sizes, out-of-range vertices, r > n), by way of the
 ``Hypergraph`` constructor.  JSON input must be an object whose ids are
-integers (not booleans or floats) and whose edges are lists of them;
-anything else raises ``ValueError``.
+integers (not booleans or floats) and whose edges are lists of them,
+and a certificate's ``kind`` must be a string; anything else raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -105,10 +106,12 @@ def certificate_from_dict(obj: dict[str, Any]) -> BergeCertificate:
     missing = {"kind", "vertices", "edges"} - obj.keys()
     if missing:
         raise ValueError(f"certificate JSON missing keys: {sorted(missing)}")
+    if not isinstance(obj["kind"], str):
+        raise ValueError(f"'kind' must be a string, got {obj['kind']!r}")
     if not isinstance(obj["edges"], list):
         raise ValueError("'edges' must be a list of vertex lists")
     return BergeCertificate(
-        kind=str(obj["kind"]),
+        kind=obj["kind"],
         vertices=tuple(_ints(obj["vertices"], "'vertices'")),
         edges=tuple(mask_of(_ints(e, "each edge")) for e in obj["edges"]),
     )

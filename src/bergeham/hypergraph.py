@@ -79,7 +79,13 @@ class Hypergraph:
         masks = set()
         for e in edges:
             # accept packed masks (any int-like) or vertex collections
-            m = mask_of(e) if isinstance(e, Iterable) else operator.index(e)
+            if isinstance(e, Iterable):
+                vs = sorted(e)
+                if vs and vs[0] < 0:  # a negative id has no bit to pack
+                    raise ValueError(f"edge {vs} has a vertex out of range [0, {n})")
+                m = mask_of(vs)
+            else:
+                m = operator.index(e)
             if m & ~full:
                 raise ValueError(f"edge {sorted(members_of(m))} has a vertex out of range [0, {n})")
             if m.bit_count() != r:

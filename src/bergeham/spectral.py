@@ -27,8 +27,8 @@ build ``A x^{r-1}`` for every row, and a row leaves the batch on the step
 it converges.  Absent edges add exact zeros in the same order as the
 single-graph scatter, so every row's iterates are those of a run on its
 graph alone.  Without a threshold, converged means a bracket at most
-``tol`` wide.  A caller that decides a threshold ``t`` (the spectral
-audit, ``exceeds_threshold``) passes it, and a row is then also done once
+``tol`` wide.  A caller that decides a threshold ``t`` (``threshold_verdicts``,
+``exceeds_threshold``) passes it, and a row is then also done once
 its bracket is settled, clear of t by ``tol``: ``upper < t - tol`` or
 ``lower > t + tol``.  A settled estimate counts as converged; its
 bracket may be wide, but it gives the verdict that its ``tol``-wide
@@ -42,21 +42,22 @@ graph's estimate from its own components.  An estimate therefore does not
 depend on which graphs share its batch.  ``spectral_radii`` feeds it graphs
 as chosen-universe masks; ``spectral_radius`` feeds it one graph's own
 edges, so it never builds the ``(n, r)`` edge universe.  Both wrap its
-arrays in estimates; the spectral audit hands them straight to ``_verdicts``.
+arrays in estimates; ``threshold_verdicts`` decides from them as they are.
 
 Strict threshold decisions re-derive the lower bound exactly at the
 returned vector.  Its float coordinates are dyadic rationals; scaled to a
 common power of two they become integers ``X_i``, and ``lambda > t`` is
 certified by the integer test ``r * den(t) * sum_e prod X_i > num(t) *
 sum_i X_i^r``, so campaign verdicts never hinge on floating-point
-rounding.  ``threshold_verdicts`` decides a whole batch at once with a
-float filter in front of that test: it recomputes both sums in floats
-from each vector and settles a row when ``r * T`` and ``t * D`` differ by
-more than a relative margin proven to exceed their rounding error (see
-``_verdicts``).  Rows inside the margin, rows whose vector the error
-bound does not cover, and every row of a threshold that is not exactly a
-float go to ``certified_above``.  ``threshold_verdict``, one row, goes
-straight to ``certified_above``, which gives the filter's verdict.
+rounding.  ``threshold_verdicts``, the audit's one threshold decision,
+brackets each slice of masks settled against t, decides it, and retries
+its undecided graphs once at ``tol/1000``.  Its ``_verdicts`` puts a
+float filter in front of the exact test, settling a row when ``r * T``
+and ``t * D``, recomputed in floats, differ by more than a margin proven
+to exceed their rounding error.  Rows inside the margin, rows whose
+vector the bound does not cover, and every row of a threshold that is
+not exactly a float go to ``certified_above``, which ``threshold_verdict``
+(one estimate) calls straight away: it gives the filter's verdict.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ _TINY = 1e-300  # clamp for x**(r-1) denominators
 _MANTISSA = 2.0 ** 53  # frexp fraction * _MANTISSA is an exact integer
 _UNIT = 2.0 ** -53  # unit roundoff of float64
 _NORMAL = float(np.finfo(np.float64).tiny)  # smallest positive normal float, 2^-1022
+SPECTRAL_SLICE = 512  # graphs bracketed per batched kernel call in threshold_verdicts
 
 
 @dataclass(frozen=True)
@@ -185,7 +187,7 @@ def _power_iterate(edges: np.ndarray, weights: np.ndarray, k: int, r: int, tol: 
     ``t``, the converged run, converges within ``max_iter``.  Then a
     graph's verdict from its settled estimate is its verdict from the
     converged one, unless a component's spectral radius lies within 3
-    delta of t + ``tol``.  So the spectral audit (T = ``tol`` on its first
+    delta of t + ``tol``.  So ``threshold_verdicts`` (T = ``tol`` on its first
     call, and a retry of its undecided graphs at ``tol/1000``) gives every
     graph the same final verdict either way, unless a component's
     spectral radius lies within 3 delta of t + T or of t + T/1000; this
@@ -559,22 +561,34 @@ def _verdicts(n: int, r: int, members: np.ndarray, picked: np.ndarray, vectors: 
             for yes, upper in zip(above.tolist(), uppers)]
 
 
-def threshold_verdicts(n: int, r: int, chosen, estimates, t, tol: float = 1e-9) -> list[str]:
-    """``threshold_verdict`` of many graphs given as chosen-universe masks,
-    each with its estimate, decided together; the verdicts are exact.
+def threshold_verdicts(n: int, r: int, chosen, t, tol: float = 1e-9) -> tuple[list[str], np.ndarray]:
+    """(verdicts, converged) of graphs given as chosen-universe masks: each
+    graph's exact ``threshold_verdict`` against ``t``, and a bool array of
+    whether each of its brackets converged or settled.  Per ``SPECTRAL_SLICE``
+    graphs, one ``_bracket`` call (settled against t, at most 50,000 steps)
+    and one ``_verdicts`` call decide them; the undecided ones are
+    re-bracketed together at ``tol/1000`` (500,000 steps) and decided again.
+    An estimate does not depend on its batch, so no answer depends on the
+    slices, the order or the other graphs of the call.
     """
-    estimates = list(estimates)
+    _check_tol(tol)
+    members = _universe_members(n, r)
     picked = _picked_edges(n, r, chosen)
-    if len(picked) != len(estimates):
-        raise ValueError(f"{len(picked)} graphs but {len(estimates)} estimates")
-    vectors = [np.asarray(est.vector, dtype=np.float64) for est in estimates]
-    # decide the rows ahead of a misshapen vector first: a malformed one there raises first
-    good = next((i for i, v in enumerate(vectors) if v.shape != (n,)), len(vectors))
-    verdicts = _verdicts(n, r, _universe_members(n, r), picked[:good], np.reshape(vectors[:good], (good, n)),
-                         [est.upper for est in estimates[:good]], t, tol)
-    if good < len(vectors):
-        _vector(vectors[good], n)  # raises: the shape is wrong
-    return verdicts
+    verdicts: list[str] = []
+    converged = np.ones(len(picked), dtype=bool)
+    for lo in range(0, len(picked), SPECTRAL_SLICE):
+        part = picked[lo:lo + SPECTRAL_SLICE]
+        _, upper, vectors, _, done = _bracket(n, r, members, part, tol, 50_000, t)
+        found = _verdicts(n, r, members, part, vectors, upper, t, tol)
+        if retry := [i for i, verdict in enumerate(found) if verdict == UNDECIDED]:
+            again = part[retry]
+            _, upper, vectors, _, redone = _bracket(n, r, members, again, tol / 1000, 500_000, t)
+            for i, verdict in zip(retry, _verdicts(n, r, members, again, vectors, upper, t, tol)):
+                found[i] = verdict
+            done[retry] &= redone
+        verdicts += found
+        converged[lo:lo + len(part)] = done
+    return verdicts, converged
 
 
 def threshold_verdict(h: Hypergraph, est: SpectralEstimate, t, tol: float = 1e-9) -> str:
@@ -585,7 +599,7 @@ def threshold_verdict(h: Hypergraph, est: SpectralEstimate, t, tol: float = 1e-9
     ``certified_below_or_equal`` means the floating upper bound clears
     ``t`` within ``tol`` (exact equality cases land here).  Anything else
     is ``undecided`` and deserves exact-arithmetic follow-up.  This is
-    ``threshold_verdicts``' verdict, without the float filter in front.
+    ``_verdicts``' verdict, without the float filter in front.
     """
     _check_tol(tol)
     return (CERTIFIED_ABOVE if certified_above(h, est.vector, t) else

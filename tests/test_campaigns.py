@@ -2,7 +2,6 @@ import json
 import random
 from collections import Counter
 from dataclasses import asdict
-from itertools import repeat
 from math import comb
 from pathlib import Path
 
@@ -28,13 +27,7 @@ from bergeham.enumeration import (
     pendant_copies,
 )
 from bergeham.hypergraph import Hypergraph, clique_plus_isolated, clique_plus_pendant, complete, universe_masks
-from bergeham.spectral import (
-    CERTIFIED_ABOVE,
-    CERTIFIED_BELOW_OR_EQUAL,
-    UNDECIDED,
-    exceeds_threshold,
-    spectral_radius,
-)
+from bergeham.spectral import CERTIFIED_ABOVE, CERTIFIED_BELOW_OR_EQUAL, UNDECIDED
 
 
 def test_lemma_base_case_n5():
@@ -235,17 +228,12 @@ def test_spectral_report_hides_chunk_and_slice_boundaries(monkeypatch):
 
     default = report()
     assert report(chunk_size=7) == default
-    monkeypatch.setattr(campaigns, "SPECTRAL_SLICE", 5)
+    monkeypatch.setattr(spectral, "SPECTRAL_SLICE", 5)
     assert report() == default
     assert report(chunk_size=7) == default
 
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
-
-
-def _chosen(picked):
-    """The chosen-universe mask of each row of a (B, C(n, r)) 0/1 edge selection."""
-    return [sum(1 << i for i in np.flatnonzero(row).tolist()) for row in picked]
 
 
 def _snapshot(rep):
@@ -333,59 +321,6 @@ def test_spectral_campaign_runs_no_canonical_search(monkeypatch):
     assert calls == []
 
 
-def test_undecided_verdicts_are_retried_at_a_thousandth_of_the_tolerance(monkeypatch):
-    # force the first verdict of some cycle-level graphs to undecided; each
-    # must be re-bracketed alone at tol/1000, and its second verdict counted
-    spec = LevelSpec(5, 3, 5)
-    targets = {hypergraph_at(5, 3, c) for c in level_masks(spec, np.arange(0, 252, 25)).tolist()}
-    targets.discard(clique_plus_pendant(5, 3))  # the campaign's own check of it is not retried
-    t_spec = comb(3, 2)
-    assert {exceeds_threshold(h, t_spec) for h in targets} == {CERTIFIED_ABOVE, CERTIFIED_BELOW_OR_EQUAL}
-    expected = verify_spectral_theorem(5, 3, samples=64).to_dict()
-    original_bracket, original_verdicts = campaigns._bracket, campaigns._verdicts
-    forced, retried, pending, brackets = [], [], [], []
-
-    def bracket(n, r, members, picked, *args):
-        run = original_bracket(n, r, members, picked, *args)
-        brackets.append((picked, run))
-        return run
-
-    def fake(n, r, members, picked, vectors, uppers, t, tol):
-        # a slice's first call forces the targets; the call after it that
-        # holds exactly the undecided graphs is their retry, on the arrays
-        # of the bracket call just before it
-        verdicts = original_verdicts(n, r, members, picked, vectors, uppers, t, tol)
-        graphs = [hypergraph_at(n, r, c) for c in _chosen(picked)]
-        if pending:
-            assert graphs == pending
-            (bracketed, (lower, upper, vecs, iterations, converged)), = brackets[-1:]
-            assert np.array_equal(bracketed, picked) and vecs is vectors and upper is uppers
-            ests = zip(lower.tolist(), upper.tolist(), vecs, iterations.tolist(), converged.tolist())
-            retried.extend(zip(graphs, ests, repeat(tol)))
-            pending.clear()
-            return verdicts
-        for i, h in enumerate(graphs):
-            if h in targets:
-                forced.append(h)
-                verdicts[i] = UNDECIDED
-        pending.extend(h for h, verdict in zip(graphs, verdicts) if verdict == UNDECIDED)
-        return verdicts
-
-    monkeypatch.setattr(campaigns, "_bracket", bracket)
-    monkeypatch.setattr(campaigns, "_verdicts", fake)
-    got = verify_spectral_theorem(5, 3, samples=64).to_dict()
-    assert len(forced) >= len(targets) and len(retried) == len(forced)
-    for h, (lower, upper, vector, iterations, converged), tol in retried:
-        alone = spectral_radius(h, tol / 1000, max_iter=500_000, t=t_spec)
-        assert (lower, upper, iterations, converged) == (
-            alone.lower, alone.upper, alone.iterations, alone.converged)
-        assert np.array_equal(vector, alone.vector)
-    assert got["levels"][0]["note"] == "undecided=0 unconverged=0"
-    got.pop("seconds")
-    expected.pop("seconds")
-    assert got == expected
-
-
 def test_recheck_mismatch_names_the_rank(monkeypatch):
     spec = LevelSpec(5, 3, 5)
     ranks = sorted(random.Random(0).sample(range(level_size(spec)), 20))
@@ -412,38 +347,29 @@ def test_recheck_mismatch_names_the_rank(monkeypatch):
 def test_spectral_violations_and_undecided_verdicts_keep_witnesses(monkeypatch):
     # audit order: the cycle level (m=5, 252 graphs), the path level (m=4,
     # 210 graphs), then the random graphs; the pendant exception's own
-    # check comes last, through the one-graph threshold_verdict
+    # check comes last, through the same threshold_verdicts
     audited = 252 + 210 + 8
-    seen, calls, pending = [], [], []
+    seen = []
+    original = campaigns.threshold_verdicts
 
-    def fake(n, r, members, picked, vectors, uppers, t, tol):
-        graphs = [hypergraph_at(n, r, c) for c in _chosen(picked)]
-        calls.extend(graphs)
-        if pending:  # the retry of the previous call's undecided graphs
-            assert graphs == [seen[i] for i in pending]
-            index, verdicts = pending[:], [UNDECIDED] * len(graphs)
-            pending.clear()
-        else:
-            index = range(len(seen), len(seen) + len(graphs))
-            seen.extend(graphs)
-            verdicts = [CERTIFIED_ABOVE if i == 7 or i == 252 + 210 + 2 else
-                        UNDECIDED if 252 <= i < 252 + 12 else CERTIFIED_BELOW_OR_EQUAL for i in index]
-            pending.extend(i for i, verdict in zip(index, verdicts) if verdict == UNDECIDED)
-        return verdicts
+    def fake(n, r, chosen, t, tol):
+        if len(seen) == audited:  # the pendant check
+            return original(n, r, chosen, t, tol)
+        index = range(len(seen), len(seen) + len(chosen))
+        seen.extend(chosen)
+        verdicts = [CERTIFIED_ABOVE if i == 7 or i == 252 + 210 + 2 else
+                    UNDECIDED if 252 <= i < 252 + 12 else CERTIFIED_BELOW_OR_EQUAL for i in index]
+        return verdicts, np.array([not 252 + 5 <= i < 252 + 20 for i in index])
 
-    one = []
-    original = campaigns.threshold_verdict
-    monkeypatch.setattr(campaigns, "_verdicts", fake)
-    monkeypatch.setattr(campaigns, "threshold_verdict", lambda h, est, t, tol: one.append(h) or original(h, est, t, tol))
+    monkeypatch.setattr(campaigns, "threshold_verdicts", fake)
     monkeypatch.setattr(campaigns, "pendant_copies", lambda n, r: frozenset())
     monkeypatch.setattr(BergeDecider, "decide", lambda self, masks, kind: np.zeros(len(masks), dtype=bool))
     rep = verify_spectral_theorem(5, 3, samples=8)
-    assert len(seen) + len(one) == audited + 1
-    assert len(calls) + len(one) == audited + 12 + 1  # each undecided verdict is retried once
+    assert len(seen) == audited
     assert not rep.passed
     assert [lv.negative for lv in rep.levels] == [1, 0, 1]
-    assert rep.levels[1].note == "undecided=12 unconverged=0"
-    forced = seen[252 + 210 + 2]
+    assert rep.levels[1].note == "undecided=12 unconverged=15"
+    forced = hypergraph_at(5, 3, seen[252 + 210 + 2])
     random_edges = [list(e) for e in forced.edge_sets()]
     shown = ", ".join(f"m=4 rank {rk}" for rk in range(10))
     assert rep.notes == [
@@ -451,6 +377,7 @@ def test_spectral_violations_and_undecided_verdicts_keep_witnesses(monkeypatch):
         f"violation at random graph with edges {random_edges}: spectral radius certified above "
         "threshold but edge count below implied bound",
         f"12 undecided instances need exact follow-up: {shown} (first 10)",
+        "15 spectral runs did not converge",
     ]
 
 
@@ -462,13 +389,13 @@ def test_a_path_level_graph_certified_above_is_an_edge_bound_violation(monkeypat
     masks = level_masks(spec, np.arange(level_size(spec))).tolist()
     d = BergeDecider(5, universe_masks(5, 3))
     rank = next(rk for rk, c in enumerate(masks) if d.certificate(c, "path") is not None)
-    original = campaigns._verdicts
+    original = campaigns.threshold_verdicts
 
-    def fake(n, r, members, picked, *args):
-        verdicts = original(n, r, members, picked, *args)
-        return [CERTIFIED_ABOVE if c == masks[rank] else v for c, v in zip(_chosen(picked), verdicts)]
+    def fake(n, r, chosen, t, tol):
+        verdicts, converged = original(n, r, chosen, t, tol)
+        return [CERTIFIED_ABOVE if c == masks[rank] else v for c, v in zip(chosen, verdicts)], converged
 
-    monkeypatch.setattr(campaigns, "_verdicts", fake)
+    monkeypatch.setattr(campaigns, "threshold_verdicts", fake)
     rep = verify_spectral_theorem(5, 3, samples=0)
     assert not rep.passed
     assert [lv.negative for lv in rep.levels] == [0, 1, 0]
@@ -490,13 +417,21 @@ def test_spectral_audit_sends_only_near_ties_to_the_exact_test(monkeypatch):
 
 
 def test_audit_brackets_no_retry_without_undecided_verdicts(monkeypatch):
+    # the audit asks threshold_verdicts once per level chunk and once for the
+    # random graphs, at its own t and tol, and asks again about no graph:
+    # the retry of an undecided verdict is threshold_verdicts' own
     calls = []
-    original = campaigns._bracket
-    monkeypatch.setattr(campaigns, "_bracket", lambda n, r, members, picked, *a: (
-        calls.append(len(picked)) or original(n, r, members, picked, *a)))
-    rep = verify_spectral_theorem(5, 3, samples=64)
+    original = campaigns.threshold_verdicts
+    monkeypatch.setattr(campaigns, "threshold_verdicts", lambda n, r, chosen, t, tol: (
+        calls.append((list(chosen), t, tol)) or original(n, r, chosen, t, tol)))
+    rep = verify_spectral_theorem(5, 3, samples=64, tol=1e-8, chunk_size=100)
     assert all("undecided=0" in lv.note for lv in rep.levels)
-    assert calls and 0 not in calls
+    audited = [c for chosen, _, _ in calls[:-1] for c in chosen]
+    assert [len(chosen) for chosen, _, _ in calls] == [100, 100, 52, 100, 100, 10, 64, 1]
+    assert audited[:462] == level_masks(LevelSpec(5, 3, 5), np.arange(252)).tolist() + level_masks(
+        LevelSpec(5, 3, 4), np.arange(210)).tolist()
+    assert calls[-1][0] == [chosen_mask(5, 3, clique_plus_pendant(5, 3).edges)]
+    assert {(t, tol) for _, t, tol in calls} == {(3, 1e-8)}
 
 
 @pytest.mark.parametrize("n,r,sample", [(5, 2, None), (5, 3, None), (6, 4, None), (6, 3, 20_000), (7, 5, 20_000)])
@@ -542,12 +477,12 @@ def test_pendant_check_rejects_ores_other_exception():
 
 
 def test_spectral_audit_builds_no_estimate_and_matches_no_graph(monkeypatch):
-    # the 8,008 level graphs run as arrays; the two estimates are the
-    # campaign's own checks of the pendant and isolated-vertex exceptions
+    # the 8,008 level graphs and the pendant exception run as arrays; the
+    # one estimate is the campaign's own check of the isolated-vertex exception
     matched, built = [], []
     original = spectral.SpectralEstimate
     monkeypatch.setattr(canonical, "isomorphism", lambda a, b: matched.append(a))
     monkeypatch.setattr(spectral, "SpectralEstimate", lambda *a: built.append(a) or original(*a))
     assert verify_spectral_theorem(6, 4, samples=0).passed
-    assert matched == [] and len(built) == 2
+    assert matched == [] and len(built) == 1
     assert not hasattr(campaigns, "isomorphism")

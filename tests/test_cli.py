@@ -123,6 +123,9 @@ MALFORMED_CERTIFICATES = [
     {"kind": "cycle", "vertices": [0, 1, 2], "edges": [[0, 2], [0, 1.0], [1, 2]]},
     {"kind": "path", "vertices": [0, 1, 2], "edges": [1, 2]},
     [{"kind": "path", "vertices": [0, 1], "edges": [[0, 1]]}],
+    {"kind": None, "vertices": [0, 1, 2], "edges": [[0, 2], [0, 1], [1, 2]]},
+    {"kind": 5, "vertices": [0, 1, 2], "edges": [[0, 2], [0, 1], [1, 2]]},
+    {"kind": ["cycle"], "vertices": [0, 1, 2], "edges": [[0, 2], [0, 1], [1, 2]]},
 ]
 
 
@@ -135,6 +138,27 @@ def test_check_cert_rejects_malformed_json_with_exit_2(tmp_path, capsys, cert):
     assert run(["check-cert", "--input", str(f), "--cert", str(c)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_check_cert_rejects_an_unknown_string_kind_with_exit_1(tmp_path, capsys):
+    f = tmp_path / "k3.txt"
+    f.write_text(write_hypergraph_text(complete(3, 2)))
+    c = tmp_path / "cert.json"
+    c.write_text(json.dumps({"kind": "walk", "vertices": [0, 1, 2], "edges": [[0, 2], [0, 1], [1, 2]]}))
+    assert run(["check-cert", "--input", str(f), "--cert", str(c)]) == 1
+    assert json.loads(capsys.readouterr().out)["violations"] == ["unknown certificate kind 'walk'"]
+
+
+@pytest.mark.parametrize("name, text, edge", [
+    ("h.txt", "5 3 1\n-1 0 1\n", "[-1, 0, 1]"),
+    ("h.json", json.dumps({"n": 5, "r": 3, "edges": [[0, 1, -2]]}), "[-2, 0, 1]"),
+], ids=["text", "json"])
+def test_negative_vertex_id_exits_2_as_out_of_range(tmp_path, capsys, name, text, edge):
+    f = tmp_path / name
+    f.write_text(text)
+    assert run(["canon", "--input", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: edge {edge} has a vertex out of range [0, 5)\n"
 
 
 @pytest.mark.parametrize("graph", [

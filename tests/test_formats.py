@@ -77,6 +77,9 @@ def test_json_rejects_non_integer_ids_and_non_lists(obj, match):
     ({"kind": "path", "vertices": [0, 1, 2], "edges": "01"}, "'edges' must be a list of vertex lists"),
     ([{"kind": "path", "vertices": [0, 1], "edges": [[0, 1]]}], "certificate JSON must be an object"),
     ({"kind": "path", "vertices": [0, 1]}, "missing keys"),
+    ({"kind": None, "vertices": [0, 1, 2], "edges": [[0, 2], [0, 1], [1, 2]]}, "'kind' must be a string"),
+    ({"kind": 5, "vertices": [0, 1, 2], "edges": [[0, 2], [0, 1], [1, 2]]}, "'kind' must be a string"),
+    ({"kind": ["cycle"], "vertices": [0, 1, 2], "edges": [[0, 2], [0, 1], [1, 2]]}, "'kind' must be a string"),
 ])
 def test_certificate_rejects_non_integer_ids_and_non_lists(obj, match):
     with pytest.raises(ValueError, match=match):

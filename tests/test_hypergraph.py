@@ -31,6 +31,13 @@ def test_duplicate_edges_collapse():
 def test_out_of_range_vertex_rejected():
     with pytest.raises(ValueError, match="out of range"):
         Hypergraph(5, 3, [{0, 1, 5}])
+    # a negative id gets the same message as an id of n or more
+    with pytest.raises(ValueError, match=r"^edge \[0, 1, 7\] has a vertex out of range \[0, 5\)$"):
+        Hypergraph(5, 3, [(0, 1, 7)])
+    with pytest.raises(ValueError, match=r"^edge \[-1, 0, 1\] has a vertex out of range \[0, 5\)$"):
+        Hypergraph(5, 3, [(0, 1, -1)])
+    with pytest.raises(ValueError, match=r"^edge \[-2, 0, 1\] has a vertex out of range \[0, 5\)$"):
+        Hypergraph(5, 3, [[0, 1, 2], {0, 1, -2}])
 
 
 def test_negative_edge_mask_rejected():

@@ -337,6 +337,8 @@ def test_tolerance_must_be_finite_and_positive(tol):
         spectral_radius(complete(5, 3), tol=tol)
     with pytest.raises(ValueError, match="finite tol > 0"):
         spectral_radii(5, 3, [0b111], tol=tol)
+    with pytest.raises(ValueError, match="finite tol > 0"):
+        threshold_verdicts(5, 3, [], 3, tol=tol)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
@@ -427,6 +429,14 @@ def test_batched_run_out_of_iterations_still_brackets():
         assert est.lower == evaluate_form(hypergraph_at(6, 3, mask), est.vector)
 
 
+def _verdicts_of(n, r, masks, ests, t, tol=1e-9):
+    """``spectral._verdicts`` of graphs given as chosen-universe masks, each
+    at its own estimate: the exact verdicts behind the float filter."""
+    vectors = np.reshape([est.vector for est in ests], (len(ests), n))
+    return spectral._verdicts(n, r, spectral._universe_members(n, r), spectral._picked_edges(n, r, masks), vectors,
+                              [est.upper for est in ests], t, tol)
+
+
 def _exact_verdict(h, est, t, tol=1e-9):
     """threshold_verdict spelled out on the exact integer test alone."""
     if certified_above(h, est.vector, t):
@@ -464,7 +474,7 @@ def test_batched_verdicts_equal_the_exact_integer_test(n, r, masks):
     ests = spectral_radii(n, r, masks, tol=1e-9, max_iter=50_000)
     for t in (t_spec, t_spec - 1e-9, t_spec + 1e-9, 1.5 * t_spec):
         want = [_exact_verdict(h, est, t) for h, est in zip(graphs, ests)]
-        assert threshold_verdicts(n, r, masks, ests, t) == want
+        assert _verdicts_of(n, r, masks, ests, t) == want
         if t == t_spec:
             assert [threshold_verdict(h, est, t) for h, est in zip(graphs, ests)] == want
 
@@ -475,7 +485,7 @@ def test_one_row_verdicts_go_straight_to_the_exact_test(monkeypatch):
     masks = _audit_level_masks(5, 3)
     t = threshold("spectral_cycle", 5, 3).value
     ests = spectral_radii(5, 3, masks, tol=1e-9, max_iter=50_000)
-    batched = threshold_verdicts(5, 3, masks, ests, t)
+    batched = _verdicts_of(5, 3, masks, ests, t)
     assert set(batched) == {CERTIFIED_ABOVE, CERTIFIED_BELOW_OR_EQUAL}
     calls = []
     original = spectral.certified_above
@@ -494,12 +504,12 @@ def _audit_verdicts(n, r, masks, t, settle, tol=1e-9):
     estimates and each graph's unconverged flag."""
     kw = {"t": t} if settle else {}
     ests = spectral_radii(n, r, masks, tol, max_iter=50_000, **kw)
-    verdicts = threshold_verdicts(n, r, masks, ests, t, tol)
+    verdicts = _verdicts_of(n, r, masks, ests, t, tol)
     unconverged = [not est.converged for est in ests]
     if retry := [i for i, verdict in enumerate(verdicts) if verdict == UNDECIDED]:
         again = [masks[i] for i in retry]
         more = spectral_radii(n, r, again, tol / 1000, max_iter=500_000, **kw)
-        for i, verdict, est in zip(retry, threshold_verdicts(n, r, again, more, t, tol), more):
+        for i, verdict, est in zip(retry, _verdicts_of(n, r, again, more, t, tol), more):
             verdicts[i] = verdict
             unconverged[i] |= not est.converged
     return verdicts, ests, unconverged
@@ -515,6 +525,100 @@ def test_settled_audit_verdicts_equal_converged_verdicts(n, r, masks):
         assert not any(unconverged)  # a settled graph counts as converged
         assert all(a.iterations <= b.iterations for a, b in zip(settled, full))
         assert sum(a.iterations for a in settled) < sum(b.iterations for b in full)
+
+
+@_VERDICT_SETS
+def test_threshold_verdicts_equal_the_audit_mirror(n, r, masks):
+    t_spec = threshold("spectral_cycle", n, r).value
+    for t in (t_spec, t_spec - 1e-3, t_spec + 1e-3):
+        want, _, unconverged = _audit_verdicts(n, r, masks, t, settle=True)
+        verdicts, converged = threshold_verdicts(n, r, masks, t)
+        assert verdicts == want
+        assert converged.dtype == bool and converged.tolist() == [not u for u in unconverged]
+
+
+@pytest.mark.parametrize("n,r,masks", [
+    (5, 3, _audit_level_masks(5, 3)),
+    (6, 3, _random_masks(random.Random(21), 6, 3, 300)),
+], ids=["levels-5-3", "random-6-3"])
+def test_threshold_verdicts_do_not_depend_on_slices_or_order(monkeypatch, n, r, masks):
+    t = threshold("spectral_cycle", n, r).value
+    verdicts, converged = threshold_verdicts(n, r, masks, t)
+    for size in (1, 5, 512):
+        monkeypatch.setattr(spectral, "SPECTRAL_SLICE", size)
+        got, done = threshold_verdicts(n, r, masks, t)
+        assert got == verdicts and np.array_equal(done, converged)
+        got, done = threshold_verdicts(n, r, masks[::-1], t)
+        assert got[::-1] == verdicts and np.array_equal(done[::-1], converged)
+    alone = [threshold_verdicts(n, r, [mask], t) for mask in masks]
+    assert [v for (v,), _ in alone] == verdicts
+    assert [bool(c) for _, (c,) in alone] == converged.tolist()
+
+
+def test_undecided_verdicts_are_retried_at_a_thousandth_of_the_tolerance(monkeypatch):
+    # force the first verdict of every 25th (5,3) cycle-level graph to
+    # undecided, in slices of 100; the undecided graphs of a slice, and
+    # only they, are re-bracketed together at tol/1000, each as
+    # spectral_radius brackets it alone, and decided as the first pass
+    # would have decided them
+    tol = 1e-9
+    t = threshold("spectral_cycle", 5, 3).value
+    masks = level_masks(LevelSpec(5, 3, 5), np.arange(252)).tolist()
+    targets = range(0, 252, 25)
+    monkeypatch.setattr(spectral, "SPECTRAL_SLICE", 100)
+    brackets, first, short = [], [], []
+    original_bracket, original_verdicts = spectral._bracket, spectral._verdicts
+
+    def bracket(n, r, members, picked, at, cap, t):
+        # with ``short`` set, a retry stops after one step
+        run = original_bracket(n, r, members, picked, at, 1 if short and at < tol else cap, t)
+        brackets.append((picked, at, cap, run))
+        return run
+
+    def force(n, r, members, picked, vectors, uppers, t, at):
+        verdicts = original_verdicts(n, r, members, picked, vectors, uppers, t, at)
+        if brackets[-1][1] < tol:  # the retry
+            return verdicts
+        lo = len(first)
+        first.extend(verdicts)
+        return [UNDECIDED if lo + i in targets else verdict for i, verdict in enumerate(verdicts)]
+
+    monkeypatch.setattr(spectral, "_bracket", bracket)
+    want, converged = threshold_verdicts(5, 3, masks, t, tol)
+    # no undecided verdict, no retry
+    assert [(len(picked), at, cap) for picked, at, cap, _ in brackets] == [
+        (100, tol, 50_000), (100, tol, 50_000), (52, tol, 50_000)]
+    assert {want[i] for i in targets} == {CERTIFIED_ABOVE, CERTIFIED_BELOW_OR_EQUAL} and converged.all()
+
+    brackets.clear()
+    monkeypatch.setattr(spectral, "_verdicts", force)
+    got, done = threshold_verdicts(5, 3, masks, t, tol)
+    assert got == want and np.array_equal(done, converged)
+    assert [(len(picked), at, cap) for picked, at, cap, _ in brackets] == [
+        (100, tol, 50_000), (4, tol / 1000, 500_000), (100, tol, 50_000), (4, tol / 1000, 500_000),
+        (52, tol, 50_000), (3, tol / 1000, 500_000)]
+    for lo in (0, 100, 200):
+        (picked, *_), (again, _, _, run) = brackets[lo // 50:lo // 50 + 2]
+        rows = [i for i in targets if lo <= i < lo + 100]
+        assert np.array_equal(again, picked[[i - lo for i in rows]])
+        for i, lower, upper, vector, iterations, settled in zip(rows, *run):
+            alone = spectral_radius(hypergraph_at(5, 3, masks[i]), tol / 1000, max_iter=500_000, t=t)
+            assert (lower, upper, iterations, settled) == (alone.lower, alone.upper, alone.iterations, alone.converged)
+            assert vector.tobytes() == alone.vector.tobytes()
+
+    # a retry that does not converge leaves its graph unconverged, and its
+    # verdict is the one its retry's estimate gives
+    first.clear()
+    short.append(True)
+    got, done = threshold_verdicts(5, 3, masks, t, tol)
+    for i, mask in enumerate(masks):
+        if i in targets:
+            h = hypergraph_at(5, 3, mask)
+            est = spectral_radius(h, tol / 1000, max_iter=1, t=t)
+            assert (got[i], done[i]) == (threshold_verdict(h, est, t, tol), est.converged)
+        else:
+            assert (got[i], done[i]) == (want[i], True)
+    assert not done.all()
 
 
 def _settled(h, t, full, tol=1e-9):
@@ -571,8 +675,8 @@ def test_equality_case_stays_below_or_equal_inside_a_batch():
     ests = spectral_radii(5, 3, masks, tol=1e-9)
     assert ests[0].lower == 6.000000000000002
     assert exact_form_ratio(complete(5, 3), ests[0].vector) == 6
-    assert threshold_verdicts(5, 3, masks, ests, 6)[0] == CERTIFIED_BELOW_OR_EQUAL
-    assert threshold_verdicts(5, 3, masks, ests, 6 - 2.0 ** -48)[0] == CERTIFIED_ABOVE
+    assert _verdicts_of(5, 3, masks, ests, 6)[0] == CERTIFIED_BELOW_OR_EQUAL
+    assert _verdicts_of(5, 3, masks, ests, 6 - 2.0 ** -48)[0] == CERTIFIED_ABOVE
 
 
 @pytest.mark.parametrize("n,r", [(5, 3), (6, 4), (7, 3)])
@@ -593,7 +697,7 @@ def test_filter_margin_covers_thresholds_next_to_the_exact_ratio(n, r):
         for i, ratio in enumerate(cases):
             t = float(np.nextafter(float(ratio), np.inf * shift)) if shift else float(ratio)
             want = CERTIFIED_ABOVE if ratio > t else CERTIFIED_BELOW_OR_EQUAL
-            assert threshold_verdicts(n, r, masks[i:i + 1], ests[i:i + 1], t) == [want]
+            assert _verdicts_of(n, r, masks[i:i + 1], ests[i:i + 1], t) == [want]
 
 
 def test_rows_outside_the_filter_go_to_the_exact_test(monkeypatch):
@@ -606,7 +710,7 @@ def test_rows_outside_the_filter_go_to_the_exact_test(monkeypatch):
 
     def run(ests, t):
         calls.clear()
-        got = threshold_verdicts(5, 3, masks, ests, t)
+        got = _verdicts_of(5, 3, masks, ests, t)
         assert got == [_exact_verdict(h, est, t) for h, est in zip(graphs, ests)]
         return len(calls)
 
@@ -631,15 +735,6 @@ def test_malformed_vectors_are_rejected():
         est = SpectralEstimate(6.0, 6.0, np.array(x), 1, True)
         with pytest.raises(ValueError, match=match):
             threshold_verdict(h, est, 6)
-        good = spectral_radius(h)
-        with pytest.raises(ValueError, match=match):
-            threshold_verdicts(5, 3, [(1 << 10) - 1] * 2, [good, est], 6)
-
-
-def test_threshold_verdicts_needs_one_estimate_per_graph():
-    est = spectral_radius(complete(5, 3))
-    with pytest.raises(ValueError, match="2 graphs but 1 estimates"):
-        threshold_verdicts(5, 3, [1, 2], [est], 6)
 
 
 def test_numpy_integer_masks_are_accepted():
@@ -648,7 +743,8 @@ def test_numpy_integer_masks_are_accepted():
     for est, other in zip(ests, spectral_radii(5, 3, masks.tolist())):
         assert (est.lower, est.upper) == (other.lower, other.upper)
         assert est.vector.tobytes() == other.vector.tobytes()
-    assert threshold_verdicts(5, 3, masks, ests, 6) == threshold_verdicts(5, 3, masks.tolist(), ests, 6)
+    (verdicts, converged), (listed, also) = threshold_verdicts(5, 3, masks, 6), threshold_verdicts(5, 3, masks.tolist(), 6)
+    assert verdicts == listed and np.array_equal(converged, also)
     with pytest.raises(TypeError, match="not an integer: 7.0"):
         spectral_radii(5, 3, [7.0])
     with pytest.raises(ValueError, match="beyond the 10"):
