@@ -47,7 +47,11 @@ of constraints per order, over the unions of overlap-connected sets of
 slots, kept in a bounded cache (``_hall_sets``) that answers do not
 depend on.  ``certificate``, through which ``decide`` and ``find_*``
 search, decides one graph, so certificates and ``SearchStats`` depend on
-the graph alone.
+the graph alone.  ``certificates`` gives many graphs those same
+certificates: one lockstep numpy pass follows the search's first choices
+for every row at once, and a row that needs anything more (backtracking,
+a longer augmenting path, or a negative answer) goes through
+``certificate``.
 """
 
 from __future__ import annotations
@@ -369,6 +373,86 @@ class BergeDecider:
 
     # ----- batches -------------------------------------------------------
 
+    def _rows(self, masks, kind: str) -> np.ndarray:
+        """``masks`` as one ``uint64`` array, for ``decide`` and ``certificates``.
+        The masks are checked as one array, and walked only to name the first
+        bad one through ``chosen_index``."""
+        if kind not in ("cycle", "path"):
+            raise ValueError(f"kind must be 'cycle' or 'path', got {kind!r}")
+        if len(self.universe) > 64:
+            raise ValueError(f"batches need at most 64 universe edges, got {len(self.universe)}")
+        rows = np.asarray(masks)
+        if rows.dtype.kind not in "iu" or rows.size and (rows.min() < 0 or rows.max() > self.full_chosen):
+            for mask in masks:
+                chosen_index(mask, len(self.universe))
+        return rows.astype(np.uint64, copy=False)
+
+    def certificates(self, masks, kind: str) -> list[BergeCertificate | None]:
+        """``[self.certificate(m, kind) for m in masks]``, most rows in one pass.
+
+        The pass follows ``_search`` for every row at once, as long as the
+        row needs no backtracking and no augmenting path longer than one
+        step: at each depth the row takes its lowest unused vertex with a
+        covering edge, and the new slot takes its lowest free covering
+        edge, or else its lowest covering edge while that edge's owner moves
+        to its own lowest free edge.  That is the first branch of
+        ``augment``, and the search tries nothing before it, so a row the
+        pass completes (a cycle closes its last slot the same way) gets the
+        search's own certificate.  The direction rule order[1] < order[-1]
+        needs no check: order[1] is the lowest vertex that shares an edge
+        with vertex 0, so the closing slot (order[-1], 0) has an edge only
+        when order[-1] lies above it.  Every other row, negatives included,
+        goes through ``certificate``.  The pass reads only ``pair_cover``
+        and ``universe``, so answers depend on the graph alone.  Universes
+        of more than 64 edges raise ``ValueError``, as in ``decide``.
+        """
+        rows = self._rows(masks, kind)
+        n, k = self.n, len(rows)
+        pc = np.array(self.pair_cover, dtype=np.uint64).reshape(n, n)
+        at = np.arange(k)
+        order = np.zeros((k, n), dtype=np.intp)  # every order starts at vertex 0
+        taken = np.zeros((k, n), dtype=bool)
+        taken[:, 0] = True
+        avail = np.zeros((k, n), dtype=np.uint64)  # per slot: the row's covering edges
+        edge = np.zeros((k, n), dtype=np.uint64)   # per slot: its edge, as a one-bit mask
+        owned = np.zeros(k, dtype=np.uint64)
+        ok = rows != 0  # rows the pass still follows; the search rejects an edgeless row, even at n = 1
+
+        def place(s: int, av: np.ndarray) -> None:
+            ok[av == 0] = False
+            free = av & ~owned
+            low = np.where(free != 0, free, av)
+            low &= -low
+            move = np.flatnonzero(ok & (free == 0))
+            if move.size:  # the owner of the slot's lowest edge moves to its own lowest free edge
+                o = (edge[move, :s] == low[move, None]).argmax(axis=1)
+                alt = avail[move, o] & ~owned[move]
+                ok[move[alt == 0]] = False
+                edge[move, o] = alt & -alt
+                owned[move] |= alt & -alt
+            avail[:, s] = av
+            edge[:, s] = low
+            owned[:] |= low
+
+        for depth in range(1, n):
+            cover = pc[order[:, depth - 1]] & rows[:, None]
+            cand = (cover != 0) & ~taken
+            v = cand.argmax(axis=1)
+            ok &= cand[at, v]
+            order[:, depth] = v
+            taken[at, v] = True
+            place(depth - 1, cover[at, v])
+        if kind == "cycle":
+            place(n - 1, pc[order[:, -1], 0] & rows)
+            edge = np.roll(edge, 1, axis=1)  # the closing slot's edge comes first
+        else:
+            edge = edge[:, :-1]
+        index = np.bitwise_count(edge - np.uint64(1))
+        out = [None if good else self.certificate(int(row), kind) for good, row in zip(ok.tolist(), rows)]
+        for i, vs, es in zip(np.flatnonzero(ok).tolist(), order[ok].tolist(), index[ok].tolist()):
+            out[i] = BergeCertificate(kind, tuple(vs), tuple(self.universe[e] for e in es))
+        return out
+
     def decide(self, masks, kind: str) -> np.ndarray:
         """Whether each graph has a Hamiltonian Berge cycle (``kind="cycle"``)
         or path without endpoints (``kind="path"``), as a boolean array.
@@ -385,19 +469,10 @@ class BergeDecider:
         always comes from the search, and a slice's answers depend on that
         slice alone; its work depends on the slice before.  Universes of
         more than 64 edges raise ``ValueError``, since masks are held as
-        ``uint64``.  The masks are checked as one array, and walked only to
-        name the first bad one through ``chosen_index``.
+        ``uint64`` (``_rows``).
         """
-        if kind not in ("cycle", "path"):
-            raise ValueError(f"kind must be 'cycle' or 'path', got {kind!r}")
-        if len(self.universe) > 64:
-            raise ValueError(f"decide needs at most 64 universe edges, got {len(self.universe)}")
         close = kind == "cycle"
-        rows = np.asarray(masks)
-        if rows.dtype.kind not in "iu" or rows.size and (rows.min() < 0 or rows.max() > self.full_chosen):
-            for mask in masks:
-                chosen_index(mask, len(self.universe))
-        masks = rows.astype(np.uint64, copy=False)
+        masks = self._rows(masks, kind)
         out = np.zeros(len(masks), dtype=bool)
         for lo in range(0, len(masks), DECIDE_SLICE):
             part = masks[lo:lo + DECIDE_SLICE]

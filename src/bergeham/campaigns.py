@@ -17,8 +17,10 @@ canonical search.
 
 Campaign aggregates are merged in rank order from deterministic chunks,
 so reports are identical for any worker count; a seeded sample of graphs
-is re-decided afterwards through the level decider's ``certificate`` and
-each certificate re-verified, tying the batched sweep to the checkable one.
+is re-decided afterwards through the level decider's ``certificates`` (a
+lockstep pass over the sample, and one-graph ``certificate`` searches for
+the rows it cannot follow), not through ``decide``, and each certificate
+is re-verified, tying the batched sweep to the checkable one.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from .spectral import (
 
 CSV_HEADER = "n,r,m,visited,hamiltonian,nonhamiltonian,exceptions,pass"
 UNDECIDED_SHOWN = 10  # undecided witnesses listed in a spectral report's notes
-RECHECK_SAMPLE = 1000  # graphs per whole level re-decided one at a time (closure rows: none)
+RECHECK_SAMPLE = 1000  # graphs per whole level re-decided through ``certificates`` (closure rows: none)
 RECHECK_CERTS = 3  # sampled certificates per rechecked level kept in the report
 
 
@@ -267,21 +269,25 @@ def _collapse_exceptions(spec: LevelSpec, negatives: list[tuple[int, int]],
 
 
 def _recheck_sample(spec: LevelSpec, kind: str, negatives: set[int], rng: random.Random):
-    """Re-decide a seeded sample of ``RECHECK_SAMPLE`` graphs one at a time
-    through the level decider's ``certificate`` and verify each certificate.
+    """Re-decide a seeded sample of ``RECHECK_SAMPLE`` graphs through the
+    level decider's ``certificates``, not through ``decide``, and verify
+    each certificate.
 
-    Cross-checks the fast sweep verdicts: a sampled rank must have a
-    verifiable certificate exactly when the sweep did not list it as
-    negative.  Returns (failure, certificate dicts); ``failure`` is empty
-    when every sampled verdict holds, and otherwise names the first
+    ``certificates`` gives each graph the certificate that ``certificate``
+    finds in it alone: one lockstep pass settles most of the sample, and
+    the rows it cannot follow, negatives included, are searched one graph
+    at a time.  This cross-checks the fast sweep verdicts: a sampled rank
+    must have a verifiable certificate exactly when the sweep did not list
+    it as negative.  Returns (failure, certificate dicts); ``failure`` is
+    empty when every sampled verdict holds, and otherwise names the first
     failing rank and why it failed.
     """
     total = level_size(spec)
     ranks = sorted(rng.sample(range(total), min(RECHECK_SAMPLE, total)))
     certs: list[dict] = []
-    decider = _decider(spec.n, spec.r)
-    for rank, chosen in zip(ranks, level_masks(spec, np.array(ranks)).tolist()):
-        cert = decider.certificate(chosen, kind)
+    masks = level_masks(spec, np.array(ranks))
+    found = _decider(spec.n, spec.r).certificates(masks, kind)
+    for rank, chosen, cert in zip(ranks, masks.tolist(), found):
         problem = ""
         if cert is not None:
             bad = verify_certificate(hypergraph_at(spec.n, spec.r, chosen), cert)

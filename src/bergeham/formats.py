@@ -11,7 +11,9 @@ Both parsers reject anything that violates the hypergraph invariants
 (wrong edge sizes, out-of-range vertices, r > n), by way of the
 ``Hypergraph`` constructor.  JSON input must be an object whose ids are
 integers (not booleans or floats) and whose edges are lists of them,
-and a certificate's ``kind`` must be a string; anything else raises
+a certificate edge may not hold a negative id (a certificate vertex out
+of range is read, and rejected by ``verify_certificate``), and a
+certificate's ``kind`` must be a string; anything else raises
 ``ValueError``.
 """
 
@@ -110,11 +112,11 @@ def certificate_from_dict(obj: dict[str, Any]) -> BergeCertificate:
         raise ValueError(f"'kind' must be a string, got {obj['kind']!r}")
     if not isinstance(obj["edges"], list):
         raise ValueError("'edges' must be a list of vertex lists")
-    return BergeCertificate(
-        kind=obj["kind"],
-        vertices=tuple(_ints(obj["vertices"], "'vertices'")),
-        edges=tuple(mask_of(_ints(e, "each edge")) for e in obj["edges"]),
-    )
+    vertices = tuple(_ints(obj["vertices"], "'vertices'"))
+    for e in obj["edges"]:
+        if any(v < 0 for v in _ints(e, "each edge")):
+            raise ValueError(f"edge {e} has a negative vertex id {min(e)}")
+    return BergeCertificate(kind=obj["kind"], vertices=vertices, edges=tuple(map(mask_of, obj["edges"])))
 
 
 def load_certificate(path: str):

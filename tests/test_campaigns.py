@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bergeham import campaigns, canonical, spectral
-from bergeham.berge import BergeDecider
+from bergeham.berge import BergeCertificate, BergeDecider
 from bergeham.campaigns import (
     CSV_HEADER,
     verify_edge_theorem,
@@ -26,6 +26,7 @@ from bergeham.enumeration import (
     level_size,
     pendant_copies,
 )
+from bergeham.formats import certificate_to_dict
 from bergeham.hypergraph import Hypergraph, clique_plus_isolated, clique_plus_pendant, complete, universe_masks
 from bergeham.spectral import CERTIFIED_ABOVE, CERTIFIED_BELOW_OR_EQUAL, UNDECIDED
 
@@ -329,11 +330,16 @@ def test_recheck_mismatch_names_the_rank(monkeypatch):
     positives = [(rk, c) for rk, c in zip(ranks, masks) if d.certificate(c, "cycle") is not None]
     target_rank, target = positives[2]
     original = BergeDecider.certificate
+    batched = BergeDecider.certificates
 
     def fake(self, chosen, kind, *args, **kwargs):
         return None if chosen == target else original(self, chosen, kind, *args, **kwargs)
 
+    def fake_batch(self, masks, kind):
+        return [None if c == target else cert for c, cert in zip(masks.tolist(), batched(self, masks, kind))]
+
     monkeypatch.setattr(BergeDecider, "certificate", fake)
+    monkeypatch.setattr(BergeDecider, "certificates", fake_batch)
     monkeypatch.setattr(campaigns, "RECHECK_SAMPLE", 20)
     rep = verify_lemma_r_plus_2(5)
     assert not rep.passed
@@ -342,6 +348,53 @@ def test_recheck_mismatch_names_the_rank(monkeypatch):
         f"sampled re-verification failed at rank {target_rank}: "
         "no cycle but the sweep decided the graph positive"
     )
+
+
+def test_a_corrupted_batch_certificate_is_rejected_at_its_rank(monkeypatch):
+    # every certificate of the recheck goes through verify_certificate, also
+    # those that the lockstep pass settled without a one-graph search
+    spec = LevelSpec(6, 4, 6)  # the cycle level, whose sample the campaign's seed-0 stream draws first
+    ranks = sorted(random.Random(0).sample(range(level_size(spec)), campaigns.RECHECK_SAMPLE))
+    masks = level_masks(spec, np.array(ranks)).tolist()
+    d = BergeDecider(6, universe_masks(6, 4))
+    searched = []
+    original = BergeDecider.certificate
+    monkeypatch.setattr(BergeDecider, "certificate",
+                        lambda self, chosen, kind: searched.append(chosen) or original(self, chosen, kind))
+    found = d.certificates(masks, "cycle")
+    monkeypatch.undo()
+    target_rank, target = next((rk, c) for rk, c, cert in zip(ranks, masks, found)
+                               if cert is not None and c not in searched)
+    batched = BergeDecider.certificates
+
+    def corrupt(self, masks, kind):
+        return [BergeCertificate(cert.kind, cert.vertices, cert.edges[:1] * len(cert.edges)) if c == target
+                else cert for c, cert in zip(masks.tolist(), batched(self, masks, kind))]
+
+    monkeypatch.setattr(BergeDecider, "certificates", corrupt)
+    rep = verify_lemma_r_plus_2(6)
+    assert not rep.passed
+    assert not rep.levels[0].ok and rep.levels[1].ok
+    assert rep.levels[0].note == (
+        f"sampled re-verification failed at rank {target_rank}: "
+        "certificate rejected: repeated edge in edge sequence"
+    )
+
+
+@pytest.mark.parametrize("run", [
+    lambda: verify_lemma_r_plus_2(6),
+    lambda: verify_lemma_r_plus_2(7),
+    lambda: verify_edge_theorem(6, 3),
+], ids=["lemma21-6", "lemma21-7", "edges-6-3"])
+def test_report_certificates_are_each_graphs_own(run):
+    rep = run()
+    n, r = rep.params["n"], rep.params.get("r")
+    d = BergeDecider(n, universe_masks(n, r))
+    assert len(rep.certificates) == 3 * sum(lv.mode != "supergraphs" for lv in rep.levels)
+    for entry in rep.certificates:
+        mask = int(level_masks(LevelSpec(n, r, entry["m"]), [entry["rank"]])[0])
+        own = certificate_to_dict(d.certificate(mask, entry["kind"]))
+        assert entry == {**own, "rank": entry["rank"], "m": entry["m"]}
 
 
 def test_spectral_violations_and_undecided_verdicts_keep_witnesses(monkeypatch):

@@ -126,6 +126,7 @@ MALFORMED_CERTIFICATES = [
     {"kind": None, "vertices": [0, 1, 2], "edges": [[0, 2], [0, 1], [1, 2]]},
     {"kind": 5, "vertices": [0, 1, 2], "edges": [[0, 2], [0, 1], [1, 2]]},
     {"kind": ["cycle"], "vertices": [0, 1, 2], "edges": [[0, 2], [0, 1], [1, 2]]},
+    {"kind": "cycle", "vertices": [0, 1, 2], "edges": [[0, 1], [0, -1], [1, 2]]},
 ]
 
 
@@ -138,6 +139,18 @@ def test_check_cert_rejects_malformed_json_with_exit_2(tmp_path, capsys, cert):
     assert run(["check-cert", "--input", str(f), "--cert", str(c)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_check_cert_names_a_negative_edge_id_and_rejects_a_negative_vertex(tmp_path, capsys):
+    f = tmp_path / "k3.txt"
+    f.write_text(write_hypergraph_text(complete(3, 2)))
+    c = tmp_path / "cert.json"
+    c.write_text(json.dumps({"kind": "cycle", "vertices": [0, 1, 2], "edges": [[0, 1], [0, -1], [1, 2]]}))
+    assert run(["check-cert", "--input", str(f), "--cert", str(c)]) == 2
+    assert capsys.readouterr().err == "error: edge [0, -1] has a negative vertex id -1\n"
+    c.write_text(json.dumps({"kind": "cycle", "vertices": [0, -1, 2], "edges": [[0, 1], [0, 2], [1, 2]]}))
+    assert run(["check-cert", "--input", str(f), "--cert", str(c)]) == 1
+    assert json.loads(capsys.readouterr().out)["violations"] == ["vertex out of range"]
 
 
 def test_check_cert_rejects_an_unknown_string_kind_with_exit_1(tmp_path, capsys):

@@ -80,6 +80,8 @@ def test_json_rejects_non_integer_ids_and_non_lists(obj, match):
     ({"kind": None, "vertices": [0, 1, 2], "edges": [[0, 2], [0, 1], [1, 2]]}, "'kind' must be a string"),
     ({"kind": 5, "vertices": [0, 1, 2], "edges": [[0, 2], [0, 1], [1, 2]]}, "'kind' must be a string"),
     ({"kind": ["cycle"], "vertices": [0, 1, 2], "edges": [[0, 2], [0, 1], [1, 2]]}, "'kind' must be a string"),
+    ({"kind": "cycle", "vertices": [0, 1, 2], "edges": [[0, 1], [0, -1], [1, 2]]},
+     r"edge \[0, -1\] has a negative vertex id -1"),
 ])
 def test_certificate_rejects_non_integer_ids_and_non_lists(obj, match):
     with pytest.raises(ValueError, match=match):
