@@ -5,14 +5,11 @@ verification campaigns."""
 from .berge import (
     BergeCertificate,
     BergeDecider,
-    RotationResult,
     SearchResult,
     SearchStats,
-    brute_force_oracle,
     find_hamiltonian_berge_cycle,
     find_hamiltonian_berge_path,
     is_hamiltonian_connected,
-    rotate_path_to_cycle,
     verify_certificate,
 )
 from .bounds import (
@@ -30,7 +27,7 @@ from .campaigns import (
     verify_lemma_r_plus_2,
     verify_spectral_theorem,
 )
-from .canonical import CanonicalForm, are_isomorphic, canonical_form, is_canonical, isomorphism
+from .canonical import CanonicalForm, canonical_form, is_canonical
 from .enumeration import (
     BudgetExceeded,
     LevelSpec,
@@ -64,18 +61,15 @@ __all__ = [
     "Hypergraph",
     "LevelSpec",
     "ReductionPlan",
-    "RotationResult",
     "SearchResult",
     "SearchStats",
     "SpectralEstimate",
     "Threshold",
     "VerificationReport",
-    "are_isomorphic",
     "bai_lu_bound",
     "binom",
     "binom_poly",
     "binom_poly_inverse",
-    "brute_force_oracle",
     "canonical_form",
     "check_convexity_chain",
     "clique_plus_isolated",
@@ -88,10 +82,8 @@ __all__ = [
     "gradient_form",
     "is_canonical",
     "is_hamiltonian_connected",
-    "isomorphism",
     "level_size",
     "monotone_reduction_plan",
-    "rotate_path_to_cycle",
     "spectral_radii",
     "spectral_radius",
     "threshold",

@@ -50,17 +50,13 @@ labelings that give the next label to ``u`` onto those that give it to
 ``h.relabel(p)`` because ``s`` maps edges onto edges.  Both subtrees hold
 the same codes whichever label is being given, so only one is searched;
 this collapses the factorial plateau of highly symmetric graphs.
-
-``isomorphism`` instead finds an explicit vertex map by colour refinement
-and backtracking, without canonizing, and checks it edge for edge.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from .hypergraph import Hypergraph, mask_of
+from .hypergraph import Hypergraph
 
 MAX_EXACT_VERTICES = 10
 
@@ -173,60 +169,3 @@ def is_canonical(h: Hypergraph) -> bool:
         return False
     return True
 
-
-def _refined_colours(members: list[list[tuple[int, ...]]], n: int) -> list[list[int]] | None:
-    """Stable joint vertex colourings of two edge lists, from degrees refined by
-    each incident edge's colour multiset; None once the histograms differ."""
-    colours = [[d[v] for v in range(n)] for d in (Counter(v for e in mem for v in e) for mem in members)]
-    while True:
-        sigs = []
-        for col, mem in zip(colours, members):
-            seen = [[] for _ in col]
-            for e in mem:
-                t = tuple(sorted([col[v] for v in e]))
-                for v in e:
-                    seen[v].append(t)
-            sigs.append([(c, tuple(sorted(s))) for c, s in zip(col, seen)])
-        name = {s: i for i, s in enumerate(sorted(set(sigs[0]) | set(sigs[1])))}
-        new = [[name[s] for s in sig] for sig in sigs]
-        if sorted(new[0]) != sorted(new[1]):
-            return None
-        if len(name) == len(set(colours[0]) | set(colours[1])):
-            return new
-        colours = new
-
-
-def isomorphism(a: Hypergraph, b: Hypergraph) -> tuple[int, ...] | None:
-    """A vertex map ``sigma`` with ``a.relabel(sigma) == b``, or None if there is none,
-    found by backtracking over colour-preserving maps, smallest class first."""
-    for h in (a, b):
-        _check_size(h)
-    members = [h.edge_sets() for h in (a, b)]
-    colours = (a.n, a.r, a.m) == (b.n, b.r, b.m) and _refined_colours(members, a.n)
-    if not colours:
-        return None
-    (ca, cb), n = colours, a.n
-    order = sorted(range(n), key=lambda u: (ca.count(ca[u]), ca[u]))
-    inc = [[[e for e in h.edges if e >> v & 1] for v in range(n)] for h in (a, b)]
-    b_edges, sigma, mem_a = set(b.edges), [0] * n, dict(zip(a.edges, members[0]))
-
-    def extend(d: int, done_a: int, done_b: int) -> bool:
-        if d == n:
-            return a.relabel(sigma) == b
-        u = order[d]
-        done_a |= 1 << u
-        closed = [e for e in inc[0][u] if not e & ~done_a]
-        for w in [w for w in range(n) if cb[w] == ca[u] and not done_b >> w & 1]:
-            sigma[u] = w
-            # as many edges close at w as at u, each closed at u landing on an edge of b
-            if (sum(not f & ~(done_b | 1 << w) for f in inc[1][w]) == len(closed)
-                    and all(mask_of(sigma[v] for v in mem_a[e]) in b_edges for e in closed)
-                    and extend(d + 1, done_a, done_b | 1 << w)):
-                return True
-        return False
-
-    return tuple(sigma) if extend(0, 0, 0) else None
-
-
-def are_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:
-    return isomorphism(a, b) is not None

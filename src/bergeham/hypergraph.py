@@ -162,26 +162,6 @@ class Hypergraph:
         m = mask_of(edge) if isinstance(edge, Iterable) else operator.index(edge)
         return Hypergraph(self.n, self.r, list(self.edges) + [m])
 
-    def remove_vertex(self, v: int) -> tuple["Hypergraph", tuple[int | None, ...]]:
-        """Delete vertex ``v`` and every edge through it.
-
-        Remaining vertices are relabeled contiguously (ids above ``v``
-        shift down by one).  Returns the new hypergraph together with the
-        old-id -> new-id map (``None`` at the removed vertex), which lets
-        callers translate certificates between the two graphs.
-        """
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range [0, {self.n})")
-        bit = 1 << v
-        low = bit - 1
-        kept = []
-        for e in self.edges:
-            if e & bit:
-                continue
-            kept.append((e & low) | ((e >> 1) & ~low))
-        mapping = tuple(None if u == v else (u if u < v else u - 1) for u in range(self.n))
-        return Hypergraph(self.n - 1, self.r, kept), mapping
-
     def relabel(self, perm: Iterable[int]) -> "Hypergraph":
         """Apply a vertex permutation: old vertex ``u`` becomes ``perm[u]``."""
         p = tuple(perm)

@@ -49,15 +49,19 @@ returned vector.  Its float coordinates are dyadic rationals; scaled to a
 common power of two they become integers ``X_i``, and ``lambda > t`` is
 certified by the integer test ``r * den(t) * sum_e prod X_i > num(t) *
 sum_i X_i^r``, so campaign verdicts never hinge on floating-point
-rounding.  ``threshold_verdicts``, the audit's one threshold decision,
-brackets each slice of masks settled against t, decides it, and retries
-its undecided graphs once at ``tol/1000``.  Its ``_verdicts`` puts a
-float filter in front of the exact test, settling a row when ``r * T``
-and ``t * D``, recomputed in floats, differ by more than a margin proven
-to exceed their rounding error.  Rows inside the margin, rows whose
-vector the bound does not cover, and every row of a threshold that is
-not exactly a float go to ``certified_above``, which ``threshold_verdict``
-(one estimate) calls straight away: it gives the filter's verdict.
+rounding.  A verdict is ``certified_above`` when that test holds,
+``certified_below_or_equal`` when it fails and the float upper bound is
+at most ``t + tol`` (exact equality lands here), and ``undecided``
+otherwise.  One per-slice loop, ``_decide``, reaches every verdict: it
+brackets a slice settled against t, decides it, and retries its undecided
+graphs once at ``tol/1000``.  ``threshold_verdicts``, the audit's
+threshold decision, runs it over slices of masks; ``exceeds_threshold``
+runs it on one graph's own edges.  Its ``_verdicts`` puts a float filter
+in front of the exact test, settling a row when ``r * T`` and ``t * D``,
+recomputed in floats, differ by more than a margin proven to exceed their
+rounding error, so the filter's answer is the exact test's.  Rows inside
+the margin, rows whose vector the bound does not cover, and every row of
+a threshold that is not exactly a float go to ``certified_above``.
 """
 
 from __future__ import annotations
@@ -490,9 +494,12 @@ def _margin(k: int) -> float:
 
 def _verdicts(n: int, r: int, members: np.ndarray, picked: np.ndarray, vectors: np.ndarray, uppers,
               t, tol: float) -> list[str]:
-    """``threshold_verdict`` of each graph that ``picked`` selects from
-    ``members`` (as in ``_components``), at its row of the (B, n) array
-    ``vectors`` and its upper bound.
+    """The verdict on lambda against ``t`` of each graph that ``picked``
+    selects from ``members`` (as in ``_components``), at its row of the
+    (B, n) array ``vectors`` and its upper bound: ``certified_above`` when
+    the exact form ratio at the vector exceeds t, else
+    ``certified_below_or_equal`` when the upper bound is at most ``t +
+    tol``, else ``undecided``.
 
     Per row, the float sums ``T = sum_e prod_{i in e} x_i`` and ``D =
     sum_i x_i^r`` are recomputed from the vector (``est.lower`` is not
@@ -561,14 +568,32 @@ def _verdicts(n: int, r: int, members: np.ndarray, picked: np.ndarray, vectors: 
             for yes, upper in zip(above.tolist(), uppers)]
 
 
+def _decide(n: int, r: int, members: np.ndarray, picked: np.ndarray, t, tol: float):
+    """(verdicts, converged) of the graphs that ``picked`` selects from
+    ``members`` (as in ``_components``): one ``_bracket`` call settled
+    against t (at most 50,000 steps) and one ``_verdicts`` call decide them,
+    and the undecided ones are re-bracketed together at ``tol/1000``
+    (500,000 steps) and decided again.  ``converged`` is a bool array of
+    whether each graph's brackets converged or settled.
+    """
+    _, upper, vectors, _, done = _bracket(n, r, members, picked, tol, 50_000, t)
+    found = _verdicts(n, r, members, picked, vectors, upper, t, tol)
+    if retry := [i for i, verdict in enumerate(found) if verdict == UNDECIDED]:
+        again = picked[retry]
+        _, upper, vectors, _, redone = _bracket(n, r, members, again, tol / 1000, 500_000, t)
+        for i, verdict in zip(retry, _verdicts(n, r, members, again, vectors, upper, t, tol)):
+            found[i] = verdict
+        done[retry] &= redone
+    return found, done
+
+
 def threshold_verdicts(n: int, r: int, chosen, t, tol: float = 1e-9) -> tuple[list[str], np.ndarray]:
     """(verdicts, converged) of graphs given as chosen-universe masks: each
-    graph's exact ``threshold_verdict`` against ``t``, and a bool array of
-    whether each of its brackets converged or settled.  Per ``SPECTRAL_SLICE``
-    graphs, one ``_bracket`` call (settled against t, at most 50,000 steps)
-    and one ``_verdicts`` call decide them; the undecided ones are
-    re-bracketed together at ``tol/1000`` (500,000 steps) and decided again.
-    An estimate does not depend on its batch, so no answer depends on the
+    graph's exact verdict on lambda against ``t`` (``certified_above``,
+    ``certified_below_or_equal`` or ``undecided``, as ``_verdicts`` defines
+    them), and a bool array of whether each of its brackets converged or
+    settled.  ``_decide`` runs on each ``SPECTRAL_SLICE`` graphs.  An
+    estimate does not depend on its batch, so no answer depends on the
     slices, the order or the other graphs of the call.
     """
     _check_tol(tol)
@@ -578,36 +603,13 @@ def threshold_verdicts(n: int, r: int, chosen, t, tol: float = 1e-9) -> tuple[li
     converged = np.ones(len(picked), dtype=bool)
     for lo in range(0, len(picked), SPECTRAL_SLICE):
         part = picked[lo:lo + SPECTRAL_SLICE]
-        _, upper, vectors, _, done = _bracket(n, r, members, part, tol, 50_000, t)
-        found = _verdicts(n, r, members, part, vectors, upper, t, tol)
-        if retry := [i for i, verdict in enumerate(found) if verdict == UNDECIDED]:
-            again = part[retry]
-            _, upper, vectors, _, redone = _bracket(n, r, members, again, tol / 1000, 500_000, t)
-            for i, verdict in zip(retry, _verdicts(n, r, members, again, vectors, upper, t, tol)):
-                found[i] = verdict
-            done[retry] &= redone
+        found, converged[lo:lo + len(part)] = _decide(n, r, members, part, t, tol)
         verdicts += found
-        converged[lo:lo + len(part)] = done
     return verdicts, converged
 
 
-def threshold_verdict(h: Hypergraph, est: SpectralEstimate, t, tol: float = 1e-9) -> str:
-    """Classify lambda(h) against threshold ``t`` from a computed estimate.
-
-    ``certified_above`` requires the exact form value at the estimate's
-    vector to exceed ``t``: a sound strict inequality.
-    ``certified_below_or_equal`` means the floating upper bound clears
-    ``t`` within ``tol`` (exact equality cases land here).  Anything else
-    is ``undecided`` and deserves exact-arithmetic follow-up.  This is
-    ``_verdicts``' verdict, without the float filter in front.
-    """
-    _check_tol(tol)
-    return (CERTIFIED_ABOVE if certified_above(h, est.vector, t) else
-            CERTIFIED_BELOW_OR_EQUAL if est.upper <= t + tol else UNDECIDED)
-
-
-def exceeds_threshold(h: Hypergraph, t, tol: float = 1e-9, max_iter: int = 10 ** 6) -> str:
-    """Decide lambda(h) vs t; see ``threshold_verdict`` for the semantics.
-    The bracket stops once settled against ``t`` (see ``_power_iterate``)."""
-    est = spectral_radius(h, tol, max_iter, t=t)
-    return threshold_verdict(h, est, t, tol)
+def exceeds_threshold(h: Hypergraph, t, tol: float = 1e-9) -> str:
+    """The verdict of ``threshold_verdicts`` on lambda(h) against ``t``,
+    from one ``_decide`` row over ``h``'s own edges, so a call costs what
+    ``h`` costs and never builds the ``(n, r)`` edge universe."""
+    return _decide(h.n, h.r, _edge_index_array(h), np.ones((1, h.m), dtype=np.uint8), t, tol)[0][0]

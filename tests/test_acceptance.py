@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from bergeham.berge import BergeDecider, brute_force_oracle
+from bergeham.berge import BergeDecider
 from bergeham.bounds import bai_lu_bound, check_convexity_chain
 from bergeham.campaigns import verify_edge_theorem, verify_lemma_r_plus_2
 from bergeham.canonical import canonical_form
@@ -35,6 +35,7 @@ from bergeham.spectral import (
     spectral_radius,
 )
 from conftest import random_hypergraph
+from oracles import brute_force_oracle
 
 JOBS = min(8, os.cpu_count() or 1)
 

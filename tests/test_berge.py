@@ -13,11 +13,9 @@ from bergeham.berge import (
     BergeCertificate,
     BergeDecider,
     SearchStats,
-    brute_force_oracle,
     find_hamiltonian_berge_cycle,
     find_hamiltonian_berge_path,
     is_hamiltonian_connected,
-    rotate_path_to_cycle,
     verify_certificate,
 )
 from bergeham.enumeration import LevelSpec, chosen_mask, hypergraph_at, level_masks, level_size
@@ -30,6 +28,7 @@ from bergeham.hypergraph import (
     universe_masks,
 )
 from conftest import labeled_copies, random_hypergraph
+from oracles import brute_force_oracle, rotate_path_to_cycle
 
 
 def test_verify_accepts_the_square_cycle():

@@ -101,29 +101,6 @@ def test_degrees_on_complete():
     assert all(h.degree(v) == comb(4, 2) == 6 for v in range(5))
 
 
-def test_remove_vertex_complete():
-    h2, mapping = complete(5, 3).remove_vertex(0)
-    assert h2 == complete(4, 3)
-    assert mapping == (None, 0, 1, 2, 3)
-
-
-def test_remove_pendant_vertex_gives_clique():
-    h = clique_plus_pendant(6, 3)
-    h2, mapping = h.remove_vertex(5)
-    assert h2 == complete(5, 3)
-    assert mapping[:5] == (0, 1, 2, 3, 4) and mapping[5] is None
-
-
-def test_remove_vertex_edge_count_identity():
-    rng = random.Random(1)
-    for _ in range(50):
-        h = random_hypergraph(rng, rng.randint(4, 8), 3)
-        v = rng.randrange(h.n)
-        h2, _ = h.remove_vertex(v)
-        assert h2.m == h.m - h.degree(v)
-        assert h2.r == h.r and h2.n == h.n - 1
-
-
 def test_handshake_identity():
     rng = random.Random(2)
     for _ in range(100):

@@ -29,10 +29,10 @@ from bergeham.spectral import (
     gradient_form,
     spectral_radii,
     spectral_radius,
-    threshold_verdict,
     threshold_verdicts,
 )
 from conftest import random_hypergraph
+from oracles import threshold_verdict
 
 
 def test_form_on_uniform_vector_of_k43():
@@ -352,7 +352,7 @@ def test_threshold_verdict_checks_its_own_tol(tol):
     with pytest.raises(ValueError, match="finite tol > 0"):
         threshold_verdict(h, est, 10.094, tol=tol)
     with pytest.raises(ValueError, match="finite tol > 0"):
-        exceeds_threshold(h, 10.094, tol=tol, max_iter=1)
+        exceeds_threshold(h, 10.094, tol=tol)
 
 
 def test_negative_chosen_mask_is_rejected():
@@ -640,7 +640,8 @@ def _settled(h, t, full, tol=1e-9):
 def test_thresholds_next_to_lambda_keep_the_converged_verdict(n, r, seed):
     # each graph at t = lambda +- {0.5, 2} tol and lambda +- 1e-3, lambda from
     # a bracket 1e-12 wide: the settled bracket gives the converged one's
-    # verdict, which is exceeds_threshold's (called itself on 20 graphs)
+    # verdict, which is exceeds_threshold's and, on the graph's own edges as
+    # on the universe, threshold_verdicts' (both called on 20 graphs)
     tol = 1e-9
     early = 0
     for i, mask in enumerate(_random_masks(random.Random(seed), n, r, 300)[1:]):
@@ -652,7 +653,7 @@ def test_thresholds_next_to_lambda_keep_the_converged_verdict(n, r, seed):
             want = threshold_verdict(h, full, t, tol)
             assert threshold_verdict(h, est, t, tol) == want
             if i < 20:
-                assert exceeds_threshold(h, t, tol) == want
+                assert exceeds_threshold(h, t, tol) == want == threshold_verdicts(n, r, [mask], t, tol)[0][0]
             early += est.iterations < full.iterations
     assert early > 0
 
