@@ -52,10 +52,15 @@ certificates: one lockstep numpy pass follows the search's first choices
 for every row at once, and a row that needs anything more (backtracking,
 a longer augmenting path, or a negative answer) goes through
 ``certificate``.
+
+``verify_certificates``, the checker, reads only the certificates, the
+edge universe and chosen masks: one numpy pass accepts the valid spanning
+certificates, and every other row goes to a per-row explainer.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -106,42 +111,76 @@ class SearchResult:
 
 def verify_certificate(h: Hypergraph, cert: BergeCertificate) -> list[str]:
     """Check a certificate against its host; returns [] iff it is valid."""
+    return verify_certificates(h.n, h.edges, [(1 << h.m) - 1], [cert])[0]
+
+
+def verify_certificates(n: int, universe, chosen, certs) -> list[list[str]]:
+    """The problems of each certificate, [] iff it is valid: ``certs[i]`` on the
+    n-vertex graph of the ``universe`` edges (ascending masks) that ``chosen[i]``
+    selects.  For n <= 64 and at most 64 universe edges, one numpy pass per kind
+    accepts the rows of n vertices and n (cycle) or n - 1 (path) edges whose
+    vertices sort to ``range(n)``, whose edges are distinct and chosen (found by
+    ``searchsorted``), and whose vertices lie in their incident edges; every
+    other row goes to ``_explain``, and so does every row of a kind where some
+    row holds an id that does not fit ``int64``."""
+    out = [None] * len(certs)
+    if 2 <= n <= 64 and 0 < len(universe) <= 64:
+        edges = np.array(universe, dtype=np.uint64)
+        for kind, width in (("cycle", n), ("path", n - 1)):
+            rows = [i for i, c in enumerate(certs)
+                    if c.kind == kind and len(c.vertices) == n and len(c.edges) == width]
+            ids = np.array([(*certs[i].vertices, *certs[i].edges) for i in rows])
+            if ids.dtype != np.int64:  # no rows, or an id that is no int64: all go to _explain
+                continue
+            ok = (ids[:, n:] >= 0).all(axis=1) & (np.sort(ids[:, :n], axis=1) == np.arange(n)).all(axis=1)
+            vs, es = ids[:, :n].view(np.uint64), ids[:, n:].view(np.uint64)
+            ok &= (np.diff(np.sort(es, axis=1), axis=1) != 0).all(axis=1)
+            at = np.searchsorted(edges, es)
+            bits = np.array([chosen[i] for i in rows], dtype=np.uint64)[:, None] >> at.astype(np.uint64)
+            ok &= ((edges[np.minimum(at, len(edges) - 1)] == es) & (bits & 1 == 1)).all(axis=1)
+            if kind == "cycle":  # vertex i lies in edges i and i+1, cyclically
+                inc = (es >> vs) & (np.roll(es, -1, axis=1) >> vs)
+            else:  # edge i holds vertices i and i+1
+                inc = (es >> vs[:, :-1]) & (es >> vs[:, 1:])
+            ok &= (inc & 1 == 1).all(axis=1)
+            for i in np.array(rows)[ok].tolist():
+                out[i] = []
+    return [bad if bad is not None else _explain(n, universe, int(c), cert)
+            for bad, c, cert in zip(out, chosen, certs)]
+
+
+def _explain(n: int, universe, chosen: int, cert: BergeCertificate) -> list[str]:
+    """``verify_certificates`` for one row, in Python ints: each problem, in order."""
     bad: list[str] = []
     if cert.kind not in ("path", "cycle"):
         return [f"unknown certificate kind {cert.kind!r}"]
-    vs = cert.vertices
-    es = cert.edges
+    vs, es = cert.vertices, cert.edges
     if len(set(vs)) != len(vs):
         bad.append("repeated vertex in vertex sequence")
-    if any(not 0 <= v < h.n for v in vs):
+    if any(not 0 <= v < n for v in vs):
         bad.append("vertex out of range")
     if len(set(es)) != len(es):
         bad.append("repeated edge in edge sequence")
-    host = set(h.edges)
     for e in es:
-        if e not in host:
+        i = bisect_left(universe, e)
+        if not (i < len(universe) and universe[i] == e and chosen >> i & 1):
             bad.append(f"edge {sorted(members_of(e))} not in the hypergraph")
     if cert.kind == "cycle":
         if len(vs) < 2:
             bad.append("cycle needs at least 2 vertices")
         if len(es) != len(vs):
             bad.append(f"cycle needs as many edges as vertices, got {len(es)} for {len(vs)}")
-        elif not bad:
-            l = len(vs)
-            for i in range(l - 1):
-                if not ((es[i] >> vs[i]) & 1 and (es[i + 1] >> vs[i]) & 1):
-                    bad.append(f"vertex {vs[i]} not in both its incident cycle edges")
-            if not ((es[l - 1] >> vs[l - 1]) & 1 and (es[0] >> vs[l - 1]) & 1):
-                bad.append(f"vertex {vs[l - 1]} not in both its incident cycle edges")
+        elif not bad:  # vertex i lies in edges i and i+1, cyclically
+            bad += [f"vertex {v} not in both its incident cycle edges"
+                    for v, e, f in zip(vs, es, es[1:] + es[:1]) if not (e >> v & 1 and f >> v & 1)]
     else:
         if len(vs) < 1:
             bad.append("path needs at least 1 vertex")
         if len(es) != len(vs) - 1:
             bad.append(f"path needs one fewer edge than vertices, got {len(es)} for {len(vs)}")
         elif not bad:
-            for i in range(len(vs) - 1):
-                if not ((es[i] >> vs[i]) & 1 and (es[i] >> vs[i + 1]) & 1):
-                    bad.append(f"edge {i} does not contain the pair ({vs[i]}, {vs[i + 1]})")
+            bad += [f"edge {i} does not contain the pair ({a}, {b})"
+                    for i, (a, b, e) in enumerate(zip(vs, vs[1:], es)) if not (e >> a & 1 and e >> b & 1)]
     return bad
 
 

@@ -19,8 +19,9 @@ Campaign aggregates are merged in rank order from deterministic chunks,
 so reports are identical for any worker count; a seeded sample of graphs
 is re-decided afterwards through the level decider's ``certificates`` (a
 lockstep pass over the sample, and one-graph ``certificate`` searches for
-the rows it cannot follow), not through ``decide``, and each certificate
-is re-verified, tying the batched sweep to the checkable one.
+the rows it cannot follow), not through ``decide``, and its certificates
+are checked on masks by ``verify_certificates``, tying the batched sweep
+to the checkable one.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .berge import BergeDecider, verify_certificate
+from .berge import BergeDecider, verify_certificates
 from .bounds import threshold
 from .canonical import canonical_form
 from .enumeration import (
@@ -270,8 +271,9 @@ def _collapse_exceptions(spec: LevelSpec, negatives: list[tuple[int, int]],
 
 def _recheck_sample(spec: LevelSpec, kind: str, negatives: set[int], rng: random.Random):
     """Re-decide a seeded sample of ``RECHECK_SAMPLE`` graphs through the
-    level decider's ``certificates``, not through ``decide``, and verify
-    each certificate.
+    level decider's ``certificates``, not through ``decide``, and check
+    the certificates found against the (n, r) universe and their chosen
+    masks in one ``verify_certificates`` call.
 
     ``certificates`` gives each graph the certificate that ``certificate``
     finds in it alone: one lockstep pass settles most of the sample, and
@@ -287,10 +289,13 @@ def _recheck_sample(spec: LevelSpec, kind: str, negatives: set[int], rng: random
     certs: list[dict] = []
     masks = level_masks(spec, np.array(ranks))
     found = _decider(spec.n, spec.r).certificates(masks, kind)
-    for rank, chosen, cert in zip(ranks, masks.tolist(), found):
+    held = [i for i, cert in enumerate(found) if cert is not None]
+    checks = iter(verify_certificates(spec.n, universe_masks(spec.n, spec.r), masks[held].tolist(),
+                                      [found[i] for i in held]))
+    for rank, cert in zip(ranks, found):
         problem = ""
         if cert is not None:
-            bad = verify_certificate(hypergraph_at(spec.n, spec.r, chosen), cert)
+            bad = next(checks)
             if bad or len(cert.vertices) != spec.n:
                 problem = f"certificate rejected: {'; '.join(bad) or 'does not span the graph'}"
             elif rank in negatives:

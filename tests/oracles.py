@@ -5,6 +5,9 @@ kept here, beside the tests that use it, as an independent second answer:
 
 - ``brute_force_oracle`` decides Berge Hamiltonicity by trying every
   vertex order, sharing nothing with ``BergeDecider``;
+- ``verify_certificate_oracle`` checks a certificate against the edge
+  set of a ``Hypergraph``, rule by rule, as a second answer to the
+  batched mask checker ``berge.verify_certificates``;
 - ``isomorphism`` finds an explicit vertex map by colour refinement and
   backtracking, without canonizing, and checks it edge for edge;
 - ``rotate_path_to_cycle`` closes a Hamiltonian Berge path into a cycle
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from bergeham import spectral
-from bergeham.berge import BergeCertificate, verify_certificate
+from bergeham.berge import BergeCertificate
 from bergeham.canonical import _check_size
 from bergeham.hypergraph import Hypergraph, mask_of, members_of
 from bergeham.spectral import CERTIFIED_ABOVE, CERTIFIED_BELOW_OR_EQUAL, UNDECIDED, SpectralEstimate, _check_tol
@@ -69,6 +72,51 @@ def brute_force_oracle(h: Hypergraph, kind: str) -> bool:
         if sdr(slots, set(), 0):
             return True
     return False
+
+
+# --------------------------------------------------------------------------
+# Certificate checker over a Hypergraph
+
+
+def verify_certificate_oracle(h: Hypergraph, cert: BergeCertificate) -> list[str]:
+    """Check a certificate against its host; returns [] iff it is valid."""
+    bad: list[str] = []
+    if cert.kind not in ("path", "cycle"):
+        return [f"unknown certificate kind {cert.kind!r}"]
+    vs = cert.vertices
+    es = cert.edges
+    if len(set(vs)) != len(vs):
+        bad.append("repeated vertex in vertex sequence")
+    if any(not 0 <= v < h.n for v in vs):
+        bad.append("vertex out of range")
+    if len(set(es)) != len(es):
+        bad.append("repeated edge in edge sequence")
+    host = set(h.edges)
+    for e in es:
+        if e not in host:
+            bad.append(f"edge {sorted(members_of(e))} not in the hypergraph")
+    if cert.kind == "cycle":
+        if len(vs) < 2:
+            bad.append("cycle needs at least 2 vertices")
+        if len(es) != len(vs):
+            bad.append(f"cycle needs as many edges as vertices, got {len(es)} for {len(vs)}")
+        elif not bad:
+            l = len(vs)
+            for i in range(l - 1):
+                if not ((es[i] >> vs[i]) & 1 and (es[i + 1] >> vs[i]) & 1):
+                    bad.append(f"vertex {vs[i]} not in both its incident cycle edges")
+            if not ((es[l - 1] >> vs[l - 1]) & 1 and (es[0] >> vs[l - 1]) & 1):
+                bad.append(f"vertex {vs[l - 1]} not in both its incident cycle edges")
+    else:
+        if len(vs) < 1:
+            bad.append("path needs at least 1 vertex")
+        if len(es) != len(vs) - 1:
+            bad.append(f"path needs one fewer edge than vertices, got {len(es)} for {len(vs)}")
+        elif not bad:
+            for i in range(len(vs) - 1):
+                if not ((es[i] >> vs[i]) & 1 and (es[i] >> vs[i + 1]) & 1):
+                    bad.append(f"edge {i} does not contain the pair ({vs[i]}, {vs[i + 1]})")
+    return bad
 
 
 # --------------------------------------------------------------------------
@@ -173,7 +221,7 @@ def rotate_path_to_cycle(h: Hypergraph, path_cert: BergeCertificate) -> Rotation
     with enough edges and degree slack; outside that range failures are
     reported, never improvised around.
     """
-    problems = verify_certificate(h, path_cert)
+    problems = verify_certificate_oracle(h, path_cert)
     if problems:
         raise ValueError(f"input certificate rejected: {problems}")
     if path_cert.kind != "path" or len(path_cert.vertices) != h.n:
@@ -189,7 +237,7 @@ def rotate_path_to_cycle(h: Hypergraph, path_cert: BergeCertificate) -> Rotation
 
     def finish(order, slot_edges, closing):
         cert = _assemble_cycle(order, slot_edges, closing)
-        bad = verify_certificate(h, cert)
+        bad = verify_certificate_oracle(h, cert)
         if bad or len(cert.vertices) != n:
             raise RuntimeError(f"internal: rotation produced an invalid cycle: {bad}")
         return RotationResult(cert, None, tuple(steps))

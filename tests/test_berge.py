@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from math import comb
 from operator import or_
@@ -8,7 +8,7 @@ from operator import or_
 import numpy as np
 import pytest
 
-from bergeham import berge
+from bergeham import berge, campaigns
 from bergeham.berge import (
     BergeCertificate,
     BergeDecider,
@@ -17,7 +17,9 @@ from bergeham.berge import (
     find_hamiltonian_berge_path,
     is_hamiltonian_connected,
     verify_certificate,
+    verify_certificates,
 )
+from bergeham.campaigns import verify_edge_theorem, verify_lemma_r_plus_2
 from bergeham.enumeration import LevelSpec, chosen_mask, hypergraph_at, level_masks, level_size
 from bergeham.hypergraph import (
     Hypergraph,
@@ -28,7 +30,7 @@ from bergeham.hypergraph import (
     universe_masks,
 )
 from conftest import labeled_copies, random_hypergraph
-from oracles import brute_force_oracle, rotate_path_to_cycle
+from oracles import brute_force_oracle, rotate_path_to_cycle, verify_certificate_oracle
 
 
 def test_verify_accepts_the_square_cycle():
@@ -670,6 +672,126 @@ def test_the_pass_settles_most_of_a_loose_cycle_level(monkeypatch):
     found = d.certificates(masks, "cycle")
     assert None not in found
     assert len(handed_back) < 100
+
+
+# ----- verify_certificates: the batched mask checker against the oracle -----
+
+
+@cache
+def _recheck_calls() -> list[tuple[int, tuple[int, ...], list[int], list[BergeCertificate]]]:
+    """The (n, universe, chosen, certs) of every ``verify_certificates`` call
+    that the recheck makes in lemma21 at n = 5..7 and the (6,3) edge campaign."""
+    calls = []
+    original = campaigns.verify_certificates
+
+    def recording(n, universe, chosen, certs):
+        calls.append((n, universe, list(chosen), list(certs)))
+        return original(n, universe, chosen, certs)
+
+    campaigns.verify_certificates = recording
+    try:
+        assert all(verify_lemma_r_plus_2(n).passed for n in (5, 6, 7))
+        assert verify_edge_theorem(6, 3).passed
+    finally:
+        campaigns.verify_certificates = original
+    return calls
+
+
+def _mutants(universe, chosen: int, cert: BergeCertificate) -> list[BergeCertificate]:
+    """Broken copies of a valid spanning certificate, one per rule of the checker."""
+    kind, vs, es = cert.kind, cert.vertices, cert.edges
+    unchosen = next(e for i, e in enumerate(universe) if not chosen >> i & 1)
+    spare = next(e for e in universe if e not in es)
+    n = len(vs)
+    return [
+        BergeCertificate(kind, (vs[1], vs[0], *vs[2:]), es),
+        BergeCertificate(kind, (*vs[:-2], vs[-1], vs[-2]), es),
+        BergeCertificate(kind, (vs[0], vs[0], *vs[2:]), es),
+        BergeCertificate(kind, (-1, *vs[1:]), es),
+        BergeCertificate(kind, (n, *vs[1:]), es),
+        BergeCertificate(kind, (2 ** 70, *vs[1:]), es),
+        BergeCertificate(kind, vs, (es[0], es[0], *es[2:])),
+        BergeCertificate(kind, vs, (unchosen, *es[1:])),
+        BergeCertificate(kind, vs, (es[0] | 1 << 70, *es[1:])),
+        BergeCertificate(kind, vs, es[1:] + es[:1]),
+        BergeCertificate("walk", vs, es),
+        BergeCertificate("path" if kind == "cycle" else "cycle", vs, es),
+        BergeCertificate(kind, vs, es[:-1]),
+        BergeCertificate(kind, vs, (*es, spare)),
+    ]
+
+
+def test_verify_certificates_equals_the_oracle_on_recheck_certificates_and_their_mutants():
+    calls = _recheck_calls()
+    assert [len(certs) for *_, certs in calls] == [222, 210, 983, 1000, 999, 1000, 1000, 1000]  # the positives
+    for n, universe, chosen, certs in calls:
+        r = universe[0].bit_count()
+        hosts = [hypergraph_at(n, r, c) for c in chosen]
+        assert verify_certificates(n, universe, chosen, certs) == [[]] * len(certs)
+        broken = [_mutants(universe, c, cert) for c, cert in zip(chosen, certs)]
+        for k in range(len(broken[0])):
+            batch = [mutants[k] for mutants in broken]
+            want = [verify_certificate_oracle(h, cert) for h, cert in zip(hosts, batch)]
+            assert verify_certificates(n, universe, chosen, batch) == want, (n, r, k)
+            if k > 1:  # a swap of two vertices may keep a certificate valid
+                assert all(want), (n, r, k)
+        mixed = [mutants[i % len(mutants)] for i, mutants in enumerate(broken)]
+        want = [verify_certificate_oracle(h, cert) for h, cert in zip(hosts, mixed)]
+        assert verify_certificates(n, universe, chosen, mixed) == want
+        for h, cert, mutants in list(zip(hosts, certs, broken))[:50]:  # the one-row call, on its own universe
+            for c in (cert, *mutants):
+                assert verify_certificate(h, c) == verify_certificate_oracle(h, c)
+
+
+def test_a_valid_sample_never_reaches_the_explainer(monkeypatch):
+    def explain(*args):
+        raise AssertionError("a valid certificate reached the explainer")
+
+    calls = _recheck_calls()
+    monkeypatch.setattr(berge, "_explain", explain)
+    for n, universe, chosen, certs in calls:
+        assert verify_certificates(n, universe, chosen, certs) == [[]] * len(certs)
+    assert verify_lemma_r_plus_2(6).passed
+    h = complete(6, 3)
+    assert verify_certificate(h, find_hamiltonian_berge_path(h).certificate) == []
+
+
+def test_verify_certificate_on_a_host_of_more_than_64_edges():
+    # 70 universe edges do not fit the pass's uint64 masks, so every row goes to the explainer
+    h = complete(8, 4)
+    assert h.m == 70
+    cert = find_hamiltonian_berge_cycle(h).certificate
+    assert verify_certificate(h, cert) == verify_certificate_oracle(h, cert) == []
+    drop = next(i for i, e in enumerate(h.edges) if e not in cert.edges)
+    chosen = (1 << 70) - 1 ^ 1 << drop
+    host = Hypergraph(8, 4, h.edges[:drop] + h.edges[drop + 1:])
+    assert verify_certificates(8, h.edges, [chosen], [cert]) == [[]]
+    for bad in _mutants(h.edges, chosen, cert):
+        assert verify_certificates(8, h.edges, [chosen], [bad]) == [verify_certificate_oracle(host, bad)]
+        assert verify_certificate(h, bad) == verify_certificate_oracle(h, bad)
+
+
+def test_verify_certificates_at_64_vertices_reads_no_edge_id_as_unsigned():
+    # the cycle C_64: its edges {63, 0} and {62, 63} do not fit int64, and their int64 readings are negative
+    h = Hypergraph(64, 2, [(i, (i + 1) % 64) for i in range(64)])
+    cert = BergeCertificate("cycle", tuple(range(64)), (mask_of({63, 0}), *(mask_of({i, i + 1}) for i in range(63))))
+    assert verify_certificate(h, cert) == verify_certificate_oracle(h, cert) == []
+    wrapped = BergeCertificate("cycle", cert.vertices, tuple(e - (e >> 63 << 64) for e in cert.edges))
+    assert sum(e < 0 for e in wrapped.edges) == 2
+    for check in (verify_certificate, verify_certificate_oracle):
+        with pytest.raises(ValueError, match="a vertex mask is negative"):
+            check(h, wrapped)
+
+
+def test_verify_certificates_takes_numpy_masks_and_short_certificates():
+    # a certificate of fewer than n vertices is valid, but not spanning, and goes to the explainer
+    universe = universe_masks(5, 3)
+    cert = find_hamiltonian_berge_cycle(complete(4, 3)).certificate
+    chosen = chosen_mask(5, 3, complete(4, 3).edges)
+    assert verify_certificates(5, universe, np.array([chosen], dtype=np.uint64), [cert]) == [[]]
+    assert verify_certificates(5, universe, [], []) == []
+    with pytest.raises(ValueError, match="a vertex mask is negative: -1$"):
+        verify_certificates(5, universe, [chosen], [BergeCertificate("path", (0, 1, 2), (-1, cert.edges[0]))])
 
 
 # ----- _hall: Hall's condition on one order's slots, as a cached table ------
