@@ -55,7 +55,8 @@ a longer augmenting path, or a negative answer) goes through
 
 ``verify_certificates``, the checker, reads only the certificates, the
 edge universe and chosen masks: one numpy pass accepts the valid spanning
-certificates, and every other row goes to a per-row explainer.
+certificates, and every other row goes to a per-row explainer, which
+alone checks the one certificate of ``verify_certificate``.
 """
 
 from __future__ import annotations
@@ -111,20 +112,20 @@ class SearchResult:
 
 def verify_certificate(h: Hypergraph, cert: BergeCertificate) -> list[str]:
     """Check a certificate against its host; returns [] iff it is valid."""
-    return verify_certificates(h.n, h.edges, [(1 << h.m) - 1], [cert])[0]
+    return _explain(h.n, h.edges, (1 << h.m) - 1, cert)
 
 
 def verify_certificates(n: int, universe, chosen, certs) -> list[list[str]]:
     """The problems of each certificate, [] iff it is valid: ``certs[i]`` on the
     n-vertex graph of the ``universe`` edges (ascending masks) that ``chosen[i]``
-    selects.  For n <= 64 and at most 64 universe edges, one numpy pass per kind
+    selects.  For n <= 63 and at most 64 universe edges, one numpy pass per kind
     accepts the rows of n vertices and n (cycle) or n - 1 (path) edges whose
     vertices sort to ``range(n)``, whose edges are distinct and chosen (found by
     ``searchsorted``), and whose vertices lie in their incident edges; every
     other row goes to ``_explain``, and so does every row of a kind where some
     row holds an id that does not fit ``int64``."""
     out = [None] * len(certs)
-    if 2 <= n <= 64 and 0 < len(universe) <= 64:
+    if 2 <= n <= 63 and 0 < len(universe) <= 64:  # at n = 64 an edge holding vertex 63 is no int64
         edges = np.array(universe, dtype=np.uint64)
         for kind, width in (("cycle", n), ("path", n - 1)):
             rows = [i for i, c in enumerate(certs)
@@ -132,8 +133,8 @@ def verify_certificates(n: int, universe, chosen, certs) -> list[list[str]]:
             ids = np.array([(*certs[i].vertices, *certs[i].edges) for i in rows])
             if ids.dtype != np.int64:  # no rows, or an id that is no int64: all go to _explain
                 continue
-            ok = (ids[:, n:] >= 0).all(axis=1) & (np.sort(ids[:, :n], axis=1) == np.arange(n)).all(axis=1)
-            vs, es = ids[:, :n].view(np.uint64), ids[:, n:].view(np.uint64)
+            ok = (np.sort(ids[:, :n], axis=1) == np.arange(n)).all(axis=1)
+            vs, es = ids[:, :n].view(np.uint64), ids[:, n:].view(np.uint64)  # a negative edge: above the universe
             ok &= (np.diff(np.sort(es, axis=1), axis=1) != 0).all(axis=1)
             at = np.searchsorted(edges, es)
             bits = np.array([chosen[i] for i in rows], dtype=np.uint64)[:, None] >> at.astype(np.uint64)
@@ -150,7 +151,8 @@ def verify_certificates(n: int, universe, chosen, certs) -> list[list[str]]:
 
 
 def _explain(n: int, universe, chosen: int, cert: BergeCertificate) -> list[str]:
-    """``verify_certificates`` for one row, in Python ints: each problem, in order."""
+    """One certificate's problems, in order, in Python ints: the check of
+    ``verify_certificate`` and of every row the batch pass does not accept."""
     bad: list[str] = []
     if cert.kind not in ("path", "cycle"):
         return [f"unknown certificate kind {cert.kind!r}"]
