@@ -422,12 +422,14 @@ class BergeDecider:
         """``[self.certificate(m, kind) for m in masks]``, most rows in one pass.
 
         The pass follows ``_search`` for every row at once, as long as the
-        row needs no backtracking and no augmenting path longer than one
-        step: at each depth the row takes its lowest unused vertex with a
-        covering edge, and the new slot takes its lowest free covering
-        edge, or else its lowest covering edge while that edge's owner moves
-        to its own lowest free edge.  That is the first branch of
-        ``augment``, and the search tries nothing before it, so a row the
+        row needs no backtracking: at each depth the row takes its lowest
+        unused vertex with a covering edge, and the new slot takes its
+        lowest free covering edge, or else its lowest covering edge while
+        that edge's owner moves on, to its own lowest free edge or else to
+        its lowest edge not yet visited in this augmenting path, whose owner
+        moves on in turn.  A row whose path runs out of edges is handed
+        back.  That is the first branch of ``augment`` to any depth, and the
+        search tries nothing before it, so a row the
         pass completes (a cycle closes its last slot the same way) gets the
         search's own certificate.  The direction rule order[1] < order[-1]
         needs no check: order[1] is the lowest vertex that shares an edge
@@ -455,12 +457,20 @@ class BergeDecider:
             low = np.where(free != 0, free, av)
             low &= -low
             move = np.flatnonzero(ok & (free == 0))
-            if move.size:  # the owner of the slot's lowest edge moves to its own lowest free edge
-                o = (edge[move, :s] == low[move, None]).argmax(axis=1)
+            # per moving row: the slot that takes the edge ``want`` from its owner, and the visited edges
+            slot, want, seen = np.full(move.size, s), low[move], low[move]
+            while move.size:  # the owner moves on to its lowest free edge, else its lowest unvisited one
+                o = (edge[move, :s] == want[:, None]).argmax(axis=1)
+                edge[move, slot] = want
                 alt = avail[move, o] & ~owned[move]
-                ok[move[alt == 0]] = False
-                edge[move, o] = alt & -alt
-                owned[move] |= alt & -alt
+                settled = alt != 0
+                alt = np.where(settled, alt, avail[move, o] & ~seen)
+                alt &= -alt
+                ok[move[alt == 0]] = False  # the first branch dies: the search backtracks
+                edge[move[settled], o[settled]] = alt[settled]
+                owned[move[settled]] |= alt[settled]
+                go = ~settled & (alt != 0)
+                move, slot, want, seen = move[go], o[go], alt[go], (seen | alt)[go]
             avail[:, s] = av
             edge[:, s] = low
             owned[:] |= low

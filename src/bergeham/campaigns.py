@@ -54,6 +54,7 @@ from .enumeration import (
     monotone_reduction_plan,
     pendant_copies,
     run_chunks,
+    window_masks,
 )
 from .formats import certificate_to_dict
 from .hypergraph import (
@@ -136,12 +137,19 @@ def _decider(n: int, r: int) -> BergeDecider:
     return BergeDecider(n, universe_masks(n, r))
 
 
-def _berge_chunk(spec: LevelSpec, lo: int, hi: int, *, kind: str):
-    """Decide one chunk; returns (decided, positives, [(rank, mask) negatives])."""
-    masks = level_masks(spec, np.arange(lo, hi))
-    yes = _decider(spec.n, spec.r).decide(masks, kind)
-    neg = [(lo + i, int(masks[i])) for i in np.flatnonzero(~yes).tolist()]
-    return len(masks), len(masks) - len(neg), neg
+def _berge_chunk(windows: list[tuple[LevelSpec, int, int]], *, kind: str) -> list:
+    """Decide a task's windows in one ``decide`` call; returns, per window,
+    (decided, positives, [(rank, mask) negatives])."""
+    n, r = windows[0][0].n, windows[0][0].r  # one report row: every spec shares them
+    masks = np.concatenate([window_masks(spec, lo, hi) for spec, lo, hi in windows])
+    yes = _decider(n, r).decide(masks, kind)
+    out = []
+    at = 0  # where the window starts in the task
+    for spec, lo, hi in windows:
+        neg = [(lo + i, int(masks[at + i])) for i in np.flatnonzero(~yes[at:at + hi - lo]).tolist()]
+        out.append((hi - lo, hi - lo - len(neg), neg))
+        at += hi - lo
+    return out
 
 
 @dataclass
@@ -219,8 +227,9 @@ def _audit(n: int, r: int, rows: Iterable[tuple[int | None, int]], tol: float) -
     return tally
 
 
-def _spectral_chunk(spec: LevelSpec, lo: int, hi: int, *, tol: float) -> AuditTally:
-    return _audit(spec.n, spec.r, zip(range(lo, hi), level_masks(spec, np.arange(lo, hi)).tolist()), tol)
+def _spectral_chunk(windows: list[tuple[LevelSpec, int, int]], *, tol: float) -> list[AuditTally]:
+    return [_audit(spec.n, spec.r, zip(range(lo, hi), window_masks(spec, lo, hi).tolist()), tol)
+            for spec, lo, hi in windows]
 
 
 # --------------------------------------------------------------------------
@@ -319,24 +328,27 @@ def _berge_level(report: VerificationReport, level: LevelSpec, kind: str, copies
 
     A row sweeps a list of level specs: the whole ``level``, or, given
     ``bases``, the ``level.m``-edge supergraphs of each base mask, one spec
-    per base (the closure row; no bases give a row of zero counts).  Each
-    spec is swept with the ``kind`` decider (``run`` holds the
-    ``run_chunks`` options), and a seeded sample of a whole level is
-    re-decided (``_recheck_sample``; the closure row has none).  All the
-    row's negatives are collapsed by canonical form at once and must be
-    exactly ``copies``, the masks of the expected exception's labeled
-    copies (empty where none is expected); the row and the sampled
-    certificates go to ``report``.  Returns (ok, the negatives' masks),
-    which are the bases of the closure row.
+    per base (the closure row; no bases give a row of zero counts).  The
+    specs are swept by one ``run_chunks`` call (``run`` holds its
+    options): a whole level keeps one window per task, and the closure's
+    small levels pack into few tasks, each one ``decide`` call of the
+    ``kind`` decider.  The closure still visits each supergraph once per
+    base under it: a one-edge supergraph of a pendant copy has two edges
+    through the pendant vertex, and dropping either leaves a pendant copy,
+    so the row's counts hold each graph twice.  Those counts are kept, and
+    the second visit now costs about one Hall pass.  A seeded sample of a
+    whole level is re-decided (``_recheck_sample``; the closure row has
+    none).  All the row's negatives are collapsed by canonical form at
+    once and must be exactly ``copies``, the masks of the expected
+    exception's labeled copies (empty where none is expected); the row and
+    the sampled certificates go to ``report``.  Returns (ok, the
+    negatives' masks), which are the bases of the closure row.
     """
     specs = [level] if bases is None else [LevelSpec(level.n, level.r, level.m, base) for base in bases]
-    visited = positive = 0
-    negatives = []
-    for spec in specs:
-        chunks = run_chunks(spec, partial(_berge_chunk, kind=kind), **run)
-        visited += sum(c[0] for c in chunks)
-        positive += sum(c[1] for c in chunks)
-        negatives += [ng for c in chunks for ng in c[2]]
+    chunks = run_chunks(specs, partial(_berge_chunk, kind=kind), **run)
+    visited = sum(c[0] for c in chunks)
+    positive = sum(c[1] for c in chunks)
+    negatives = [ng for c in chunks for ng in c[2]]
     failure = ""
     if bases is None:
         failure, certs = _recheck_sample(level, kind, {rk for rk, _ in negatives}, rng)
@@ -484,7 +496,7 @@ def verify_spectral_theorem(
     plan = monotone_reduction_plan(n, r)
     for spec in (plan.cycle_level, plan.path_level):
         tally = AuditTally()
-        for chunk in run_chunks(spec, partial(_spectral_chunk, tol=tol), jobs=jobs,
+        for chunk in run_chunks([spec], partial(_spectral_chunk, tol=tol), jobs=jobs,
                                 chunk_size=chunk_size, budget=budget, progress=progress):
             tally.merge(chunk)
         report.levels.append(tally.outcome(n, r, spec.m, spec.mode, level_size(spec)))

@@ -16,12 +16,16 @@ lowest j digits come from one gather in a cached, read-only table of
 the j-subsets of those free bits in colex order, with j the largest
 value whose table, and every smaller one it is built from, has at most
 ``LOW_DIGIT_TABLE`` entries; on small levels that is the whole level.
-Masks are ``uint64`` for universes of at most 64 edges and Python ints
-in ``object`` arrays beyond, in the same loop.  Ranks give stateless
-chunks ``[lo, hi)`` that partition a level exactly, so work can be
-distributed over processes and the results merged back in rank order:
-aggregates are reproducible for any worker count, and interrupted sweeps
-can resume from a rank.
+``window_masks`` gives a window of consecutive ranks the same masks as
+runs ``prefix | table[a:b]``: only each run's high digits go through the
+``searchsorted`` loop, and the runs expand with one repeat and one
+gather.  Masks are ``uint64`` for universes of at most 64 edges and
+Python ints in ``object`` arrays beyond, in the same loop.  Ranks give
+stateless windows ``[lo, hi)`` that partition a level exactly, so work
+can be distributed over processes and the results merged back in rank
+order: aggregates are reproducible for any worker count, and interrupted
+sweeps can resume from a rank.  ``run_chunks`` packs the windows of a
+list of levels into tasks, so many small levels cost few tasks.
 
 The monotone reduction plan encodes why sweeping two levels suffices to
 verify an edge-count Hamiltonicity threshold for *all* larger edge
@@ -40,7 +44,7 @@ import multiprocessing
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 from math import comb
 from typing import Callable
 
@@ -107,9 +111,9 @@ def level_size(spec: LevelSpec) -> int:
 
 @cache
 def _binomial_columns(width: int, k: int, dtype) -> tuple[np.ndarray, ...]:
-    """Column i - 1 holds C(c, i) for c = 0..width-1, ascending, for i = 1..k.
+    """Column i holds C(c, i) for c = 0..width-1, ascending, for i = 0..k.
     The columns are shared by every caller, so they are read-only."""
-    cols = tuple(np.array([comb(c, i) for c in range(width)], dtype=dtype) for i in range(1, k + 1))
+    cols = tuple(np.array([comb(c, i) for c in range(width)], dtype=dtype) for i in range(k + 1))
     for col in cols:
         col.flags.writeable = False
     return cols
@@ -132,12 +136,40 @@ def _low_digit_table(width: int, base: int, j: int) -> np.ndarray:
     return table
 
 
+def _unranking(spec: LevelSpec):
+    """What both forms of the unranking read: the mask dtype, the free bits,
+    the digit count k = m - |base|, the count j of low digits the table
+    resolves, the table and the binomial columns of the free bits."""
+    width = comb(spec.n, spec.r)
+    dtype = np.uint64 if width <= 64 else object
+    bits = np.array([1 << p for p in range(width) if not spec.base >> p & 1], dtype=dtype)
+    k = spec.m - spec.base.bit_count()
+    j = 0  # a table is built through every smaller one, so each must fit
+    while j < k and comb(len(bits), j + 1) <= LOW_DIGIT_TABLE:
+        j += 1
+    return dtype, bits, k, j, _low_digit_table(width, spec.base, j), _binomial_columns(len(bits), k, dtype)
+
+
+def _peel(rank: np.ndarray, mask: np.ndarray, bits: np.ndarray, cols) -> np.ndarray | None:
+    """The digit loop of the combinatorial number system, in place: for each
+    column C(., i) of ``cols`` from the last, one ``searchsorted`` finds
+    every rank's digit c, whose binomial is subtracted from ``rank`` and
+    whose bit ``bits[c]`` is set in ``mask``.  Returns the last digits."""
+    c = None
+    for col in reversed(cols):
+        c = np.searchsorted(col, rank, "right") - 1
+        rank -= col[c]
+        mask |= bits[c]
+    return c
+
+
 def level_masks(spec: LevelSpec, ranks) -> np.ndarray:
     """The chosen-universe masks of the level's graphs at ``ranks``, in the given order.
 
     ``ranks`` is an integer array of ranks in ``[0, level_size(spec))``, in
     any order.  The masks come back ``uint64`` for universes of at most 64
-    edges, and as Python ints in an ``object`` array beyond that.
+    edges, and as Python ints in an ``object`` array beyond that.  For a
+    window of consecutive ranks, ``window_masks`` gives the same masks.
     """
     ranks = np.asarray(ranks)
     total = level_size(spec)
@@ -146,22 +178,52 @@ def level_masks(spec: LevelSpec, ranks) -> np.ndarray:
         raise ValueError(f"ranks must be integers, got an array of {ranks.dtype}")
     if ranks.size and not (int(ranks.min()) >= 0 and int(ranks.max()) < total):
         raise ValueError(f"ranks must lie in [0, {total}), got {ranks.min()}..{ranks.max()}")
-    width = comb(spec.n, spec.r)
-    dtype = np.uint64 if width <= 64 else object
-    bits = np.array([1 << p for p in range(width) if not spec.base >> p & 1], dtype=dtype)
-    k = spec.m - spec.base.bit_count()
-    j = 0  # a table is built through every smaller one, so each must fit
-    while j < k and comb(len(bits), j + 1) <= LOW_DIGIT_TABLE:
-        j += 1
+    dtype, bits, k, j, table, cols = _unranking(spec)
     rank = ranks.astype(dtype)
     mask = np.full(rank.shape, spec.base, dtype=dtype)
-    for col in reversed(_binomial_columns(len(bits), k, dtype)[j:]):
-        c = np.searchsorted(col, rank, "right") - 1
-        rank -= col[c]
-        mask |= bits[c]
+    _peel(rank, mask, bits, cols[j + 1:])
     # the rank left is below C(c, j) for the last digit c taken, so it names
     # a j-subset of smaller free positions at that colex rank
-    return mask | _low_digit_table(width, spec.base, j)[rank.astype(np.intp)]
+    return mask | table[rank.astype(np.intp)]
+
+
+def window_masks(spec: LevelSpec, lo: int, hi: int) -> np.ndarray:
+    """``level_masks(spec, np.arange(lo, hi))``, expanded from runs of the table.
+
+    Consecutive ranks whose digits above the table's j agree (their
+    *prefix*) form a run ``prefix | table[a:b]``: the rank left after
+    peeling the prefix counts up from 0 to C(c, j), with c the prefix's
+    lowest digit.  The prefixes, (k - j)-subsets of the free positions
+    j, j+1, ..., are in colex order too, so a window's runs are the
+    prefixes between those of ranks ``lo`` and ``hi - 1``.  Those two are
+    peeled by the loop of ``level_masks``, which gives their colex
+    positions among the prefixes, and every prefix between them is
+    unranked by the same loop; one ``np.repeat`` and one table gather then
+    expand the runs.  A level with j = k is one table slice.
+    """
+    total = level_size(spec)
+    if not 0 <= lo <= hi <= total:
+        raise ValueError(f"need 0 <= lo <= hi <= {total}, got lo={lo}, hi={hi}")
+    dtype, bits, k, j, table, cols = _unranking(spec)
+    if j == k:
+        return table[lo:hi] | spec.base
+    if lo == hi:
+        return np.zeros(0, dtype=dtype)
+    # the colex positions of the prefixes of lo and hi - 1 among the (k - j)-subsets of
+    # positions j.., summed as their digits are peeled, one column at a time
+    pcols = _binomial_columns(len(bits) - j, k - j, dtype)
+    ends, scratch = np.array([lo, hi - 1], dtype=dtype), np.zeros(2, dtype=dtype)
+    first, last = map(int, sum(pcols[i - j][_peel(ends, scratch, bits, cols[i:i + 1]) - j]
+                               for i in range(k, j, -1)))
+    a, b = map(int, ends)  # where the first run starts and the last run ends, less one
+    prefix = np.full(last - first + 1, spec.base, dtype=dtype)
+    low = _peel(np.arange(first, last + 1, dtype=dtype), prefix, bits[j:], pcols[1:])
+    counts = cols[j][low + j].astype(np.intp)  # C(c, j) ranks in each run
+    counts[-1] = b + 1
+    counts[0] -= a
+    shift = counts - np.cumsum(counts)  # a run's table start, less where it starts in the window
+    shift[0] += a
+    return np.repeat(prefix, counts) | table[np.arange(hi - lo) + np.repeat(shift, counts)]
 
 
 def chosen_mask(n: int, r: int, edges) -> int:
@@ -219,26 +281,33 @@ def hypergraph_at(n: int, r: int, chosen) -> Hypergraph:
 
 
 def run_chunks(
-    spec: LevelSpec,
-    chunk_fn: Callable[[LevelSpec, int, int], object],
+    specs: list[LevelSpec],
+    chunk_fn: Callable[[list[tuple[LevelSpec, int, int]]], list],
     *,
     jobs: int = 1,
     chunk_size: int = DEFAULT_CHUNK,
     budget: int | None = DEFAULT_BUDGET,
     progress: Callable[[LevelSpec, int, int, object], None] | None = None,
 ) -> list:
-    """Apply ``chunk_fn(spec, lo, hi)`` over a level, merging in rank order.
+    """Apply ``chunk_fn`` over the rank windows of a row's levels, merging in rank order.
 
-    The level is cut into rank windows ``[lo, hi)`` of ``chunk_size`` and
-    the chunks run through one ``map``: the builtin one, or with
-    ``jobs > 1`` and more than one chunk, a ``ProcessPoolExecutor``'s.
-    ``chunk_fn`` must be picklable and pure; the returned list is always
-    ordered by rank, so any aggregation over it is independent of the
-    worker count.  The pool forks where the platform can and spawns
-    elsewhere, so under ``spawn`` ``chunk_fn`` must also be importable by
-    the workers.  A worker that dies raises ``BrokenProcessPool``.  The
-    ``progress`` callback fires per chunk, in rank order, with or without
-    the pool.
+    Each level of ``specs`` is cut into rank windows ``[lo, hi)`` of
+    ``chunk_size``, and consecutive windows, across levels, are packed
+    into tasks of at most ``chunk_size`` graphs, so a one-level row has
+    one window per task and a row of many small levels, such as a
+    supergraph closure, few tasks.  ``chunk_fn(task)`` gets a task's
+    windows as ``(spec, lo, hi)`` triples and returns one result per
+    window.  The tasks run through one ``map``: the builtin one, or with
+    ``jobs > 1`` and more than one task, a ``ProcessPoolExecutor``'s.
+    ``chunk_fn`` must be picklable and pure; the returned list holds one
+    result per window, ordered by level and rank, so any aggregation over
+    it is independent of the worker count.  The pool forks where the
+    platform can and spawns elsewhere, so under ``spawn`` ``chunk_fn``
+    must also be importable by the workers.  A worker that dies raises
+    ``BrokenProcessPool``.  The ``progress`` callback fires per window, as
+    ``progress(spec, lo, hi, result)``, in that order, with or without the
+    pool.  A level larger than ``budget`` raises ``BudgetExceeded`` before
+    any task runs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -246,30 +315,38 @@ def run_chunks(
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    total = level_size(spec)
-    if budget is not None and total > budget:
-        raise BudgetExceeded(total, budget, spec)
-    los = range(0, total, chunk_size)
-    his = [min(lo + chunk_size, total) for lo in los]
+    tasks: list[list[tuple[LevelSpec, int, int]]] = []
+    room = 0  # graphs the last task can still take
+    for spec in specs:
+        total = level_size(spec)
+        if budget is not None and total > budget:
+            raise BudgetExceeded(total, budget, spec)
+        for lo in range(0, total, chunk_size):
+            hi = min(lo + chunk_size, total)
+            if hi - lo > room:
+                tasks.append([])
+                room = chunk_size
+            tasks[-1].append((spec, lo, hi))
+            room -= hi - lo
 
     def merged(outputs) -> list:
         results = []
-        for lo, hi, res in zip(los, his, outputs):
-            if progress is not None:
-                progress(spec, lo, hi, res)
-            results.append(res)
+        for task, out in zip(tasks, outputs):
+            for (spec, lo, hi), res in zip(task, out, strict=True):
+                if progress is not None:
+                    progress(spec, lo, hi, res)
+                results.append(res)
         return results
 
-    task = partial(chunk_fn, spec)
-    if jobs == 1 or len(los) < 2:
-        return merged(map(task, los, his))
+    if jobs == 1 or len(tasks) < 2:
+        return merged(map(chunk_fn, tasks))
     from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for the import
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context(method))
     try:
-        return merged(pool.map(task, los, his))
+        return merged(pool.map(chunk_fn, tasks))
     finally:
-        pool.shutdown(cancel_futures=True)  # an error stops the queued chunks too
+        pool.shutdown(cancel_futures=True)  # an error stops the queued tasks too
 
 
 @dataclass(frozen=True)

@@ -631,6 +631,19 @@ def test_certificates_on_a_tight_cycle_level_and_small_batches():
             assert d.certificates([c], kind) == [d.certificate(c, kind)]
 
 
+def test_certificates_follow_long_augmenting_paths_on_the_recheck_sample(monkeypatch):
+    # the seed-0 sample that verify_lemma_r_plus_2(7) rechecks first; with
+    # augmenting paths of one step, 264 of its 1,000 rows went to the search
+    spec = LevelSpec(7, 5, 7)
+    ranks = sorted(random.Random(0).sample(range(level_size(spec)), campaigns.RECHECK_SAMPLE))
+    masks = level_masks(spec, np.array(ranks))
+    d = BergeDecider(7, universe_masks(7, 5))
+    want = [d.certificate(int(c), "cycle") for c in masks]
+    handed_back = _handed_back(monkeypatch)
+    assert d.certificates(masks, "cycle") == want
+    assert want.count(None) == 1 and len(handed_back) <= campaigns.RECHECK_SAMPLE // 10
+
+
 def test_certificates_hand_back_rows_that_fail_the_degree_checks(monkeypatch):
     # the pendant copy has a vertex of degree 1 (no cycle), the isolated copy
     # one of degree 0 (no path either); a sparse row has fewer than n edges

@@ -125,6 +125,33 @@ def test_closure_row_without_exceptions_has_zero_counts(monkeypatch):
     }
 
 
+@pytest.mark.parametrize("n, r", [(6, 3), (7, 5)])
+def test_edge_reports_do_not_depend_on_the_chunk_size(n, r):
+    # whole levels keep their windows; the closure's windows pack into fewer tasks as chunks grow
+    reports = []
+    for kw in ({"chunk_size": 1000}, {"chunk_size": 4096}, {}):
+        d = verify_edge_theorem(n, r, **kw).to_dict()
+        d.pop("seconds")
+        reports.append(d)
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0]["passed"]
+
+
+def test_the_6_3_closure_row_is_one_decide_call(monkeypatch):
+    decide = BergeDecider.decide
+    calls = []  # edge count and size of each decide batch
+
+    def counted(self, masks, kind):
+        calls.append((int(masks[0]).bit_count(), len(masks)))
+        return decide(self, masks, kind)
+
+    monkeypatch.setattr(BergeDecider, "decide", counted)
+    rep = verify_edge_theorem(6, 3)
+    assert rep.passed
+    assert rep.levels[1].visited == 60 * 9
+    assert [size for m, size in calls if m == 12] == [540]
+
+
 def test_edge_theorem_6_4():
     rep = verify_edge_theorem(6, 4)
     assert rep.passed

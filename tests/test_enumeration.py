@@ -29,6 +29,7 @@ from bergeham.enumeration import (
     monotone_reduction_plan,
     pendant_copies,
     run_chunks,
+    window_masks,
 )
 from bergeham.hypergraph import (
     clique_plus_isolated,
@@ -242,6 +243,70 @@ def test_level_masks_reject_ranks_outside_the_level_and_non_integers():
             level_masks(spec, np.array([0, 0.5], dtype=object))
 
 
+def _table_digits(spec: LevelSpec) -> int:
+    """The j lowest digits of a rank that the low-digit table resolves."""
+    free = comb(spec.n, spec.r) - spec.base.bit_count()
+    k = spec.m - spec.base.bit_count()
+    j = 0
+    while j < k and comb(free, j + 1) <= LOW_DIGIT_TABLE:
+        j += 1
+    return j
+
+
+def _prefix(spec: LevelSpec, mask: int) -> int:
+    """A mask less its j lowest free bits: the digits above the table, constant along a run."""
+    low = [1 << p for p in range(comb(spec.n, spec.r)) if mask >> p & 1 and not spec.base >> p & 1]
+    return mask - sum(low[:_table_digits(spec)])
+
+
+@pytest.mark.parametrize("spec", [
+    LevelSpec(6, 3, 11),  # five digits over the table's six
+    LevelSpec(7, 5, 7),  # one digit over the table
+    LevelSpec(8, 6, 8),  # four digits over the table's four
+    LevelSpec(6, 4, 11),  # j = k: the whole level is the table
+    LevelSpec(7, 5, 6),  # j = k
+    LevelSpec(7, 3, 7, base=1 << 3 | 1 << 17),  # a supergraph base splits the free bits
+    LevelSpec(6, 3, 16, base=(1 << 11) - 1),  # j = k on a supergraph level
+    LevelSpec(9, 3, 4, base=1 << 40),  # object masks past 64 edges, one digit over the table
+    LevelSpec(9, 3, 2),  # object masks, j = k
+])
+def test_window_masks_equal_level_masks(spec):
+    total = level_size(spec)
+    rng = random.Random(total)
+    windows = [(0, min(total, 3000)), (max(0, total - 3000), total), (0, 1), (total - 1, total),
+               (total // 2, total // 2 + 1), (0, 0), (total, total)]
+    windows += [(lo, min(total, lo + rng.choice([2, 7, 100, 700]))) for lo in rng.sample(range(total), 40)]
+    j = _table_digits(spec)
+    crossing = mid_run = 0
+    for lo, hi in windows:
+        want = level_masks(spec, np.arange(lo, hi))
+        got = window_masks(spec, lo, hi)
+        assert got.dtype == want.dtype == (np.uint64 if comb(spec.n, spec.r) <= 64 else object)
+        assert got.tolist() == want.tolist(), (lo, hi)
+        if j < spec.m - spec.base.bit_count() and hi - lo > 1:
+            prefixes = {_prefix(spec, mask) for mask in want.tolist()}
+            crossing += len(prefixes) > 1
+            mid_run += lo > 0 and _prefix(spec, int(level_masks(spec, [lo - 1])[0])) in prefixes
+    if j < spec.m - spec.base.bit_count():  # the windows cross run boundaries and start inside runs
+        assert crossing and mid_run
+
+
+@pytest.mark.parametrize("spec", [LevelSpec(7, 3, 21), LevelSpec(10, 8, 10)])
+def test_window_masks_on_wide_windows_of_dense_levels(spec):
+    total = level_size(spec)
+    rng = random.Random(spec.m)
+    for lo in (0, rng.randrange(total - (1 << 16)), total - (1 << 16)):
+        got = window_masks(spec, lo, lo + (1 << 16))
+        assert got.tolist() == level_masks(spec, np.arange(lo, lo + (1 << 16))).tolist()
+
+
+def test_window_masks_reject_windows_outside_the_level():
+    spec = LevelSpec(5, 3, 5)
+    for lo, hi in ((-1, 3), (3, 2), (0, 253)):
+        with pytest.raises(ValueError, match=r"need 0 <= lo <= hi <= 252"):
+            window_masks(spec, lo, hi)
+
+
 def test_chunks_partition_the_level_exactly():
     spec = LevelSpec(5, 3, 5)
     whole = level_masks(spec, np.arange(level_size(spec))).tolist()
@@ -256,13 +321,18 @@ def test_chunks_partition_the_level_exactly():
     assert codes_whole == codes_pieces
 
 
+def _each(window_fn, task):
+    """A ``run_chunks`` task function from a function of one window."""
+    return [window_fn(spec, lo, hi) for spec, lo, hi in task]
+
+
 def _edge_counts(spec, lo, hi):
     return [hypergraph_at(spec.n, spec.r, chosen).m for chosen in level_masks(spec, np.arange(lo, hi)).tolist()]
 
 
 def test_sum_of_edges_identity():
     spec = LevelSpec(6, 4, 3)
-    counts = [m for chunk in run_chunks(spec, _edge_counts) for m in chunk]
+    counts = [m for chunk in run_chunks([spec], partial(_each, _edge_counts)) for m in chunk]
     assert len(counts) == level_size(spec)
     assert sum(counts) == 3 * level_size(spec)
 
@@ -283,7 +353,7 @@ def test_aggregate_is_identical_for_any_worker_count():
     spec = LevelSpec(6, 3, 4)
     runs = []
     for j in (1, 2, 8):
-        chunks = run_chunks(spec, _first_edge_is_even, jobs=j, chunk_size=301)
+        chunks = run_chunks([spec], partial(_each, _first_edge_is_even), jobs=j, chunk_size=301)
         runs.append((sum(v for v, _ in chunks), [rk for _, hits in chunks for rk in hits]))
     assert runs[0] == runs[1] == runs[2]
     assert runs[0][0] == level_size(spec)
@@ -322,7 +392,7 @@ def test_nonhamiltonian_count_at_7_5_7():
 def test_budget_exceeded_reports_exact_size():
     spec = LevelSpec(8, 4, 35)
     with pytest.raises(BudgetExceeded) as exc:
-        run_chunks(spec, _first_rank, budget=10 ** 6)
+        run_chunks([spec], partial(_each, _first_rank), budget=10 ** 6)
     assert exc.value.size == comb(comb(8, 4), 35)
 
 
@@ -334,14 +404,14 @@ def test_run_chunks_rejects_fewer_than_one_job():
     spec = LevelSpec(5, 3, 2)
     for jobs in (0, -3):
         with pytest.raises(ValueError, match=f"got {jobs}"):
-            run_chunks(spec, _first_rank, jobs=jobs)
+            run_chunks([spec], partial(_each, _first_rank), jobs=jobs)
 
 
 def test_run_chunks_rejects_a_chunk_size_below_one():
     spec = LevelSpec(5, 3, 2)
     for chunk_size in (0, -1):
         with pytest.raises(ValueError, match=f"chunk_size must be at least 1, got {chunk_size}"):
-            run_chunks(spec, _first_rank, chunk_size=chunk_size)
+            run_chunks([spec], partial(_each, _first_rank), chunk_size=chunk_size)
     # before the check, -1 gave no windows to sweep and a passing report
     with pytest.raises(ValueError, match="chunk_size must be at least 1, got -1"):
         campaigns.verify_spectral_theorem(5, 3, samples=0, chunk_size=-1)
@@ -350,10 +420,10 @@ def test_run_chunks_rejects_a_chunk_size_below_one():
 def test_run_chunks_rejects_a_negative_budget():
     spec = LevelSpec(5, 3, 2)
     with pytest.raises(ValueError, match="budget must be non-negative, got -1"):
-        run_chunks(spec, _first_rank, budget=-1)
+        run_chunks([spec], partial(_each, _first_rank), budget=-1)
     with pytest.raises(BudgetExceeded):
-        run_chunks(spec, _first_rank, budget=0)
-    assert run_chunks(spec, _first_rank, budget=None, chunk_size=4) == list(range(0, level_size(spec), 4))
+        run_chunks([spec], partial(_each, _first_rank), budget=0)
+    assert run_chunks([spec], partial(_each, _first_rank), budget=None, chunk_size=4) == list(range(0, level_size(spec), 4))
 
 
 DEAD_WORKER = """
@@ -364,15 +434,16 @@ from concurrent.futures.process import BrokenProcessPool
 from bergeham.enumeration import LevelSpec, run_chunks
 
 
-def chunk(spec, lo, hi):
+def chunk(task):
+    spec, lo, hi = task[0]
     if lo >= 100:
         os._exit(3)
-    return lo
+    return [lo]
 
 
 if __name__ == "__main__":
     try:
-        run_chunks(LevelSpec(5, 3, 5), chunk, jobs=2, chunk_size=50)
+        run_chunks([LevelSpec(5, 3, 5)], chunk, jobs=2, chunk_size=50)
     except BrokenProcessPool:
         sys.exit(0)
     sys.exit(1)
@@ -418,7 +489,8 @@ def test_an_error_in_progress_stops_the_queued_chunks(tmp_path):
 
     spec = LevelSpec(5, 3, 5)  # 42 chunks of 6
     with pytest.raises(RuntimeError, match="stop"):
-        run_chunks(spec, partial(_marked_slow_chunk, marks=tmp_path), jobs=2, chunk_size=6, progress=stop)
+        run_chunks([spec], partial(_each, partial(_marked_slow_chunk, marks=tmp_path)), jobs=2, chunk_size=6,
+                   progress=stop)
     # only the chunks already handed to a worker run; the rest are cancelled
     assert 1 <= len(list(tmp_path.iterdir())) < 10
 
@@ -428,30 +500,71 @@ def test_run_chunks_progress_is_the_same_under_the_pool():
     chunk = partial(campaigns._berge_chunk, kind="cycle")
     seen = {1: [], 2: []}
     for jobs, lines in seen.items():
-        out = run_chunks(spec, chunk, jobs=jobs, chunk_size=40,
+        out = run_chunks([spec], chunk, jobs=jobs, chunk_size=40,
                          progress=lambda s, lo, hi, res, lines=lines: lines.append((lo, hi, res)))
         assert out == [res for _, _, res in lines]
     assert seen[2] == seen[1]
     assert [(lo, hi) for lo, hi, _ in seen[1]] == [(lo, min(lo + 40, 252)) for lo in range(0, 252, 40)]
 
 
+def _task_shape(task):
+    """Per window: the window, and its task's first window and graph count."""
+    first = (task[0][0].base, task[0][1])
+    return [(spec.base, lo, hi, first, sum(b - a for _, a, b in task)) for spec, lo, hi in task]
+
+
+@pytest.mark.parametrize("chunk_size", [1, 9, 20, 1000])
+def test_run_chunks_packs_windows_into_tasks_of_at_most_chunk_size(chunk_size):
+    # a whole level, then the closure's 60 supergraph levels of 9 graphs each
+    closure = [LevelSpec(6, 3, 12, base) for base in sorted(pendant_copies(6, 3))]
+    specs = [LevelSpec(6, 3, 2)] + closure
+    windows = [(spec.base, lo, min(lo + chunk_size, level_size(spec)))
+               for spec in specs for lo in range(0, level_size(spec), chunk_size)]
+    runs = {}
+    for jobs in (1, 2):
+        seen = []
+        out = run_chunks(specs, _task_shape, jobs=jobs, chunk_size=chunk_size,
+                         progress=lambda spec, lo, hi, res: seen.append((spec.base, lo, hi, res)))
+        assert [res for *_, res in seen] == out  # one result and one progress call per window, in order
+        assert [w[:3] for w in out] == [w[:3] for w in seen] == windows
+        runs[jobs] = out
+    assert runs[1] == runs[2]
+    tasks = {}  # first window -> (graphs, windows)
+    for base, lo, hi, first, size in runs[1]:
+        tasks.setdefault(first, [size, []])[1].append(hi - lo)
+    assert all(size == sum(sizes) <= chunk_size for size, sizes in tasks.values())
+    packed = list(tasks.values())  # tightly: no task could have taken the next one's first window
+    assert all(a[0] + b[1][0] > chunk_size for a, b in zip(packed, packed[1:]))
+    # a one-level row keeps its windows, one per task
+    assert run_chunks(specs[:1], _task_shape, chunk_size=chunk_size) == [
+        (0, lo, hi, (0, lo), hi - lo) for _, lo, hi in windows[:len(range(0, 190, chunk_size))]]
+
+
+def test_run_chunks_sends_the_closure_row_as_one_task():
+    closure = [LevelSpec(6, 3, 12, base) for base in sorted(pendant_copies(6, 3))]
+    out = run_chunks(closure, _task_shape, jobs=2)
+    assert [(base, lo, hi) for base, lo, hi, _, _ in out] == [(spec.base, 0, 9) for spec in closure]
+    assert {(first, size) for *_, first, size in out} == {((closure[0].base, 0), 540)}
+    assert run_chunks([], _task_shape, jobs=2) == []
+
+
 def test_run_chunks_merges_in_rank_order():
     spec = LevelSpec(5, 3, 2)
     for jobs in (1, 3):
-        out = run_chunks(spec, _first_rank, jobs=jobs, chunk_size=10)
+        out = run_chunks([spec], partial(_each, _first_rank), jobs=jobs, chunk_size=10)
         assert out == sorted(out)
 
 
 def test_run_chunks_spawns_workers_where_fork_is_missing(monkeypatch):
     spec = LevelSpec(5, 3, 5)
     chunk = partial(campaigns._berge_chunk, kind="cycle")
-    serial = run_chunks(spec, chunk, chunk_size=40)
+    serial = run_chunks([spec], chunk, chunk_size=40)
     methods = []
     get_context = multiprocessing.get_context
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method=None: methods.append(method) or get_context(method))
-    assert run_chunks(spec, chunk, jobs=2, chunk_size=40) == serial
+    assert run_chunks([spec], chunk, jobs=2, chunk_size=40) == serial
     assert methods == ["spawn"]
     assert sum(count for count, _, _ in serial) == 252
 
