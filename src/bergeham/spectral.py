@@ -36,9 +36,14 @@ bracket would (``_power_iterate`` proves this, and states what it
 assumes about ``tol``).
 
 The form splits over shadow components, so there is one path, ``_bracket``:
-it splits every graph of a batch into components, runs the components with
-k vertices as rows of one kernel call in local labels, and reassembles each
-graph's estimate from its own components.  An estimate therefore does not
+it runs the components with k vertices of a batch's graphs as rows of one
+kernel call in local labels, and reassembles each graph's estimate from its
+own components.  Most graphs are whole, their shadow connected on all n
+vertices, which makes them weakly irreducible (Friedland, Gaubert & Han,
+LAA 438, 2013) and each its own single component: one vertex-mask closure
+finds them, and they run as they are in the k = n call, over the union
+of their edges.  Only the other graphs (an isolated vertex, a split shadow,
+no edge) are split into components.  An estimate therefore does not
 depend on which graphs share its batch.  ``spectral_radii`` feeds it graphs
 as chosen-universe masks; ``spectral_radius`` feeds it one graph's own
 edges, so it never builds the ``(n, r)`` edge universe.  Both wrap its
@@ -70,11 +75,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import repeat
-from math import frexp
+from math import frexp, isfinite
 
 import numpy as np
 
-from .hypergraph import Hypergraph, chosen_index, members_of, universe_masks
+from .hypergraph import MAX_VERTICES, Hypergraph, chosen_index, members_of, universe_masks
 
 CERTIFIED_ABOVE = "certified_above"
 CERTIFIED_BELOW_OR_EQUAL = "certified_below_or_equal"
@@ -268,6 +273,29 @@ def _power_iterate(edges: np.ndarray, weights: np.ndarray, k: int, r: int, tol: 
     return lower, upper, vectors, iterations, converged
 
 
+def _whole_rows(n: int, members: np.ndarray, picked: np.ndarray) -> np.ndarray:
+    """Bool per row of ``picked`` (as in ``_components``): whether the
+    graph's shadow is connected on all n vertices.
+
+    Each row's vertex mask grows from vertex 0 by the mask of every picked
+    edge that meets it, one round of ``uint64`` ORs at a time; a row is
+    whole once it reaches every vertex, and leaves the rounds then or once
+    it stops growing.
+    """
+    bits = np.left_shift(np.uint64(1), members.astype(np.uint64)).sum(axis=1, dtype=np.uint64)
+    edges = bits[:, None] * picked.T           # (E, B) vertex masks of the picked edges, else 0
+    full, zero = np.uint64((1 << n) - 1), np.uint64(0)
+    whole = np.zeros(len(picked), dtype=bool)
+    rows = np.arange(len(picked))              # rows still growing
+    reach = np.ones(len(picked), dtype=np.uint64)
+    while rows.size:
+        grown = np.bitwise_or.reduce(np.where(edges & reach != zero, edges, zero), axis=0) | reach
+        whole[rows[grown == full]] = True
+        keep = (grown != reach) & (grown != full)
+        rows, reach, edges = rows[keep], grown[keep], edges[:, keep]
+    return whole
+
+
 def _components(n: int, r: int, members: np.ndarray, picked: np.ndarray):
     """Shadow components of B graphs, grouped by vertex count for the kernel.
 
@@ -278,7 +306,36 @@ def _components(n: int, r: int, members: np.ndarray, picked: np.ndarray):
     count k the tuple (k, names, edges, weights): the components with k
     vertices and an edge, the union of their edges in local labels and
     ascending mask order, and the (components, edges) 0/1 selection.
+
+    A whole graph, its shadow connected on all n vertices (``_whole_rows``),
+    is its own single component, named ``b * n`` and in identity labels,
+    so the whole graphs make up the k = n group as they are, their
+    ``picked`` rows cut to the union of their edges.  Only the other
+    graphs are split, by ``_split_components``.
     """
+    b = len(picked)
+    whole = _whole_rows(n, members, picked)
+    name = np.repeat(np.arange(b) * n, n).reshape(b, n)
+    local = np.tile(np.arange(n), (b, 1))
+    rows = np.flatnonzero(whole)
+    groups = []
+    if rows.size:
+        weights = picked[rows]
+        used = np.flatnonzero(weights.any(axis=0))          # the union of their edges
+        groups.append((n, rows * n, members[used], weights[:, used].astype(np.float64)))
+    split = np.flatnonzero(~whole)
+    if split.size:
+        part_name, part_local, part_groups = _split_components(n, members, picked[split])
+        lift = (split - np.arange(split.size)) * n          # row i of the split is graph split[i]
+        name[split] = part_name + lift[:, None]
+        local[split] = part_local
+        groups += [(k, names + lift[names // n], edges, weights) for k, names, edges, weights in part_groups]
+    return name, local, groups
+
+
+def _split_components(n: int, members: np.ndarray, picked: np.ndarray):
+    """``_components`` of any B graphs, each split into its shadow
+    components through boolean reach matrices."""
     b, width = picked.shape
     graph, edge = np.divmod(np.flatnonzero(picked), width)
     at = members[edge] + (graph * n)[:, None]      # each picked edge's members, as b * n + v
@@ -326,6 +383,29 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"need a finite tol > 0, got {tol}")
 
 
+def _check_args(n: int, r: int, tol: float, max_iter: int = 0) -> None:
+    """Raise ``ValueError`` unless 2 <= r <= n <= ``MAX_VERTICES`` (worded as
+    ``Hypergraph`` words it), ``tol`` is finite and positive and ``max_iter`` >= 0."""
+    if not 2 <= r <= n:
+        raise ValueError(f"need 2 <= r <= n, got r={r}, n={n}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the {MAX_VERTICES}-vertex limit")
+    _check_tol(tol)
+    if not max_iter >= 0:
+        raise ValueError(f"need max_iter >= 0, got {max_iter}")
+
+
+def _check_threshold(t) -> None:
+    """Raise ``ValueError`` when the threshold ``t`` is NaN or infinite; an
+    exact number past the float range is finite."""
+    try:
+        finite = isfinite(t)
+    except OverflowError:
+        finite = True
+    if not finite:
+        raise ValueError(f"need a finite threshold t, got {t!r}")
+
+
 def _bracket(n: int, r: int, members: np.ndarray, picked: np.ndarray, tol: float,
              max_iter: int, t=None):
     """The arrays (lower, upper, (B, n) vectors, iterations, converged) of the
@@ -333,8 +413,10 @@ def _bracket(n: int, r: int, members: np.ndarray, picked: np.ndarray, tol: float
     ``_components``), reassembled from the kernel rows of their components,
     each run until converged or settled against the threshold ``t`` (see
     ``_power_iterate``); a ``t`` that is None, or has no float, settles nothing.
+    Whole graphs skip the split (see ``_components``), and their kernel
+    group is the one the split would build.
     """
-    _check_tol(tol)
+    _check_args(n, r, tol, max_iter)
     b, width = picked.shape
     name, local, groups = _components(n, r, members, picked)
     t = _as_float(t)
@@ -433,6 +515,7 @@ def spectral_radii(n: int, r: int, chosen, tol: float = 1e-9, max_iter: int = 10
     estimate equals ``spectral_radius`` of the same graph, with the same
     ``t``, whichever graphs share its call.
     """
+    _check_args(n, r, tol, max_iter)
     return _estimates(*_bracket(n, r, _universe_members(n, r), _picked_edges(n, r, chosen), tol, max_iter, t))
 
 
@@ -596,7 +679,8 @@ def threshold_verdicts(n: int, r: int, chosen, t, tol: float = 1e-9) -> tuple[li
     estimate does not depend on its batch, so no answer depends on the
     slices, the order or the other graphs of the call.
     """
-    _check_tol(tol)
+    _check_args(n, r, tol)
+    _check_threshold(t)
     members = _universe_members(n, r)
     picked = _picked_edges(n, r, chosen)
     verdicts: list[str] = []
@@ -612,4 +696,5 @@ def exceeds_threshold(h: Hypergraph, t, tol: float = 1e-9) -> str:
     """The verdict of ``threshold_verdicts`` on lambda(h) against ``t``,
     from one ``_decide`` row over ``h``'s own edges, so a call costs what
     ``h`` costs and never builds the ``(n, r)`` edge universe."""
+    _check_threshold(t)
     return _decide(h.n, h.r, _edge_index_array(h), np.ones((1, h.m), dtype=np.uint8), t, tol)[0][0]

@@ -15,6 +15,7 @@ from bergeham.hypergraph import (
     clique_plus_isolated,
     clique_plus_pendant,
     complete,
+    mask_of,
     universe_masks,
 )
 from bergeham.spectral import (
@@ -318,6 +319,58 @@ def test_estimates_do_not_depend_on_the_batch(n, r):
             assert est.vector.tobytes() == other.vector.tobytes()
 
 
+def _whole_row_cases(n, r):
+    """Chosen-universe masks of whole graphs and of every other kind, shuffled:
+    random graphs (the edgeless one among them), the copies of K_{n-1}^r + v,
+    a tight path, graphs complete on a first block of vertices with the rest
+    isolated, and graphs complete on two disjoint blocks, contiguous or
+    interleaved."""
+    u = universe_masks(n, r)
+
+    def inside(*blocks):
+        return sum(1 << i for i, e in enumerate(u) if any(e & ~mask_of(block) == 0 for block in blocks))
+
+    masks = _random_masks(random.Random(10 * n + r), n, r, 120) + sorted(isolated_copies(n, r))
+    masks.append(inside(*(range(i, i + r) for i in range(n - r + 1))))
+    masks += [inside(range(a)) for a in range(r, n)]
+    masks += [inside(range(a), range(a, n)) for a in range(r, n - r + 1)]
+    if n // 2 >= r:
+        masks.append(inside(range(0, n, 2), range(1, n, 2)))
+    random.Random(n * r).shuffle(masks)
+    return masks
+
+
+def _whole_of(n, r, masks):
+    return spectral._whole_rows(n, spectral._universe_members(n, r), spectral._picked_edges(n, r, masks))
+
+
+@pytest.mark.parametrize("n,r", [(5, 3), (6, 3), (6, 4), (7, 3), (5, 2)])
+def test_whole_rows_are_the_graphs_shadow_connected_on_all_vertices(n, r):
+    masks = _whole_row_cases(n, r)
+    assert _whole_of(n, r, masks).tolist() == [len(_split(hypergraph_at(n, r, mask))) == 1 for mask in masks]
+
+
+@pytest.mark.parametrize("max_iter", [3, 50_000])
+@pytest.mark.parametrize("n,r", [(5, 3), (6, 3), (6, 4), (7, 3), (5, 2)])
+def test_whole_rows_bracket_as_the_split_does_bit_for_bit(monkeypatch, n, r, max_iter):
+    masks = _whole_row_cases(n, r)
+    whole = _whole_of(n, r, masks)
+    assert 0 < whole.sum() < len(masks)
+    batches = [masks, [m for m, w in zip(masks, whole) if w], [m for m, w in zip(masks, whole) if not w], [0, 0]]
+
+    def brackets():
+        return [spectral._bracket(n, r, spectral._universe_members(n, r), spectral._picked_edges(n, r, batch),
+                                  1e-9, max_iter) for batch in batches]
+
+    found = brackets()
+    # every row through the split
+    monkeypatch.setattr(spectral, "_whole_rows", lambda n, members, picked: np.zeros(len(picked), dtype=bool))
+    for arrays, split in zip(found, brackets()):
+        for got, want in zip(arrays, split):       # lower, upper, vectors, iterations, converged
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_one_graph_never_builds_the_edge_universe(monkeypatch):
     def refuse(*args):
         raise AssertionError("built the (64, 5) edge universe")
@@ -353,6 +406,48 @@ def test_threshold_verdict_checks_its_own_tol(tol):
         threshold_verdict(h, est, 10.094, tol=tol)
     with pytest.raises(ValueError, match="finite tol > 0"):
         exceeds_threshold(h, 10.094, tol=tol)
+
+
+@pytest.mark.parametrize("r", [0, 1, 4])
+def test_uniformity_must_lie_between_2_and_n(r):
+    with pytest.raises(ValueError, match=f"need 2 <= r <= n, got r={r}, n=3"):
+        spectral_radii(3, r, [3])
+    with pytest.raises(ValueError, match=f"need 2 <= r <= n, got r={r}, n=3"):
+        threshold_verdicts(3, r, [3], 1)
+
+
+def test_vertex_count_is_capped_as_in_hypergraph():
+    with pytest.raises(ValueError, match="vertex count 65 exceeds the 64-vertex limit"):
+        spectral_radii(65, 64, [1])
+    with pytest.raises(ValueError, match="vertex count 65 exceeds the 64-vertex limit"):
+        threshold_verdicts(65, 64, [1], 1)
+
+
+def test_max_iter_must_be_nonnegative():
+    with pytest.raises(ValueError, match="need max_iter >= 0, got -1"):
+        spectral_radius(complete(5, 3), max_iter=-1)
+    with pytest.raises(ValueError, match="need max_iter >= 0, got -1"):
+        spectral_radii(5, 3, [0b111], max_iter=-1)
+    est = spectral_radius(complete(5, 3), max_iter=0)       # no step: the bracket is [form, inf]
+    assert (est.iterations, est.converged, est.upper) == (0, False, np.inf)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), np.float64("nan"), np.float32("inf")])
+def test_threshold_must_be_finite(t):
+    with pytest.raises(ValueError, match="need a finite threshold t, got"):
+        threshold_verdicts(5, 3, [0b111], t)
+    with pytest.raises(ValueError, match="need a finite threshold t, got"):
+        threshold_verdicts(5, 3, [], t)
+    with pytest.raises(ValueError, match="need a finite threshold t, got"):
+        exceeds_threshold(complete(5, 3), t)
+
+
+@pytest.mark.parametrize("t,want", [(5, CERTIFIED_ABOVE), (Fraction(59, 10), CERTIFIED_ABOVE), (np.float32(5.5), CERTIFIED_ABOVE),
+                                    (6, CERTIFIED_BELOW_OR_EQUAL), (Fraction(61, 10), CERTIFIED_BELOW_OR_EQUAL)])
+def test_finite_thresholds_are_decided(t, want):
+    # lambda(K_5^3) = 6 exactly
+    assert exceeds_threshold(complete(5, 3), t) == want
+    assert threshold_verdicts(5, 3, [(1 << 10) - 1], t)[0] == [want]
 
 
 def test_negative_chosen_mask_is_rejected():
