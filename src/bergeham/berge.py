@@ -48,15 +48,19 @@ slots, kept in a bounded cache (``_hall_sets``) that answers do not
 depend on.  ``certificate``, through which ``decide`` and ``find_*``
 search, decides one graph, so certificates and ``SearchStats`` depend on
 the graph alone.  ``certificates`` gives many graphs those same
-certificates: one lockstep numpy pass follows the search's first choices
-for every row at once, and a row that needs anything more (backtracking,
-a longer augmenting path, or a negative answer) goes through
-``certificate``.
+certificates as arrays, one fixed-width row per graph: one lockstep numpy
+pass follows the search's first choices for every row at once and writes
+its rows in place, and a row that needs anything more (backtracking, a
+longer augmenting path, or a negative answer) goes through
+``certificate``, whose answer is written into the row.
 
-``verify_certificates``, the checker, reads only the certificates, the
-edge universe and chosen masks: one numpy pass accepts the valid spanning
-certificates, and every other row goes to a per-row explainer, which
-alone checks the one certificate of ``verify_certificate``.
+The checker reads only the certificates, the edge universe and chosen
+masks.  ``_accepted`` accepts the valid spanning certificate rows in one
+numpy pass, and every other row goes to a per-row explainer, which alone
+checks the one certificate of ``verify_certificate``.
+``verify_certificate_rows`` checks the rows of ``certificates`` as they
+are; ``verify_certificates`` checks ``BergeCertificate`` objects, grouped
+by kind into rows.
 """
 
 from __future__ import annotations
@@ -118,36 +122,70 @@ def verify_certificate(h: Hypergraph, cert: BergeCertificate) -> list[str]:
 def verify_certificates(n: int, universe, chosen, certs) -> list[list[str]]:
     """The problems of each certificate, [] iff it is valid: ``certs[i]`` on the
     n-vertex graph of the ``universe`` edges (ascending masks) that ``chosen[i]``
-    selects.  For n <= 63 and at most 64 universe edges, one numpy pass per kind
-    accepts the rows of n vertices and n (cycle) or n - 1 (path) edges whose
-    vertices sort to ``range(n)``, whose edges are distinct and chosen (found by
-    ``searchsorted``), and whose vertices lie in their incident edges; every
-    other row goes to ``_explain``, and so does every row of a kind where some
-    row holds an id that does not fit ``int64``."""
+    selects.  The certificates of n vertices and n (cycle) or n - 1 (path) edges
+    go through ``_accepted`` as rows, one call per kind; every other row goes to
+    ``_explain``, and so does every row of a kind where some row holds an id
+    that does not fit ``int64``."""
     out = [None] * len(certs)
-    if 2 <= n <= 63 and 0 < len(universe) <= 64:  # at n = 64 an edge holding vertex 63 is no int64
-        edges = np.array(universe, dtype=np.uint64)
-        for kind, width in (("cycle", n), ("path", n - 1)):
-            rows = [i for i, c in enumerate(certs)
-                    if c.kind == kind and len(c.vertices) == n and len(c.edges) == width]
-            ids = np.array([(*certs[i].vertices, *certs[i].edges) for i in rows])
-            if ids.dtype != np.int64:  # no rows, or an id that is no int64: all go to _explain
-                continue
-            ok = (np.sort(ids[:, :n], axis=1) == np.arange(n)).all(axis=1)
-            vs, es = ids[:, :n].view(np.uint64), ids[:, n:].view(np.uint64)  # a negative edge: above the universe
-            ok &= (np.diff(np.sort(es, axis=1), axis=1) != 0).all(axis=1)
-            at = np.searchsorted(edges, es)
-            bits = np.array([chosen[i] for i in rows], dtype=np.uint64)[:, None] >> at.astype(np.uint64)
-            ok &= ((edges[np.minimum(at, len(edges) - 1)] == es) & (bits & 1 == 1)).all(axis=1)
-            if kind == "cycle":  # vertex i lies in edges i and i+1, cyclically
-                inc = (es >> vs) & (np.roll(es, -1, axis=1) >> vs)
-            else:  # edge i holds vertices i and i+1
-                inc = (es >> vs[:, :-1]) & (es >> vs[:, 1:])
-            ok &= (inc & 1 == 1).all(axis=1)
-            for i in np.array(rows)[ok].tolist():
-                out[i] = []
+    for kind, width in (("cycle", n), ("path", n - 1)):
+        rows = [i for i, c in enumerate(certs)
+                if c.kind == kind and len(c.vertices) == n and len(c.edges) == width]
+        vs = np.array([certs[i].vertices for i in rows])
+        es = np.array([certs[i].edges for i in rows])
+        if vs.dtype != np.int64 or es.dtype != np.int64:  # no rows, or an id that is no int64: all go to _explain
+            continue
+        # a negative edge reads as one above the universe, so its row goes to _explain
+        ok = _accepted(n, universe, [chosen[i] for i in rows], kind, vs, es.view(np.uint64))
+        for i in np.array(rows)[ok].tolist():
+            out[i] = []
     return [bad if bad is not None else _explain(n, universe, int(c), cert)
             for bad, c, cert in zip(out, chosen, certs)]
+
+
+def verify_certificate_rows(n: int, universe, chosen, kind: str, vertices, edges) -> list[list[str]]:
+    """The problems of each certificate row, [] iff it is valid: the ``kind``
+    certificate with vertex order ``vertices[i]`` and edge masks ``edges[i]``
+    (a ``(k, n)`` integer and a ``(k, w)`` ``uint64`` array, as
+    ``BergeDecider.certificates`` returns them) on the n-vertex graph of the
+    ``universe`` edges (ascending masks) that ``chosen[i]`` selects.  The rows
+    that ``_accepted`` does not accept go to ``_explain`` one by one."""
+    vertices = np.asarray(vertices, dtype=np.intp)
+    edges = np.asarray(edges, dtype=np.uint64)
+    ok = _accepted(n, universe, chosen, kind, vertices, edges)
+    out = [[] for _ in range(len(ok))]
+    for i in np.flatnonzero(~ok).tolist():
+        cert = BergeCertificate(kind, tuple(vertices[i].tolist()), tuple(edges[i].tolist()))
+        out[i] = _explain(n, universe, int(chosen[i]), cert)
+    return out
+
+
+def _accepted(n: int, universe, chosen, kind: str, vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Which certificate rows are valid and spanning, in one numpy pass: the
+    check of ``verify_certificates`` and ``verify_certificate_rows``.
+
+    For n <= 63, at most 64 universe edges and rows of n vertices and n
+    (cycle) or n - 1 (path) edges, a row is accepted when its vertices sort
+    to ``range(n)``, its edges are distinct and chosen (found by
+    ``searchsorted``), and its vertices lie in their incident edges.  Every
+    row is rejected otherwise.  ``vertices`` is a ``(k, n)`` integer array,
+    ``edges`` a ``(k, w)`` ``uint64`` array of vertex masks."""
+    k = len(vertices)
+    width = n if kind == "cycle" else n - 1
+    if not (kind in ("cycle", "path") and 2 <= n <= 63 and 0 < len(universe) <= 64
+            and vertices.shape == (k, n) and edges.shape == (k, width)):
+        return np.zeros(k, dtype=bool)
+    ok = (np.sort(vertices, axis=1) == np.arange(n)).all(axis=1)
+    ok &= (np.diff(np.sort(edges, axis=1), axis=1) != 0).all(axis=1)
+    known = np.array(universe, dtype=np.uint64)
+    at = np.searchsorted(known, edges)
+    bits = np.asarray(chosen, dtype=np.uint64)[:, None] >> at.astype(np.uint64)
+    ok &= ((known[np.minimum(at, len(known) - 1)] == edges) & (bits & 1 == 1)).all(axis=1)
+    vs = vertices.astype(np.uint64)  # a negative vertex: a shift past the edge, in a row already rejected
+    if kind == "cycle":  # vertex i lies in edges i and i+1, cyclically
+        inc = (edges >> vs) & (np.roll(edges, -1, axis=1) >> vs)
+    else:  # edge i holds vertices i and i+1
+        inc = (edges >> vs[:, :-1]) & (edges >> vs[:, 1:])
+    return ok & (inc & 1 == 1).all(axis=1)
 
 
 def _explain(n: int, universe, chosen: int, cert: BergeCertificate) -> list[str]:
@@ -418,8 +456,14 @@ class BergeDecider:
                 chosen_index(mask, len(self.universe))
         return rows.astype(np.uint64, copy=False)
 
-    def certificates(self, masks, kind: str) -> list[BergeCertificate | None]:
-        """``[self.certificate(m, kind) for m in masks]``, most rows in one pass.
+    def certificates(self, masks, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``[self.certificate(m, kind) for m in masks]`` as arrays, most rows
+        in one pass: ``(found, vertices, edges)``, a ``(k,)`` bool array, the
+        ``(k, n)`` ``intp`` vertex orders and the ``(k, w)`` ``uint64`` edge
+        masks, with ``w = n`` for a cycle (its closing edge first, as in
+        ``certificate``) and ``n - 1`` for a path.  Row i holds the vertices
+        and edges of ``certificate(masks[i], kind)``, or zeros when that is
+        None.
 
         The pass follows ``_search`` for every row at once, as long as the
         row needs no backtracking: at each depth the row takes its lowest
@@ -430,14 +474,15 @@ class BergeDecider:
         moves on in turn.  A row whose path runs out of edges is handed
         back.  That is the first branch of ``augment`` to any depth, and the
         search tries nothing before it, so a row the
-        pass completes (a cycle closes its last slot the same way) gets the
+        pass completes (a cycle closes its last slot the same way) holds the
         search's own certificate.  The direction rule order[1] < order[-1]
         needs no check: order[1] is the lowest vertex that shares an edge
         with vertex 0, so the closing slot (order[-1], 0) has an edge only
         when order[-1] lies above it.  Every other row, negatives included,
-        goes through ``certificate``.  The pass reads only ``pair_cover``
-        and ``universe``, so answers depend on the graph alone.  Universes
-        of more than 64 edges raise ``ValueError``, as in ``decide``.
+        goes through ``certificate``, whose answer is written into the row.
+        The pass reads only ``pair_cover`` and ``universe``, so answers
+        depend on the graph alone.  Universes of more than 64 edges raise
+        ``ValueError``, as in ``decide``.
         """
         rows = self._rows(masks, kind)
         n, k = self.n, len(rows)
@@ -488,11 +533,15 @@ class BergeDecider:
             edge = np.roll(edge, 1, axis=1)  # the closing slot's edge comes first
         else:
             edge = edge[:, :-1]
-        index = np.bitwise_count(edge - np.uint64(1))
-        out = [None if good else self.certificate(int(row), kind) for good, row in zip(ok.tolist(), rows)]
-        for i, vs, es in zip(np.flatnonzero(ok).tolist(), order[ok].tolist(), index[ok].tolist()):
-            out[i] = BergeCertificate(kind, tuple(vs), tuple(self.universe[e] for e in es))
-        return out
+        order[~ok] = 0
+        edges = np.zeros(edge.shape, dtype=np.uint64)
+        edges[ok] = np.array(self.universe, dtype=np.uint64)[np.bitwise_count(edge[ok] - np.uint64(1))]
+        for i in np.flatnonzero(~ok).tolist():
+            cert = self.certificate(int(rows[i]), kind)
+            if cert is not None:
+                ok[i] = True
+                order[i], edges[i] = cert.vertices, cert.edges
+        return ok, order, edges
 
     def decide(self, masks, kind: str) -> np.ndarray:
         """Whether each graph has a Hamiltonian Berge cycle (``kind="cycle"``)

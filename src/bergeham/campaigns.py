@@ -19,9 +19,11 @@ Campaign aggregates are merged in rank order from deterministic chunks,
 so reports are identical for any worker count; a seeded sample of graphs
 is re-decided afterwards through the level decider's ``certificates`` (a
 lockstep pass over the sample, and one-graph ``certificate`` searches for
-the rows it cannot follow), not through ``decide``, and its certificates
-are checked on masks by ``verify_certificates``, tying the batched sweep
-to the checkable one.
+the rows it cannot follow), not through ``decide``, and its certificate
+rows are checked on masks by ``verify_certificate_rows``, tying the
+batched sweep to the checkable one.  The sample stays in arrays from the
+pass to the checker; only the few certificates a report keeps become
+``BergeCertificate`` objects.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .berge import BergeDecider, verify_certificates
+from .berge import BergeCertificate, BergeDecider, verify_certificate_rows
 from .bounds import threshold
 from .canonical import canonical_form
 from .enumeration import (
@@ -281,44 +283,47 @@ def _collapse_exceptions(spec: LevelSpec, negatives: list[tuple[int, int]],
 def _recheck_sample(spec: LevelSpec, kind: str, negatives: set[int], rng: random.Random):
     """Re-decide a seeded sample of ``RECHECK_SAMPLE`` graphs through the
     level decider's ``certificates``, not through ``decide``, and check
-    the certificates found against the (n, r) universe and their chosen
-    masks in one ``verify_certificates`` call.
+    the certificate rows found against the (n, r) universe and their
+    chosen masks in one ``verify_certificate_rows`` call.
 
     ``certificates`` gives each graph the certificate that ``certificate``
-    finds in it alone: one lockstep pass settles most of the sample, and
-    the rows it cannot follow, negatives included, are searched one graph
-    at a time.  This cross-checks the fast sweep verdicts: a sampled rank
-    must have a verifiable certificate exactly when the sweep did not list
-    it as negative.  Returns (failure, certificate dicts); ``failure`` is
-    empty when every sampled verdict holds, and otherwise names the first
-    failing rank and why it failed.
+    finds in it alone, as one array row: one lockstep pass settles most of
+    the sample, and the rows it cannot follow, negatives included, are
+    searched one graph at a time.  This cross-checks the fast sweep
+    verdicts: a sampled rank must have a verifiable certificate exactly
+    when the sweep did not list it as negative.  A row spans the graph by
+    its width, so a certificate is rejected only for what the checker
+    names.  Only the report's certificates become ``BergeCertificate``
+    objects: the first ``RECHECK_CERTS`` found before the first failing
+    rank.  Returns (failure, certificate dicts); ``failure`` is empty when
+    every sampled verdict holds, and otherwise names the first failing
+    rank and why it failed.
     """
     total = level_size(spec)
     ranks = sorted(rng.sample(range(total), min(RECHECK_SAMPLE, total)))
-    certs: list[dict] = []
     masks = level_masks(spec, np.array(ranks))
-    found = _decider(spec.n, spec.r).certificates(masks, kind)
-    held = [i for i, cert in enumerate(found) if cert is not None]
-    checks = iter(verify_certificates(spec.n, universe_masks(spec.n, spec.r), masks[held].tolist(),
-                                      [found[i] for i in held]))
-    for rank, cert in zip(ranks, found):
-        problem = ""
-        if cert is not None:
-            bad = next(checks)
-            if bad or len(cert.vertices) != spec.n:
-                problem = f"certificate rejected: {'; '.join(bad) or 'does not span the graph'}"
-            elif rank in negatives:
-                problem = f"a {kind} certificate exists but the sweep decided the graph negative"
-        elif rank not in negatives:
-            problem = f"no {kind} but the sweep decided the graph positive"
-        if problem:
-            return f"sampled re-verification failed at rank {rank}: {problem}", certs
-        if cert is not None and len(certs) < RECHECK_CERTS:
-            d = certificate_to_dict(cert)
-            d["rank"] = rank
-            d["m"] = spec.m
-            certs.append(d)
-    return "", certs
+    found, vertices, edges = _decider(spec.n, spec.r).certificates(masks, kind)
+    checks = verify_certificate_rows(spec.n, universe_masks(spec.n, spec.r), masks[found], kind,
+                                     vertices[found], edges[found])
+    rejected = {i: bad for i, bad in zip(np.flatnonzero(found).tolist(), checks) if bad}
+    wrong = found == np.array([rank in negatives for rank in ranks], dtype=bool)  # a certificate for a negative, or none for a positive
+    wrong[list(rejected)] = True
+    stop = int(wrong.argmax()) if wrong.any() else len(ranks)
+    certs: list[dict] = []
+    for i in np.flatnonzero(found[:stop])[:RECHECK_CERTS].tolist():
+        d = certificate_to_dict(BergeCertificate(kind, tuple(vertices[i].tolist()), tuple(edges[i].tolist())))
+        d["rank"] = ranks[i]
+        d["m"] = spec.m
+        certs.append(d)
+    if stop == len(ranks):
+        return "", certs
+    if stop in rejected:
+        problem = f"certificate rejected: {'; '.join(rejected[stop])}"
+    elif found[stop]:
+        problem = f"a {kind} certificate exists but the sweep decided the graph negative"
+    else:
+        problem = f"no {kind} but the sweep decided the graph positive"
+    return f"sampled re-verification failed at rank {ranks[stop]}: {problem}", certs
 
 
 def _berge_level(report: VerificationReport, level: LevelSpec, kind: str, copies: frozenset[int],

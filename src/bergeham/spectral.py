@@ -563,10 +563,11 @@ def certified_above(h: Hypergraph, x, t) -> bool:
 
     The integer test ``r * den(t) * sum_e prod X_i > num(t) * sum_i X_i^r``
     over the dyadic integers of ``_dyadic_sums``: no rounding, no
-    ``Fraction`` arithmetic.
+    ``Fraction`` arithmetic.  A numpy float, which ``Fraction`` does not
+    take, gives its own exact ratio.
     """
     total, denom = _dyadic_sums(h, x)
-    num, den = Fraction(t).as_integer_ratio()
+    num, den = (t if isinstance(t, np.floating) else Fraction(t)).as_integer_ratio()
     return h.r * den * total > num * denom
 
 
@@ -617,7 +618,8 @@ def _verdicts(n: int, r: int, members: np.ndarray, picked: np.ndarray, vectors: 
     eps)`` overflows or falls to the normal range's edge; and a row inside
     the margin.  The verdict is then ``certified_above``, else
     ``certified_below_or_equal`` when the upper bound is at most ``t +
-    tol``, else ``undecided``.
+    tol`` (in floats, or exactly when t is past the float range), else
+    ``undecided``.
     """
     _check_tol(tol)
     x = np.array(vectors, dtype=np.float64)
@@ -646,7 +648,7 @@ def _verdicts(n: int, r: int, members: np.ndarray, picked: np.ndarray, vectors: 
     for i in np.flatnonzero(~settle).tolist():
         graph = Hypergraph(n, r, members[np.flatnonzero(picked[i])].tolist())
         above[i] = certified_above(graph, vectors[i], t)
-    bound = t + tol
+    bound = tf + tol if tf == tf else Fraction(t) + Fraction(tol)
     return [CERTIFIED_ABOVE if yes else CERTIFIED_BELOW_OR_EQUAL if upper <= bound else UNDECIDED
             for yes, upper in zip(above.tolist(), uppers)]
 

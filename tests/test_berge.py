@@ -583,6 +583,18 @@ def test_the_search_tries_the_reference_orders(monkeypatch, n, r, kind, masks):
 # ----- certificates: a batch's one-graph certificates, mostly in one pass --
 
 
+def _as_certificates(kind: str, batch) -> list[BergeCertificate | None]:
+    """The per-row certificates of a ``certificates`` result ``(found,
+    vertices, edges)``, once its dtypes, its widths and its zero rows hold."""
+    found, vertices, edges = batch
+    k, n = vertices.shape
+    assert found.dtype == bool and vertices.dtype == np.intp and edges.dtype == np.uint64
+    assert found.shape == (k,) and edges.shape == (k, n if kind == "cycle" else n - 1)
+    assert not vertices[~found].any() and not edges[~found].any()
+    return [BergeCertificate(kind, tuple(vs), tuple(es)) if hit else None
+            for hit, vs, es in zip(found.tolist(), vertices.tolist(), edges.tolist())]
+
+
 def _handed_back(monkeypatch) -> list[int]:
     """Record the masks that ``certificates`` hands to ``certificate``."""
     seen = []
@@ -601,9 +613,9 @@ def test_certificates_equal_one_graph_certificates(monkeypatch, n, r, kind, mask
     # the (8,2) graphs backtrack and have many negatives, which only the search decides
     d = BergeDecider(n, universe_masks(n, r))
     want = [d.certificate(c, kind) for c in masks]
-    assert d.certificates(np.array(masks, dtype=np.uint64), kind) == want
+    assert _as_certificates(kind, d.certificates(np.array(masks, dtype=np.uint64), kind)) == want
     handed_back = _handed_back(monkeypatch)
-    assert d.certificates(masks, kind) == want
+    assert _as_certificates(kind, d.certificates(masks, kind)) == want
     assert {c for c, cert in zip(masks, want) if cert is None} <= set(handed_back)
 
 
@@ -614,7 +626,7 @@ def test_certificates_equal_one_graph_certificates_on_every_small_graph(n, r):
     d = BergeDecider(n, universe_masks(n, r))
     rows = list(range(d.full_chosen + 1))
     for kind in ("cycle", "path"):
-        assert d.certificates(rows, kind) == [d.certificate(c, kind) for c in rows]
+        assert _as_certificates(kind, d.certificates(rows, kind)) == [d.certificate(c, kind) for c in rows]
 
 
 def test_certificates_on_a_tight_cycle_level_and_small_batches():
@@ -623,12 +635,12 @@ def test_certificates_on_a_tight_cycle_level_and_small_batches():
     masks = level_masks(spec, np.array(ranks))
     d = BergeDecider(7, universe_masks(7, 5))
     want = [d.certificate(int(c), "cycle") for c in masks]
-    assert None in want and d.certificates(masks, "cycle") == want
+    assert None in want and _as_certificates("cycle", d.certificates(masks, "cycle")) == want
     for kind in ("cycle", "path"):
-        assert d.certificates([], kind) == []
-        assert d.certificates(np.array([], dtype=np.uint64), kind) == []
+        assert _as_certificates(kind, d.certificates([], kind)) == []
+        assert _as_certificates(kind, d.certificates(np.array([], dtype=np.uint64), kind)) == []
         for c in masks[:5].tolist():
-            assert d.certificates([c], kind) == [d.certificate(c, kind)]
+            assert _as_certificates(kind, d.certificates([c], kind)) == [d.certificate(c, kind)]
 
 
 def test_certificates_follow_long_augmenting_paths_on_the_recheck_sample(monkeypatch):
@@ -640,7 +652,7 @@ def test_certificates_follow_long_augmenting_paths_on_the_recheck_sample(monkeyp
     d = BergeDecider(7, universe_masks(7, 5))
     want = [d.certificate(int(c), "cycle") for c in masks]
     handed_back = _handed_back(monkeypatch)
-    assert d.certificates(masks, "cycle") == want
+    assert _as_certificates("cycle", d.certificates(masks, "cycle")) == want
     assert want.count(None) == 1 and len(handed_back) <= campaigns.RECHECK_SAMPLE // 10
 
 
@@ -657,7 +669,7 @@ def test_certificates_hand_back_rows_that_fail_the_degree_checks(monkeypatch):
     assert [cert is None for cert in want["path"]] == [False, False, True, True, True, False, False]
     handed_back = _handed_back(monkeypatch)
     for kind, certs in want.items():
-        assert d.certificates(rows, kind) == certs
+        assert _as_certificates(kind, d.certificates(rows, kind)) == certs
     assert {pendant, 0, isolated, 0b111} <= set(handed_back)
 
 
@@ -682,7 +694,7 @@ def test_the_pass_settles_most_of_a_loose_cycle_level(monkeypatch):
     masks = level_masks(spec, np.array(ranks))
     d = BergeDecider(7, universe_masks(7, 5))
     handed_back = _handed_back(monkeypatch)
-    found = d.certificates(masks, "cycle")
+    found = _as_certificates("cycle", d.certificates(masks, "cycle"))
     assert None not in found
     assert len(handed_back) < 100
 
@@ -692,21 +704,23 @@ def test_the_pass_settles_most_of_a_loose_cycle_level(monkeypatch):
 
 @cache
 def _recheck_calls() -> list[tuple[int, tuple[int, ...], list[int], list[BergeCertificate]]]:
-    """The (n, universe, chosen, certs) of every ``verify_certificates`` call
-    that the recheck makes in lemma21 at n = 5..7 and the (6,3) edge campaign."""
+    """The (n, universe, chosen, certs) of every ``verify_certificate_rows``
+    call that the recheck makes in lemma21 at n = 5..7 and the (6,3) edge
+    campaign, its rows as certificates."""
     calls = []
-    original = campaigns.verify_certificates
+    original = campaigns.verify_certificate_rows
 
-    def recording(n, universe, chosen, certs):
-        calls.append((n, universe, list(chosen), list(certs)))
-        return original(n, universe, chosen, certs)
+    def recording(n, universe, chosen, kind, vertices, edges):
+        certs = [BergeCertificate(kind, tuple(vs), tuple(es)) for vs, es in zip(vertices.tolist(), edges.tolist())]
+        calls.append((n, universe, chosen.tolist(), certs))
+        return original(n, universe, chosen, kind, vertices, edges)
 
-    campaigns.verify_certificates = recording
+    campaigns.verify_certificate_rows = recording
     try:
         assert all(verify_lemma_r_plus_2(n).passed for n in (5, 6, 7))
         assert verify_edge_theorem(6, 3).passed
     finally:
-        campaigns.verify_certificates = original
+        campaigns.verify_certificate_rows = original
     return calls
 
 
@@ -754,6 +768,22 @@ def test_verify_certificates_equals_the_oracle_on_recheck_certificates_and_their
         want = [verify_certificate_oracle(h, cert) for h, cert in zip(hosts, mixed)]
         assert verify_certificates(n, universe, chosen, mixed) == want
         assert all(verify_certificate(h, cert) == [] for h, cert in zip(hosts, certs))
+
+
+def test_verify_certificate_rows_equals_verify_certificates_on_the_mutants_that_fit_rows():
+    # rows hold n vertices and w edges of one kind, each id a 64-bit integer
+    for n, universe, chosen, certs in _recheck_calls():
+        kind = certs[0].kind
+        width = n if kind == "cycle" else n - 1
+        broken = [_mutants(universe, c, cert) for c, cert in zip(chosen, certs)]
+        for batch in [certs] + [[mutants[k] for mutants in broken] for k in range(len(broken[0]))]:
+            if any(c.kind != kind or len(c.edges) != width or max(c.vertices) >= 1 << 63
+                   or max(c.edges) >= 1 << 64 for c in batch):
+                continue
+            vertices = np.array([c.vertices for c in batch], dtype=np.intp)
+            edges = np.array([c.edges for c in batch], dtype=np.uint64)
+            got = berge.verify_certificate_rows(n, universe, np.array(chosen, dtype=np.uint64), kind, vertices, edges)
+            assert got == verify_certificates(n, universe, chosen, batch), (n, kind)
 
 
 def test_a_valid_sample_never_reaches_the_explainer(monkeypatch):

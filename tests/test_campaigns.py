@@ -365,7 +365,10 @@ def test_recheck_mismatch_names_the_rank(monkeypatch):
         return None if chosen == target else original(self, chosen, kind, *args, **kwargs)
 
     def fake_batch(self, masks, kind):
-        return [None if c == target else cert for c, cert in zip(masks.tolist(), batched(self, masks, kind))]
+        found, vertices, edges = batched(self, masks, kind)
+        hit = masks == target
+        found[hit], vertices[hit], edges[hit] = False, 0, 0
+        return found, vertices, edges
 
     monkeypatch.setattr(BergeDecider, "certificate", fake)
     monkeypatch.setattr(BergeDecider, "certificates", fake_batch)
@@ -379,8 +382,35 @@ def test_recheck_mismatch_names_the_rank(monkeypatch):
     )
 
 
+def test_a_certificate_for_a_sweep_negative_names_the_rank(monkeypatch):
+    # the sweep lists one sampled positive as negative; the recheck's certificate contradicts it
+    spec = LevelSpec(5, 3, 5)
+    ranks = sorted(random.Random(0).sample(range(level_size(spec)), 20))
+    masks = level_masks(spec, np.array(ranks)).tolist()
+    d = BergeDecider(5, universe_masks(5, 3))
+    positives = [(rk, c) for rk, c in zip(ranks, masks) if d.certificate(c, "cycle") is not None]
+    target_rank, target = positives[2]
+    decide = BergeDecider.decide
+
+    def fake(self, masks, kind):
+        out = decide(self, masks, kind)
+        out[np.asarray(masks) == target] = False
+        return out
+
+    monkeypatch.setattr(BergeDecider, "decide", fake)
+    monkeypatch.setattr(campaigns, "RECHECK_SAMPLE", 20)
+    rep = verify_lemma_r_plus_2(5)
+    assert not rep.passed
+    assert not rep.levels[0].ok and rep.levels[1].ok
+    assert rep.levels[0].negative == 31
+    assert rep.levels[0].note.endswith(
+        f"; sampled re-verification failed at rank {target_rank}: "
+        "a cycle certificate exists but the sweep decided the graph negative"
+    )
+
+
 def test_a_corrupted_batch_certificate_is_rejected_at_its_rank(monkeypatch):
-    # every certificate of the recheck goes through verify_certificate, also
+    # every certificate row of the recheck goes through the checker, also
     # those that the lockstep pass settled without a one-graph search
     spec = LevelSpec(6, 4, 6)  # the cycle level, whose sample the campaign's seed-0 stream draws first
     ranks = sorted(random.Random(0).sample(range(level_size(spec)), campaigns.RECHECK_SAMPLE))
@@ -390,15 +420,17 @@ def test_a_corrupted_batch_certificate_is_rejected_at_its_rank(monkeypatch):
     original = BergeDecider.certificate
     monkeypatch.setattr(BergeDecider, "certificate",
                         lambda self, chosen, kind: searched.append(chosen) or original(self, chosen, kind))
-    found = d.certificates(masks, "cycle")
+    found, _, _ = d.certificates(masks, "cycle")
     monkeypatch.undo()
-    target_rank, target = next((rk, c) for rk, c, cert in zip(ranks, masks, found)
-                               if cert is not None and c not in searched)
+    target_rank, target = next((rk, c) for rk, c, hit in zip(ranks, masks, found.tolist())
+                               if hit and c not in searched)
     batched = BergeDecider.certificates
 
     def corrupt(self, masks, kind):
-        return [BergeCertificate(cert.kind, cert.vertices, cert.edges[:1] * len(cert.edges)) if c == target
-                else cert for c, cert in zip(masks.tolist(), batched(self, masks, kind))]
+        found, vertices, edges = batched(self, masks, kind)
+        hit = masks == target
+        edges[hit] = edges[hit][:, :1]  # every edge is the first one
+        return found, vertices, edges
 
     monkeypatch.setattr(BergeDecider, "certificates", corrupt)
     rep = verify_lemma_r_plus_2(6)
@@ -408,6 +440,32 @@ def test_a_corrupted_batch_certificate_is_rejected_at_its_rank(monkeypatch):
         f"sampled re-verification failed at rank {target_rank}: "
         "certificate rejected: repeated edge in edge sequence"
     )
+
+
+def test_the_recheck_builds_certificates_only_for_the_report_and_the_searched_rows(monkeypatch):
+    # the seed-0 sample of the (7,5) cycle level: the report's RECHECK_CERTS
+    # certificates and the one-graph searches of the rows the pass hands
+    # back are the only BergeCertificate objects, and the recheck searches
+    # exactly those rows, each once
+    spec = LevelSpec(7, 5, 7)
+    ranks = sorted(random.Random(0).sample(range(level_size(spec)), campaigns.RECHECK_SAMPLE))
+    masks = level_masks(spec, np.array(ranks))
+    d = BergeDecider(7, universe_masks(7, 5))
+    negatives = {rk for rk, c in zip(ranks, masks.tolist()) if d.certificate(c, "cycle") is None}
+    searched = []
+    original = BergeDecider.certificate
+    monkeypatch.setattr(BergeDecider, "certificate",
+                        lambda self, chosen, kind: searched.append(chosen) or original(self, chosen, kind))
+    d.certificates(masks, "cycle")
+    handed_back, searched[:] = searched[:], []
+    built = []
+    init = BergeCertificate.__init__
+    monkeypatch.setattr(BergeCertificate, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    failure, certs = campaigns._recheck_sample(spec, "cycle", negatives, random.Random(0))
+    assert failure == "" and len(certs) == campaigns.RECHECK_CERTS
+    assert len(negatives) == 1 and len(handed_back) <= campaigns.RECHECK_SAMPLE // 10
+    assert searched == handed_back and len(set(handed_back)) == len(handed_back)
+    assert len(built) <= campaigns.RECHECK_CERTS + len(handed_back)
 
 
 @pytest.mark.parametrize("run", [

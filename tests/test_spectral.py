@@ -450,6 +450,16 @@ def test_finite_thresholds_are_decided(t, want):
     assert threshold_verdicts(5, 3, [(1 << 10) - 1], t)[0] == [want]
 
 
+@pytest.mark.parametrize("t,want", [(np.float32(6.0), CERTIFIED_BELOW_OR_EQUAL), (np.float16(6.0), CERTIFIED_BELOW_OR_EQUAL),
+                                    (10 ** 400, CERTIFIED_BELOW_OR_EQUAL), (-10 ** 400, CERTIFIED_ABOVE)],
+                         ids=["float32-6", "float16-6", "10^400", "-10^400"])
+def test_numpy_float_and_out_of_range_thresholds_are_decided(t, want):
+    # lambda(K_5^3) = 6 exactly: the narrow floats reach the exact test, and
+    # a threshold past the float range is compared exactly
+    assert exceeds_threshold(complete(5, 3), t) == want
+    assert threshold_verdicts(5, 3, [(1 << 10) - 1], t)[0] == [want]
+
+
 def test_negative_chosen_mask_is_rejected():
     with pytest.raises(ValueError, match="negative"):
         spectral_radii(5, 3, [-1])
