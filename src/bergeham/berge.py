@@ -55,12 +55,15 @@ longer augmenting path, or a negative answer) goes through
 ``certificate``, whose answer is written into the row.
 
 The checker reads only the certificates, the edge universe and chosen
-masks.  ``_accepted`` accepts the valid spanning certificate rows in one
-numpy pass, and every other row goes to a per-row explainer, which alone
-checks the one certificate of ``verify_certificate``.
-``verify_certificate_rows`` checks the rows of ``certificates`` as they
-are; ``verify_certificates`` checks ``BergeCertificate`` objects, grouped
-by kind into rows.
+masks.  ``verify_certificate_rows`` checks the rows of ``certificates`` as
+they are: ``_accepted`` accepts the valid spanning rows in one numpy pass,
+and every other row goes to a per-row explainer, which alone checks the
+one certificate of ``verify_certificate``.
+
+The batched layers (``decide``, ``certificates``, ``verify_certificate_rows``)
+hold chosen masks in one format, ``chosen_array``'s ``uint64`` rows, so they
+take universes of at most 64 edges; the one-graph entry points
+(``certificate``, ``find_*``, ``verify_certificate``) take any width.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .hypergraph import Hypergraph, chosen_index, members_of
+from .hypergraph import Hypergraph, chosen_array, chosen_index, members_of
 
 REASON_INSUFFICIENT_EDGES = "insufficient_edges"
 REASON_SHADOW_NOT_HAMILTONIAN = "shadow_not_hamiltonian"
@@ -119,36 +122,16 @@ def verify_certificate(h: Hypergraph, cert: BergeCertificate) -> list[str]:
     return _explain(h.n, h.edges, (1 << h.m) - 1, cert)
 
 
-def verify_certificates(n: int, universe, chosen, certs) -> list[list[str]]:
-    """The problems of each certificate, [] iff it is valid: ``certs[i]`` on the
-    n-vertex graph of the ``universe`` edges (ascending masks) that ``chosen[i]``
-    selects.  The certificates of n vertices and n (cycle) or n - 1 (path) edges
-    go through ``_accepted`` as rows, one call per kind; every other row goes to
-    ``_explain``, and so does every row of a kind where some row holds an id
-    that does not fit ``int64``."""
-    out = [None] * len(certs)
-    for kind, width in (("cycle", n), ("path", n - 1)):
-        rows = [i for i, c in enumerate(certs)
-                if c.kind == kind and len(c.vertices) == n and len(c.edges) == width]
-        vs = np.array([certs[i].vertices for i in rows])
-        es = np.array([certs[i].edges for i in rows])
-        if vs.dtype != np.int64 or es.dtype != np.int64:  # no rows, or an id that is no int64: all go to _explain
-            continue
-        # a negative edge reads as one above the universe, so its row goes to _explain
-        ok = _accepted(n, universe, [chosen[i] for i in rows], kind, vs, es.view(np.uint64))
-        for i in np.array(rows)[ok].tolist():
-            out[i] = []
-    return [bad if bad is not None else _explain(n, universe, int(c), cert)
-            for bad, c, cert in zip(out, chosen, certs)]
-
-
 def verify_certificate_rows(n: int, universe, chosen, kind: str, vertices, edges) -> list[list[str]]:
     """The problems of each certificate row, [] iff it is valid: the ``kind``
     certificate with vertex order ``vertices[i]`` and edge masks ``edges[i]``
     (a ``(k, n)`` integer and a ``(k, w)`` ``uint64`` array, as
     ``BergeDecider.certificates`` returns them) on the n-vertex graph of the
-    ``universe`` edges (ascending masks) that ``chosen[i]`` selects.  The rows
-    that ``_accepted`` does not accept go to ``_explain`` one by one."""
+    ``universe`` edges (ascending masks) that ``chosen[i]`` selects.  The masks
+    go through ``chosen_array``, so a bad one raises and so does a universe of
+    more than 64 edges.  The rows that ``_accepted`` does not accept go to
+    ``_explain`` one by one."""
+    chosen = chosen_array(chosen, len(universe))
     vertices = np.asarray(vertices, dtype=np.intp)
     edges = np.asarray(edges, dtype=np.uint64)
     ok = _accepted(n, universe, chosen, kind, vertices, edges)
@@ -161,24 +144,25 @@ def verify_certificate_rows(n: int, universe, chosen, kind: str, vertices, edges
 
 def _accepted(n: int, universe, chosen, kind: str, vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Which certificate rows are valid and spanning, in one numpy pass: the
-    check of ``verify_certificates`` and ``verify_certificate_rows``.
+    check of ``verify_certificate_rows``.
 
-    For n <= 63, at most 64 universe edges and rows of n vertices and n
-    (cycle) or n - 1 (path) edges, a row is accepted when its vertices sort
-    to ``range(n)``, its edges are distinct and chosen (found by
+    For n <= 63, a non-empty universe and rows of n vertices and n (cycle)
+    or n - 1 (path) edges, a row is accepted when its vertices sort to
+    ``range(n)``, its edges are distinct and chosen (found by
     ``searchsorted``), and its vertices lie in their incident edges.  Every
-    row is rejected otherwise.  ``vertices`` is a ``(k, n)`` integer array,
-    ``edges`` a ``(k, w)`` ``uint64`` array of vertex masks."""
+    row is rejected otherwise.  ``chosen`` is ``chosen_array``'s ``(k,)``
+    array, ``vertices`` a ``(k, n)`` integer array, ``edges`` a ``(k, w)``
+    ``uint64`` array of vertex masks."""
     k = len(vertices)
     width = n if kind == "cycle" else n - 1
-    if not (kind in ("cycle", "path") and 2 <= n <= 63 and 0 < len(universe) <= 64
+    if not (kind in ("cycle", "path") and 2 <= n <= 63 and 0 < len(universe)
             and vertices.shape == (k, n) and edges.shape == (k, width)):
         return np.zeros(k, dtype=bool)
     ok = (np.sort(vertices, axis=1) == np.arange(n)).all(axis=1)
     ok &= (np.diff(np.sort(edges, axis=1), axis=1) != 0).all(axis=1)
     known = np.array(universe, dtype=np.uint64)
     at = np.searchsorted(known, edges)
-    bits = np.asarray(chosen, dtype=np.uint64)[:, None] >> at.astype(np.uint64)
+    bits = chosen[:, None] >> at.astype(np.uint64)
     ok &= ((known[np.minimum(at, len(known) - 1)] == edges) & (bits & 1 == 1)).all(axis=1)
     vs = vertices.astype(np.uint64)  # a negative vertex: a shift past the edge, in a row already rejected
     if kind == "cycle":  # vertex i lies in edges i and i+1, cyclically
@@ -443,18 +427,11 @@ class BergeDecider:
     # ----- batches -------------------------------------------------------
 
     def _rows(self, masks, kind: str) -> np.ndarray:
-        """``masks`` as one ``uint64`` array, for ``decide`` and ``certificates``.
-        The masks are checked as one array, and walked only to name the first
-        bad one through ``chosen_index``."""
+        """``masks`` as ``chosen_array``'s ``uint64`` rows, for ``decide`` and
+        ``certificates``, once ``kind`` is checked."""
         if kind not in ("cycle", "path"):
             raise ValueError(f"kind must be 'cycle' or 'path', got {kind!r}")
-        if len(self.universe) > 64:
-            raise ValueError(f"batches need at most 64 universe edges, got {len(self.universe)}")
-        rows = np.asarray(masks)
-        if rows.dtype.kind not in "iu" or rows.size and (rows.min() < 0 or rows.max() > self.full_chosen):
-            for mask in masks:
-                chosen_index(mask, len(self.universe))
-        return rows.astype(np.uint64, copy=False)
+        return chosen_array(masks, len(self.universe))
 
     def certificates(self, masks, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``[self.certificate(m, kind) for m in masks]`` as arrays, most rows
@@ -481,8 +458,7 @@ class BergeDecider:
         when order[-1] lies above it.  Every other row, negatives included,
         goes through ``certificate``, whose answer is written into the row.
         The pass reads only ``pair_cover`` and ``universe``, so answers
-        depend on the graph alone.  Universes of more than 64 edges raise
-        ``ValueError``, as in ``decide``.
+        depend on the graph alone.
         """
         rows = self._rows(masks, kind)
         n, k = self.n, len(rows)
@@ -557,9 +533,7 @@ class BergeDecider:
         positive too.  The orders that certified a row are remembered for
         the next slice of that kind, and only they.  A negative answer
         always comes from the search, and a slice's answers depend on that
-        slice alone; its work depends on the slice before.  Universes of
-        more than 64 edges raise ``ValueError``, since masks are held as
-        ``uint64`` (``_rows``).
+        slice alone; its work depends on the slice before.
         """
         close = kind == "cycle"
         masks = self._rows(masks, kind)

@@ -11,9 +11,11 @@ one whole level, or the supergraphs of each exception found (the closure
 row).  A row's negatives in its expected set are one class, canonized
 once; every other negative is canonized on its own, so an unexpected
 class is named by its canonical code and counted.  The spectral audit
-runs every graph, of a level chunk or random, through ``_audit``, which
-excuses a graph only by membership in ``pendant_copies`` and runs no
-canonical search.
+runs every graph, of a level chunk or random, through ``_audit`` as one
+``uint64`` array of masks, which excuses a graph only by membership in
+``pendant_copies`` and runs no canonical search.  Masks are the batched
+layers' ``chosen_array`` rows, so a campaign's (n, r) universe has at most
+64 edges.
 
 Campaign aggregates are merged in rank order from deterministic chunks,
 so reports are identical for any worker count; a seeded sample of graphs
@@ -35,7 +37,6 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import cache, partial
 from math import comb
-from typing import Iterable
 
 import numpy as np
 
@@ -61,18 +62,14 @@ from .enumeration import (
 from .formats import certificate_to_dict
 from .hypergraph import (
     Hypergraph,
+    chosen_array,
     clique_plus_isolated,
     clique_plus_pendant,
     mask_of,
     members_of,
     universe_masks,
 )
-from .spectral import (
-    CERTIFIED_ABOVE,
-    UNDECIDED,
-    spectral_radius,
-    threshold_verdicts,
-)
+from .spectral import CERTIFIED_ABOVE, UNDECIDED, exact_form_ratio, threshold_verdicts
 
 CSV_HEADER = "n,r,m,visited,hamiltonian,nonhamiltonian,exceptions,pass"
 UNDECIDED_SHOWN = 10  # undecided witnesses listed in a spectral report's notes
@@ -196,9 +193,10 @@ class AuditTally:
         )
 
 
-def _audit(n: int, r: int, rows: Iterable[tuple[int | None, int]], tol: float) -> AuditTally:
-    """Audit (rank or None, chosen-universe mask) pairs, in order, for the
-    spectral->edge->Hamiltonicity implication chain.
+def _audit(n: int, r: int, ranks: range | None, chosen: np.ndarray, tol: float) -> AuditTally:
+    """Audit graphs given as a ``uint64`` array of chosen-universe masks, in
+    order, for the spectral->edge->Hamiltonicity implication chain; graph
+    i has rank ``ranks[i]`` on its level, or is random when ``ranks`` is None.
 
     A graph certified above t = C(n-2, r-1) needs more than ``t_edge`` =
     C(n-1, r) edges (Bai-Lu: lambda <= f_r(m), increasing, and
@@ -211,27 +209,26 @@ def _audit(n: int, r: int, rows: Iterable[tuple[int | None, int]], tol: float) -
     """
     t_spec = threshold("spectral_cycle", n, r).value
     t_edge = threshold("edge_cycle", n, r).value
-    rows = list(rows)
-    chosen = [c for _, c in rows]
     verdicts, converged = threshold_verdicts(n, r, chosen, t_spec, tol)
     above = [i for i, verdict in enumerate(verdicts) if verdict == CERTIFIED_ABOVE]
+    sizes = np.bitwise_count(chosen[above])
     violations = {i: "spectral radius certified above threshold but edge count below implied bound"
-                  for i in above if chosen[i].bit_count() <= t_edge}
+                  for i, size in zip(above, sizes.tolist()) if size <= t_edge}
     asked = [i for i in above if i not in violations]  # enough edges: must be Hamiltonian
     excused = pendant_copies(n, r)
-    for i, yes in zip(asked, _decider(n, r).decide([chosen[i] for i in asked], "cycle").tolist()):
-        if not yes and chosen[i] not in excused:
+    for i, yes in zip(asked, _decider(n, r).decide(chosen[asked], "cycle").tolist()):
+        if not yes and int(chosen[i]) not in excused:
             violations[i] = "non-hamiltonian above the edge threshold and not the pendant exception"
-    tally = AuditTally(audited=len(rows), above=len(above), unconverged=int((~converged).sum()))
-    for i, ((rank, c), verdict) in enumerate(zip(rows, verdicts)):
+    tally = AuditTally(audited=len(chosen), above=len(above), unconverged=int((~converged).sum()))
+    for i, verdict in enumerate(verdicts):
         if verdict == UNDECIDED or i in violations:
-            tally.add(n, r, rank, c, verdict == UNDECIDED, violations.get(i))
+            rank = None if ranks is None else ranks[i]
+            tally.add(n, r, rank, int(chosen[i]), verdict == UNDECIDED, violations.get(i))
     return tally
 
 
 def _spectral_chunk(windows: list[tuple[LevelSpec, int, int]], *, tol: float) -> list[AuditTally]:
-    return [_audit(spec.n, spec.r, zip(range(lo, hi), window_masks(spec, lo, hi).tolist()), tol)
-            for spec, lo, hi in windows]
+    return [_audit(spec.n, spec.r, range(lo, hi), window_masks(spec, lo, hi), tol) for spec, lo, hi in windows]
 
 
 # --------------------------------------------------------------------------
@@ -479,7 +476,8 @@ def verify_spectral_theorem(
     C(n-1, r) edges and a Hamiltonian cycle unless the graph is the
     pendant exception; (b) the pendant-clique exception sits strictly above the
     spectral threshold and is non-Hamiltonian; (c) the isolated-vertex
-    exception brackets the threshold exactly and has no Hamiltonian path.
+    exception has spectral radius exactly t, in exact integers, and no
+    Hamiltonian path.
     Undecided threshold verdicts are retried at a tighter tolerance and
     otherwise reported for exact-arithmetic follow-up, never dropped.
     At r = 2 this is Fiedler and Nikiforov's theorem for graphs.
@@ -509,8 +507,8 @@ def verify_spectral_theorem(
 
     # random graphs across all edge counts, all drawn before any is audited
     width = comb(n, r)
-    drawn = [(None, mask_of(rng.sample(range(width), rng.randint(0, width)))) for _ in range(samples)]
-    tally = _audit(n, r, drawn, tol)
+    drawn = [mask_of(rng.sample(range(width), rng.randint(0, width))) for _ in range(samples)]
+    tally = _audit(n, r, None, chosen_array(drawn, width), tol)
     report.levels.append(tally.outcome(n, r, -1, "random", samples))
     total.merge(tally)
     report.notes.extend(total.violations)
@@ -523,13 +521,13 @@ def verify_spectral_theorem(
     if not ok_pendant:
         report.notes.append("pendant exception failed its spectral/hamiltonicity check")
 
-    # (c) isolated exception: brackets the threshold, no hamiltonian path
+    # (c) isolated exception: lambda = t exactly, no hamiltonian path.  The form
+    # ratio at the clique's 0/1 indicator is a lower bound on lambda, and the
+    # largest degree an upper one (Collatz-Wielandt at the all-ones vector)
     kv = clique_plus_isolated(n, r)
-    est = spectral_radius(kv, tol)
     ok_isolated = (
-        est.converged
-        and abs(est.lower - t_spec) <= tol
-        and abs(est.upper - t_spec) <= tol
+        exact_form_ratio(kv, [1] * (n - 1) + [0]) == t_spec
+        and max(kv.degrees()) == t_spec
         and decider.certificate(chosen_mask(n, r, kv.edges), "path") is None
     )
     if not ok_isolated:

@@ -19,10 +19,11 @@ value whose table, and every smaller one it is built from, has at most
 ``window_masks`` gives a window of consecutive ranks the same masks as
 runs ``prefix | table[a:b]``: only each run's high digits go through the
 ``searchsorted`` loop, and the runs expand with one repeat and one
-gather.  Masks are ``uint64`` for universes of at most 64 edges and
-Python ints in ``object`` arrays beyond, in the same loop.  Ranks give
-stateless windows ``[lo, hi)`` that partition a level exactly, so work
-can be distributed over processes and the results merged back in rank
+gather.  Both give ``uint64`` masks, the batched layers' one format
+(``chosen_array``), so they take universes of at most 64 edges; a
+``LevelSpec`` and its ``level_size`` take any.  Ranks give stateless
+windows ``[lo, hi)`` that partition a level exactly, so work can be
+distributed over processes and the results merged back in rank
 order: aggregates are reproducible for any worker count, and interrupted
 sweeps can resume from a rank.  ``run_chunks`` packs the windows of a
 list of levels into tasks, so many small levels cost few tasks.
@@ -50,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hypergraph import Hypergraph, chosen_index, universe_masks
+from .hypergraph import Hypergraph, chosen_array, chosen_index, universe_masks
 
 ALL_LABELED = "all_labeled"
 SUPERGRAPHS = "supergraphs"
@@ -110,10 +111,10 @@ def level_size(spec: LevelSpec) -> int:
 
 
 @cache
-def _binomial_columns(width: int, k: int, dtype) -> tuple[np.ndarray, ...]:
+def _binomial_columns(width: int, k: int) -> tuple[np.ndarray, ...]:
     """Column i holds C(c, i) for c = 0..width-1, ascending, for i = 0..k.
     The columns are shared by every caller, so they are read-only."""
-    cols = tuple(np.array([comb(c, i) for c in range(width)], dtype=dtype) for i in range(k + 1))
+    cols = tuple(np.array([comb(c, i) for c in range(width)], dtype=np.uint64) for i in range(k + 1))
     for col in cols:
         col.flags.writeable = False
     return cols
@@ -127,9 +128,8 @@ def _low_digit_table(width: int, base: int, j: int) -> np.ndarray:
     is c after all those below c, so the i-subset table is, for c = i-1,
     i, ... in turn, the first C(c, i-1) entries of the (i-1)-subset table
     with bit c set.  Shared by every caller, so read-only."""
-    dtype = np.uint64 if width <= 64 else object
-    bits = np.array([1 << p for p in range(width) if not base >> p & 1], dtype=dtype)
-    table = np.zeros(1, dtype=dtype)
+    bits = np.array([1 << p for p in range(width) if not base >> p & 1], dtype=np.uint64)
+    table = np.zeros(1, dtype=np.uint64)
     for i in range(1, j + 1):
         table = np.concatenate([table[:comb(c, i - 1)] | bits[c] for c in range(i - 1, len(bits))])
     table.flags.writeable = False
@@ -137,17 +137,17 @@ def _low_digit_table(width: int, base: int, j: int) -> np.ndarray:
 
 
 def _unranking(spec: LevelSpec):
-    """What both forms of the unranking read: the mask dtype, the free bits,
-    the digit count k = m - |base|, the count j of low digits the table
-    resolves, the table and the binomial columns of the free bits."""
+    """What both forms of the unranking read: the free bits, the digit count
+    k = m - |base|, the count j of low digits the table resolves, the table
+    and the binomial columns of the free bits.  A universe of more than 64
+    edges raises ``chosen_array``'s ``ValueError``."""
     width = comb(spec.n, spec.r)
-    dtype = np.uint64 if width <= 64 else object
-    bits = np.array([1 << p for p in range(width) if not spec.base >> p & 1], dtype=dtype)
+    bits = chosen_array([1 << p for p in range(width) if not spec.base >> p & 1], width)
     k = spec.m - spec.base.bit_count()
     j = 0  # a table is built through every smaller one, so each must fit
     while j < k and comb(len(bits), j + 1) <= LOW_DIGIT_TABLE:
         j += 1
-    return dtype, bits, k, j, _low_digit_table(width, spec.base, j), _binomial_columns(len(bits), k, dtype)
+    return bits, k, j, _low_digit_table(width, spec.base, j), _binomial_columns(len(bits), k)
 
 
 def _peel(rank: np.ndarray, mask: np.ndarray, bits: np.ndarray, cols) -> np.ndarray | None:
@@ -167,20 +167,18 @@ def level_masks(spec: LevelSpec, ranks) -> np.ndarray:
     """The chosen-universe masks of the level's graphs at ``ranks``, in the given order.
 
     ``ranks`` is an integer array of ranks in ``[0, level_size(spec))``, in
-    any order.  The masks come back ``uint64`` for universes of at most 64
-    edges, and as Python ints in an ``object`` array beyond that.  For a
-    window of consecutive ranks, ``window_masks`` gives the same masks.
+    any order.  The masks come back as one ``uint64`` array.  For a window
+    of consecutive ranks, ``window_masks`` gives the same masks.
     """
+    bits, k, j, table, cols = _unranking(spec)
     ranks = np.asarray(ranks)
     total = level_size(spec)
-    if ranks.size and not (ranks.dtype.kind in "iu"
-                           or ranks.dtype == object and all(isinstance(x, int) for x in ranks.flat)):
+    if ranks.size and ranks.dtype.kind not in "iu":
         raise ValueError(f"ranks must be integers, got an array of {ranks.dtype}")
     if ranks.size and not (int(ranks.min()) >= 0 and int(ranks.max()) < total):
         raise ValueError(f"ranks must lie in [0, {total}), got {ranks.min()}..{ranks.max()}")
-    dtype, bits, k, j, table, cols = _unranking(spec)
-    rank = ranks.astype(dtype)
-    mask = np.full(rank.shape, spec.base, dtype=dtype)
+    rank = ranks.astype(np.uint64)
+    mask = np.full(rank.shape, spec.base, dtype=np.uint64)
     _peel(rank, mask, bits, cols[j + 1:])
     # the rank left is below C(c, j) for the last digit c taken, so it names
     # a j-subset of smaller free positions at that colex rank
@@ -204,20 +202,20 @@ def window_masks(spec: LevelSpec, lo: int, hi: int) -> np.ndarray:
     total = level_size(spec)
     if not 0 <= lo <= hi <= total:
         raise ValueError(f"need 0 <= lo <= hi <= {total}, got lo={lo}, hi={hi}")
-    dtype, bits, k, j, table, cols = _unranking(spec)
+    bits, k, j, table, cols = _unranking(spec)
     if j == k:
         return table[lo:hi] | spec.base
     if lo == hi:
-        return np.zeros(0, dtype=dtype)
+        return np.zeros(0, dtype=np.uint64)
     # the colex positions of the prefixes of lo and hi - 1 among the (k - j)-subsets of
     # positions j.., summed as their digits are peeled, one column at a time
-    pcols = _binomial_columns(len(bits) - j, k - j, dtype)
-    ends, scratch = np.array([lo, hi - 1], dtype=dtype), np.zeros(2, dtype=dtype)
+    pcols = _binomial_columns(len(bits) - j, k - j)
+    ends, scratch = np.array([lo, hi - 1], dtype=np.uint64), np.zeros(2, dtype=np.uint64)
     first, last = map(int, sum(pcols[i - j][_peel(ends, scratch, bits, cols[i:i + 1]) - j]
                                for i in range(k, j, -1)))
     a, b = map(int, ends)  # where the first run starts and the last run ends, less one
-    prefix = np.full(last - first + 1, spec.base, dtype=dtype)
-    low = _peel(np.arange(first, last + 1, dtype=dtype), prefix, bits[j:], pcols[1:])
+    prefix = np.full(last - first + 1, spec.base, dtype=np.uint64)
+    low = _peel(np.arange(first, last + 1, dtype=np.uint64), prefix, bits[j:], pcols[1:])
     counts = cols[j][low + j].astype(np.intp)  # C(c, j) ranks in each run
     counts[-1] = b + 1
     counts[0] -= a

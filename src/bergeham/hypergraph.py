@@ -17,6 +17,8 @@ from functools import cache
 from itertools import combinations
 from typing import Iterable
 
+import numpy as np
+
 MAX_VERTICES = 64
 
 
@@ -41,6 +43,24 @@ def chosen_index(mask, width: int) -> int:
     if value >> width:
         raise ValueError(f"a chosen mask selects an edge beyond the {width} universe edges: {value}")
     return value
+
+
+def chosen_array(masks, width: int) -> np.ndarray:
+    """A sequence of chosen-universe masks of a ``width``-edge universe as one
+    ``(k,)`` ``uint64`` array, the one mask format of the batched layers.
+
+    The masks are any integers, numpy's or Python's.  They are checked as one
+    array and walked through ``chosen_index`` only to name a bad one (or when
+    numpy holds them in no integer array); a universe of more than 64 edges,
+    which no ``uint64`` holds, raises ``ValueError``.
+    """
+    if width > 64:
+        raise ValueError(f"batches need at most 64 universe edges, got {width}")
+    rows = np.asarray(masks)
+    if (rows.ndim != 1 or rows.dtype.kind not in "iu"
+            or rows.size and (rows.min() < 0 or rows.max() > (1 << width) - 1)):
+        return np.array([chosen_index(mask, width) for mask in masks], dtype=np.uint64)
+    return rows.astype(np.uint64, copy=False)
 
 
 def members_of(mask: int) -> tuple[int, ...]:

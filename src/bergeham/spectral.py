@@ -45,8 +45,10 @@ finds them, and they run as they are in the k = n call, over the union
 of their edges.  Only the other graphs (an isolated vertex, a split shadow,
 no edge) are split into components.  An estimate therefore does not
 depend on which graphs share its batch.  ``spectral_radii`` feeds it graphs
-as chosen-universe masks; ``spectral_radius`` feeds it one graph's own
-edges, so it never builds the ``(n, r)`` edge universe.  Both wrap its
+as chosen-universe masks, ``chosen_array``'s ``uint64`` rows, so it and
+``threshold_verdicts`` take universes of at most 64 edges;
+``spectral_radius`` feeds it one graph's own edges, so it never builds the
+``(n, r)`` edge universe and takes any width.  Both wrap its
 arrays in estimates; ``threshold_verdicts`` decides from them as they are.
 
 Strict threshold decisions re-derive the lower bound exactly at the
@@ -79,7 +81,7 @@ from math import frexp, isfinite
 
 import numpy as np
 
-from .hypergraph import MAX_VERTICES, Hypergraph, chosen_index, members_of, universe_masks
+from .hypergraph import MAX_VERTICES, Hypergraph, chosen_array, members_of, universe_masks
 
 CERTIFIED_ABOVE = "certified_above"
 CERTIFIED_BELOW_OR_EQUAL = "certified_below_or_equal"
@@ -487,23 +489,10 @@ def _universe_members(n: int, r: int) -> np.ndarray:
 
 
 def _picked_edges(n: int, r: int, chosen) -> np.ndarray:
-    """(B, C(n, r)) 0/1 array: entry [b, i] is bit i of the b-th chosen-universe mask.
-
-    A mask is any integer, Python or numpy.  Up to 64 universe edges the
-    masks are checked as one array and unpacked from their ``uint64``
-    bytes; they are walked through ``chosen_index`` only to name a bad one,
-    or when the universe is wider.
-    """
+    """(B, C(n, r)) 0/1 array: entry [b, i] is bit i of the b-th chosen-universe
+    mask, unpacked from the little-endian bytes of ``chosen_array``'s rows."""
     width = len(universe_masks(n, r))
-    rows = np.asarray(chosen)
-    if (width <= 64 and rows.ndim == 1 and rows.dtype.kind in "iu"
-            and not (rows.size and (rows.min() < 0 or rows.max() > (1 << width) - 1))):
-        raw = rows.astype("<u8").view(np.uint8).reshape(len(rows), 8)
-    else:
-        nbytes = (width + 7) // 8
-        masks = [chosen_index(mask, width) for mask in chosen]
-        raw = np.frombuffer(b"".join(mask.to_bytes(nbytes, "little") for mask in masks), dtype=np.uint8)
-        raw = raw.reshape(len(masks), nbytes)
+    raw = chosen_array(chosen, width).astype("<u8").view(np.uint8).reshape(-1, 8)
     return np.unpackbits(raw, axis=1, count=width, bitorder="little")
 
 

@@ -6,8 +6,9 @@ kept here, beside the tests that use it, as an independent second answer:
 - ``brute_force_oracle`` decides Berge Hamiltonicity by trying every
   vertex order, sharing nothing with ``BergeDecider``;
 - ``verify_certificate_oracle`` checks a certificate against the edge
-  set of a ``Hypergraph``, rule by rule, as a second answer to the
-  batched mask checker ``berge.verify_certificates``;
+  set of a ``Hypergraph``, rule by rule, as a second answer to
+  ``berge.verify_certificate`` and to the row checker
+  ``berge.verify_certificate_rows``;
 - ``isomorphism`` finds an explicit vertex map by colour refinement and
   backtracking, without canonizing, and checks it edge for edge;
 - ``rotate_path_to_cycle`` closes a Hamiltonian Berge path into a cycle

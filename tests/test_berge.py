@@ -17,7 +17,7 @@ from bergeham.berge import (
     find_hamiltonian_berge_path,
     is_hamiltonian_connected,
     verify_certificate,
-    verify_certificates,
+    verify_certificate_rows,
 )
 from bergeham.campaigns import verify_edge_theorem, verify_lemma_r_plus_2
 from bergeham.enumeration import LevelSpec, chosen_mask, hypergraph_at, level_masks, level_size
@@ -699,7 +699,7 @@ def test_the_pass_settles_most_of_a_loose_cycle_level(monkeypatch):
     assert len(handed_back) < 100
 
 
-# ----- verify_certificates: the batched mask checker against the oracle -----
+# ----- the certificate checkers against the oracle --------------------------
 
 
 @cache
@@ -749,41 +749,68 @@ def _mutants(universe, chosen: int, cert: BergeCertificate) -> list[BergeCertifi
     ]
 
 
-def test_verify_certificates_equals_the_oracle_on_recheck_certificates_and_their_mutants():
+def _fits_rows(batch: list[BergeCertificate]) -> bool:
+    """Whether certificates can be one call's rows: one kind, one vertex count
+    and one edge count, vertices in ``intp`` and edges in ``uint64``."""
+    return (len({(c.kind, len(c.vertices), len(c.edges)) for c in batch}) == 1
+            and all(-1 << 63 <= v < 1 << 63 for c in batch for v in c.vertices)
+            and all(0 <= e < 1 << 64 for c in batch for e in c.edges))
+
+
+def _check_rows(n: int, universe, chosen, batch: list[BergeCertificate]) -> list[list[str]]:
+    """``verify_certificate_rows`` on certificates that fit rows."""
+    vertices = np.array([c.vertices for c in batch], dtype=np.intp)
+    edges = np.array([c.edges for c in batch], dtype=np.uint64)
+    return verify_certificate_rows(n, universe, chosen, batch[0].kind, vertices, edges)
+
+
+def test_verify_certificate_equals_the_oracle_on_recheck_certificates_and_mutants():
     calls = _recheck_calls()
     assert [len(certs) for *_, certs in calls] == [222, 210, 983, 1000, 999, 1000, 1000, 1000]  # the positives
     for n, universe, chosen, certs in calls:
         r = universe[0].bit_count()
         hosts = [hypergraph_at(n, r, c) for c in chosen]
-        assert verify_certificates(n, universe, chosen, certs) == [[]] * len(certs)
+        assert all(verify_certificate(h, cert) == [] for h, cert in zip(hosts, certs))
         broken = [_mutants(universe, c, cert) for c, cert in zip(chosen, certs)]
         for k in range(len(broken[0])):
             batch = [mutants[k] for mutants in broken]
             want = [verify_certificate_oracle(h, cert) for h, cert in zip(hosts, batch)]
-            assert verify_certificates(n, universe, chosen, batch) == want, (n, r, k)
             assert [verify_certificate(h, cert) for h, cert in zip(hosts, batch)] == want, (n, r, k)
             if k > 1:  # a swap of two vertices may keep a certificate valid
                 assert all(want), (n, r, k)
-        mixed = [mutants[i % len(mutants)] for i, mutants in enumerate(broken)]
-        want = [verify_certificate_oracle(h, cert) for h, cert in zip(hosts, mixed)]
-        assert verify_certificates(n, universe, chosen, mixed) == want
-        assert all(verify_certificate(h, cert) == [] for h, cert in zip(hosts, certs))
 
 
-def test_verify_certificate_rows_equals_verify_certificates_on_the_mutants_that_fit_rows():
-    # rows hold n vertices and w edges of one kind, each id a 64-bit integer
+def test_verify_certificate_rows_equals_the_oracle_on_the_mutants_that_fit_rows():
+    # every mutant but the two with an id past 64 bits fits rows; those two
+    # go through verify_certificate alone (the test above)
     for n, universe, chosen, certs in _recheck_calls():
-        kind = certs[0].kind
-        width = n if kind == "cycle" else n - 1
+        r = universe[0].bit_count()
+        hosts = [hypergraph_at(n, r, c) for c in chosen]
+        assert _check_rows(n, universe, chosen, certs) == [[]] * len(certs)
         broken = [_mutants(universe, c, cert) for c, cert in zip(chosen, certs)]
-        for batch in [certs] + [[mutants[k] for mutants in broken] for k in range(len(broken[0]))]:
-            if any(c.kind != kind or len(c.edges) != width or max(c.vertices) >= 1 << 63
-                   or max(c.edges) >= 1 << 64 for c in batch):
-                continue
-            vertices = np.array([c.vertices for c in batch], dtype=np.intp)
-            edges = np.array([c.edges for c in batch], dtype=np.uint64)
-            got = berge.verify_certificate_rows(n, universe, np.array(chosen, dtype=np.uint64), kind, vertices, edges)
-            assert got == verify_certificates(n, universe, chosen, batch), (n, kind)
+        fit = 0
+        for k in range(len(broken[0])):
+            batch = [mutants[k] for mutants in broken]
+            if _fits_rows(batch):
+                fit += 1
+                want = [verify_certificate_oracle(h, cert) for h, cert in zip(hosts, batch)]
+                assert _check_rows(n, universe, np.array(chosen, dtype=np.uint64), batch) == want, (n, r, k)
+        assert fit == len(broken[0]) - 2
+
+
+@pytest.mark.parametrize("mask, error, match", [
+    (2047, ValueError, "selects an edge beyond the 10 universe edges: 2047"),
+    (1.5, TypeError, "a chosen mask is not an integer: 1.5"),
+    (-1, ValueError, "a chosen mask is negative: -1"),
+])
+def test_verify_certificate_rows_checks_its_chosen_masks(mask, error, match):
+    # the complete(5, 3) cycle row, under a mask that names no graph of the 10-edge universe
+    d = BergeDecider(5, universe_masks(5, 3))
+    found, vertices, edges = d.certificates([(1 << 10) - 1], "cycle")
+    assert found.tolist() == [True]
+    assert verify_certificate_rows(5, d.universe, [(1 << 10) - 1], "cycle", vertices, edges) == [[]]
+    with pytest.raises(error, match=match):
+        verify_certificate_rows(5, d.universe, [mask], "cycle", vertices, edges)
 
 
 def test_a_valid_sample_never_reaches_the_explainer(monkeypatch):
@@ -793,12 +820,13 @@ def test_a_valid_sample_never_reaches_the_explainer(monkeypatch):
     calls = _recheck_calls()
     monkeypatch.setattr(berge, "_explain", explain)
     for n, universe, chosen, certs in calls:
-        assert verify_certificates(n, universe, chosen, certs) == [[]] * len(certs)
+        assert _check_rows(n, universe, chosen, certs) == [[]] * len(certs)
     assert verify_lemma_r_plus_2(6).passed
 
 
 def test_verify_certificate_on_a_host_of_more_than_64_edges():
-    # 70 universe edges do not fit the pass's uint64 masks, so every row goes to the explainer
+    # 70 universe edges do not fit the rows' uint64 masks: verify_certificate
+    # takes the host, and verify_certificate_rows rejects the universe
     h = complete(8, 4)
     assert h.m == 70
     cert = find_hamiltonian_berge_cycle(h).certificate
@@ -806,42 +834,38 @@ def test_verify_certificate_on_a_host_of_more_than_64_edges():
     drop = next(i for i, e in enumerate(h.edges) if e not in cert.edges)
     chosen = (1 << 70) - 1 ^ 1 << drop
     host = Hypergraph(8, 4, h.edges[:drop] + h.edges[drop + 1:])
-    assert verify_certificates(8, h.edges, [chosen], [cert]) == [[]]
+    assert verify_certificate(host, cert) == []
     for bad in _mutants(h.edges, chosen, cert):
-        assert verify_certificates(8, h.edges, [chosen], [bad]) == [verify_certificate_oracle(host, bad)]
+        assert verify_certificate(host, bad) == verify_certificate_oracle(host, bad)
         assert verify_certificate(h, bad) == verify_certificate_oracle(h, bad)
+    with pytest.raises(ValueError, match="batches need at most 64 universe edges, got 70"):
+        verify_certificate_rows(8, h.edges, [chosen], "cycle", [cert.vertices], [cert.edges])
+    with pytest.raises(ValueError, match="batches need at most 64 universe edges, got 84"):
+        verify_certificate_rows(9, universe_masks(9, 3), [0], "cycle", np.zeros((1, 9)), np.zeros((1, 9)))
 
 
-def test_verify_certificates_at_64_vertices_reads_no_edge_id_as_unsigned():
+def test_the_checkers_at_64_vertices_read_no_edge_id_as_unsigned():
     # the cycle C_64: its edges {63, 0} and {62, 63} do not fit int64, and their int64 readings are negative;
-    # the batch pass takes n <= 63 only, so every row here goes to the explainer
+    # the rows' pass takes n <= 63 only, so its row goes to the explainer
     h = Hypergraph(64, 2, [(i, (i + 1) % 64) for i in range(64)])
     cert = BergeCertificate("cycle", tuple(range(64)), (mask_of({63, 0}), *(mask_of({i, i + 1}) for i in range(63))))
-
-    def batch(h, c):
-        return verify_certificates(64, h.edges, [(1 << h.m) - 1], [c])[0]
-
-    assert verify_certificate(h, cert) == verify_certificate_oracle(h, cert) == batch(h, cert) == []
+    assert verify_certificate(h, cert) == verify_certificate_oracle(h, cert) == _check_rows(
+        64, h.edges, [(1 << h.m) - 1], [cert])[0] == []
     wrapped = BergeCertificate("cycle", cert.vertices, tuple(e - (e >> 63 << 64) for e in cert.edges))
     assert sum(e < 0 for e in wrapped.edges) == 2
-    for check in (verify_certificate, verify_certificate_oracle, batch):
+    for check in (verify_certificate, verify_certificate_oracle):
         with pytest.raises(ValueError, match="a vertex mask is negative"):
             check(h, wrapped)
 
 
-def test_verify_certificates_takes_numpy_masks_and_short_certificates():
+def test_verify_certificate_rows_takes_numpy_masks_and_short_rows():
     # a certificate of fewer than n vertices is valid, but not spanning, and goes to the explainer
     universe = universe_masks(5, 3)
     cert = find_hamiltonian_berge_cycle(complete(4, 3)).certificate
     chosen = chosen_mask(5, 3, complete(4, 3).edges)
-    assert verify_certificates(5, universe, np.array([chosen], dtype=np.uint64), [cert]) == [[]]
-    assert verify_certificates(5, universe, [], []) == []
-    with pytest.raises(ValueError, match="a vertex mask is negative: -1$"):
-        verify_certificates(5, universe, [chosen], [BergeCertificate("path", (0, 1, 2), (-1, cert.edges[0]))])
-    full = find_hamiltonian_berge_cycle(complete(5, 3)).certificate  # a spanning row whose edge reads negative
-    wrapped = BergeCertificate("cycle", full.vertices, (full.edges[0] - 2 ** 63, *full.edges[1:]))
-    with pytest.raises(ValueError, match="a vertex mask is negative"):
-        verify_certificates(5, universe, [(1 << len(universe)) - 1], [wrapped])
+    for masks in ([chosen], np.array([chosen], dtype=np.uint64), [np.int64(chosen)]):
+        assert _check_rows(5, universe, masks, [cert]) == [[]]
+    assert verify_certificate_rows(5, universe, [], "cycle", np.zeros((0, 5)), np.zeros((0, 5))) == []
 
 
 # ----- _hall: Hall's condition on one order's slots, as a cached table ------

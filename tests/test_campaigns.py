@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import asdict
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -617,12 +618,39 @@ def test_pendant_check_rejects_ores_other_exception():
 
 
 def test_spectral_audit_builds_no_estimate_and_matches_no_graph(monkeypatch):
-    # the 8,008 level graphs and the pendant exception run as arrays; the
-    # one estimate is the campaign's own check of the isolated-vertex exception
+    # the 8,008 level graphs and the pendant exception run as arrays, and the
+    # isolated-vertex exception is checked in exact integers
     built = []
     original = spectral.SpectralEstimate
     monkeypatch.setattr(spectral, "SpectralEstimate", lambda *a: built.append(a) or original(*a))
     assert verify_spectral_theorem(6, 4, samples=0).passed
-    assert len(built) == 1
+    assert built == []
     assert not hasattr(canonical, "isomorphism")
     assert not hasattr(campaigns, "isomorphism")
+
+
+class _HeavierGraph(Hypergraph):
+    """A hypergraph whose every degree reads one more than it is."""
+
+    __slots__ = ()
+
+    def degrees(self) -> list[int]:
+        return [d + 1 for d in super().degrees()]
+
+
+@pytest.mark.parametrize("n,r", [(5, 2), (5, 3), (6, 4)])
+def test_the_isolated_exception_check_needs_both_exact_equalities(n, r, monkeypatch):
+    # lambda(K_{n-1}^r + v) = t holds as the form ratio at the clique's
+    # indicator (lambda >= t) and as the largest degree (lambda <= t); either
+    # one failing alone fails check (c)
+    t = comb(n - 2, r - 1)
+    note = "isolated-vertex exception failed its equality-case check"
+    assert note not in verify_spectral_theorem(n, r, samples=0).notes
+    with monkeypatch.context() as m:
+        m.setattr(campaigns, "exact_form_ratio", lambda h, x: Fraction(t) - Fraction(1, 10 ** 30))
+        rep = verify_spectral_theorem(n, r, samples=0)
+        assert not rep.passed and rep.notes == [note]
+    with monkeypatch.context() as m:
+        m.setattr(campaigns, "clique_plus_isolated", lambda n, r: _HeavierGraph(n, r, clique_plus_isolated(n, r).edges))
+        rep = verify_spectral_theorem(n, r, samples=0)
+        assert not rep.passed and rep.notes == [note]

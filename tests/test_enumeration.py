@@ -193,17 +193,22 @@ def test_level_masks_on_supergraph_levels():
             assert got == sorted(got)
 
 
-def test_level_masks_take_object_arrays_past_64_edges():
-    # (9, 3) has 84 possible edges, more than a uint64 mask holds
+WIDE = "batches need at most 64 universe edges, got 84"
+
+
+def test_level_masks_reject_universes_past_64_edges():
+    # (9, 3) has 84 possible edges, more than a uint64 mask holds; its levels
+    # and their sizes still exist, ranks past int64 included
     spec = LevelSpec(9, 3, 2)
-    got = level_masks(spec, np.arange(level_size(spec)))
-    assert got.dtype == object and len(got) == comb(84, 2)
-    assert got.tolist() == [colex_unrank(t, 2) for t in range(comb(84, 2))]
-    # ranks past int64 on a wider level go through the same path
+    assert level_size(spec) == comb(84, 2)
+    with pytest.raises(ValueError, match=WIDE):
+        level_masks(spec, np.arange(level_size(spec)))
+    with pytest.raises(ValueError, match=WIDE):
+        window_masks(spec, 0, 10)
     spec = LevelSpec(9, 3, 42)
-    lo = level_size(spec) - 5
-    ranks = np.array(range(lo, lo + 5), dtype=object)
-    assert level_masks(spec, ranks).tolist() == [colex_unrank(t, 42) for t in range(lo, lo + 5)]
+    assert level_size(spec) == comb(84, 42) > 1 << 63
+    with pytest.raises(ValueError, match=WIDE):
+        level_masks(spec, [0])
 
 
 @pytest.mark.parametrize("spec, free, table_digits", [
@@ -214,7 +219,7 @@ def test_level_masks_take_object_arrays_past_64_edges():
     (LevelSpec(8, 6, 8), 28, 4),  # four digits searched
     (LevelSpec(7, 3, 7, base=1 << 3 | 1 << 17), 33, 4),  # a supergraph base splits the free bits
     (LevelSpec(6, 3, 16, base=(1 << 11) - 1), 9, 5),  # a table past the peak of C(9, i)
-    (LevelSpec(9, 3, 4, base=1 << 40), 83, 2),  # object masks past 64 edges
+    (LevelSpec(9, 3, 4, base=1 << 40), 83, 2),  # past 64 edges: rejected
 ])
 def test_level_masks_split_between_the_digit_search_and_the_table(spec, free, table_digits):
     # the lowest table_digits digits of a rank come from one table lookup
@@ -225,8 +230,12 @@ def test_level_masks_split_between_the_digit_search_and_the_table(spec, free, ta
     total = level_size(spec)
     rng = random.Random(total)
     ranks = [0, 1, total - 2, total - 1] + rng.sample(range(total), min(total, 2000))
+    if comb(spec.n, spec.r) > 64:
+        with pytest.raises(ValueError, match=WIDE):
+            level_masks(spec, np.array(ranks))
+        return
     got = level_masks(spec, np.array(ranks))
-    assert got.dtype == (np.uint64 if free + spec.base.bit_count() <= 64 else object)
+    assert got.dtype == np.uint64
     assert got.tolist() == [oracle_mask(spec, t) for t in ranks]
 
 
@@ -267,11 +276,18 @@ def _prefix(spec: LevelSpec, mask: int) -> int:
     LevelSpec(7, 5, 6),  # j = k
     LevelSpec(7, 3, 7, base=1 << 3 | 1 << 17),  # a supergraph base splits the free bits
     LevelSpec(6, 3, 16, base=(1 << 11) - 1),  # j = k on a supergraph level
-    LevelSpec(9, 3, 4, base=1 << 40),  # object masks past 64 edges, one digit over the table
-    LevelSpec(9, 3, 2),  # object masks, j = k
+    LevelSpec(9, 3, 4, base=1 << 40),  # past 64 edges, one digit over the table: rejected
+    LevelSpec(9, 3, 2),  # past 64 edges, j = k: rejected
 ])
 def test_window_masks_equal_level_masks(spec):
     total = level_size(spec)
+    if comb(spec.n, spec.r) > 64:
+        for lo, hi in ((0, min(total, 3000)), (total - 1, total), (0, 0)):
+            with pytest.raises(ValueError, match=WIDE):
+                window_masks(spec, lo, hi)
+            with pytest.raises(ValueError, match=WIDE):
+                level_masks(spec, np.arange(lo, hi))
+        return
     rng = random.Random(total)
     windows = [(0, min(total, 3000)), (max(0, total - 3000), total), (0, 1), (total - 1, total),
                (total // 2, total // 2 + 1), (0, 0), (total, total)]
@@ -281,7 +297,7 @@ def test_window_masks_equal_level_masks(spec):
     for lo, hi in windows:
         want = level_masks(spec, np.arange(lo, hi))
         got = window_masks(spec, lo, hi)
-        assert got.dtype == want.dtype == (np.uint64 if comb(spec.n, spec.r) <= 64 else object)
+        assert got.dtype == want.dtype == np.uint64
         assert got.tolist() == want.tolist(), (lo, hi)
         if j < spec.m - spec.base.bit_count() and hi - lo > 1:
             prefixes = {_prefix(spec, mask) for mask in want.tolist()}

@@ -93,7 +93,7 @@ def test_euler_identity():
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 
-@pytest.mark.parametrize("k,r", [(4, 3), (5, 3), (6, 3), (6, 4), (7, 5)])
+@pytest.mark.parametrize("k,r", [(4, 3), (5, 3), (6, 3), (6, 4), (7, 5), (9, 3)])
 def test_complete_graph_spectral_radius(k, r):
     est = spectral_radius(complete(k, r), tol=1e-10)
     target = comb(k - 1, r - 1)
@@ -460,6 +460,18 @@ def test_numpy_float_and_out_of_range_thresholds_are_decided(t, want):
     assert threshold_verdicts(5, 3, [(1 << 10) - 1], t)[0] == [want]
 
 
+def test_graph_objects_keep_any_width_and_masks_need_at_most_64_universe_edges():
+    # K_9^3 has 84 edges: its own edges go through the kernel, its masks do not fit a uint64
+    h = complete(9, 3)
+    assert exceeds_threshold(h, 27) == CERTIFIED_ABOVE
+    assert exceeds_threshold(h, 29) == CERTIFIED_BELOW_OR_EQUAL
+    full = (1 << 84) - 1
+    with pytest.raises(ValueError, match="batches need at most 64 universe edges, got 84"):
+        spectral_radii(9, 3, [full])
+    with pytest.raises(ValueError, match="batches need at most 64 universe edges, got 84"):
+        threshold_verdicts(9, 3, [full], 28)
+
+
 def test_negative_chosen_mask_is_rejected():
     with pytest.raises(ValueError, match="negative"):
         spectral_radii(5, 3, [-1])
@@ -467,15 +479,19 @@ def test_negative_chosen_mask_is_rejected():
 
 @pytest.mark.parametrize("n,r", [(5, 3), (6, 4), (8, 3), (8, 4)])
 def test_picked_edges_unpacks_every_mask_bit(n, r):
-    # 10, 15 and 56 universe edges go through the uint64 bytes, 70 mask by mask
+    # 10, 15 and 56 universe edges go through the uint64 bytes; 70 are rejected
     width = comb(n, r)
     rng = random.Random(width)
     masks = [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(30)]
+    if width > 64:
+        for call in (spectral._picked_edges, spectral_radii):
+            with pytest.raises(ValueError, match=f"batches need at most 64 universe edges, got {width}"):
+                call(n, r, masks)
+        with pytest.raises(ValueError, match=f"batches need at most 64 universe edges, got {width}"):
+            threshold_verdicts(n, r, masks, comb(n - 2, r - 1))
+        return
     expected = np.array([[mask >> i & 1 for i in range(width)] for mask in masks], dtype=np.uint8)
-    forms = [masks, np.array(masks, dtype=object)]
-    if width <= 64:
-        forms.append(np.array(masks, dtype=np.uint64))
-    for form in forms:
+    for form in (masks, np.array(masks, dtype=object), np.array(masks, dtype=np.uint64)):
         assert np.array_equal(spectral._picked_edges(n, r, form), expected)
     assert spectral._picked_edges(n, r, []).shape == (0, width)
     with pytest.raises(ValueError, match="negative: -1"):
