@@ -82,7 +82,6 @@ REASON_SHADOW_NOT_HAMILTONIAN = "shadow_not_hamiltonian"
 REASON_EXHAUSTED = "search_exhausted"
 
 DECIDE_SLICE = 4096  # graphs per Hall-filter slice in ``BergeDecider.decide``, for any batch size
-HALL_BLOCK = 1024  # rows per broadcast in ``_hall``, which bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -129,17 +128,30 @@ def verify_certificate_rows(n: int, universe, chosen, kind: str, vertices, edges
     ``BergeDecider.certificates`` returns them) on the n-vertex graph of the
     ``universe`` edges (ascending masks) that ``chosen[i]`` selects.  The masks
     go through ``chosen_array``, so a bad one raises and so does a universe of
-    more than 64 edges.  The rows that ``_accepted`` does not accept go to
-    ``_explain`` one by one."""
+    more than 64 edges; ``_id_rows`` checks the ids.  The rows that
+    ``_accepted`` does not accept go to ``_explain`` one by one, as given."""
     chosen = chosen_array(chosen, len(universe))
-    vertices = np.asarray(vertices, dtype=np.intp)
-    edges = np.asarray(edges, dtype=np.uint64)
-    ok = _accepted(n, universe, chosen, kind, vertices, edges)
+    vertices, vertex_ids, vertex_fit = _id_rows(vertices, np.intp)
+    edges, edge_ids, edge_fit = _id_rows(edges, np.uint64)
+    ok = _accepted(n, universe, chosen, kind, vertices, edges) & vertex_fit & edge_fit
     out = [[] for _ in range(len(ok))]
     for i in np.flatnonzero(~ok).tolist():
-        cert = BergeCertificate(kind, tuple(vertices[i].tolist()), tuple(edges[i].tolist()))
+        cert = BergeCertificate(kind, tuple(vertex_ids[i].tolist()), tuple(edge_ids[i].tolist()))
         out[i] = _explain(n, universe, int(chosen[i]), cert)
     return out
+
+
+def _id_rows(rows, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of certificate ids as a ``dtype`` array (0s in a row it cannot hold),
+    as given, and whether it holds each row; a non-integer id raises ``TypeError``."""
+    given, info = np.asarray(rows), np.iinfo(dtype)
+    if given.dtype.kind in "iu" and info.min <= int(given.min(initial=0)) and int(given.max(initial=0)) <= info.max:
+        return given.astype(dtype, copy=False), given, np.ones(len(given), dtype=bool)
+    given = given.astype(object)
+    if bad := [v for v in given.flat if not isinstance(v, (int, np.integer))]:
+        raise TypeError(f"a certificate id is not an integer: {bad[0]!r}")
+    fit = ((given >= info.min) & (given <= info.max)).all(axis=1)
+    return np.where(fit[:, None], given, 0).astype(dtype), given, fit
 
 
 def _accepted(n: int, universe, chosen, kind: str, vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -614,17 +626,12 @@ def _hall(rows: np.ndarray, slots: tuple[int, ...], width: int) -> np.ndarray:
     need(U).  A row with p edges meets U in at least p - width + |U|, so
     it passes (U, need) when slack = need + width - |U| <= p: a call drops
     the pairs with slack at most its rows' smallest popcount and tests the
-    rest on blocks of ``HALL_BLOCK`` rows, one ``(unions × rows)``
-    broadcast popcount each, reduced along the unions so that each step
-    runs over a contiguous row of the block.
+    rest in one ``(unions × rows)`` broadcast popcount over at most
+    ``DECIDE_SLICE`` rows, reduced along the unions (contiguous rows).
     """
     unions, need, slack = _hall_sets(slots, width)
     live = slack > np.bitwise_count(rows).min(initial=width)
-    unions, need = unions[live, None], need[live, None]
-    ok = np.ones(len(rows), dtype=bool)
-    for lo in range(0, len(rows), HALL_BLOCK):
-        ok[lo:lo + HALL_BLOCK] = (np.bitwise_count(unions & rows[lo:lo + HALL_BLOCK]) >= need).all(axis=0)
-    return ok
+    return (np.bitwise_count(unions[live, None] & rows) >= need[live, None]).all(axis=0)
 
 
 def _find(h: Hypergraph, kind: str, endpoints=None) -> SearchResult:

@@ -16,9 +16,9 @@ requested tolerance, but only up to floating-point rounding: both ends are
 float sums, and either can land a few ulps on the wrong side of lambda
 (``complete(6, 4)`` has lambda = 10 and an ``upper`` of
 9.999999999999998; ``complete(5, 3)`` has lambda = 6 and a ``lower`` of
-6.000000000000002).  The exact guarantees are ``exact_form_ratio`` and
-``certified_above``, below; ``certified_below_or_equal`` verdicts rely on
-``tol`` being much larger than that rounding.
+6.000000000000002).  The exact guarantees are ``exact_form_ratio``,
+``certified_above`` and lambda <= Delta, below; other ``certified_below_or_equal``
+verdicts rely on ``tol`` being much larger than that rounding.
 
 One kernel, ``_power_iterate``, runs that iteration on a batch of graphs
 at once: a ``(B, E)`` 0/1 weight array picks each graph's edges out of a
@@ -51,24 +51,26 @@ as chosen-universe masks, ``chosen_array``'s ``uint64`` rows, so it and
 ``(n, r)`` edge universe and takes any width.  Both wrap its
 arrays in estimates; ``threshold_verdicts`` decides from them as they are.
 
-Strict threshold decisions re-derive the lower bound exactly at the
-returned vector.  Its float coordinates are dyadic rationals; scaled to a
-common power of two they become integers ``X_i``, and ``lambda > t`` is
-certified by the integer test ``r * den(t) * sum_e prod X_i > num(t) *
-sum_i X_i^r``, so campaign verdicts never hinge on floating-point
-rounding.  A verdict is ``certified_above`` when that test holds,
-``certified_below_or_equal`` when it fails and the float upper bound is
-at most ``t + tol`` (exact equality lands here), and ``undecided``
-otherwise.  One per-slice loop, ``_decide``, reaches every verdict: it
-brackets a slice settled against t, decides it, and retries its undecided
-graphs once at ``tol/1000``.  ``threshold_verdicts``, the audit's
-threshold decision, runs it over slices of masks; ``exceeds_threshold``
-runs it on one graph's own edges.  Its ``_verdicts`` puts a float filter
-in front of the exact test, settling a row when ``r * T`` and ``t * D``,
-recomputed in floats, differ by more than a margin proven to exceed their
-rounding error, so the filter's answer is the exact test's.  Rows inside
-the margin, rows whose vector the bound does not cover, and every row of
-a threshold that is not exactly a float go to ``certified_above``.
+Strict threshold decisions re-derive the lower bound exactly at the returned
+vector.  Its float coordinates are dyadic rationals; scaled to a common
+power of two they become integers ``X_i``, and ``lambda > t`` is certified
+by the integer test ``r * den(t) * sum_e prod X_i > num(t) * sum_i X_i^r``,
+so campaign verdicts never hinge on floating-point rounding.  A verdict is
+``certified_above`` when that test holds, ``certified_below_or_equal`` when
+it fails and the float upper bound is at most ``t + tol`` (exact equality
+lands here), and ``undecided`` otherwise.  One per-slice loop, ``_decide``,
+reaches every verdict: a graph of maximum degree Delta <= t is
+``certified_below_or_equal`` exactly, before any bracket (lambda <= Delta,
+Collatz-Wielandt at the all-ones vector); it brackets the rest settled
+against t, decides them, and retries its undecided graphs once at
+``tol/1000``.  ``threshold_verdicts``, the audit's threshold decision, runs
+it over slices of masks; ``exceeds_threshold`` runs it on one graph's own
+edges.  Its ``_verdicts`` puts a float filter in front of the exact test,
+settling a row when ``r * T`` and ``t * D``, recomputed in floats, differ by
+more than a margin proven to exceed their rounding error, so the filter's
+answer is the exact test's.  Rows inside the margin, rows whose vector the
+bound does not cover, and every row of a threshold that is not exactly a
+float go to ``certified_above``.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import repeat
-from math import frexp, isfinite
+from math import floor, frexp, isfinite
 
 import numpy as np
 
@@ -572,7 +574,7 @@ def _verdicts(n: int, r: int, members: np.ndarray, picked: np.ndarray, vectors: 
     (B, n) array ``vectors`` and its upper bound: ``certified_above`` when
     the exact form ratio at the vector exceeds t, else
     ``certified_below_or_equal`` when the upper bound is at most ``t +
-    tol``, else ``undecided``.
+    tol``, else ``undecided``; ``_decide`` settles Delta <= t before it.
 
     Per row, the float sums ``T = sum_e prod_{i in e} x_i`` and ``D =
     sum_i x_i^r`` are recomputed from the vector (``est.lower`` is not
@@ -610,7 +612,6 @@ def _verdicts(n: int, r: int, members: np.ndarray, picked: np.ndarray, vectors: 
     tol`` (in floats, or exactly when t is past the float range), else
     ``undecided``.
     """
-    _check_tol(tol)
     x = np.array(vectors, dtype=np.float64)
     tf = _as_float(t)
     settle = np.full(len(x), tf == t and 0 < tf < np.inf)
@@ -644,31 +645,38 @@ def _verdicts(n: int, r: int, members: np.ndarray, picked: np.ndarray, vectors: 
 
 def _decide(n: int, r: int, members: np.ndarray, picked: np.ndarray, t, tol: float):
     """(verdicts, converged) of the graphs that ``picked`` selects from
-    ``members`` (as in ``_components``): one ``_bracket`` call settled
-    against t (at most 50,000 steps) and one ``_verdicts`` call decide them,
-    and the undecided ones are re-bracketed together at ``tol/1000``
-    (500,000 steps) and decided again.  ``converged`` is a bool array of
-    whether each graph's brackets converged or settled.
+    ``members`` (as in ``_components``).  A graph of maximum degree Delta <=
+    t is ``certified_below_or_equal`` and converged with no bracket, exactly:
+    lambda <= Delta (Collatz-Wielandt at the all-ones vector) <= t.  Its
+    bracket would give that verdict too, and a False flag only at Delta = t,
+    neither converged nor settled within 50,000 steps.  The others get one
+    ``_bracket`` call settled against t (at most 50,000 steps) and one
+    ``_verdicts`` call; the undecided ones are re-bracketed together at
+    ``tol/1000`` (500,000 steps) and decided again.
     """
-    _, upper, vectors, _, done = _bracket(n, r, members, picked, tol, 50_000, t)
-    found = _verdicts(n, r, members, picked, vectors, upper, t, tol)
-    if retry := [i for i, verdict in enumerate(found) if verdict == UNDECIDED]:
-        again = picked[retry]
-        _, upper, vectors, _, redone = _bracket(n, r, members, again, tol / 1000, 500_000, t)
-        for i, verdict in zip(retry, _verdicts(n, r, members, again, vectors, upper, t, tol)):
-            found[i] = verdict
-        done[retry] &= redone
-    return found, done
+    _check_tol(tol)
+    degrees = picked @ (members[:, :, None] == np.arange(n)).any(axis=1).astype(np.intp)
+    # Delta > floor(t), with floor(t) clamped to [-1, E] so that it fits int64
+    rows = np.flatnonzero(degrees.max(axis=1) > min(max(floor(t), -1), len(members)))
+    found, done = np.full(len(picked), CERTIFIED_BELOW_OR_EQUAL, dtype=object), np.ones(len(picked), dtype=bool)
+    for at, steps in ((tol, 50_000), (tol / 1000, 500_000)):
+        if rows.size:
+            part = picked[rows]
+            _, upper, vectors, _, settled = _bracket(n, r, members, part, at, steps, t)
+            done[rows] &= settled
+            found[rows] = _verdicts(n, r, members, part, vectors, upper, t, tol)
+            rows = rows[found[rows] == UNDECIDED]
+    return found.tolist(), done
 
 
 def threshold_verdicts(n: int, r: int, chosen, t, tol: float = 1e-9) -> tuple[list[str], np.ndarray]:
     """(verdicts, converged) of graphs given as chosen-universe masks: each
-    graph's exact verdict on lambda against ``t`` (``certified_above``,
-    ``certified_below_or_equal`` or ``undecided``, as ``_verdicts`` defines
-    them), and a bool array of whether each of its brackets converged or
-    settled.  ``_decide`` runs on each ``SPECTRAL_SLICE`` graphs.  An
-    estimate does not depend on its batch, so no answer depends on the
-    slices, the order or the other graphs of the call.
+    graph's exact verdict on lambda against ``t`` (``certified_below_or_equal``
+    at once when its maximum degree Delta <= t, else as ``_verdicts`` defines
+    it), and a bool array of whether its brackets converged or settled, True
+    when Delta <= t (see ``_decide``).  ``_decide`` runs on each
+    ``SPECTRAL_SLICE`` graphs.  An estimate does not depend on its batch, so
+    no answer depends on the slices, the order or the other graphs of the call.
     """
     _check_args(n, r, tol)
     _check_threshold(t)

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from functools import cache, reduce
 from itertools import combinations
@@ -813,6 +814,33 @@ def test_verify_certificate_rows_checks_its_chosen_masks(mask, error, match):
         verify_certificate_rows(5, d.universe, [mask], "cycle", vertices, edges)
 
 
+@pytest.mark.parametrize("where, bad, want", [
+    ("vertex", 1.5, TypeError("a certificate id is not an integer: 1.5")),
+    ("edge", 19.5, TypeError("a certificate id is not an integer: 19.5")),
+    ("vertex", 2 ** 70, ["vertex out of range"]),
+    ("edge", 2 ** 70, ["edge [70] not in the hypergraph"]),
+    ("edge", -1, ValueError("a vertex mask is negative: -1")),
+], ids=["vertex-1.5", "edge-19.5", "vertex-2^70", "edge-2^70", "edge--1"])
+def test_verify_certificate_rows_checks_its_ids(where, bad, want):
+    # the complete(5, 3) cycle row with its first vertex or edge replaced: a
+    # non-integer id raises, and an integer id that the rows cannot hold goes
+    # to the explainer, which answers as verify_certificate does
+    d = BergeDecider(5, universe_masks(5, 3))
+    found, vertices, edges = d.certificates([(1 << 10) - 1], "cycle")
+    vs, es = vertices.tolist()[0], edges.tolist()[0]
+    (vs if where == "vertex" else es)[0] = bad
+    cert = BergeCertificate("cycle", tuple(vs), tuple(es))
+    if isinstance(want, list):
+        assert verify_certificate_rows(5, d.universe, [(1 << 10) - 1], "cycle", [vs], [es]) == [want]
+        assert verify_certificate(complete(5, 3), cert) == want
+        return
+    with pytest.raises(type(want), match=re.escape(str(want))):
+        verify_certificate_rows(5, d.universe, [(1 << 10) - 1], "cycle", [vs], [es])
+    if isinstance(want, ValueError):  # as verify_certificate raises it
+        with pytest.raises(ValueError, match=re.escape(str(want))):
+            verify_certificate(complete(5, 3), cert)
+
+
 def test_a_valid_sample_never_reaches_the_explainer(monkeypatch):
     def explain(*args):
         raise AssertionError("a valid certificate reached the explainer")
@@ -957,7 +985,7 @@ def test_hall_equals_every_set_across_block_edges(n, r, kind):
     tight = LevelSpec(n, r, len(slots) + 1)  # rows where Hall's condition often fails
     dense = LevelSpec(n, r, int(slack.max()))  # rows that every kept union passes by popcount alone
     for spec in (tight, dense):
-        for count in (1, 1023, 1024, 1025, 4096):  # around the 1,024-row blocks
+        for count in (1, 1023, 1024, 1025, 4096):  # one row, sizes near 1,024, and a whole 4,096-row slice
             rows = level_masks(spec, np.array(rng.choices(range(level_size(spec)), k=count)))
             got = berge._hall(rows, slots, width)
             assert got.dtype == bool and got.shape == (count,)

@@ -547,14 +547,36 @@ def test_a_path_level_graph_certified_above_is_an_edge_bound_violation(monkeypat
 
 
 def test_spectral_audit_sends_only_near_ties_to_the_exact_test(monkeypatch):
-    # the (6,4) levels hold 8,008 graphs; the float filter settles all but
-    # the near-ties, such as the copies of K_5^4 + v at lambda = t
+    # the (6,4) levels hold 8,008 graphs; the float filter settles every
+    # bracketed one, and the near-ties, the copies of K_5^4 + v at lambda =
+    # t, are settled by their maximum degree Delta = t before any bracket
     calls = []
     original = spectral.certified_above
     monkeypatch.setattr(spectral, "certified_above", lambda h, x, t: calls.append(h) or original(h, x, t))
     rep = verify_spectral_theorem(6, 4, samples=0)
     assert rep.passed and sum(lv.visited for lv in rep.levels) == 8008
-    assert 0 < len(calls) <= 100
+    assert len(calls) == 0
+
+
+def test_a_near_tie_above_its_maximum_degree_still_reaches_the_exact_test(monkeypatch):
+    # a (6,4) cycle-level graph with Delta > lambda, at t = its own float lower
+    # bound: the bracket runs as it would without t, the filter cannot settle
+    # the row, and the exact test at its vector gives the verdict
+    spec = LevelSpec(6, 4, comb(5, 4) + 1)
+    mask = int(level_masks(spec, np.arange(1))[0])
+    h = hypergraph_at(6, 4, mask)
+    est = spectral.spectral_radius(h, max_iter=50_000)
+    t = est.lower
+    assert max(h.degrees()) > t
+    calls = []
+    original = spectral.certified_above
+    monkeypatch.setattr(spectral, "certified_above",
+                        lambda g, x, t: calls.append((g, x.tobytes())) or original(g, x, t))
+    want = CERTIFIED_ABOVE if original(h, est.vector, t) else CERTIFIED_BELOW_OR_EQUAL
+    assert spectral.threshold_verdicts(6, 4, [mask], t)[0] == [want]
+    assert calls == [(h, est.vector.tobytes())]
+    calls.clear()
+    assert spectral.exceeds_threshold(h, t) == want and len(calls) == 1
 
 
 def test_audit_brackets_no_retry_without_undecided_verdicts(monkeypatch):

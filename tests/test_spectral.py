@@ -677,15 +677,19 @@ def test_threshold_verdicts_do_not_depend_on_slices_or_order(monkeypatch, n, r, 
 
 
 def test_undecided_verdicts_are_retried_at_a_thousandth_of_the_tolerance(monkeypatch):
-    # force the first verdict of every 25th (5,3) cycle-level graph to
-    # undecided, in slices of 100; the undecided graphs of a slice, and
-    # only they, are re-bracketed together at tol/1000, each as
-    # spectral_radius brackets it alone, and decided as the first pass
-    # would have decided them
+    # of the 462 graphs on the (5,3) audit levels, the 315 of maximum degree
+    # above t reach the bracket; force the first verdict of every 25th of them
+    # to undecided, in slices of 100; the undecided graphs of a slice, and only
+    # they, are re-bracketed together at tol/1000, each as spectral_radius
+    # brackets it alone, and decided as the first pass would have decided them
     tol = 1e-9
     t = threshold("spectral_cycle", 5, 3).value
-    masks = level_masks(LevelSpec(5, 3, 5), np.arange(252)).tolist()
-    targets = range(0, 252, 25)
+    masks = _audit_level_masks(5, 3)
+    tight = [i for i, mask in enumerate(masks) if max(hypergraph_at(5, 3, mask).degrees()) > t]
+    slices = [[i for i in tight if lo <= i < lo + 100] for lo in range(0, 462, 100)]
+    targets = tight[::25]
+    assert [len(rows) for rows in slices] == [96, 94, 73, 28, 24]
+    assert [sum(i in targets for i in rows) for rows in slices] == [4, 4, 3, 1, 1]
     monkeypatch.setattr(spectral, "SPECTRAL_SLICE", 100)
     brackets, first, short = [], [], []
     original_bracket, original_verdicts = spectral._bracket, spectral._verdicts
@@ -702,13 +706,13 @@ def test_undecided_verdicts_are_retried_at_a_thousandth_of_the_tolerance(monkeyp
             return verdicts
         lo = len(first)
         first.extend(verdicts)
-        return [UNDECIDED if lo + i in targets else verdict for i, verdict in enumerate(verdicts)]
+        return [UNDECIDED if tight[lo + i] in targets else verdict for i, verdict in enumerate(verdicts)]
 
     monkeypatch.setattr(spectral, "_bracket", bracket)
     want, converged = threshold_verdicts(5, 3, masks, t, tol)
     # no undecided verdict, no retry
     assert [(len(picked), at, cap) for picked, at, cap, _ in brackets] == [
-        (100, tol, 50_000), (100, tol, 50_000), (52, tol, 50_000)]
+        (96, tol, 50_000), (94, tol, 50_000), (73, tol, 50_000), (28, tol, 50_000), (24, tol, 50_000)]
     assert {want[i] for i in targets} == {CERTIFIED_ABOVE, CERTIFIED_BELOW_OR_EQUAL} and converged.all()
 
     brackets.clear()
@@ -716,13 +720,14 @@ def test_undecided_verdicts_are_retried_at_a_thousandth_of_the_tolerance(monkeyp
     got, done = threshold_verdicts(5, 3, masks, t, tol)
     assert got == want and np.array_equal(done, converged)
     assert [(len(picked), at, cap) for picked, at, cap, _ in brackets] == [
-        (100, tol, 50_000), (4, tol / 1000, 500_000), (100, tol, 50_000), (4, tol / 1000, 500_000),
-        (52, tol, 50_000), (3, tol / 1000, 500_000)]
-    for lo in (0, 100, 200):
-        (picked, *_), (again, _, _, run) = brackets[lo // 50:lo // 50 + 2]
-        rows = [i for i in targets if lo <= i < lo + 100]
-        assert np.array_equal(again, picked[[i - lo for i in rows]])
-        for i, lower, upper, vector, iterations, settled in zip(rows, *run):
+        (96, tol, 50_000), (4, tol / 1000, 500_000), (94, tol, 50_000), (4, tol / 1000, 500_000),
+        (73, tol, 50_000), (3, tol / 1000, 500_000), (28, tol, 50_000), (1, tol / 1000, 500_000),
+        (24, tol, 50_000), (1, tol / 1000, 500_000)]
+    for k, rows in enumerate(slices):
+        (picked, *_), (again, _, _, run) = brackets[2 * k:2 * k + 2]
+        retried = [i for i in rows if i in targets]
+        assert np.array_equal(again, picked[[rows.index(i) for i in retried]])
+        for i, lower, upper, vector, iterations, settled in zip(retried, *run):
             alone = spectral_radius(hypergraph_at(5, 3, masks[i]), tol / 1000, max_iter=500_000, t=t)
             assert (lower, upper, iterations, settled) == (alone.lower, alone.upper, alone.iterations, alone.converged)
             assert vector.tobytes() == alone.vector.tobytes()
@@ -789,6 +794,73 @@ def test_exact_equality_graphs_settle_below_or_equal(n, r):
     assert got == want == [CERTIFIED_BELOW_OR_EQUAL] * n
     for a, b in zip(settled, full):
         assert (a.lower, a.upper, a.iterations, a.converged) == (b.lower, b.upper, b.iterations, b.converged)
+
+
+def _spy_brackets(monkeypatch):
+    """The rows of every ``spectral._bracket`` call from here on, one list of
+    masks (bit i picks edge i of the call's ``members``) per call."""
+    calls = []
+    original = spectral._bracket
+
+    def bracket(n, r, members, picked, *args):
+        calls.append([sum(1 << i for i in np.flatnonzero(row).tolist()) for row in picked])
+        return original(n, r, members, picked, *args)
+
+    monkeypatch.setattr(spectral, "_bracket", bracket)
+    return calls
+
+
+@pytest.mark.parametrize("n,r,masks", [
+    (5, 3, _audit_level_masks(5, 3)),
+    (6, 4, _audit_level_masks(6, 4)),
+    (6, 3, _random_masks(random.Random(21), 6, 3, 300)),
+], ids=["levels-5-3", "levels-6-4", "random-6-3"])
+def test_graphs_of_maximum_degree_at_most_t_settle_before_any_bracket(monkeypatch, n, r, masks):
+    # lambda <= Delta: a graph with Delta <= t is certified below or equal and
+    # converged without a bracket, and the audit mirror, which brackets every
+    # graph, agrees; every other graph keeps the mirror's verdict and flag
+    t_spec = threshold("spectral_cycle", n, r).value
+    degrees = [max(hypergraph_at(n, r, mask).degrees()) for mask in masks]
+    calls = _spy_brackets(monkeypatch)
+    for t in (t_spec, t_spec - 1e-3, t_spec + 1e-3, Fraction(t_spec), np.float32(t_spec)):
+        calls.clear()
+        verdicts, converged = threshold_verdicts(n, r, masks, t)
+        bracketed = {mask for call in calls for mask in call}
+        want, _, unconverged = _audit_verdicts(n, r, masks, t, settle=True)
+        settled = set()
+        for mask, delta, verdict, done, mirror, late in zip(masks, degrees, verdicts, converged.tolist(), want,
+                                                            unconverged):
+            if delta <= t:
+                assert (verdict, done) == (CERTIFIED_BELOW_OR_EQUAL, True) and mirror == verdict
+                assert mask not in bracketed
+                settled.add(mask)
+            else:
+                assert (verdict, done) == (mirror, not late)
+        if n - r == 2 and t >= t_spec:  # the level sets hold the n copies of K_{n-1}^r + v, of Delta = t
+            assert set(isolated_copies(n, r)) <= settled
+        assert settled or t < t_spec
+
+
+def test_maximum_degree_settles_huge_thresholds_and_edgeless_graphs_but_no_negative_threshold(monkeypatch):
+    masks = [0, *_audit_level_masks(5, 3)]
+    calls = _spy_brackets(monkeypatch)
+    # past the int64 range every graph settles
+    verdicts, converged = threshold_verdicts(5, 3, masks, 10 ** 400)
+    assert verdicts == [CERTIFIED_BELOW_OR_EQUAL] * len(masks) and converged.all()
+    assert exceeds_threshold(complete(5, 3), 10 ** 400) == CERTIFIED_BELOW_OR_EQUAL
+    # an edgeless graph has Delta = 0
+    verdicts, converged = threshold_verdicts(5, 3, [0], 0)
+    assert (verdicts, converged.tolist()) == ([CERTIFIED_BELOW_OR_EQUAL], [True])
+    assert exceeds_threshold(Hypergraph(5, 3, []), 0) == CERTIFIED_BELOW_OR_EQUAL
+    # lambda(K_5^3 + v) = Delta = 6
+    assert exceeds_threshold(clique_plus_isolated(6, 3), 6) == CERTIFIED_BELOW_OR_EQUAL
+    assert calls == []
+    # below 0 every graph is bracketed, the edgeless one included, and above t
+    for t in (-0.5, -1, -10 ** 400):
+        calls.clear()
+        verdicts, converged = threshold_verdicts(5, 3, masks, t)
+        assert sorted(mask for call in calls for mask in call) == sorted(masks)
+        assert verdicts == [CERTIFIED_ABOVE] * len(masks) and converged.all()
 
 
 def test_equality_case_stays_below_or_equal_inside_a_batch():
