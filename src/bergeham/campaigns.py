@@ -42,7 +42,7 @@ import numpy as np
 
 from .berge import BergeCertificate, BergeDecider, verify_certificate_rows
 from .bounds import threshold
-from .canonical import canonical_form
+from .canonical import MAX_EXACT_VERTICES, canonical_form
 from .enumeration import (
     ALL_LABELED,
     DEFAULT_BUDGET,
@@ -428,8 +428,11 @@ def verify_edge_theorem(
     labeled isolated-vertex copies.  Together with monotonicity under
     edge addition this settles every edge count.  At r = 2 this is Ore's
     theorem, which fails by naming its extra exceptions at n = 4 (the star
-    K_{1,3}, no path) and n = 5 (K_2 ∨ \bar K_3, no cycle).
+    K_{1,3}, no path) and n = 5 (K_2 ∨ \bar K_3, no cycle).  Exceptions are
+    canonized exactly, so n is checked against ``MAX_EXACT_VERTICES`` first.
     """
+    if n > MAX_EXACT_VERTICES:
+        raise ValueError(f"exact canonicalization only supports n <= {MAX_EXACT_VERTICES}, got n={n}")
     plan = monotone_reduction_plan(n, r)
     t0 = time.perf_counter()
     rng = random.Random(seed)

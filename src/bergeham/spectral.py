@@ -35,17 +35,20 @@ bracket may be wide, but it gives the verdict that its ``tol``-wide
 bracket would (``_power_iterate`` proves this, and states what it
 assumes about ``tol``).
 
-The form splits over shadow components, so there is one path, ``_bracket``:
-it runs the components with k vertices of a batch's graphs as rows of one
-kernel call in local labels, and reassembles each graph's estimate from its
-own components.  Most graphs are whole, their shadow connected on all n
-vertices, which makes them weakly irreducible (Friedland, Gaubert & Han,
-LAA 438, 2013) and each its own single component: one vertex-mask closure
-finds them, and they run as they are in the k = n call, over the union
-of their edges.  Only the other graphs (an isolated vertex, a split shadow,
-no edge) are split into components.  An estimate therefore does not
-depend on which graphs share its batch.  ``spectral_radii`` feeds it graphs
-as chosen-universe masks, ``chosen_array``'s ``uint64`` rows, so it and
+The form splits over shadow components, and each component is a whole
+graph on its own vertices, weakly irreducible (Friedland, Gaubert & Han,
+LAA 438, 2013).  One path, ``_bracket``, builds every estimate.  Most
+graphs are whole, their shadow connected on all n vertices: one
+vertex-mask closure finds them, and they run together as rows of one
+kernel call over the union of their edges.  Every other graph (an isolated
+vertex, a split shadow, no edge) runs one component at a time, each alone
+on its vertices in local labels, and its estimate is rebuilt from its
+components.  None of these reaches the spectral audit's brackets: a graph
+that is not whole has every vertex in a component of at most n - 1
+vertices, so Delta <= C(n-2, r-1), the audit's threshold, and ``_decide``
+settles it before any bracket.  An estimate does not depend on which
+graphs share its batch.  ``spectral_radii`` feeds it graphs as
+chosen-universe masks, ``chosen_array``'s ``uint64`` rows, so it and
 ``threshold_verdicts`` take universes of at most 64 edges;
 ``spectral_radius`` feeds it one graph's own edges, so it never builds the
 ``(n, r)`` edge universe and takes any width.  Both wrap its
@@ -83,7 +86,7 @@ from math import floor, frexp, isfinite
 
 import numpy as np
 
-from .hypergraph import MAX_VERTICES, Hypergraph, chosen_array, members_of, universe_masks
+from .hypergraph import MAX_VERTICES, Hypergraph, chosen_array, mask_of, members_of, universe_masks
 
 CERTIFIED_ABOVE = "certified_above"
 CERTIFIED_BELOW_OR_EQUAL = "certified_below_or_equal"
@@ -278,7 +281,7 @@ def _power_iterate(edges: np.ndarray, weights: np.ndarray, k: int, r: int, tol: 
 
 
 def _whole_rows(n: int, members: np.ndarray, picked: np.ndarray) -> np.ndarray:
-    """Bool per row of ``picked`` (as in ``_components``): whether the
+    """Bool per row of ``picked`` (as in ``_bracket``): whether the
     graph's shadow is connected on all n vertices.
 
     Each row's vertex mask grows from vertex 0 by the mask of every picked
@@ -300,78 +303,16 @@ def _whole_rows(n: int, members: np.ndarray, picked: np.ndarray) -> np.ndarray:
     return whole
 
 
-def _components(n: int, r: int, members: np.ndarray, picked: np.ndarray):
-    """Shadow components of B graphs, grouped by vertex count for the kernel.
-
-    Row b of the (B, E) 0/1 ``picked`` selects graph b's edges from the
-    (E, r) ``members``, given in ascending mask order.  A component is
-    named ``b * n + its lowest vertex``.  Returns each vertex's component
-    name and rank in it (its local label), both (B, n), and per vertex
-    count k the tuple (k, names, edges, weights): the components with k
-    vertices and an edge, the union of their edges in local labels and
-    ascending mask order, and the (components, edges) 0/1 selection.
-
-    A whole graph, its shadow connected on all n vertices (``_whole_rows``),
-    is its own single component, named ``b * n`` and in identity labels,
-    so the whole graphs make up the k = n group as they are, their
-    ``picked`` rows cut to the union of their edges.  Only the other
-    graphs are split, by ``_split_components``.
-    """
-    b = len(picked)
-    whole = _whole_rows(n, members, picked)
-    name = np.repeat(np.arange(b) * n, n).reshape(b, n)
-    local = np.tile(np.arange(n), (b, 1))
-    rows = np.flatnonzero(whole)
-    groups = []
-    if rows.size:
-        weights = picked[rows]
-        used = np.flatnonzero(weights.any(axis=0))          # the union of their edges
-        groups.append((n, rows * n, members[used], weights[:, used].astype(np.float64)))
-    split = np.flatnonzero(~whole)
-    if split.size:
-        part_name, part_local, part_groups = _split_components(n, members, picked[split])
-        lift = (split - np.arange(split.size)) * n          # row i of the split is graph split[i]
-        name[split] = part_name + lift[:, None]
-        local[split] = part_local
-        groups += [(k, names + lift[names // n], edges, weights) for k, names, edges, weights in part_groups]
-    return name, local, groups
-
-
-def _split_components(n: int, members: np.ndarray, picked: np.ndarray):
-    """``_components`` of any B graphs, each split into its shadow
-    components through boolean reach matrices."""
-    b, width = picked.shape
-    graph, edge = np.divmod(np.flatnonzero(picked), width)
-    at = members[edge] + (graph * n)[:, None]      # each picked edge's members, as b * n + v
-    # each edge joins its lowest member to the others; reach[b, v, w] says
-    # whether v and w share a shadow component of graph b
-    reach = np.zeros((b, n, n), dtype=bool)
-    reach.ravel()[(at[:, :1] * n + members[edge]).ravel()] = True
-    reach |= reach.transpose(0, 2, 1) | np.eye(n, dtype=bool)
-    for _ in range((n - 1).bit_length()):      # paths of up to 2^k edges
-        reach = reach @ reach
-    name = reach.argmax(axis=2) + np.arange(b)[:, None] * n
-    local = np.einsum("bvw,vw->bv", reach.view(np.uint8), np.tri(n, k=-1, dtype=np.uint8))
-    size = np.einsum("bvw->bv", reach.view(np.uint8)).ravel()
-    comps = np.flatnonzero((name.ravel() == np.arange(b * n)) & (size > 1))
-    # each picked edge's component and local mask
-    edge_comp = name.ravel()[at[:, 0]]
-    keys = np.left_shift(np.uint64(1), local.astype(np.uint64)).ravel()[at].sum(axis=1, dtype=np.uint64)
-    row = np.zeros(b * n, dtype=np.intp)     # a component's row in its group
-    groups = []
-    for k in set(size[comps].tolist()):
-        rows = comps[size[comps] == k]
-        row[rows] = np.arange(len(rows))
-        sel = np.flatnonzero(size[edge_comp] == k)
-        masks = np.sort(keys[sel])
-        masks = masks[np.append(True, masks[1:] != masks[:-1])]
-        column = np.searchsorted(masks, keys[sel])
-        some = np.empty(len(masks), dtype=np.intp)
-        some[column] = sel                     # edges of one mask share their local labels
-        weights = np.zeros((len(rows), len(masks)))
-        weights[row[edge_comp[sel]], column] = 1.0
-        groups.append((k, rows, local.ravel()[at[some]].astype(np.intp), weights))
-    return name, local, groups
+def _shadow_components(edges: np.ndarray) -> list[list[int]]:
+    """The sorted vertex lists of the shadow components that hold an edge
+    of the (E, r) member array ``edges``, in order of their lowest vertex."""
+    comps: list[int] = []                      # disjoint vertex masks
+    for e in map(mask_of, edges.tolist()):
+        for c in [c for c in comps if c & e]:
+            comps.remove(c)
+            e |= c
+        comps.append(e)
+    return sorted(list(members_of(c)) for c in comps)
 
 
 def _as_float(t) -> float:
@@ -413,34 +354,48 @@ def _check_threshold(t) -> None:
 def _bracket(n: int, r: int, members: np.ndarray, picked: np.ndarray, tol: float,
              max_iter: int, t=None):
     """The arrays (lower, upper, (B, n) vectors, iterations, converged) of the
-    estimates of the graphs that ``picked`` selects from ``members`` (as in
-    ``_components``), reassembled from the kernel rows of their components,
-    each run until converged or settled against the threshold ``t`` (see
-    ``_power_iterate``); a ``t`` that is None, or has no float, settles nothing.
-    Whole graphs skip the split (see ``_components``), and their kernel
-    group is the one the split would build.
+    estimates of the graphs that row b of the (B, E) 0/1 ``picked`` selects
+    from the (E, r) ``members``, given in ascending mask order, each shadow
+    component run until converged or settled against the threshold ``t``
+    (see ``_power_iterate``); a ``t`` that is None, or has no float, settles
+    nothing.
+
+    Whole graphs (``_whole_rows``) are each their own single component and
+    run together in one kernel call over the union of their edges.  Every
+    other graph runs one component at a time, on its k vertices in local
+    labels, and takes the largest upper bound, the summed iterations, all
+    converged, and the vector of its first component (by lowest vertex) of
+    largest lower bound; an edgeless graph takes the uniform vector.
     """
     _check_args(n, r, tol, max_iter)
     b, width = picked.shape
-    name, local, groups = _components(n, r, members, picked)
     t = _as_float(t)
-    runs = [(k, rows, _power_iterate(edges, weights, k, r, tol, max_iter, t))
-            for k, rows, edges, weights in groups]
-    # per component name, filled where a component ran (allocated after the
-    # kernel runs, which keeps them off the memory peak)
-    comp_lower, comp_upper = np.full(b * n, -np.inf), np.zeros(b * n)
-    comp_iter, comp_conv = np.zeros(b * n, dtype=np.intp), np.ones(b * n, dtype=bool)
-    comp_vec = np.zeros((b * n, n))
-    for k, rows, run in runs:
-        comp_lower[rows], comp_upper[rows], comp_vec[rows, :k], comp_iter[rows], comp_conv[rows] = run
-    # each graph: the largest upper bound, the summed iterations, all
-    # converged, and the vector of its lowest-named component of largest lower
-    upper = comp_upper.reshape(b, n).max(axis=1)
-    iterations = comp_iter.reshape(b, n).sum(axis=1)
-    converged = comp_conv.reshape(b, n).all(axis=1)
-    best = comp_lower.reshape(b, n).argmax(axis=1) + np.arange(b) * n
-    vectors = np.where(name == best[:, None], comp_vec[best[:, None], local], 0.0)
-    vectors[~picked.any(axis=1)] = n ** (-1.0 / r)      # edgeless graphs: the uniform vector
+    upper, vectors = np.zeros(b), np.full((b, n), n ** (-1.0 / r))
+    iterations, converged = np.zeros(b, dtype=np.intp), np.ones(b, dtype=bool)
+    whole = _whole_rows(n, members, picked)
+    rows = np.flatnonzero(whole)
+    if rows.size:
+        weights = picked[rows]
+        used = np.flatnonzero(weights.any(axis=0))          # the union of their edges
+        _, upper[rows], vectors[rows], iterations[rows], converged[rows] = _power_iterate(
+            members[used], weights[:, used].astype(np.float64), n, r, tol, max_iter, t)
+    for i in np.flatnonzero(~whole).tolist():
+        edges = members[np.flatnonzero(picked[i])]
+        best = -np.inf
+        for verts in _shadow_components(edges):
+            local = np.full(n, -1)
+            local[verts] = range(len(verts))
+            own = local[edges]
+            own = own[own[:, 0] >= 0]                       # the component's edges, in local labels
+            (lo,), (up,), (vec,), (its,), (conv,) = _power_iterate(
+                own, np.ones((1, len(own))), len(verts), r, tol, max_iter, t)
+            upper[i] = max(upper[i], up)
+            iterations[i] += its
+            converged[i] &= conv
+            if lo > best:
+                best = lo
+                vectors[i] = 0.0
+                vectors[i, verts] = vec
     # the form at each vector, summed over the graph's own edges exactly as
     # evaluate_form sums them; graphs are grouped by edge count
     graph, edge = np.divmod(np.flatnonzero(picked), width)
@@ -570,7 +525,7 @@ def _margin(k: int) -> float:
 def _verdicts(n: int, r: int, members: np.ndarray, picked: np.ndarray, vectors: np.ndarray, uppers,
               t, tol: float) -> list[str]:
     """The verdict on lambda against ``t`` of each graph that ``picked``
-    selects from ``members`` (as in ``_components``), at its row of the
+    selects from ``members`` (as in ``_bracket``), at its row of the
     (B, n) array ``vectors`` and its upper bound: ``certified_above`` when
     the exact form ratio at the vector exceeds t, else
     ``certified_below_or_equal`` when the upper bound is at most ``t +
@@ -645,7 +600,7 @@ def _verdicts(n: int, r: int, members: np.ndarray, picked: np.ndarray, vectors: 
 
 def _decide(n: int, r: int, members: np.ndarray, picked: np.ndarray, t, tol: float):
     """(verdicts, converged) of the graphs that ``picked`` selects from
-    ``members`` (as in ``_components``).  A graph of maximum degree Delta <=
+    ``members`` (as in ``_bracket``).  A graph of maximum degree Delta <=
     t is ``certified_below_or_equal`` and converged with no bracket, exactly:
     lambda <= Delta (Collatz-Wielandt at the all-ones vector) <= t.  Its
     bracket would give that verdict too, and a False flag only at Delta = t,

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import bergeham
+from bergeham import campaigns
 from bergeham.berge import BergeDecider
 from bergeham.cli import run_cli
 from bergeham.enumeration import LevelSpec, hypergraph_at, level_masks, pendant_copies
@@ -204,6 +205,15 @@ def test_budget_exceeded_exits_2(capsys):
     assert run(["verify", "edges", "--n", "8", "--r", "3", "--budget", "1000"]) == 2
     err = capsys.readouterr().err
     assert "infeasible" in err and "785613562163430" in err
+
+
+def test_edge_campaign_past_exact_canonicalization_exits_2_before_its_sweep(monkeypatch, capsys):
+    # the budget admits the (11,9) cycle level, 119,653,565,850 graphs; the
+    # exceptions it finds could not be canonized, so nothing is swept
+    monkeypatch.setattr(campaigns, "run_chunks", lambda *args, **kw: pytest.fail("swept a level"))
+    assert run(["verify", "edges", "--n", "11", "--r", "9", "--budget", str(10 ** 12)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n <= 10, got n=11" in err
 
 
 def test_negative_counts_exit_2(capsys):

@@ -348,6 +348,10 @@ def _whole_of(n, r, masks):
 def test_whole_rows_are_the_graphs_shadow_connected_on_all_vertices(n, r):
     masks = _whole_row_cases(n, r)
     assert _whole_of(n, r, masks).tolist() == [len(_split(hypergraph_at(n, r, mask))) == 1 for mask in masks]
+    # the components that _bracket runs one at a time: every one with an edge
+    for mask in masks:
+        h = hypergraph_at(n, r, mask)
+        assert spectral._shadow_components(spectral._edge_index_array(h)) == [c for c in _split(h) if len(c) > 1]
 
 
 @pytest.mark.parametrize("max_iter", [3, 50_000])
@@ -839,6 +843,28 @@ def test_graphs_of_maximum_degree_at_most_t_settle_before_any_bracket(monkeypatc
         if n - r == 2 and t >= t_spec:  # the level sets hold the n copies of K_{n-1}^r + v, of Delta = t
             assert set(isolated_copies(n, r)) <= settled
         assert settled or t < t_spec
+
+
+@pytest.mark.parametrize("n,r,masks", [
+    (5, 3, _audit_level_masks(5, 3)),
+    (6, 4, _audit_level_masks(6, 4)),
+    (6, 3, _random_masks(random.Random(21), 6, 3, 300)),
+    (7, 3, _random_masks(random.Random(23), 7, 3, 300)),
+    (5, 2, _random_masks(random.Random(24), 5, 2, 300)),
+], ids=["levels-5-3", "levels-6-4", "random-6-3", "random-7-3", "random-5-2"])
+def test_only_whole_graphs_reach_the_bracket_at_the_spectral_threshold(monkeypatch, n, r, masks):
+    # a graph that is not whole has every vertex in a component of at most
+    # n - 1 vertices, so Delta <= C(n-2, r-1) = t and it settles before any
+    # bracket: the audit never runs _bracket's per-component loop.  One
+    # below t, the copies of K_{n-1}^r + v (Delta = t) reach the loop.
+    masks = masks + sorted(isolated_copies(n, r)) + _whole_row_cases(n, r)
+    t = threshold("spectral_cycle", n, r).value
+    calls = _spy_brackets(monkeypatch)
+    for at, split in ((t, False), (t - 1, True)):
+        calls.clear()
+        threshold_verdicts(n, r, masks, at)
+        rows = [mask for call in calls for mask in call]
+        assert rows and (not _whole_of(n, r, rows).all()) == split
 
 
 def test_maximum_degree_settles_huge_thresholds_and_edgeless_graphs_but_no_negative_threshold(monkeypatch):
