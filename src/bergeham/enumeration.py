@@ -44,6 +44,7 @@ from __future__ import annotations
 import multiprocessing
 import operator
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import comb
@@ -295,8 +296,9 @@ def run_chunks(
     one window per task and a row of many small levels, such as a
     supergraph closure, few tasks.  ``chunk_fn(task)`` gets a task's
     windows as ``(spec, lo, hi)`` triples and returns one result per
-    window.  The tasks run through one ``map``: the builtin one, or with
-    ``jobs > 1`` and more than one task, a ``ProcessPoolExecutor``'s.
+    window.  Each task is packed as it is about to run, in a serial run or,
+    with ``jobs > 1`` and more than one task, on a ``ProcessPoolExecutor``
+    that holds at most ``2 * jobs`` tasks ahead of the one merged next.
     ``chunk_fn`` must be picklable and pure; the returned list holds one
     result per window, ordered by level and rank, so any aggregation over
     it is independent of the worker count.  The pool forks where the
@@ -313,36 +315,49 @@ def run_chunks(
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    tasks: list[list[tuple[LevelSpec, int, int]]] = []
-    room = 0  # graphs the last task can still take
-    for spec in specs:
-        total = level_size(spec)
+    sizes = [level_size(spec) for spec in specs]
+    for spec, total in zip(specs, sizes):
         if budget is not None and total > budget:
             raise BudgetExceeded(total, budget, spec)
-        for lo in range(0, total, chunk_size):
-            hi = min(lo + chunk_size, total)
-            if hi - lo > room:
-                tasks.append([])
-                room = chunk_size
-            tasks[-1].append((spec, lo, hi))
-            room -= hi - lo
 
-    def merged(outputs) -> list:
+    def tasks():
+        task, room = [], chunk_size  # room: graphs the task can still take
+        for spec, total in zip(specs, sizes):
+            for lo in range(0, total, chunk_size):
+                hi = min(lo + chunk_size, total)
+                if hi - lo > room:
+                    yield task
+                    task, room = [], chunk_size
+                task.append((spec, lo, hi))
+                room -= hi - lo
+        if task:
+            yield task
+
+    def merged(runs) -> list:
         results = []
-        for task, out in zip(tasks, outputs):
+        for task, out in runs:
             for (spec, lo, hi), res in zip(task, out, strict=True):
                 if progress is not None:
                     progress(spec, lo, hi, res)
                 results.append(res)
         return results
 
-    if jobs == 1 or len(tasks) < 2:
-        return merged(map(chunk_fn, tasks))
+    if jobs == 1 or sum(sizes) <= chunk_size:  # one task holds every window
+        return merged((task, chunk_fn(task)) for task in tasks())
     from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for the import
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context(method))
+
+    def submitted():
+        ahead: deque = deque()
+        for task in tasks():
+            ahead.append((task, pool.submit(chunk_fn, task)))
+            if len(ahead) > 2 * jobs:
+                yield ahead.popleft()
+        yield from ahead
+
     try:
-        return merged(pool.map(chunk_fn, tasks))
+        return merged((task, future.result()) for task, future in submitted())
     finally:
         pool.shutdown(cancel_futures=True)  # an error stops the queued tasks too
 

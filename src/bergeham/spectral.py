@@ -21,38 +21,38 @@ float sums, and either can land a few ulps on the wrong side of lambda
 verdicts rely on ``tol`` being much larger than that rounding.
 
 One kernel, ``_power_iterate``, runs that iteration on a batch of graphs
-at once: a ``(B, E)`` 0/1 weight array picks each graph's edges out of a
-shared edge list, leave-one-out products and a ``np.bincount`` scatter
-build ``A x^{r-1}`` for every row, and a row leaves the batch on the step
-it converges.  Absent edges add exact zeros in the same order as the
-single-graph scatter, so every row's iterates are those of a run on its
-graph alone.  Without a threshold, converged means a bracket at most
-``tol`` wide.  A caller that decides a threshold ``t`` (``threshold_verdicts``,
-``exceeds_threshold``) passes it, and a row is then also done once
-its bracket is settled, clear of t by ``tol``: ``upper < t - tol`` or
-``lower > t + tol``.  A settled estimate counts as converged; its
-bracket may be wide, but it gives the verdict that its ``tol``-wide
-bracket would (``_power_iterate`` proves this, and states what it
-assumes about ``tol``).
+at once, each over its own edges: a row lists a graph's edges in ascending
+mask order, padded up to the batch's largest edge count (a level window
+has no pads), leave-one-out products and a ``np.bincount`` scatter over
+those edges build ``A x^{r-1}`` for every row, and a row leaves the batch
+on the step it converges.  Each vertex sums its edges' terms in the order
+of a run on its graph alone, and every pad's term lands past all rows, so
+every row's iterates are that run's, bit for bit.  Without a threshold,
+converged means a bracket at most ``tol`` wide.  A caller that decides a
+threshold ``t`` (``threshold_verdicts``, ``exceeds_threshold``) passes it,
+and a row is then also done once its bracket is settled, clear of t by
+``tol``: ``upper < t - tol`` or ``lower > t + tol``.  A settled estimate
+counts as converged; its bracket may be wide, but it gives the verdict
+that its ``tol``-wide bracket would (``_power_iterate`` proves this, and
+states what it assumes about ``tol``).
 
 The form splits over shadow components, and each component is a whole
 graph on its own vertices, weakly irreducible (Friedland, Gaubert & Han,
 LAA 438, 2013).  One path, ``_bracket``, builds every estimate.  Most
-graphs are whole, their shadow connected on all n vertices: one
-vertex-mask closure finds them, and they run together as rows of one
-kernel call over the union of their edges.  Every other graph (an isolated
-vertex, a split shadow, no edge) runs one component at a time, each alone
-on its vertices in local labels, and its estimate is rebuilt from its
-components.  None of these reaches the spectral audit's brackets: a graph
-that is not whole has every vertex in a component of at most n - 1
-vertices, so Delta <= C(n-2, r-1), the audit's threshold, and ``_decide``
-settles it before any bracket.  An estimate does not depend on which
-graphs share its batch.  ``spectral_radii`` feeds it graphs as
+graphs are whole, their shadow connected on all n vertices (``_whole_rows``),
+and run together as rows of one kernel call.  Every other graph (an
+isolated vertex, a split shadow, no edge) runs one component at a time,
+each alone on its vertices in local labels, and its estimate is rebuilt
+from its components.  None of these reaches the spectral audit's
+brackets: a split shadow puts every vertex in a component of at most
+n - 1 vertices, so Delta <= C(n-2, r-1), the audit's threshold, and
+``_decide`` settles it before any bracket.  An estimate does not depend on
+which graphs share its batch.  ``spectral_radii`` feeds it graphs as
 chosen-universe masks, ``chosen_array``'s ``uint64`` rows, so it and
 ``threshold_verdicts`` take universes of at most 64 edges;
 ``spectral_radius`` feeds it one graph's own edges, so it never builds the
-``(n, r)`` edge universe and takes any width.  Both wrap its
-arrays in estimates; ``threshold_verdicts`` decides from them as they are.
+``(n, r)`` edge universe and takes any width.  Both wrap its arrays in
+estimates; ``threshold_verdicts`` decides from them as they are.
 
 Strict threshold decisions re-derive the lower bound exactly at the returned
 vector.  Its float coordinates are dyadic rationals; scaled to a common
@@ -80,9 +80,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
 from itertools import repeat
-from math import floor, frexp, isfinite
+from math import comb, floor, frexp, isfinite
 
 import numpy as np
 
@@ -160,11 +160,11 @@ def gradient_form(h: Hypergraph, x) -> np.ndarray:
     return h.r * grad
 
 
-def _leave_one_out(cols: list[np.ndarray], weights: np.ndarray | None = None) -> np.ndarray:
+def _leave_one_out(cols: list[np.ndarray]) -> np.ndarray:
     """Leave-one-out products of r same-shape arrays, stacked on a new last axis.
 
     Entry j is (cols[0] * ... * cols[j-1]) * (cols[r-1] * ... * cols[j+1]),
-    each running product taken in that order, then times ``weights`` if given.
+    each running product taken in that order.
     """
     r = len(cols)
     pref = [cols[0]]                 # pref[j] = cols[0] * ... * cols[j]
@@ -174,22 +174,18 @@ def _leave_one_out(cols: list[np.ndarray], weights: np.ndarray | None = None) ->
     for c in cols[-2:0:-1]:
         suff.append(suff[-1] * c)
     parts = [suff[-1], *(pref[j - 1] * suff[r - 2 - j] for j in range(1, r - 1)), pref[-1]]
-    out = np.empty(cols[0].shape + (r,))
-    for j, part in enumerate(parts):
-        out[..., j] = part if weights is None else part * weights
-    return out
+    return np.concatenate([part[..., None] for part in parts], axis=-1)
 
 
-def _power_iterate(edges: np.ndarray, weights: np.ndarray, k: int, r: int, tol: float, max_iter: int,
-                   t: float):
-    """Power-iterate B graphs on k vertices at once over one shared edge list.
+def _power_iterate(verts: np.ndarray, k: int, r: int, tol: float, max_iter: int, t: float):
+    """Power-iterate B graphs on k vertices at once, each over its own edges.
 
-    ``edges`` is an (E, r) array of vertex indices in [0, k) and row b of
-    the (B, E) 0/1 array ``weights`` selects graph b's edges.  Every graph
-    needs at least one edge and a shadow connected on all k vertices.
-    Returns per-row arrays (lower, upper, vectors, iterations, converged):
-    ``lower`` and ``upper`` bracket the last step taken, and each vector is
-    l_r-normalized and strictly positive.
+    Row b of the (B, M, r) ``verts`` lists graph b's edges, vertex indices
+    in [0, k), in ascending mask order, then pads of vertex B * k or more,
+    whose terms land past ``A x^{r-1}``.  Every graph needs an edge and a
+    shadow connected on all k vertices.  Returns per-row arrays (lower, upper,
+    vectors, iterations, converged): ``lower`` and ``upper`` bracket the
+    last step taken, and each vector is l_r-normalized and positive.
 
     A row is done, and ``converged`` at that step, when its bracket is
     ``tol`` wide, ``upper - lower <= tol``, or, given the threshold ``t``
@@ -214,7 +210,7 @@ def _power_iterate(edges: np.ndarray, weights: np.ndarray, k: int, r: int, tol: 
     tol``, against the exact form ratio at the iterate, the exact
     Collatz-Wielandt ratio ``max_i G_i / x_i^{r-1}`` (the two bracket the
     component's lambda; Chang, Pearson & Zhang, Commun. Math. Sci. 6,
-    2008) and the exact ``t -+ tol``.  delta is about lambda (r + E + k)
+    2008) and the exact ``t -+ tol``.  delta is about lambda (r + M + k)
     2^-53, under 1e-13 at the audited sizes.  A converged bracket is at
     most tol' = tol (1 + 2^-52) wide.  Take a graph with a settled
     component; its unsettled components run identically in both runs.
@@ -236,7 +232,7 @@ def _power_iterate(edges: np.ndarray, weights: np.ndarray, k: int, r: int, tol: 
     tol escapes both bounds, and there the settled run certifies lambda >
     t exactly.  []
     """
-    b = len(weights)
+    b = len(verts)
     exp = r - 1
     lower = np.zeros(b)
     upper = np.full(b, np.inf)
@@ -246,20 +242,15 @@ def _power_iterate(edges: np.ndarray, weights: np.ndarray, k: int, r: int, tol: 
     rows = np.arange(b)                         # graphs still iterating
     lo, up = lower.copy(), upper.copy()
     x = np.full((b, k), k ** (-1.0 / r))
-    # flat positions b*k + v of (row, edge, member), and of each member
-    # column; a prefix of either serves any fewer rows
-    flat = (rows[:, None, None] * k + edges).ravel()
-    columns = flat.reshape(-1, r).T.copy()
+    flat = verts + (rows * k)[:, None, None]    # flat positions b*k + v of (row, edge, member), pads past x
     step = 0
     while rows.size and step < max_iter:
         step += 1
-        size = rows.size * len(edges)
-        cols = [x.ravel()[col[:size]].reshape(rows.size, -1) for col in columns]
-        loo = _leave_one_out(cols, weights)
-        g = np.bincount(flat[:loo.size], weights=loo.ravel(), minlength=x.size).reshape(x.shape)
+        loo = _leave_one_out([x.take(flat[..., j], mode="clip") for j in range(r)])
+        g = np.bincount(flat.ravel(), weights=loo.ravel(), minlength=x.size)[:x.size].reshape(x.shape)
         lo = (x[:, None, :] @ g[:, :, None])[:, 0, 0]   # form value at each unit iterate
         xp = np.maximum(x, _TINY) ** exp
-        up = (g / xp).max(axis=1)                        # Collatz-Wielandt ratio
+        up = reduce(np.maximum, (g / xp).T)             # Collatz-Wielandt ratio, column by column
         done = (up - lo <= tol) | (up < t - tol) | (lo > t + tol)
         if done.any():
             fin = rows[done]
@@ -268,7 +259,9 @@ def _power_iterate(edges: np.ndarray, weights: np.ndarray, k: int, r: int, tol: 
             converged[fin] = True
             keep = ~done
             rows, x, g, xp, lo, up = rows[keep], x[keep], g[keep], xp[keep], lo[keep], up[keep]
-            weights = weights[keep]
+            if not rows.size:
+                break
+            flat = verts.take(rows, axis=0) + (np.arange(rows.size) * k)[:, None, None]
         y = g + xp                              # shifted iteration keeps x positive
         x = y ** (1.0 / exp)
         # each row's norm root is a scalar (libm) pow: numpy's array pow
@@ -280,21 +273,34 @@ def _power_iterate(edges: np.ndarray, weights: np.ndarray, k: int, r: int, tol: 
     return lower, upper, vectors, iterations, converged
 
 
-def _whole_rows(n: int, members: np.ndarray, picked: np.ndarray) -> np.ndarray:
-    """Bool per row of ``picked`` (as in ``_bracket``): whether the
-    graph's shadow is connected on all n vertices.
+def _max_degrees(n: int, members: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """The maximum degree Delta of each graph of ``own`` (as in ``_bracket``),
+    from one ``bincount`` over their members, vertex-major; pads count at a
+    vertex n past the graph's."""
+    b = len(own)
+    ends = np.concatenate((members, np.full((1, members.shape[1]), n)))
+    flat = (ends * b).take(own, axis=0) + np.arange(b)[:, None, None]
+    return np.bincount(flat.ravel(), minlength=(n + 1) * b).reshape(n + 1, b)[:n].max(axis=0)
 
-    Each row's vertex mask grows from vertex 0 by the mask of every picked
-    edge that meets it, one round of ``uint64`` ORs at a time; a row is
-    whole once it reaches every vertex, and leaves the rounds then or once
-    it stops growing.
+
+def _whole_rows(n: int, r: int, members: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Bool per row of ``own`` (as in ``_bracket``): whether the graph's
+    shadow is connected on all n vertices.
+
+    A split shadow puts every vertex in a component of at most n - 1
+    vertices, of degree at most C(n-2, r-1), so a graph of larger maximum
+    degree is whole.  Any other row's vertex mask grows from vertex 0 by
+    each own edge that meets it, one round of ``uint64`` ORs at a time,
+    until it reaches every vertex (whole) or stops growing.
     """
+    whole = _max_degrees(n, members, own) > comb(n - 2, r - 1)
+    rows = np.flatnonzero(~whole)              # rows still growing
+    if not rows.size:
+        return whole
     bits = np.left_shift(np.uint64(1), members.astype(np.uint64)).sum(axis=1, dtype=np.uint64)
-    edges = bits[:, None] * picked.T           # (E, B) vertex masks of the picked edges, else 0
     full, zero = np.uint64((1 << n) - 1), np.uint64(0)
-    whole = np.zeros(len(picked), dtype=bool)
-    rows = np.arange(len(picked))              # rows still growing
-    reach = np.ones(len(picked), dtype=np.uint64)
+    edges = np.append(bits, zero).take(own[rows]).T  # (M, rows) vertex masks of their own edges, pads 0
+    reach = np.ones(len(rows), dtype=np.uint64)
     while rows.size:
         grown = np.bitwise_or.reduce(np.where(edges & reach != zero, edges, zero), axis=0) | reach
         whole[rows[grown == full]] = True
@@ -313,6 +319,14 @@ def _shadow_components(edges: np.ndarray) -> list[list[int]]:
             e |= c
         comps.append(e)
     return sorted(list(members_of(c)) for c in comps)
+
+
+def _edge_products(xt: np.ndarray, members: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """(B, M) products prod_{i in e} x_i at column b of the (n, B) ``xt`` over
+    the edges of row b of ``own`` (as in ``_bracket``), each in np.prod's
+    order, column by column; a pad's is over the last row of ``members``."""
+    coords = xt.take(members.take(own, axis=0) * len(own) + np.arange(len(own))[:, None, None])
+    return reduce(np.multiply, coords.transpose(2, 0, 1))
 
 
 def _as_float(t) -> float:
@@ -351,44 +365,44 @@ def _check_threshold(t) -> None:
         raise ValueError(f"need a finite threshold t, got {t!r}")
 
 
-def _bracket(n: int, r: int, members: np.ndarray, picked: np.ndarray, tol: float,
+def _bracket(n: int, r: int, members: np.ndarray, own: np.ndarray, tol: float,
              max_iter: int, t=None):
     """The arrays (lower, upper, (B, n) vectors, iterations, converged) of the
-    estimates of the graphs that row b of the (B, E) 0/1 ``picked`` selects
-    from the (E, r) ``members``, given in ascending mask order, each shadow
-    component run until converged or settled against the threshold ``t``
-    (see ``_power_iterate``); a ``t`` that is None, or has no float, settles
-    nothing.
+    estimates of B graphs, each shadow component run until converged or
+    settled against the threshold ``t`` (see ``_power_iterate``); a ``t``
+    that is None, or has no float, settles nothing.  Row b of the (B, M)
+    ``own`` lists graph b's edges as ascending row numbers of the (E, r)
+    ``members``, given in ascending mask order, then -1 up to M.
 
     Whole graphs (``_whole_rows``) are each their own single component and
-    run together in one kernel call over the union of their edges.  Every
-    other graph runs one component at a time, on its k vertices in local
-    labels, and takes the largest upper bound, the summed iterations, all
-    converged, and the vector of its first component (by lowest vertex) of
-    largest lower bound; an edgeless graph takes the uniform vector.
+    run together in one kernel call, each over its own edges, pads past
+    them.  Every other graph runs one component at a time, on its k
+    vertices in local labels, and takes the largest upper bound, the summed
+    iterations, all converged, and the vector of its first component (by
+    lowest vertex) of largest lower bound; an edgeless graph takes the
+    uniform vector.
     """
     _check_args(n, r, tol, max_iter)
-    b, width = picked.shape
+    b = len(own)
     t = _as_float(t)
     upper, vectors = np.zeros(b), np.full((b, n), n ** (-1.0 / r))
     iterations, converged = np.zeros(b, dtype=np.intp), np.ones(b, dtype=bool)
-    whole = _whole_rows(n, members, picked)
+    whole = _whole_rows(n, r, members, own)
     rows = np.flatnonzero(whole)
-    if rows.size:
-        weights = picked[rows]
-        used = np.flatnonzero(weights.any(axis=0))          # the union of their edges
+    if rows.size:                              # a pad (-1) takes vertex b * n, past every row's
+        ends = np.concatenate((members, np.full((1, r), b * n)))
         _, upper[rows], vectors[rows], iterations[rows], converged[rows] = _power_iterate(
-            members[used], weights[:, used].astype(np.float64), n, r, tol, max_iter, t)
+            ends.take(own[rows], axis=0), n, r, tol, max_iter, t)
     for i in np.flatnonzero(~whole).tolist():
-        edges = members[np.flatnonzero(picked[i])]
+        edges = members[own[i, own[i] >= 0]]
         best = -np.inf
         for verts in _shadow_components(edges):
             local = np.full(n, -1)
             local[verts] = range(len(verts))
-            own = local[edges]
-            own = own[own[:, 0] >= 0]                       # the component's edges, in local labels
+            mine = local[edges]
+            mine = mine[mine[:, 0] >= 0]                    # the component's edges, in local labels
             (lo,), (up,), (vec,), (its,), (conv,) = _power_iterate(
-                own, np.ones((1, len(own))), len(verts), r, tol, max_iter, t)
+                mine[None], len(verts), r, tol, max_iter, t)
             upper[i] = max(upper[i], up)
             iterations[i] += its
             converged[i] &= conv
@@ -398,17 +412,12 @@ def _bracket(n: int, r: int, members: np.ndarray, picked: np.ndarray, tol: float
                 vectors[i, verts] = vec
     # the form at each vector, summed over the graph's own edges exactly as
     # evaluate_form sums them; graphs are grouped by edge count
-    graph, edge = np.divmod(np.flatnonzero(picked), width)
-    coords = vectors.ravel()[members[edge] + (graph * n)[:, None]]
-    prods = coords[:, 0]
-    for j in range(1, r):                      # np.prod's order, column by column
-        prods = prods * coords[:, j]
-    sizes = np.bincount(graph, minlength=b)
-    starts = np.cumsum(sizes) - sizes
+    prods = _edge_products(vectors.T, members, own)
+    sizes = (own >= 0).sum(axis=1)
     lower = np.empty(b)
     for m in set(sizes.tolist()):
-        sel = np.flatnonzero(sizes == m)
-        lower[sel] = r * prods[starts[sel, None] + np.arange(m)].sum(axis=1)
+        sel = sizes == m
+        lower[sel] = r * prods[sel, :m].sum(axis=1)
     return lower, np.maximum(upper, lower), vectors, iterations, converged
 
 
@@ -433,8 +442,7 @@ def spectral_radius(h: Hypergraph, tol: float = 1e-9, max_iter: int = 10 ** 6, *
     ``t`` a caller decides, each component stops once its bracket is
     settled, clear of t by ``tol``, and counts as converged there.
     """
-    return _estimates(*_bracket(h.n, h.r, _edge_index_array(h), np.ones((1, h.m), dtype=np.uint8), tol,
-                                max_iter, t))[0]
+    return _estimates(*_bracket(h.n, h.r, _edge_index_array(h), np.arange(h.m)[None], tol, max_iter, t))[0]
 
 
 @cache
@@ -445,12 +453,16 @@ def _universe_members(n: int, r: int) -> np.ndarray:
     return arr
 
 
-def _picked_edges(n: int, r: int, chosen) -> np.ndarray:
-    """(B, C(n, r)) 0/1 array: entry [b, i] is bit i of the b-th chosen-universe
-    mask, unpacked from the little-endian bytes of ``chosen_array``'s rows."""
+def _own_edges(n: int, r: int, chosen) -> np.ndarray:
+    """Chosen-universe masks as ``_bracket``'s rows: the set bits of each of
+    ``chosen_array``'s rows, unpacked from its little-endian bytes."""
     width = len(universe_masks(n, r))
-    raw = chosen_array(chosen, width).astype("<u8").view(np.uint8).reshape(-1, 8)
-    return np.unpackbits(raw, axis=1, count=width, bitorder="little")
+    masks = chosen_array(chosen, width)
+    bits = np.unpackbits(masks.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, count=width, bitorder="little")
+    sizes = np.bitwise_count(masks).astype(np.intp)
+    own = np.full((len(masks), sizes.max(initial=0)), -1, dtype=np.intp)
+    own[np.arange(own.shape[1]) < sizes[:, None]] = np.flatnonzero(bits) - np.repeat(np.arange(len(own)) * width, sizes)
+    return own
 
 
 def spectral_radii(n: int, r: int, chosen, tol: float = 1e-9, max_iter: int = 10 ** 6, *,
@@ -462,7 +474,7 @@ def spectral_radii(n: int, r: int, chosen, tol: float = 1e-9, max_iter: int = 10
     ``t``, whichever graphs share its call.
     """
     _check_args(n, r, tol, max_iter)
-    return _estimates(*_bracket(n, r, _universe_members(n, r), _picked_edges(n, r, chosen), tol, max_iter, t))
+    return _estimates(*_bracket(n, r, _universe_members(n, r), _own_edges(n, r, chosen), tol, max_iter, t))
 
 
 def _dyadic_sums(h: Hypergraph, x) -> tuple[int, int]:
@@ -522,10 +534,10 @@ def _margin(k: int) -> float:
     return 4 * k * _UNIT / (1 - k * _UNIT)
 
 
-def _verdicts(n: int, r: int, members: np.ndarray, picked: np.ndarray, vectors: np.ndarray, uppers,
+def _verdicts(n: int, r: int, members: np.ndarray, own: np.ndarray, vectors: np.ndarray, uppers,
               t, tol: float) -> list[str]:
-    """The verdict on lambda against ``t`` of each graph that ``picked``
-    selects from ``members`` (as in ``_bracket``), at its row of the
+    """The verdict on lambda against ``t`` of each graph of ``own`` (as in
+    ``_bracket``), at its row of the
     (B, n) array ``vectors`` and its upper bound: ``certified_above`` when
     the exact form ratio at the vector exceeds t, else
     ``certified_below_or_equal`` when the upper bound is at most ``t +
@@ -536,24 +548,24 @@ def _verdicts(n: int, r: int, members: np.ndarray, picked: np.ndarray, vectors: 
     trusted), each product and power by repeated multiplication, and with
     ``c = t * D`` the row is above when ``r * T > c * (1 + eps)`` and not
     above when ``r * T < c * (1 - eps)``, with ``eps = _margin(k)`` for
-    ``k = r + E + n`` (E the width of ``members``).
+    ``k = r + M + n``, M the width of ``own`` (T weights a pad's product 0).
 
     Proof.  Let u = 2^-53 and gamma_j = j u / (1 - j u).  When no operation
     overflows or lands below the normal range, a product of j roundings
     (1 + delta_i), |delta_i| <= u, is 1 + theta with |theta| <= gamma_j
     (Higham, Accuracy and Stability of Numerical Algorithms, Lemma 3.1).
-    Every term is nonnegative, and a sum in any order puts each of its E
-    terms through at most E - 1 roundings, so the computed ``r * T`` is
-    ``r T (1 + alpha)`` after at most (r - 1) + (E - 1) + 1 roundings and
-    the computed ``c`` is ``t D (1 + beta)`` after at most (r - 1) + (n - 1)
-    + 1, with |alpha|, |beta| <= gamma = gamma_k.  The factor ``1 + eps``
-    and the product ``c * (1 + eps)`` round twice more.  So the "above"
-    test implies r T / (t D) >= (1 + 4 gamma)(1 - gamma)(1 - u)^2 / (1 +
-    gamma), and the "not above" test implies r T / (t D) <= (1 - 4
-    gamma)(1 + gamma)(1 + u)^2 / (1 - gamma).  Since k >= 4 gives gamma >=
-    4u, and k < 2^50 gives gamma <= 1/4, the first bound exceeds 1 and the
-    second is below 1: the filter's answer is the exact one, strict on
-    both sides.
+    Every term is nonnegative, and a sum in any order puts each of its M
+    terms (a pad's is an exact zero) through at most M - 1 roundings, so
+    the computed ``r * T`` is ``r T (1 + alpha)`` after at most (r - 1) +
+    (M - 1) + 1 roundings and the computed ``c`` is ``t D (1 + beta)``
+    after at most (r - 1) + (n - 1) + 1, with |alpha|, |beta| <= gamma =
+    gamma_k.  The factor ``1 + eps`` and the product ``c * (1 + eps)``
+    round twice more.  So the "above" test implies r T / (t D) >= (1 + 4
+    gamma)(1 - gamma)(1 - u)^2 / (1 + gamma), and the "not above" test
+    implies r T / (t D) <= (1 - 4 gamma)(1 + gamma)(1 + u)^2 / (1 -
+    gamma).  Since k >= 4 gives gamma >= 4u, and k < 2^50 gives gamma <=
+    1/4, the first bound exceeds 1 and the second is below 1: the filter's
+    answer is the exact one, strict on both sides.
 
     The bound needs its premises, so a row goes to ``certified_above`` (the
     exact integer test, with its errors for a malformed vector) when the
@@ -567,42 +579,39 @@ def _verdicts(n: int, r: int, members: np.ndarray, picked: np.ndarray, vectors: 
     tol`` (in floats, or exactly when t is past the float range), else
     ``undecided``.
     """
-    x = np.array(vectors, dtype=np.float64)
+    x = np.array(vectors, dtype=np.float64).T.copy()   # (n, B): a row's reductions run down a column
     tf = _as_float(t)
-    settle = np.full(len(x), tf == t and 0 < tf < np.inf)
-    settle &= np.isfinite(x).all(axis=1)
-    x[~settle] = 0.0
-    settle &= (x >= 0).all(axis=1) & x.any(axis=1)
+    settle = np.full(x.shape[1], tf == t and 0 < tf < np.inf)
+    settle &= np.isfinite(x).all(axis=0)
+    x[:, ~settle] = 0.0
+    settle &= (x >= 0).all(axis=0) & x.any(axis=0)
     # every nonzero coordinate is at least 2^(e - 1), e its smallest frexp exponent
-    low = np.frexp(np.where(x > 0, x, 1.0).min(axis=1))[1] - 1
+    low = np.frexp(np.where(x > 0, x, 1.0).min(axis=0))[1] - 1
     settle &= r * low >= -1022
     with np.errstate(over="ignore", invalid="ignore"):   # overflow leaves a row unsettled
-        prods = x[:, members[:, 0]]
-        for j in range(1, r):
-            prods = prods * x[:, members[:, j]]
         powers = x
         for _ in range(r - 1):
             powers = powers * x
-        form = r * (prods * picked).sum(axis=1)
-        c = tf * powers.sum(axis=1)
-        eps = _margin(r + members.shape[0] + n)
+        form = r * (_edge_products(x, members, own) * (own >= 0)).sum(axis=1)
+        c = tf * powers.sum(axis=0)
+        eps = _margin(r + own.shape[1] + n)
         c_hi, c_lo = c * (1 + eps), c * (1 - eps)
     settle &= (form < np.inf) & (c_hi < np.inf) & (c_lo > _NORMAL)
     above = form > c_hi
     settle &= above | (form < c_lo)
     for i in np.flatnonzero(~settle).tolist():
-        graph = Hypergraph(n, r, members[np.flatnonzero(picked[i])].tolist())
+        graph = Hypergraph(n, r, members[own[i, own[i] >= 0]].tolist())
         above[i] = certified_above(graph, vectors[i], t)
     bound = tf + tol if tf == tf else Fraction(t) + Fraction(tol)
     return [CERTIFIED_ABOVE if yes else CERTIFIED_BELOW_OR_EQUAL if upper <= bound else UNDECIDED
-            for yes, upper in zip(above.tolist(), uppers)]
+            for yes, upper in zip(above.tolist(), np.asarray(uppers).tolist())]
 
 
-def _decide(n: int, r: int, members: np.ndarray, picked: np.ndarray, t, tol: float):
-    """(verdicts, converged) of the graphs that ``picked`` selects from
-    ``members`` (as in ``_bracket``).  A graph of maximum degree Delta <=
-    t is ``certified_below_or_equal`` and converged with no bracket, exactly:
-    lambda <= Delta (Collatz-Wielandt at the all-ones vector) <= t.  Its
+def _decide(n: int, r: int, members: np.ndarray, own: np.ndarray, t, tol: float):
+    """(verdicts, converged) of the graphs of ``own`` (as in ``_bracket``).
+    A graph of maximum degree Delta <= t is ``certified_below_or_equal``
+    and converged with no bracket, exactly: lambda <= Delta
+    (Collatz-Wielandt at the all-ones vector) <= t.  Its
     bracket would give that verdict too, and a False flag only at Delta = t,
     neither converged nor settled within 50,000 steps.  The others get one
     ``_bracket`` call settled against t (at most 50,000 steps) and one
@@ -610,13 +619,12 @@ def _decide(n: int, r: int, members: np.ndarray, picked: np.ndarray, t, tol: flo
     ``tol/1000`` (500,000 steps) and decided again.
     """
     _check_tol(tol)
-    degrees = picked @ (members[:, :, None] == np.arange(n)).any(axis=1).astype(np.intp)
     # Delta > floor(t), with floor(t) clamped to [-1, E] so that it fits int64
-    rows = np.flatnonzero(degrees.max(axis=1) > min(max(floor(t), -1), len(members)))
-    found, done = np.full(len(picked), CERTIFIED_BELOW_OR_EQUAL, dtype=object), np.ones(len(picked), dtype=bool)
+    rows = np.flatnonzero(_max_degrees(n, members, own) > min(max(floor(t), -1), len(members)))
+    found, done = np.full(len(own), CERTIFIED_BELOW_OR_EQUAL, dtype=object), np.ones(len(own), dtype=bool)
     for at, steps in ((tol, 50_000), (tol / 1000, 500_000)):
         if rows.size:
-            part = picked[rows]
+            part = own[rows]
             _, upper, vectors, _, settled = _bracket(n, r, members, part, at, steps, t)
             done[rows] &= settled
             found[rows] = _verdicts(n, r, members, part, vectors, upper, t, tol)
@@ -636,11 +644,11 @@ def threshold_verdicts(n: int, r: int, chosen, t, tol: float = 1e-9) -> tuple[li
     _check_args(n, r, tol)
     _check_threshold(t)
     members = _universe_members(n, r)
-    picked = _picked_edges(n, r, chosen)
+    own = _own_edges(n, r, chosen)
     verdicts: list[str] = []
-    converged = np.ones(len(picked), dtype=bool)
-    for lo in range(0, len(picked), SPECTRAL_SLICE):
-        part = picked[lo:lo + SPECTRAL_SLICE]
+    converged = np.ones(len(own), dtype=bool)
+    for lo in range(0, len(own), SPECTRAL_SLICE):
+        part = own[lo:lo + SPECTRAL_SLICE]
         found, converged[lo:lo + len(part)] = _decide(n, r, members, part, t, tol)
         verdicts += found
     return verdicts, converged
@@ -651,4 +659,4 @@ def exceeds_threshold(h: Hypergraph, t, tol: float = 1e-9) -> str:
     from one ``_decide`` row over ``h``'s own edges, so a call costs what
     ``h`` costs and never builds the ``(n, r)`` edge universe."""
     _check_threshold(t)
-    return _decide(h.n, h.r, _edge_index_array(h), np.ones((1, h.m), dtype=np.uint8), t, tol)[0][0]
+    return _decide(h.n, h.r, _edge_index_array(h), np.arange(h.m)[None], t, tol)[0][0]

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from functools import partial
 from math import comb
 from pathlib import Path
@@ -509,6 +510,25 @@ def test_an_error_in_progress_stops_the_queued_chunks(tmp_path):
                    progress=stop)
     # only the chunks already handed to a worker run; the rest are cancelled
     assert 1 <= len(list(tmp_path.iterdir())) < 10
+
+
+def _refuse(spec, lo, hi):
+    raise RuntimeError(f"refused the window at {lo}")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_chunks_runs_the_first_task_before_packing_the_rest(jobs):
+    # 10,150,595,910 graphs in 154,887 windows: the first task's error comes
+    # back before the level's other tasks are built
+    spec = LevelSpec(10, 8, 11)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="^refused the window at 0$"):
+            run_chunks([spec], partial(_each, _refuse), jobs=jobs, budget=10 ** 11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
 
 
 def test_run_chunks_progress_is_the_same_under_the_pool():

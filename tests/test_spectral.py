@@ -341,13 +341,25 @@ def _whole_row_cases(n, r):
 
 
 def _whole_of(n, r, masks):
-    return spectral._whole_rows(n, spectral._universe_members(n, r), spectral._picked_edges(n, r, masks))
+    return spectral._whole_rows(n, r, spectral._universe_members(n, r), spectral._own_edges(n, r, masks))
+
+
+def _closure_of(monkeypatch, n, r, masks):
+    """``_whole_rows`` with its maximum-degree test off: the vertex-mask
+    closure alone, on every row."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_max_degrees", lambda n, members, own: np.zeros(len(own), dtype=np.intp))
+        return _whole_of(n, r, masks)
 
 
 @pytest.mark.parametrize("n,r", [(5, 3), (6, 3), (6, 4), (7, 3), (5, 2)])
-def test_whole_rows_are_the_graphs_shadow_connected_on_all_vertices(n, r):
+def test_whole_rows_are_the_graphs_shadow_connected_on_all_vertices(monkeypatch, n, r):
+    # with and without the maximum-degree test; the cases hold the copies of
+    # K_{n-1}^r + v, split at Delta = C(n-2, r-1)
     masks = _whole_row_cases(n, r)
-    assert _whole_of(n, r, masks).tolist() == [len(_split(hypergraph_at(n, r, mask))) == 1 for mask in masks]
+    want = [len(_split(hypergraph_at(n, r, mask))) == 1 for mask in masks]
+    assert _whole_of(n, r, masks).tolist() == want
+    assert _closure_of(monkeypatch, n, r, masks).tolist() == want
     # the components that _bracket runs one at a time: every one with an edge
     for mask in masks:
         h = hypergraph_at(n, r, mask)
@@ -363,16 +375,39 @@ def test_whole_rows_bracket_as_the_split_does_bit_for_bit(monkeypatch, n, r, max
     batches = [masks, [m for m, w in zip(masks, whole) if w], [m for m, w in zip(masks, whole) if not w], [0, 0]]
 
     def brackets():
-        return [spectral._bracket(n, r, spectral._universe_members(n, r), spectral._picked_edges(n, r, batch),
+        return [spectral._bracket(n, r, spectral._universe_members(n, r), spectral._own_edges(n, r, batch),
                                   1e-9, max_iter) for batch in batches]
 
     found = brackets()
     # every row through the split
-    monkeypatch.setattr(spectral, "_whole_rows", lambda n, members, picked: np.zeros(len(picked), dtype=bool))
+    monkeypatch.setattr(spectral, "_whole_rows", lambda n, r, members, own: np.zeros(len(own), dtype=bool))
     for arrays, split in zip(found, brackets()):
         for got, want in zip(arrays, split):       # lower, upper, vectors, iterations, converged
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("max_iter", [3, 50_000])
+@pytest.mark.parametrize("n,r", [(5, 2), (6, 3), (6, 4), (7, 3)])
+def test_padded_rows_bracket_as_each_graph_alone(n, r, max_iter):
+    # mixed edge counts pad each row to the batch's largest with weight 0; no
+    # pad may move a bit of the kernel's sums or of the lower bound's
+    # pairwise sum, with or without a threshold
+    rng = random.Random(17 * n + r)
+    size = comb(n, r)
+    masks = _random_masks(rng, n, r, 60) + [1 << i for i in rng.sample(range(size), 4)] + [0, (1 << size) - 1]
+    rng.shuffle(masks)
+    own = spectral._own_edges(n, r, masks)
+    assert (own < 0).any() and own.shape[1] == size
+    t = threshold("spectral_cycle", n, r).value
+    for kw in ({}, {"t": t}):
+        together = spectral_radii(n, r, masks, 1e-9, max_iter, **kw)
+        for mask, est in zip(masks, together):
+            alone = spectral_radii(n, r, [mask], 1e-9, max_iter, **kw)[0]
+            assert (est.lower, est.upper, est.iterations, est.converged) == (
+                alone.lower, alone.upper, alone.iterations, alone.converged)
+            assert est.vector.tobytes() == alone.vector.tobytes()
+            assert est.lower == evaluate_form(hypergraph_at(n, r, mask), est.vector)
 
 
 def test_one_graph_never_builds_the_edge_universe(monkeypatch):
@@ -488,22 +523,24 @@ def test_picked_edges_unpacks_every_mask_bit(n, r):
     rng = random.Random(width)
     masks = [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(30)]
     if width > 64:
-        for call in (spectral._picked_edges, spectral_radii):
+        for call in (spectral._own_edges, spectral_radii):
             with pytest.raises(ValueError, match=f"batches need at most 64 universe edges, got {width}"):
                 call(n, r, masks)
         with pytest.raises(ValueError, match=f"batches need at most 64 universe edges, got {width}"):
             threshold_verdicts(n, r, masks, comb(n - 2, r - 1))
         return
-    expected = np.array([[mask >> i & 1 for i in range(width)] for mask in masks], dtype=np.uint8)
+    # each row lists its mask's set bits in ascending order, then -1 up to the largest count
+    ones = [[i for i in range(width) if mask >> i & 1] for mask in masks]
+    expected = np.array([row + [-1] * (width - len(row)) for row in ones])
     for form in (masks, np.array(masks, dtype=object), np.array(masks, dtype=np.uint64)):
-        assert np.array_equal(spectral._picked_edges(n, r, form), expected)
-    assert spectral._picked_edges(n, r, []).shape == (0, width)
+        assert np.array_equal(spectral._own_edges(n, r, form), expected)
+    assert spectral._own_edges(n, r, [0, 0]).shape == (2, 0) and spectral._own_edges(n, r, []).shape == (0, 0)
     with pytest.raises(ValueError, match="negative: -1"):
-        spectral._picked_edges(n, r, masks + [-1])
+        spectral._own_edges(n, r, masks + [-1])
     with pytest.raises(ValueError, match=f"beyond the {width} universe edges"):
-        spectral._picked_edges(n, r, masks + [1 << width])
+        spectral._own_edges(n, r, masks + [1 << width])
     with pytest.raises(TypeError, match="not an integer"):
-        spectral._picked_edges(n, r, masks + [2.0])
+        spectral._own_edges(n, r, masks + [2.0])
 
 
 @pytest.mark.parametrize("n,r", [(6, 3), (6, 4)])
@@ -558,7 +595,7 @@ def _verdicts_of(n, r, masks, ests, t, tol=1e-9):
     """``spectral._verdicts`` of graphs given as chosen-universe masks, each
     at its own estimate: the exact verdicts behind the float filter."""
     vectors = np.reshape([est.vector for est in ests], (len(ests), n))
-    return spectral._verdicts(n, r, spectral._universe_members(n, r), spectral._picked_edges(n, r, masks), vectors,
+    return spectral._verdicts(n, r, spectral._universe_members(n, r), spectral._own_edges(n, r, masks), vectors,
                               [est.upper for est in ests], t, tol)
 
 
@@ -806,9 +843,9 @@ def _spy_brackets(monkeypatch):
     calls = []
     original = spectral._bracket
 
-    def bracket(n, r, members, picked, *args):
-        calls.append([sum(1 << i for i in np.flatnonzero(row).tolist()) for row in picked])
-        return original(n, r, members, picked, *args)
+    def bracket(n, r, members, own, *args):
+        calls.append([sum(1 << i for i in row.tolist() if i >= 0) for row in own])
+        return original(n, r, members, own, *args)
 
     monkeypatch.setattr(spectral, "_bracket", bracket)
     return calls
@@ -865,6 +902,29 @@ def test_only_whole_graphs_reach_the_bracket_at_the_spectral_threshold(monkeypat
         threshold_verdicts(n, r, masks, at)
         rows = [mask for call in calls for mask in call]
         assert rows and (not _whole_of(n, r, rows).all()) == split
+
+
+@pytest.mark.parametrize("n,r,masks", [
+    (5, 3, _audit_level_masks(5, 3)),
+    (6, 4, _audit_level_masks(6, 4)),
+    (6, 3, _random_masks(random.Random(21), 6, 3, 300)),
+    (7, 3, _random_masks(random.Random(23), 7, 3, 300)),
+    (5, 2, _random_masks(random.Random(24), 5, 2, 300)),
+], ids=["levels-5-3", "levels-6-4", "random-6-3", "random-7-3", "random-5-2"])
+def test_maximum_degree_above_c_n_2_r_1_makes_a_graph_whole(monkeypatch, n, r, masks):
+    # a split shadow puts every vertex in a component of at most n - 1
+    # vertices, so of degree at most C(n-2, r-1): the closure finds every
+    # graph above that whole, and _whole_rows takes them as whole without
+    # it.  The copies of K_{n-1}^r + v sit at the bound, split.
+    masks = masks + sorted(isolated_copies(n, r))
+    bound = comb(n - 2, r - 1)
+    delta = np.array([max(hypergraph_at(n, r, mask).degrees()) for mask in masks])
+    closure = _closure_of(monkeypatch, n, r, masks)
+    assert closure[delta > bound].all() and (delta > bound).any() and (delta <= bound).any()
+    assert delta[-n:].tolist() == [bound] * n and not closure[-n:].any()
+    assert _whole_of(n, r, masks).tolist() == closure.tolist()
+    members, own = spectral._universe_members(n, r), spectral._own_edges(n, r, masks)
+    assert spectral._max_degrees(n, members, own).tolist() == delta.tolist()
 
 
 def test_maximum_degree_settles_huge_thresholds_and_edgeless_graphs_but_no_negative_threshold(monkeypatch):
