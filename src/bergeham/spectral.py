@@ -62,18 +62,23 @@ so campaign verdicts never hinge on floating-point rounding.  A verdict is
 ``certified_above`` when that test holds, ``certified_below_or_equal`` when
 it fails and the float upper bound is at most ``t + tol`` (exact equality
 lands here), and ``undecided`` otherwise.  One per-slice loop, ``_decide``,
-reaches every verdict: a graph of maximum degree Delta <= t is
-``certified_below_or_equal`` exactly, before any bracket (lambda <= Delta,
-Collatz-Wielandt at the all-ones vector); it brackets the rest settled
-against t, decides them, and retries its undecided graphs once at
-``tol/1000``.  ``threshold_verdicts``, the audit's threshold decision, runs
-it over slices of masks; ``exceeds_threshold`` runs it on one graph's own
-edges.  Its ``_verdicts`` puts a float filter in front of the exact test,
-settling a row when ``r * T`` and ``t * D``, recomputed in floats, differ by
-more than a margin proven to exceed their rounding error, so the filter's
-answer is the exact test's.  Rows inside the margin, rows whose vector the
-bound does not cover, and every row of a threshold that is not exactly a
-float go to ``certified_above``.
+reaches every verdict, from one degree count per slice.  A graph of maximum
+degree Delta <= t is ``certified_below_or_equal`` exactly, before any
+bracket (lambda <= Delta, Collatz-Wielandt at the all-ones vector).  A
+graph whose form ratio at its degree vector x_i = (d_i + 1)^{1/(r-1)}, the
+kernel's second iterate, provably exceeds t is ``certified_above``
+exactly, before any bracket (any nonnegative x bounds lambda from below).
+It brackets the rest settled against t, decides them, and retries its
+undecided graphs once at ``tol/1000``.  ``threshold_verdicts``, the audit's
+threshold decision, runs it over slices of masks; ``exceeds_threshold``
+runs it on one graph's own edges.  One float filter, ``_float_filter``,
+serves the degree-vector test and ``_verdicts``: it settles a row when ``r
+* T`` and ``t * D``, computed in floats, differ by more than a margin proven
+to exceed their rounding error, so its answer is the exact test's.  At the
+degree vector, a row it does not prove above goes on to the bracket; in
+``_verdicts``, rows inside the margin, rows whose vector the bound does not
+cover, and every row of a threshold that is not exactly a float go to
+``certified_above``.
 """
 
 from __future__ import annotations
@@ -273,19 +278,19 @@ def _power_iterate(verts: np.ndarray, k: int, r: int, tol: float, max_iter: int,
     return lower, upper, vectors, iterations, converged
 
 
-def _max_degrees(n: int, members: np.ndarray, own: np.ndarray) -> np.ndarray:
-    """The maximum degree Delta of each graph of ``own`` (as in ``_bracket``),
-    from one ``bincount`` over their members, vertex-major; pads count at a
-    vertex n past the graph's."""
+def _degrees(n: int, members: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """The (n, B) vertex degrees of the graphs of ``own`` (as in ``_bracket``),
+    column b graph b's, from one ``bincount`` over their members,
+    vertex-major; pads count at a vertex n past the graph's."""
     b = len(own)
     ends = np.concatenate((members, np.full((1, members.shape[1]), n)))
     flat = (ends * b).take(own, axis=0) + np.arange(b)[:, None, None]
-    return np.bincount(flat.ravel(), minlength=(n + 1) * b).reshape(n + 1, b)[:n].max(axis=0)
+    return np.bincount(flat.ravel(), minlength=(n + 1) * b).reshape(n + 1, b)[:n]
 
 
-def _whole_rows(n: int, r: int, members: np.ndarray, own: np.ndarray) -> np.ndarray:
-    """Bool per row of ``own`` (as in ``_bracket``): whether the graph's
-    shadow is connected on all n vertices.
+def _whole_rows(n: int, r: int, members: np.ndarray, own: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Bool per row of ``own`` (as in ``_bracket``), of maximum degree
+    ``delta``: whether the graph's shadow is connected on all n vertices.
 
     A split shadow puts every vertex in a component of at most n - 1
     vertices, of degree at most C(n-2, r-1), so a graph of larger maximum
@@ -293,7 +298,7 @@ def _whole_rows(n: int, r: int, members: np.ndarray, own: np.ndarray) -> np.ndar
     each own edge that meets it, one round of ``uint64`` ORs at a time,
     until it reaches every vertex (whole) or stops growing.
     """
-    whole = _max_degrees(n, members, own) > comb(n - 2, r - 1)
+    whole = delta > comb(n - 2, r - 1)
     rows = np.flatnonzero(~whole)              # rows still growing
     if not rows.size:
         return whole
@@ -324,9 +329,12 @@ def _shadow_components(edges: np.ndarray) -> list[list[int]]:
 def _edge_products(xt: np.ndarray, members: np.ndarray, own: np.ndarray) -> np.ndarray:
     """(B, M) products prod_{i in e} x_i at column b of the (n, B) ``xt`` over
     the edges of row b of ``own`` (as in ``_bracket``), each in np.prod's
-    order, column by column; a pad's is over the last row of ``members``."""
-    coords = xt.take(members.take(own, axis=0) * len(own) + np.arange(len(own))[:, None, None])
-    return reduce(np.multiply, coords.transpose(2, 0, 1))
+    order; a pad's is over the last row of ``members``.  It multiplies out
+    every row of ``members`` at every column, from r gathers of whole rows
+    of ``xt`` (cheaper than a (B, M, r) gather of the own edges'
+    coordinates), then picks each graph's own."""
+    every = reduce(np.multiply, [xt[col] for col in members.T])   # (E, B)
+    return every.take(own * len(own) + np.arange(len(own))[:, None])
 
 
 def _as_float(t) -> float:
@@ -366,13 +374,14 @@ def _check_threshold(t) -> None:
 
 
 def _bracket(n: int, r: int, members: np.ndarray, own: np.ndarray, tol: float,
-             max_iter: int, t=None):
+             max_iter: int, t=None, delta=None):
     """The arrays (lower, upper, (B, n) vectors, iterations, converged) of the
     estimates of B graphs, each shadow component run until converged or
     settled against the threshold ``t`` (see ``_power_iterate``); a ``t``
     that is None, or has no float, settles nothing.  Row b of the (B, M)
     ``own`` lists graph b's edges as ascending row numbers of the (E, r)
-    ``members``, given in ascending mask order, then -1 up to M.
+    ``members``, given in ascending mask order, then -1 up to M.  ``delta``
+    holds the graphs' maximum degrees, computed here when None.
 
     Whole graphs (``_whole_rows``) are each their own single component and
     run together in one kernel call, each over its own edges, pads past
@@ -387,7 +396,9 @@ def _bracket(n: int, r: int, members: np.ndarray, own: np.ndarray, tol: float,
     t = _as_float(t)
     upper, vectors = np.zeros(b), np.full((b, n), n ** (-1.0 / r))
     iterations, converged = np.zeros(b, dtype=np.intp), np.ones(b, dtype=bool)
-    whole = _whole_rows(n, r, members, own)
+    if delta is None:
+        delta = _degrees(n, members, own).max(axis=0)
+    whole = _whole_rows(n, r, members, own, delta)
     rows = np.flatnonzero(whole)
     if rows.size:                              # a pad (-1) takes vertex b * n, past every row's
         ends = np.concatenate((members, np.full((1, r), b * n)))
@@ -534,30 +545,31 @@ def _margin(k: int) -> float:
     return 4 * k * _UNIT / (1 - k * _UNIT)
 
 
-def _verdicts(n: int, r: int, members: np.ndarray, own: np.ndarray, vectors: np.ndarray, uppers,
-              t, tol: float) -> list[str]:
-    """The verdict on lambda against ``t`` of each graph of ``own`` (as in
-    ``_bracket``), at its row of the
-    (B, n) array ``vectors`` and its upper bound: ``certified_above`` when
-    the exact form ratio at the vector exceeds t, else
-    ``certified_below_or_equal`` when the upper bound is at most ``t +
-    tol``, else ``undecided``; ``_decide`` settles Delta <= t before it.
+def _float_filter(n: int, r: int, members: np.ndarray, own: np.ndarray, x: np.ndarray, t):
+    """(above, settled), bool per graph of ``own`` (as in ``_bracket``) at
+    its column of the (n, B) float array ``x``: ``settled`` when the float
+    sums prove whether the exact form ratio at the column exceeds ``t``,
+    and then ``above`` says whether it does.  It may zero a column it
+    cannot settle in place.
 
-    Per row, the float sums ``T = sum_e prod_{i in e} x_i`` and ``D =
-    sum_i x_i^r`` are recomputed from the vector (``est.lower`` is not
-    trusted), each product and power by repeated multiplication, and with
-    ``c = t * D`` the row is above when ``r * T > c * (1 + eps)`` and not
-    above when ``r * T < c * (1 - eps)``, with ``eps = _margin(k)`` for
-    ``k = r + M + n``, M the width of ``own`` (T weights a pad's product 0).
+    Per column, the float sums ``T = sum_e prod_{i in e} x_i`` and ``D =
+    sum_i x_i^r`` are computed from the vector, each product and power by
+    repeated multiplication and each sum in order (T weights a pad's
+    product 0), and with ``c = t * D`` the column is above when ``r * T > c
+    * (1 + eps)`` and not above when ``r * T < c * (1 - eps)``, with ``eps =
+    _margin(k)`` for ``k = r + m + n``, m the graph's edge count.  So
+    neither the answer nor the floats behind it depend on the other graphs
+    of the batch or on its width.
 
     Proof.  Let u = 2^-53 and gamma_j = j u / (1 - j u).  When no operation
     overflows or lands below the normal range, a product of j roundings
     (1 + delta_i), |delta_i| <= u, is 1 + theta with |theta| <= gamma_j
     (Higham, Accuracy and Stability of Numerical Algorithms, Lemma 3.1).
-    Every term is nonnegative, and a sum in any order puts each of its M
-    terms (a pad's is an exact zero) through at most M - 1 roundings, so
+    Every term is nonnegative, and a sum puts each of its m edge terms
+    through at most m - 1 roundings (a pad adds an exact zero, which
+    rounds nothing), so
     the computed ``r * T`` is ``r T (1 + alpha)`` after at most (r - 1) +
-    (M - 1) + 1 roundings and the computed ``c`` is ``t D (1 + beta)``
+    (m - 1) + 1 roundings and the computed ``c`` is ``t D (1 + beta)``
     after at most (r - 1) + (n - 1) + 1, with |alpha|, |beta| <= gamma =
     gamma_k.  The factor ``1 + eps`` and the product ``c * (1 + eps)``
     round twice more.  So the "above" test implies r T / (t D) >= (1 + 4
@@ -565,21 +577,16 @@ def _verdicts(n: int, r: int, members: np.ndarray, own: np.ndarray, vectors: np.
     implies r T / (t D) <= (1 - 4 gamma)(1 + gamma)(1 + u)^2 / (1 -
     gamma).  Since k >= 4 gives gamma >= 4u, and k < 2^50 gives gamma <=
     1/4, the first bound exceeds 1 and the second is below 1: the filter's
-    answer is the exact one, strict on both sides.
+    answer is the exact one, strict on both sides.  The proof takes the
+    float vector as it is, however it was computed.
 
-    The bound needs its premises, so a row goes to ``certified_above`` (the
-    exact integer test, with its errors for a malformed vector) when the
-    filter cannot settle it: every row when ``t`` is not exactly a
-    positive finite float; a row whose vector has a non-finite or negative
-    coordinate, or none nonzero; a row whose smallest nonzero coordinate,
-    raised to the r, could leave the normal range, or whose ``c * (1 +-
-    eps)`` overflows or falls to the normal range's edge; and a row inside
-    the margin.  The verdict is then ``certified_above``, else
-    ``certified_below_or_equal`` when the upper bound is at most ``t +
-    tol`` (in floats, or exactly when t is past the float range), else
-    ``undecided``.
+    The bound needs its premises, so a column is not settled: every column
+    when ``t`` is not exactly a positive finite float; a column with a
+    non-finite or negative coordinate, or none nonzero; a column whose
+    smallest nonzero coordinate, raised to the r, could leave the normal
+    range, or whose ``c * (1 +- eps)`` overflows or falls to the normal
+    range's edge; and a column inside the margin.
     """
-    x = np.array(vectors, dtype=np.float64).T.copy()   # (n, B): a row's reductions run down a column
     tf = _as_float(t)
     settle = np.full(x.shape[1], tf == t and 0 < tf < np.inf)
     settle &= np.isfinite(x).all(axis=0)
@@ -592,13 +599,36 @@ def _verdicts(n: int, r: int, members: np.ndarray, own: np.ndarray, vectors: np.
         powers = x
         for _ in range(r - 1):
             powers = powers * x
-        form = r * (_edge_products(x, members, own) * (own >= 0)).sum(axis=1)
-        c = tf * powers.sum(axis=0)
-        eps = _margin(r + own.shape[1] + n)
+        edge = own >= 0
+        # each sum in order, as numpy's pairwise sum is not: a pad adds an exact 0
+        form = r * reduce(np.add, (_edge_products(x, members, own) * edge).T, np.zeros(len(own)))
+        c = tf * reduce(np.add, powers)
+        eps = _margin(r + edge.sum(axis=1) + n)
         c_hi, c_lo = c * (1 + eps), c * (1 - eps)
     settle &= (form < np.inf) & (c_hi < np.inf) & (c_lo > _NORMAL)
     above = form > c_hi
     settle &= above | (form < c_lo)
+    return above, settle
+
+
+def _verdicts(n: int, r: int, members: np.ndarray, own: np.ndarray, vectors: np.ndarray, uppers,
+              t, tol: float) -> list[str]:
+    """The verdict on lambda against ``t`` of each graph of ``own`` (as in
+    ``_bracket``), at its row of the
+    (B, n) array ``vectors`` and its upper bound: ``certified_above`` when
+    the exact form ratio at the vector exceeds t, else
+    ``certified_below_or_equal`` when the upper bound is at most ``t +
+    tol`` (in floats, or exactly when t is past the float range), else
+    ``undecided``; ``_decide`` settles the graphs it can before it.
+
+    ``_float_filter`` answers the exact question from the vector
+    (``est.lower`` is not trusted), and a row it cannot settle goes to
+    ``certified_above``, the exact integer test, with its errors for a
+    malformed vector.
+    """
+    x = np.array(vectors, dtype=np.float64).T.copy()   # (n, B): a row's reductions run down a column
+    above, settle = _float_filter(n, r, members, own, x, t)
+    tf = _as_float(t)
     for i in np.flatnonzero(~settle).tolist():
         graph = Hypergraph(n, r, members[own[i, own[i] >= 0]].tolist())
         above[i] = certified_above(graph, vectors[i], t)
@@ -607,25 +637,68 @@ def _verdicts(n: int, r: int, members: np.ndarray, own: np.ndarray, vectors: np.
             for yes, upper in zip(above.tolist(), np.asarray(uppers).tolist())]
 
 
+def _above_at_degrees(n: int, r: int, members: np.ndarray, own: np.ndarray, degrees: np.ndarray,
+                      t) -> np.ndarray:
+    """Bool per graph of ``own`` (as in ``_bracket``): whether
+    ``_float_filter`` proves that the form ratio exceeds ``t`` at x_i = (d_i
+    + 1)^{1/(r-1)}, d the graph's column of the (n, B) ``degrees``.  That
+    x is the kernel's second iterate from the uniform vector (Ng, Qi & Zhou,
+    SIAM J. Matrix Anal. Appl. 31, 2009), and any nonnegative x bounds
+    lambda >= r T(x) / D(x) (Chang, Pearson & Zhang), so True is exact.
+
+    x comes from a table of (k + 1)^{1/(r-1)}, k up to the largest degree.
+    By AM-GM, r T(x) <= sum_i d_i x_i^r, so a graph whose float ``sum_i (d_i
+    - t) x_i^r`` is not positive cannot be above and skips the edge
+    products, as does every graph of Delta <= t.  The gate only saves time:
+    a graph it skips, by rounding or not, is False here and is bracketed.
+    """
+    root = np.arange(1, degrees.max(initial=0) + 2) ** (1.0 / (r - 1))
+    gate = ((np.arange(len(root)) - _as_float(t)) * root ** r)[degrees].sum(axis=0) > 0
+    above = np.zeros(len(own), dtype=bool)
+    rows = np.flatnonzero(gate)
+    if rows.size:
+        hit, settled = _float_filter(n, r, members, own[rows], root[degrees[:, rows]], t)
+        above[rows] = hit & settled
+    return above
+
+
 def _decide(n: int, r: int, members: np.ndarray, own: np.ndarray, t, tol: float):
-    """(verdicts, converged) of the graphs of ``own`` (as in ``_bracket``).
-    A graph of maximum degree Delta <= t is ``certified_below_or_equal``
-    and converged with no bracket, exactly: lambda <= Delta
-    (Collatz-Wielandt at the all-ones vector) <= t.  Its
-    bracket would give that verdict too, and a False flag only at Delta = t,
-    neither converged nor settled within 50,000 steps.  The others get one
-    ``_bracket`` call settled against t (at most 50,000 steps) and one
-    ``_verdicts`` call; the undecided ones are re-bracketed together at
-    ``tol/1000`` (500,000 steps) and decided again.
+    """(verdicts, converged) of the graphs of ``own`` (as in ``_bracket``),
+    each settled by the first of these steps that settles it.
+
+    - A graph of maximum degree Delta <= t is ``certified_below_or_equal``
+      and converged, exactly: lambda <= Delta (Collatz-Wielandt at the
+      all-ones vector) <= t.  Its bracket would give that verdict too,
+      and a False flag only at Delta = t, neither converged nor settled
+      within 50,000 steps.
+    - A graph that ``_above_at_degrees`` certifies above t at its degree
+      vector is ``certified_above`` and converged, exactly.  Its bracket
+      would give that verdict and flag too, unless lambda lies within
+      about ``tol`` of t (where a ``certified_below_or_equal`` would be
+      the tolerance's answer, not the exact one) or the bracket neither
+      converges nor settles within its steps.  The test only takes a
+      threshold that is exactly a positive finite float; a graph it does
+      not settle goes on.
+    - The others get one ``_bracket`` call settled against t (at most
+      50,000 steps) and one ``_verdicts`` call; the undecided ones are
+      re-bracketed together at ``tol/1000`` (500,000 steps) and decided
+      again.
+
+    One ``bincount`` gives the degrees, and so Delta, for every step.
     """
     _check_tol(tol)
-    # Delta > floor(t), with floor(t) clamped to [-1, E] so that it fits int64
-    rows = np.flatnonzero(_max_degrees(n, members, own) > min(max(floor(t), -1), len(members)))
+    degrees = _degrees(n, members, own)
+    delta = degrees.max(axis=0)
+    # Delta <= floor(t), with floor(t) clamped to [-1, E] so that it fits int64
+    below = delta <= min(max(floor(t), -1), len(members))
+    above = _above_at_degrees(n, r, members, own, degrees, t)
     found, done = np.full(len(own), CERTIFIED_BELOW_OR_EQUAL, dtype=object), np.ones(len(own), dtype=bool)
+    found[above] = CERTIFIED_ABOVE
+    rows = np.flatnonzero(~(below | above))
     for at, steps in ((tol, 50_000), (tol / 1000, 500_000)):
         if rows.size:
             part = own[rows]
-            _, upper, vectors, _, settled = _bracket(n, r, members, part, at, steps, t)
+            _, upper, vectors, _, settled = _bracket(n, r, members, part, at, steps, t, delta[rows])
             done[rows] &= settled
             found[rows] = _verdicts(n, r, members, part, vectors, upper, t, tol)
             rows = rows[found[rows] == UNDECIDED]
@@ -635,11 +708,13 @@ def _decide(n: int, r: int, members: np.ndarray, own: np.ndarray, t, tol: float)
 def threshold_verdicts(n: int, r: int, chosen, t, tol: float = 1e-9) -> tuple[list[str], np.ndarray]:
     """(verdicts, converged) of graphs given as chosen-universe masks: each
     graph's exact verdict on lambda against ``t`` (``certified_below_or_equal``
-    at once when its maximum degree Delta <= t, else as ``_verdicts`` defines
+    at once when its maximum degree Delta <= t, ``certified_above`` at once
+    when its degree vector proves lambda > t, else as ``_verdicts`` defines
     it), and a bool array of whether its brackets converged or settled, True
-    when Delta <= t (see ``_decide``).  ``_decide`` runs on each
-    ``SPECTRAL_SLICE`` graphs.  An estimate does not depend on its batch, so
-    no answer depends on the slices, the order or the other graphs of the call.
+    for a graph settled before any bracket (see ``_decide``).  ``_decide``
+    runs on each ``SPECTRAL_SLICE`` graphs.  An estimate does not depend on
+    its batch, so no answer depends on the slices, the order or the other
+    graphs of the call.
     """
     _check_args(n, r, tol)
     _check_threshold(t)

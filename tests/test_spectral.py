@@ -341,25 +341,25 @@ def _whole_row_cases(n, r):
 
 
 def _whole_of(n, r, masks):
-    return spectral._whole_rows(n, r, spectral._universe_members(n, r), spectral._own_edges(n, r, masks))
+    members, own = spectral._universe_members(n, r), spectral._own_edges(n, r, masks)
+    return spectral._whole_rows(n, r, members, own, spectral._degrees(n, members, own).max(axis=0))
 
 
-def _closure_of(monkeypatch, n, r, masks):
-    """``_whole_rows`` with its maximum-degree test off: the vertex-mask
-    closure alone, on every row."""
-    with monkeypatch.context() as patch:
-        patch.setattr(spectral, "_max_degrees", lambda n, members, own: np.zeros(len(own), dtype=np.intp))
-        return _whole_of(n, r, masks)
+def _closure_of(n, r, masks):
+    """``_whole_rows`` with its maximum-degree test off (every Delta given
+    as 0): the vertex-mask closure alone, on every row."""
+    members, own = spectral._universe_members(n, r), spectral._own_edges(n, r, masks)
+    return spectral._whole_rows(n, r, members, own, np.zeros(len(own), dtype=np.intp))
 
 
 @pytest.mark.parametrize("n,r", [(5, 3), (6, 3), (6, 4), (7, 3), (5, 2)])
-def test_whole_rows_are_the_graphs_shadow_connected_on_all_vertices(monkeypatch, n, r):
+def test_whole_rows_are_the_graphs_shadow_connected_on_all_vertices(n, r):
     # with and without the maximum-degree test; the cases hold the copies of
     # K_{n-1}^r + v, split at Delta = C(n-2, r-1)
     masks = _whole_row_cases(n, r)
     want = [len(_split(hypergraph_at(n, r, mask))) == 1 for mask in masks]
     assert _whole_of(n, r, masks).tolist() == want
-    assert _closure_of(monkeypatch, n, r, masks).tolist() == want
+    assert _closure_of(n, r, masks).tolist() == want
     # the components that _bracket runs one at a time: every one with an edge
     for mask in masks:
         h = hypergraph_at(n, r, mask)
@@ -380,7 +380,7 @@ def test_whole_rows_bracket_as_the_split_does_bit_for_bit(monkeypatch, n, r, max
 
     found = brackets()
     # every row through the split
-    monkeypatch.setattr(spectral, "_whole_rows", lambda n, r, members, own: np.zeros(len(own), dtype=bool))
+    monkeypatch.setattr(spectral, "_whole_rows", lambda n, r, members, own, delta: np.zeros(len(own), dtype=bool))
     for arrays, split in zip(found, brackets()):
         for got, want in zip(arrays, split):       # lower, upper, vectors, iterations, converged
             assert got.dtype == want.dtype and got.shape == want.shape
@@ -718,26 +718,34 @@ def test_threshold_verdicts_do_not_depend_on_slices_or_order(monkeypatch, n, r, 
 
 
 def test_undecided_verdicts_are_retried_at_a_thousandth_of_the_tolerance(monkeypatch):
-    # of the 462 graphs on the (5,3) audit levels, the 315 of maximum degree
-    # above t reach the bracket; force the first verdict of every 25th of them
-    # to undecided, in slices of 100; the undecided graphs of a slice, and only
+    # of the 462 graphs on the (5,3) audit levels, at t = 3 - 1e-3, the 210
+    # of maximum degree above t that the degree vector does not certify
+    # above t reach the bracket, the 5 copies of K_4^3 + v (lambda = 3)
+    # among them, so both verdicts do (at t = 3 the degree vector certifies
+    # every graph above); force the first verdict of every 5th of them to
+    # undecided, in slices of 100; the undecided graphs of a slice, and only
     # they, are re-bracketed together at tol/1000, each as spectral_radius
     # brackets it alone, and decided as the first pass would have decided them
     tol = 1e-9
-    t = threshold("spectral_cycle", 5, 3).value
+    t = threshold("spectral_cycle", 5, 3).value - 1e-3
     masks = _audit_level_masks(5, 3)
-    tight = [i for i, mask in enumerate(masks) if max(hypergraph_at(5, 3, mask).degrees()) > t]
+    tight = []
+    for i, mask in enumerate(masks):
+        h = hypergraph_at(5, 3, mask)
+        degrees = np.array(h.degrees())
+        if degrees.max() > t and not certified_above(h, (degrees + 1.0) ** 0.5, t):
+            tight.append(i)
     slices = [[i for i in tight if lo <= i < lo + 100] for lo in range(0, 462, 100)]
-    targets = tight[::25]
-    assert [len(rows) for rows in slices] == [96, 94, 73, 28, 24]
-    assert [sum(i in targets for i in rows) for rows in slices] == [4, 4, 3, 1, 1]
+    targets = tight[::5]
+    assert [len(rows) for rows in slices] == [0, 0, 48, 100, 62]
+    assert [sum(i in targets for i in rows) for rows in slices] == [0, 0, 10, 20, 12]
     monkeypatch.setattr(spectral, "SPECTRAL_SLICE", 100)
     brackets, first, short = [], [], []
     original_bracket, original_verdicts = spectral._bracket, spectral._verdicts
 
-    def bracket(n, r, members, picked, at, cap, t):
+    def bracket(n, r, members, picked, at, cap, t, delta=None):
         # with ``short`` set, a retry stops after one step
-        run = original_bracket(n, r, members, picked, at, 1 if short and at < tol else cap, t)
+        run = original_bracket(n, r, members, picked, at, 1 if short and at < tol else cap, t, delta)
         brackets.append((picked, at, cap, run))
         return run
 
@@ -753,7 +761,7 @@ def test_undecided_verdicts_are_retried_at_a_thousandth_of_the_tolerance(monkeyp
     want, converged = threshold_verdicts(5, 3, masks, t, tol)
     # no undecided verdict, no retry
     assert [(len(picked), at, cap) for picked, at, cap, _ in brackets] == [
-        (96, tol, 50_000), (94, tol, 50_000), (73, tol, 50_000), (28, tol, 50_000), (24, tol, 50_000)]
+        (48, tol, 50_000), (100, tol, 50_000), (62, tol, 50_000)]
     assert {want[i] for i in targets} == {CERTIFIED_ABOVE, CERTIFIED_BELOW_OR_EQUAL} and converged.all()
 
     brackets.clear()
@@ -761,10 +769,9 @@ def test_undecided_verdicts_are_retried_at_a_thousandth_of_the_tolerance(monkeyp
     got, done = threshold_verdicts(5, 3, masks, t, tol)
     assert got == want and np.array_equal(done, converged)
     assert [(len(picked), at, cap) for picked, at, cap, _ in brackets] == [
-        (96, tol, 50_000), (4, tol / 1000, 500_000), (94, tol, 50_000), (4, tol / 1000, 500_000),
-        (73, tol, 50_000), (3, tol / 1000, 500_000), (28, tol, 50_000), (1, tol / 1000, 500_000),
-        (24, tol, 50_000), (1, tol / 1000, 500_000)]
-    for k, rows in enumerate(slices):
+        (48, tol, 50_000), (10, tol / 1000, 500_000), (100, tol, 50_000), (20, tol / 1000, 500_000),
+        (62, tol, 50_000), (12, tol / 1000, 500_000)]
+    for k, rows in enumerate(slices[2:]):
         (picked, *_), (again, _, _, run) = brackets[2 * k:2 * k + 2]
         retried = [i for i in rows if i in targets]
         assert np.array_equal(again, picked[[rows.index(i) for i in retried]])
@@ -882,6 +889,42 @@ def test_graphs_of_maximum_degree_at_most_t_settle_before_any_bracket(monkeypatc
         assert settled or t < t_spec
 
 
+def _no_degree_vector_test(n, r, members, own, degrees, t):
+    """``spectral._above_at_degrees`` switched off: it certifies no graph."""
+    return np.zeros(len(own), dtype=bool)
+
+
+@pytest.mark.parametrize("n,r,masks", [
+    (5, 3, _audit_level_masks(5, 3)),
+    (6, 4, _audit_level_masks(6, 4)),
+    (7, 5, _audit_level_masks(7, 5)),
+    (6, 3, _random_masks(random.Random(21), 6, 3, 300)),
+    (7, 3, _random_masks(random.Random(23), 7, 3, 300)),
+    (5, 2, _random_masks(random.Random(24), 5, 2, 300)),
+], ids=["levels-5-3", "levels-6-4", "levels-7-5", "random-6-3", "random-7-3", "random-5-2"])
+def test_degree_vector_test_changes_no_verdict_and_no_flag(monkeypatch, n, r, masks):
+    # the exact above test at the degree vector only skips brackets: with
+    # it off, every graph, the copies of K_{n-1}^r + v included, gets the
+    # same verdict and converged flag; with it on, it settles some graphs
+    masks = masks + sorted(isolated_copies(n, r))
+    t = threshold("spectral_cycle", n, r).value
+    settled = []
+    original = spectral._above_at_degrees
+
+    def counted(*args):
+        above = original(*args)
+        settled.append(int(above.sum()))
+        return above
+
+    for at in (t, t - 1, t - 1e-3, t + 1e-3):
+        monkeypatch.setattr(spectral, "_above_at_degrees", counted)
+        verdicts, converged = threshold_verdicts(n, r, masks, at)
+        monkeypatch.setattr(spectral, "_above_at_degrees", _no_degree_vector_test)
+        want, flags = threshold_verdicts(n, r, masks, at)
+        assert verdicts == want and converged.tobytes() == flags.tobytes()
+    assert sum(settled) > 0
+
+
 @pytest.mark.parametrize("n,r,masks", [
     (5, 3, _audit_level_masks(5, 3)),
     (6, 4, _audit_level_masks(6, 4)),
@@ -893,15 +936,27 @@ def test_only_whole_graphs_reach_the_bracket_at_the_spectral_threshold(monkeypat
     # a graph that is not whole has every vertex in a component of at most
     # n - 1 vertices, so Delta <= C(n-2, r-1) = t and it settles before any
     # bracket: the audit never runs _bracket's per-component loop.  One
-    # below t, the copies of K_{n-1}^r + v (Delta = t) reach the loop.
+    # below t, the copies of K_{n-1}^r + v (Delta = t = lambda) are
+    # certified above at their degree vectors; with that test off, they
+    # reach the loop.
     masks = masks + sorted(isolated_copies(n, r)) + _whole_row_cases(n, r)
+    copies = isolated_copies(n, r)
     t = threshold("spectral_cycle", n, r).value
     calls = _spy_brackets(monkeypatch)
-    for at, split in ((t, False), (t - 1, True)):
+
+    def bracketed(at):
         calls.clear()
-        threshold_verdicts(n, r, masks, at)
-        rows = [mask for call in calls for mask in call]
-        assert rows and (not _whole_of(n, r, rows).all()) == split
+        verdicts, _ = threshold_verdicts(n, r, masks, at)
+        assert {verdict for mask, verdict in zip(masks, verdicts) if mask in copies} == {
+            CERTIFIED_BELOW_OR_EQUAL if at == t else CERTIFIED_ABOVE}
+        return [mask for call in calls for mask in call]
+
+    rows = bracketed(t)
+    assert rows and _whole_of(n, r, rows).all()
+    assert copies.isdisjoint(bracketed(t - 1))
+    monkeypatch.setattr(spectral, "_above_at_degrees", _no_degree_vector_test)
+    rows = bracketed(t - 1)
+    assert copies <= set(rows) and not _whole_of(n, r, rows).all()
 
 
 @pytest.mark.parametrize("n,r,masks", [
@@ -911,20 +966,21 @@ def test_only_whole_graphs_reach_the_bracket_at_the_spectral_threshold(monkeypat
     (7, 3, _random_masks(random.Random(23), 7, 3, 300)),
     (5, 2, _random_masks(random.Random(24), 5, 2, 300)),
 ], ids=["levels-5-3", "levels-6-4", "random-6-3", "random-7-3", "random-5-2"])
-def test_maximum_degree_above_c_n_2_r_1_makes_a_graph_whole(monkeypatch, n, r, masks):
+def test_maximum_degree_above_c_n_2_r_1_makes_a_graph_whole(n, r, masks):
     # a split shadow puts every vertex in a component of at most n - 1
     # vertices, so of degree at most C(n-2, r-1): the closure finds every
     # graph above that whole, and _whole_rows takes them as whole without
     # it.  The copies of K_{n-1}^r + v sit at the bound, split.
     masks = masks + sorted(isolated_copies(n, r))
     bound = comb(n - 2, r - 1)
-    delta = np.array([max(hypergraph_at(n, r, mask).degrees()) for mask in masks])
-    closure = _closure_of(monkeypatch, n, r, masks)
+    degrees = np.array([hypergraph_at(n, r, mask).degrees() for mask in masks])
+    delta = degrees.max(axis=1)
+    closure = _closure_of(n, r, masks)
     assert closure[delta > bound].all() and (delta > bound).any() and (delta <= bound).any()
     assert delta[-n:].tolist() == [bound] * n and not closure[-n:].any()
     assert _whole_of(n, r, masks).tolist() == closure.tolist()
     members, own = spectral._universe_members(n, r), spectral._own_edges(n, r, masks)
-    assert spectral._max_degrees(n, members, own).tolist() == delta.tolist()
+    assert spectral._degrees(n, members, own).T.tolist() == degrees.tolist()
 
 
 def test_maximum_degree_settles_huge_thresholds_and_edgeless_graphs_but_no_negative_threshold(monkeypatch):
@@ -978,6 +1034,58 @@ def test_filter_margin_covers_thresholds_next_to_the_exact_ratio(n, r):
             t = float(np.nextafter(float(ratio), np.inf * shift)) if shift else float(ratio)
             want = CERTIFIED_ABOVE if ratio > t else CERTIFIED_BELOW_OR_EQUAL
             assert _verdicts_of(n, r, masks[i:i + 1], ests[i:i + 1], t) == [want]
+
+
+@pytest.mark.parametrize("n,r", [(5, 3), (6, 4), (8, 3)])
+def test_float_filter_answers_a_column_in_a_batch_as_alone(n, r):
+    # the filter sums in order and its margin counts the graph's own edges:
+    # at thresholds one ulp apart across the edge of a column's margin, the
+    # column gets the same answer in a batch of 20 mixed edge counts as
+    # alone, on its own width
+    rng = np.random.default_rng(7 * n + r)
+    masks = [int(rng.integers(1, 2 ** comb(n, r))) for _ in range(20)]
+    members, own = spectral._universe_members(n, r), spectral._own_edges(n, r, masks)
+    x = rng.random((n, len(masks))) + 0.5
+    for i, mask in enumerate(masks):
+        h = hypergraph_at(n, r, mask)
+        edge = float(exact_form_ratio(h, x[:, i])) / (1 + spectral._margin(r + h.m + n))
+        alone_own = spectral._own_edges(n, r, [mask])
+        for j in range(-40, 41):
+            t = edge * (1 + j * 2.0 ** -52)
+            above, settled = spectral._float_filter(n, r, members, own, x.copy(), t)
+            (alone_above,), (alone_settled,) = spectral._float_filter(n, r, members, alone_own, x[:, i:i + 1].copy(), t)
+            assert (above[i], settled[i]) == (alone_above, alone_settled)
+            assert alone_above == (j == -40) or -40 < j < 40
+            if alone_settled:
+                assert alone_above == certified_above(h, x[:, i], t)
+
+
+@pytest.mark.parametrize("n,r", [(5, 3), (6, 3), (6, 4), (7, 5)])
+def test_degree_vector_certificates_hold_in_exact_arithmetic(n, r):
+    # random graphs of maximum degree above the spectral threshold, and the
+    # complete graph (at (7,5) its x is 2 everywhere and its ratio exactly
+    # 15), each at its own x_i = (d_i + 1)^{1/(r-1)}: at the float nearest
+    # the exact form ratio and at both its neighbours, _above_at_degrees
+    # certifies no graph that the exact test rejects; a billionth below the
+    # ratio, it certifies every graph
+    t_spec = threshold("spectral_cycle", n, r).value
+    masks = [mask for mask in _random_masks(random.Random(31 * n + r), n, r, 400)
+             if max(hypergraph_at(n, r, mask).degrees()) > t_spec] + [(1 << comb(n, r)) - 1]
+    members, own = spectral._universe_members(n, r), spectral._own_edges(n, r, masks)
+    degrees = np.array([hypergraph_at(n, r, mask).degrees() for mask in masks]).T
+    root = np.arange(1, degrees.max() + 2) ** (1.0 / (r - 1))
+    rejected = 0
+    for i, mask in enumerate(masks):
+        h, x = hypergraph_at(n, r, mask), root[degrees[:, i]]
+        ratio = float(exact_form_ratio(h, x))
+        for t in (np.nextafter(ratio, -np.inf), ratio, np.nextafter(ratio, np.inf), ratio * (1 - 1e-9)):
+            (got,) = spectral._above_at_degrees(n, r, members, own[i:i + 1], degrees[:, i:i + 1], t)
+            want = certified_above(h, x, t)
+            assert got <= want
+            rejected += not want
+            if t < ratio * (1 - 1e-10):
+                assert got
+    assert len(masks) > 100 and rejected > len(masks)
 
 
 def test_rows_outside_the_filter_go_to_the_exact_test(monkeypatch):
